@@ -1,0 +1,170 @@
+"""Known-answer digests that pin the determinism contract byte for byte.
+
+Each case below produces bytes (a random stream, tournament codes, matrix
+CSV, or a full CLI report) and the test compares their SHA-256 with the
+digest recorded here.  A refactor of the builders, the elimination kernels
+or the verifiers must leave every digest unchanged; a digest that moves
+means report bytes moved.
+"""
+
+import hashlib
+
+import pytest
+
+from tourmat.cli import main
+from tourmat.fields import GF, QQ
+from tourmat.matrices import (
+    LinearMix,
+    WeightSeq,
+    linear_mix_matrix,
+    matrix_to_csv,
+    ratio_matrix,
+    reversal_sum_matrix,
+    tournament_matrix,
+    transitive_matrix,
+)
+from tourmat.rng import ByteStream
+from tourmat.tournaments import paley, random_tournament
+
+# A rank-deficient Q matrix with fractions and a column that gets no pivot.
+RANK_INPUT_Q = """field=Q,rows=4,cols=5
+1/2,0,3,-1,2
+1,0,6,-2,4
+0,0,1/3,5,7
+2,0,-1,0,1/5
+"""
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stream_bytes():
+    keys = [(0,), (1, "weights", 5), (2**64 - 1, "perm", 3, "x")]
+    return b"".join(ByteStream(*key).take_bytes(97) for key in keys)
+
+
+def _tournament_codes():
+    return ",".join(str(random_tournament(n, seed, i).code)
+                    for n in range(1, 13) for seed in (0, 7) for i in range(4))
+
+
+def _builder_csv(field):
+    w = WeightSeq.of(field, [1, 2, 3, 4, 6, 7])
+    mix = LinearMix(field.scalar(2), field.scalar(3))
+    parts = []
+    for t in (random_tournament(6, 11, 0), random_tournament(6, 11, 1)):
+        parts.append(matrix_to_csv(tournament_matrix(t, w)))
+        parts.append(matrix_to_csv(linear_mix_matrix(t, w, mix)))
+        parts.append(matrix_to_csv(ratio_matrix(t, w)))
+    parts.append(matrix_to_csv(transitive_matrix(w)))
+    parts.append(matrix_to_csv(reversal_sum_matrix(w)))
+    w7 = WeightSeq.of(field, [1, 2, 3, 4, 6, 7, 8])
+    parts.append(matrix_to_csv(tournament_matrix(paley(7), w7)))
+    return "".join(parts)
+
+
+LIBRARY_CASES = {
+    "bytestream": _stream_bytes,
+    "tournament-codes": _tournament_codes,
+    "builders-Q": lambda: _builder_csv(QQ),
+    "builders-GF5": lambda: _builder_csv(GF(5)),
+}
+
+CLI_CASES = {
+    "verify-transitive": ["verify", "--theorem", "transitive", "--field", "Q",
+                          "--n-range", "3..7", "--trials", "3", "--seed", "5"],
+    "verify-reversal": ["verify", "--theorem", "reversal", "--field", "GF(5)",
+                        "--n", "5", "--seed", "1"],
+    "verify-lipschitz": ["verify", "--theorem", "lipschitz", "--field", "Q",
+                         "--n", "7", "--flips", "25", "--seed", "3"],
+    "verify-certify-Q": ["verify", "--theorem", "certify", "--field", "Q",
+                         "--n-max", "4", "--z", "2"],
+    "verify-certify-GF3": ["verify", "--theorem", "certify", "--field", "GF(3)",
+                           "--n-max", "5"],
+    "verify-constant": ["verify", "--theorem", "constant", "--field", "GF(3)",
+                        "--n-range", "2..11", "--value", "2"],
+    "verify-ffbound": ["verify", "--theorem", "ffbound", "--field", "GF(3)",
+                       "--n-max", "5"],
+    "verify-f-ensemble": ["verify", "--theorem", "f-ensemble", "--field", "Q",
+                          "--n", "4", "--alpha", "2", "--beta", "1/3", "--seed", "2"],
+    "build": ["build", "--tournament", "paley:11", "--field", "GF(7)",
+              "--seq", "1,2,3,4,5,6,1,2,3,4,5", "--seed", "0"],
+    "minrank-csv": ["minrank", "--field", "GF(3)", "--n", "5", "--seq", "1,2,1,2,1",
+                    "--format", "csv", "--seed", "0"],
+    "minrank-workers-1": ["minrank", "--field", "Q", "--n", "5", "--seq", "1,2,3,4,5",
+                          "--conjecture-c", "1/2", "--workers", "1", "--seed", "0"],
+    "minrank-workers-2": ["minrank", "--field", "Q", "--n", "5", "--seq", "1,2,3,4,5",
+                          "--conjecture-c", "1/2", "--workers", "2", "--seed", "0"],
+    "montecarlo-Q": ["montecarlo", "--field", "Q", "--n", "12", "--samples", "15",
+                     "--seq", ",".join("12" * 6), "--seed", "9"],
+    "montecarlo-GF3": ["montecarlo", "--field", "GF(3)", "--n", "13", "--samples", "15",
+                       "--seq", ",".join("1212121212121"), "--seed", "9", "--format", "csv"],
+    "perm-scan": ["perm-scan", "--field", "Q", "--tournament", "random:5",
+                  "--seq", "1,2,3,4,5", "--seed", "4"],
+}
+
+PINNED = {
+    "build": "b4080daa154c339c7d7051d4988cebd8e8f9e539752620897c8a82a0f666a145",
+    "builders-GF5": "3afaac0607327e1f3fcbde775eee7037fb251a99602ffb474eb2245737e7ec1d",
+    "builders-Q": "ad16bd6afea9d8218632bde99affb849ea8a766439b2da846e0c05f9bcb3f0dc",
+    "bytestream": "97df01570eae3efa18c62587ff9d4993aa02b029aee545febae9d0dcaacdb85e",
+    "minrank-csv": "4b0e36afa2674a367e682f83144cb9ba003f4c463b7a82c577f947f2b2ebca03",
+    "minrank-workers-1": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
+    "minrank-workers-2": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
+    "montecarlo-GF3": "7c56bacb85e8d30e91572de3462136a53a5f97f24c52f2b8ad2e92f9fef42728",
+    "montecarlo-Q": "d8c98cfacdd54d2038feb56aef13afbb738e9a0280204e58e52fed96fc321f29",
+    "perm-scan": "989fb7df3f8372c8ed60047140c210ba059d0ea70f5412d46d858161bf822211",
+    "rank": "760a6a3de4873e4d40bd9f584ff5a839da6739d466b2573254b64203a27c0231",
+    "tournament-codes": "355fc987e6350fc523591970f191e4151fb3bcf609b85d2c10e4db37e85d58e5",
+    "verify-certify-GF3": "be89c65f199c1d044f8ec59e2717805594ff83b27dc6fb930430f6ebd2dd9ee5",
+    "verify-certify-Q": "8e679eb0398abd735f535c9dc12be48ce24c5dc70aa954ae3c8e03203ef82f34",
+    "verify-constant": "d9b11579ea5a33d2dc5b19b598175433c03438fe03a39c322b8135eae9024437",
+    "verify-f-ensemble": "83f5633617610aae6b2c88797f02a9563f32f9bddcdfb7701f76db328c975271",
+    "verify-ffbound": "42d736ffc2f2a54a1cd036fd020448a0a491172b051492067241a36cfdefb2e5",
+    "verify-lipschitz": "f91eea99f1ac3585638044c485f51b923d27f69fb12455514dc6ec9b1746934b",
+    "verify-reversal": "3c25fd28dd2436008549253af448e17ec09dce5c156c4fdbcb4ae985a7533827",
+    "verify-transitive": "b53d4ce2f72d3d29c72d8d4ec9b5ba41e3cb65f6d77f9f031b920121b173cf93",
+}
+
+
+def _run_cli(argv, out_path):
+    code = main(argv + ["--out", str(out_path)])
+    assert code == 0
+    return out_path.read_bytes()
+
+
+def _rank_outputs(tmp_path):
+    """`rank` on a Q matrix with a skipped column, and on a built GF(p) matrix
+    large enough for the vectorized kernel, under its own and another field."""
+    q_csv = tmp_path / "q.csv"
+    q_csv.write_text(RANK_INPUT_Q)
+    big = tmp_path / "big.csv"
+    assert main(["build", "--tournament", "transitive:12", "--field", "GF(11)",
+                 "--seq", ",".join(["1"] * 12), "--seed", "0", "--out", str(big)]) == 0
+    out = b""
+    for argv in (["--matrix", str(q_csv)],
+                 ["--matrix", str(big)],
+                 ["--matrix", str(big), "--field", "GF(2)"]):
+        out += _run_cli(["rank", "--seed", "0"] + argv, tmp_path / "rank.json")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_library_digest(name):
+    assert sha(LIBRARY_CASES[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_report_digest(name, tmp_path):
+    assert sha(_run_cli(CLI_CASES[name], tmp_path / "report")) == PINNED[name]
+
+
+def test_rank_digest(tmp_path):
+    assert sha(_rank_outputs(tmp_path)) == PINNED["rank"]
+
+
+def test_minrank_worker_count_does_not_move_bytes():
+    assert PINNED["minrank-workers-1"] == PINNED["minrank-workers-2"]
