@@ -162,20 +162,20 @@ def _cmd_verify(args) -> int:
         report = experiments.verify_transitive(n_range, field, trials=args.trials,
                                                seed=args.seed)
     elif theorem == "reversal":
-        n = args.n or 4
+        n = 4 if args.n is None else args.n
         weights = (_parse_seq(field, args.seq, n) if args.seq
                    else experiments.counting_weights(field, n))
-        source = args.sample if args.sample else "exhaustive"
+        source = "exhaustive" if args.sample is None else args.sample
         report = experiments.verify_reversal(n, field, weights, tournaments=source,
                                              seed=args.seed)
     elif theorem == "lipschitz":
-        n = args.n or 8
+        n = 8 if args.n is None else args.n
         weights = (_parse_seq(field, args.seq, n) if args.seq
                    else experiments.cycling_weights(field, n))
         report = experiments.verify_lipschitz(n, field, weights, flips=args.flips,
                                               seed=args.seed)
     elif theorem == "certify":
-        report = experiments.verify_certifiability(args.n_max or 5, [field],
+        report = experiments.verify_certifiability(args.n_max, [field],
                                                    z_values=(args.z,))
     elif theorem == "constant":
         n_range = _parse_n_range(args.n_range or "2..20")
@@ -183,14 +183,14 @@ def _cmd_verify(args) -> int:
     elif theorem == "ffbound":
         if not field.is_prime_field:
             raise UsageError("ffbound needs a prime field, e.g. --field 'GF(3)'")
-        report = experiments.verify_finite_field_bound(args.n_max or 5, field.char)
+        report = experiments.verify_finite_field_bound(args.n_max, field.char)
     elif theorem == "f-ensemble":
         if args.alpha is None or args.beta is None:
             raise UsageError("f-ensemble needs --alpha and --beta")
-        n = args.n or 4
+        n = 4 if args.n is None else args.n
         weights = (_parse_seq(field, args.seq, n) if args.seq
                    else experiments.counting_weights(field, n))
-        source = args.sample if args.sample else "exhaustive"
+        source = "exhaustive" if args.sample is None else args.sample
         report = experiments.verify_f_ensemble(
             n, field, weights, parse_scalar(field, args.alpha),
             parse_scalar(field, args.beta), tournaments=source, seed=args.seed)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "constant", "ffbound", "f-ensemble"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-range", default=None, help="inclusive range a..b")
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--seq", default=None)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--flips", type=int, default=1000)

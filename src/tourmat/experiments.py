@@ -11,6 +11,7 @@ are reported as information, never as violations.
 from __future__ import annotations
 
 import itertools
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +47,11 @@ ARGMIN_CODES_KEPT = 16
 
 
 class BadRangeError(ValueError):
-    """Transitive verification needs n >= 3."""
+    """A vertex count below what the check needs (n >= 3 transitive, n >= 2 otherwise)."""
+
+
+class EmptyRunError(ValueError):
+    """The run would check nothing (no sizes or no samples); refused, not passed."""
 
 
 class DegenerateMixError(ValueError):
@@ -93,11 +98,30 @@ def _rank_histogram(ranks) -> dict:
     return hist
 
 
+def _refuse_empty(count: int, what: str):
+    if count < 1:
+        raise EmptyRunError(f"{what} leaves nothing to check; refusing to report a vacuous pass")
+
+
+def _finish(t0: float, experiment_id: str, parameters: dict, records: list,
+            summary: dict, violations: int | None = None) -> Report:
+    """The report with its violation count (default: records that failed),
+    pass flag and wall time since t0."""
+    if violations is None:
+        violations = sum(1 for rec in records if not rec["pass"])
+    summary["violations"] = violations
+    summary["pass"] = violations == 0
+    report = Report(experiment_id, parameters, records, summary)
+    report.wall_time_s = time.perf_counter() - t0
+    return report
+
+
 def _resolve_tournaments(n: int, tournaments, seed: int):
     """Normalize the tournament source: "exhaustive", a sample count, or a list."""
     if tournaments == "exhaustive":
         return enumerate_all(n)
     if isinstance(tournaments, int):
+        _refuse_empty(tournaments, f"{tournaments} sampled tournaments")
         return (random_tournament(n, seed, i) for i in range(tournaments))
     return iter(tournaments)
 
@@ -117,6 +141,7 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     """
     t0 = time.perf_counter()
     n_list = list(n_range)
+    _refuse_empty(len(n_list), "an empty n range")
     for n in n_list:
         if n < 3:
             raise BadRangeError(f"transitive check needs n >= 3, got {n}")
@@ -132,37 +157,59 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
                 weights = WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
             else:
                 weights = random_weights(field, n, seed, "transitive", n, k)
-            r_dn = rank(transitive_matrix(weights)).rank
-            records.append({
-                "n": n, "trial": k, "kind": "reverse_ranked",
-                "rank": r_dn, "bound": bound, "pass": r_dn >= bound,
-            })
             order = ByteStream(seed, "transitive-order", n, k).shuffled(range(1, n + 1))
-            r_perm = rank(tournament_matrix(transitive(n, order), weights)).rank
-            records.append({
-                "n": n, "trial": k, "kind": "random_order",
-                "rank": r_perm, "bound": bound, "pass": r_perm >= bound,
-            })
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="transitive-floor",
-        parameters={
-            "n_range": [min(n_list), max(n_list)],
-            "field": str(field),
-            "trials": trials,
-            "seed": seed,
-            "sequence_source": "fixed" if fixed is not None else "random",
-        },
-        records=records,
-        summary={
-            "checks": len(records),
-            "violations": violations,
-            "min_rank": min(rec["rank"] for rec in records),
-            "pass": violations == 0,
-        },
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+            for kind, m in (("reverse_ranked", transitive_matrix(weights)),
+                            ("random_order", tournament_matrix(transitive(n, order), weights))):
+                r = rank(m).rank
+                records.append({"n": n, "trial": k, "kind": kind,
+                                "rank": r, "bound": bound, "pass": r >= bound})
+    parameters = {
+        "n_range": [min(n_list), max(n_list)],
+        "field": str(field),
+        "trials": trials,
+        "seed": seed,
+        "sequence_source": "fixed" if fixed is not None else "random",
+    }
+    summary = {"checks": len(records), "min_rank": min(rec["rank"] for rec in records)}
+    return _finish(t0, "transitive-floor", parameters, records, summary)
+
+
+def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix,
+                        tournaments, seed: int, more_ok):
+    """Records, one per tournament t, for the linear-mix matrices M(t) and
+    M(rev t), plus the report parameters that describe the sweep.
+
+    Checks M(t) + M(rev t) = (alpha + beta) times the pair-sum matrix
+    entrywise; in characteristic != 2 also rank M(t) + rank M(rev t) >= n - 2
+    and more_ok(rank M(t), rank M(rev t)).
+    """
+    if n < 2:
+        raise BadRangeError(f"reversal check needs n >= 2, got {n}")
+    char2 = field.char == 2
+    scale = mix.alpha + mix.beta
+    expected = DenseMatrix(field, n, n,
+                           tuple(scale * e for e in reversal_sum_matrix(weights).entries))
+    low = bounds.reversal_sum_bound(n)
+    records = []
+    for t in _resolve_tournaments(n, tournaments, seed):
+        mt = linear_mix_matrix(t, weights, mix)
+        mr = linear_mix_matrix(t.reverse(), weights, mix)
+        identity_ok = (mt + mr) == expected
+        if char2:
+            rt = rr = None
+            ok = identity_ok
+        else:
+            rt = rank(mt).rank
+            rr = rank(mr).rank
+            ok = identity_ok and rt + rr >= low and more_ok(rt, rr)
+        records.append({"code": t.code, "identity_ok": identity_ok,
+                        "rank_t": rt, "rank_rev": rr, "pass": ok})
+    parameters = {
+        "n": n, "field": str(field), "weights": str(weights), "seed": seed,
+        "tournaments": tournaments if isinstance(tournaments, (str, int)) else "explicit",
+        "rank_checks": "refused: characteristic 2" if char2 else "enabled",
+    }
+    return records, parameters
 
 
 def verify_reversal(n: int, field: Field, weights: WeightSeq,
@@ -172,48 +219,18 @@ def verify_reversal(n: int, field: Field, weights: WeightSeq,
     (i) matrix + reversed-tournament matrix = pair-sum matrix, entrywise and
     in every characteristic; in characteristic != 2 additionally (ii) the
     pair-sum matrix has rank >= n - 2, (iii) the two ranks sum to >= n - 2,
-    and (iv) the larger is >= ceil((n - 2)/2).
+    and (iv) the larger is >= ceil((n - 2)/2).  The tournament matrix is the
+    linear mix with alpha = 1, beta = 0.
     """
     t0 = time.perf_counter()
-    char2 = field.char == 2
-    sum_ref = reversal_sum_matrix(weights)
-    rank_sum = None if char2 else rank(sum_ref).rank
+    rank_sum = None if field.char == 2 else rank(reversal_sum_matrix(weights)).rank
     low = bounds.reversal_sum_bound(n)
     half = -(-low // 2)  # ceil((n - 2) / 2)
-    records = []
-    for t in _resolve_tournaments(n, tournaments, seed):
-        mt = tournament_matrix(t, weights)
-        mr = tournament_matrix(t.reverse(), weights)
-        identity_ok = (mt + mr) == sum_ref
-        if char2:
-            rec = {"code": t.code, "identity_ok": identity_ok,
-                   "rank_t": None, "rank_rev": None, "pass": identity_ok}
-        else:
-            rt = rank(mt).rank
-            rr = rank(mr).rank
-            ok = (identity_ok and rank_sum >= low and rt + rr >= low
-                  and max(rt, rr) >= half)
-            rec = {"code": t.code, "identity_ok": identity_ok,
-                   "rank_t": rt, "rank_rev": rr, "pass": ok}
-        records.append(rec)
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="reversal-identity",
-        parameters={
-            "n": n, "field": str(field), "weights": str(weights), "seed": seed,
-            "tournaments": tournaments if isinstance(tournaments, (str, int)) else "explicit",
-            "rank_checks": "refused: characteristic 2" if char2 else "enabled",
-        },
-        records=records,
-        summary={
-            "checks": len(records),
-            "violations": violations,
-            "rank_sum_matrix": rank_sum,
-            "pass": violations == 0,
-        },
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    records, parameters = _mix_reversal_sweep(
+        n, field, weights, LinearMix(field.one, field.zero), tournaments, seed,
+        lambda rt, rr: rank_sum >= low and max(rt, rr) >= half)
+    summary = {"checks": len(records), "rank_sum_matrix": rank_sum}
+    return _finish(t0, "reversal-identity", parameters, records, summary)
 
 
 def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
@@ -221,6 +238,9 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
     """Check the two perturbation bounds: |rank change| <= 2 per single edge
     flip and per single weight replacement, over random instances."""
     t0 = time.perf_counter()
+    if n < 2:
+        raise BadRangeError(f"edge-flip check needs n >= 2, got {n}")
+    _refuse_empty(flips, f"flips={flips}")
     records = []
     for i in range(flips):
         t = random_tournament(n, seed, i)
@@ -238,17 +258,9 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
             "trial": i, "rank": base, "rank_flipped": flipped,
             "rank_replaced": replaced, "pass": ok,
         })
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="edge-flip-lipschitz",
-        parameters={"n": n, "field": str(field), "weights": str(weights),
-                    "flips": flips, "seed": seed},
-        records=records,
-        summary={"checks": len(records), "violations": violations,
-                 "pass": violations == 0},
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    parameters = {"n": n, "field": str(field), "weights": str(weights),
+                  "flips": flips, "seed": seed}
+    return _finish(t0, "edge-flip-lipschitz", parameters, records, {"checks": len(records)})
 
 
 def _certify_weights(field: Field, n: int, s: int, z: Scalar) -> WeightSeq:
@@ -270,6 +282,7 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
     field, every z.  Records are aggregated per (n, s, field, z).
     """
     t0 = time.perf_counter()
+    _refuse_empty(n_max - 1, f"n_max={n_max}")
     records = []
     for field in fields:
         for raw_z in z_values:
@@ -296,20 +309,11 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
                         "tournaments": checked, "violations": bad,
                         "first_bad_code": first_bad, "pass": bad == 0,
                     })
-    violations = sum(rec["violations"] for rec in records)
-    report = Report(
-        experiment_id="certifiability-minors",
-        parameters={"n_max": n_max, "fields": [str(f) for f in fields],
-                    "z_values": [str(z) for z in z_values]},
-        records=records,
-        summary={
-            "checks": sum(rec["tournaments"] for rec in records),
-            "violations": violations,
-            "pass": violations == 0,
-        },
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    parameters = {"n_max": n_max, "fields": [str(f) for f in fields],
+                  "z_values": [str(z) for z in z_values]}
+    return _finish(t0, "certifiability-minors", parameters, records,
+                   {"checks": sum(rec["tournaments"] for rec in records)},
+                   violations=sum(rec["violations"] for rec in records))
 
 
 def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
@@ -340,16 +344,8 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
                 "char_divides_n_minus_1": char_divides,
                 "pass": collapse_ok and r >= low and full_ok,
             })
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="constant-weights",
-        parameters={"fields": [str(f) for f in fields], "value": value},
-        records=records,
-        summary={"checks": len(records), "violations": violations,
-                 "pass": violations == 0},
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    return _finish(t0, "constant-weights", {"fields": [str(f) for f in fields], "value": value},
+                   records, {"checks": len(records)})
 
 
 def verify_f_ensemble(n: int, field: Field, weights: WeightSeq, alpha, beta,
@@ -367,46 +363,16 @@ def verify_f_ensemble(n: int, field: Field, weights: WeightSeq, alpha, beta,
             f"alpha + beta = 0 in {field}: the pair-sum matrix vanishes and the"
             " rank-sum bound says nothing; refusing to report a vacuous pass"
         )
-    char2 = field.char == 2
-    scale = mix.alpha + mix.beta
-    base_sum = reversal_sum_matrix(weights)
-    expected = DenseMatrix(field, n, n, tuple(scale * e for e in base_sum.entries))
-    low = bounds.reversal_sum_bound(n)
-    records = []
-    for t in _resolve_tournaments(n, tournaments, seed):
-        mt = linear_mix_matrix(t, weights, mix)
-        mr = linear_mix_matrix(t.reverse(), weights, mix)
-        identity_ok = (mt + mr) == expected
-        if char2:
-            rec = {"code": t.code, "identity_ok": identity_ok,
-                   "rank_t": None, "rank_rev": None, "pass": identity_ok}
-        else:
-            rt = rank(mt).rank
-            rr = rank(mr).rank
-            rec = {"code": t.code, "identity_ok": identity_ok,
-                   "rank_t": rt, "rank_rev": rr,
-                   "pass": identity_ok and rt + rr >= low}
-        records.append(rec)
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="linear-mix-reversal",
-        parameters={
-            "n": n, "field": str(field), "weights": str(weights),
-            "alpha": str(mix.alpha), "beta": str(mix.beta), "seed": seed,
-            "tournaments": tournaments if isinstance(tournaments, (str, int)) else "explicit",
-            "rank_checks": "refused: characteristic 2" if char2 else "enabled",
-        },
-        records=records,
-        summary={"checks": len(records), "violations": violations,
-                 "pass": violations == 0},
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    records, parameters = _mix_reversal_sweep(n, field, weights, mix, tournaments, seed,
+                                              lambda rt, rr: True)
+    parameters.update(alpha=str(mix.alpha), beta=str(mix.beta))
+    return _finish(t0, "linear-mix-reversal", parameters, records, {"checks": len(records)})
 
 
 def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
     """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights."""
     t0 = time.perf_counter()
+    _refuse_empty(n_max, f"n_max={n_max}")
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
@@ -425,17 +391,11 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
             "n": n, "tournaments": checked, "min_rank": min_rank,
             "bound": str(low), "violations": bad, "pass": bad == 0,
         })
-    violations = sum(rec["violations"] for rec in records)
-    report = Report(
-        experiment_id="finite-field-floor",
-        parameters={"n_max": n_max, "field": str(field),
-                    "weights": "cycling" if values is None else str(list(values))},
-        records=records,
-        summary={"checks": sum(rec["tournaments"] for rec in records),
-                 "violations": violations, "pass": violations == 0},
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    parameters = {"n_max": n_max, "field": str(field),
+                  "weights": "cycling" if values is None else str(list(values))}
+    return _finish(t0, "finite-field-floor", parameters, records,
+                   {"checks": sum(rec["tournaments"] for rec in records)},
+                   violations=sum(rec["violations"] for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +405,7 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
 def _split_range(start: int, end: int, parts: int):
     """Contiguous chunks covering [start, end); at most `parts` of them."""
     total = end - start
-    parts = max(1, min(parts, total)) if total else 1
+    parts = max(1, min(parts, total))
     step, extra = divmod(total, parts)
     chunks = []
     lo = start
@@ -470,7 +430,9 @@ def _mc_chunk(args):
 
 
 def _run_chunks(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
+    # the pool forks all its workers up front, so never ask for more than can run
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [fn(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -498,6 +460,7 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     lo, hi = shard if shard is not None else (0, total)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"bad shard [{lo}, {hi}) for {total} codes")
+    _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
     pairs = _run_chunks(_minrank_chunk,
                         [(weights, n, a, b) for a, b in _split_range(lo, hi, workers)],
                         workers)
@@ -507,9 +470,8 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
         ok = True if low is None else r >= low
         records.append({"code": code, "rank": r, "pass": ok})
     ranks = [r for _, r in pairs]
-    min_rank = min(ranks) if ranks else None
+    min_rank = min(ranks)
     argmin = [code for code, r in pairs if r == min_rank]
-    violations = sum(1 for rec in records if not rec["pass"])
     kept = argmin[:ARGMIN_CODES_KEPT]
     summary = {
         "min_rank": min_rank,
@@ -518,22 +480,13 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
         "argmin_tournaments": [format_tournament(Tournament(n, c)) for c in kept],
         "rank_histogram": _rank_histogram(ranks),
         "ff_bound": str(low) if low is not None else None,
-        "violations": violations,
-        "pass": violations == 0,
     }
     if conjecture_c is not None:
         c = Fraction(conjecture_c)
         summary["conjecture_c"] = str(c)
-        summary["min_rank_ge_cn"] = min_rank is not None and min_rank >= c * n
-    report = Report(
-        experiment_id="minrank-exhaustive",
-        parameters={"n": n, "field": str(field), "weights": str(weights),
-                    "shard": [lo, hi]},
-        records=records,
-        summary=summary,
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+        summary["min_rank_ge_cn"] = min_rank >= c * n
+    parameters = {"n": n, "field": str(field), "weights": str(weights), "shard": [lo, hi]}
+    return _finish(t0, "minrank-exhaustive", parameters, records, summary)
 
 
 def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
@@ -546,6 +499,7 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
     samples, seed) - never on the worker count.
     """
     t0 = time.perf_counter()
+    _refuse_empty(samples, f"samples={samples}")
     char2 = field.char == 2
     low = bounds.half_minus_tail_floor(n)
     vacuous = bounds.half_minus_tail_vacuous(n)
@@ -558,27 +512,19 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
         ok = True if char2 else r >= low
         records.append({"index": i, "rank": r, "bound": low, "pass": ok})
     ranks = [r for _, r in pairs]
-    violations = sum(1 for rec in records if not rec["pass"])
-    report = Report(
-        experiment_id="montecarlo-rank",
-        parameters={
-            "n": n, "field": str(field), "weights": str(weights),
-            "samples": samples, "seed": seed,
-            "theorem_check": "refused: characteristic 2" if char2 else "enabled",
-        },
-        records=records,
-        summary={
-            "min_rank": min(ranks) if ranks else None,
-            "median_rank": statistics.median(ranks) if ranks else None,
-            "rank_histogram": _rank_histogram(ranks),
-            "bound_floor": low,
-            "bound_vacuous": vacuous,
-            "violations": violations,
-            "pass": violations == 0,
-        },
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    parameters = {
+        "n": n, "field": str(field), "weights": str(weights),
+        "samples": samples, "seed": seed,
+        "theorem_check": "refused: characteristic 2" if char2 else "enabled",
+    }
+    summary = {
+        "min_rank": min(ranks),
+        "median_rank": statistics.median(ranks),
+        "rank_histogram": _rank_histogram(ranks),
+        "bound_floor": low,
+        "bound_vacuous": vacuous,
+    }
+    return _finish(t0, "montecarlo-rank", parameters, records, summary)
 
 
 def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
@@ -599,6 +545,7 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
             raise TooManyPermutationsError(f"n={n} has n! > {MAX_PERM_N}! permutations")
         perms = itertools.permutations(range(1, n + 1))
     elif mode == "sample":
+        _refuse_empty(sample, f"sample={sample}")
         perms = (tuple(ByteStream(seed, "perm", i).shuffled(range(1, n + 1)))
                  for i in range(sample))
     else:
@@ -614,14 +561,8 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
             witness[r] = perm
     records = [{"rank": r, "count": counts[r], "witness_perm": list(witness[r])}
                for r in sorted(witness)]
-    report = Report(
-        experiment_id="perm-scan",
-        parameters={"n": n, "field": str(field), "weights": str(weights),
-                    "tournament_code": t.code, "mode": mode,
-                    "sample": sample if mode == "sample" else None, "seed": seed},
-        records=records,
-        summary={"scanned": scanned, "distinct_ranks": sorted(witness),
-                 "violations": 0, "pass": True, "exploratory": True},
-    )
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    parameters = {"n": n, "field": str(field), "weights": str(weights),
+                  "tournament_code": t.code, "mode": mode,
+                  "sample": sample if mode == "sample" else None, "seed": seed}
+    summary = {"scanned": scanned, "distinct_ranks": sorted(witness), "exploratory": True}
+    return _finish(t0, "perm-scan", parameters, records, summary, violations=0)

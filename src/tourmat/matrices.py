@@ -2,17 +2,20 @@
 
 Given nonzero vertex weights (a_1, ..., a_n) and a tournament, the base
 matrix is symmetric with zero diagonal and, for i < j, entry (i, j) equal to
-the winner's weight: a_i if i -> j, else a_j.  Variants built here: the
-reverse-ranked transitive matrix (entry a_max(i,j)), the linear-mix matrix
-(entry alpha*x + beta*y with x the winner's weight), the ratio matrix
-(winner's weight over loser's), and the pair-sum matrix (a_i + a_j off the
-diagonal), which equals any base matrix plus its reversal's.
+the winner's weight: a_i if i -> j, else a_j.  Every builder here fills the
+same grid from one pair law, entry(winner's weight, loser's weight): the
+base matrix (the winner's weight), the reverse-ranked transitive matrix (the
+base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
+(alpha*winner + beta*loser), the ratio matrix (winner's weight over loser's),
+and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
+matrix plus its reversal's.
 
 Matrix rows/columns are 0-indexed; row r corresponds to vertex r + 1.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
@@ -108,9 +111,6 @@ class DenseMatrix:
     def row(self, r: int) -> tuple:
         return self.entries[r * self.n_cols : (r + 1) * self.n_cols]
 
-    def rows(self):
-        return [self.row(r) for r in range(self.n_rows)]
-
     def raw_rows(self) -> list:
         """Rows of raw values (ints for GF(p), Fractions for Q)."""
         return [[v.value for v in self.row(r)] for r in range(self.n_rows)]
@@ -186,33 +186,42 @@ def _check_weights(t: Tournament, weights: WeightSeq):
         raise LengthMismatchError(f"{len(weights)} weights for n={t.n}")
 
 
-def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
-    """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
-    _check_weights(t, weights)
-    n = t.n
+def _pair_matrix(code: int, weights: WeightSeq, entry) -> DenseMatrix:
+    """Symmetric zero-diagonal matrix with entry (i, j) = entry(winner, loser).
+
+    Bit k of `code` orders the k-th pair i < j (in row-major order): set
+    means i beats j, so the entry is entry(a_i, a_j); clear means entry(a_j, a_i).
+    """
+    n = len(weights)
     vals = weights.values
     zero = weights.field.zero
     grid = [[zero] * n for _ in range(n)]
-    code = t.code
     k = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            e = vals[i] if (code >> k) & 1 else vals[j]
+            if (code >> k) & 1:
+                e = entry(vals[i], vals[j])
+            else:
+                e = entry(vals[j], vals[i])
             grid[i][j] = e
             grid[j][i] = e
             k += 1
     return DenseMatrix(weights.field, n, n, tuple(v for row in grid for v in row))
 
 
+def _winner(x, y):
+    return x
+
+
+def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
+    """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
+    _check_weights(t, weights)
+    return _pair_matrix(t.code, weights, _winner)
+
+
 def transitive_matrix(weights: WeightSeq) -> DenseMatrix:
     """The reverse-ranked transitive tournament's matrix: entry (i, j) = a_max(i,j)."""
-    n = len(weights)
-    vals = weights.values
-    zero = weights.field.zero
-    ent = tuple(
-        zero if r == c else vals[max(r, c)] for r in range(n) for c in range(n)
-    )
-    return DenseMatrix(weights.field, n, n, ent)
+    return _pair_matrix(0, weights, _winner)
 
 
 def linear_mix_matrix(t: Tournament, weights: WeightSeq, mix: LinearMix) -> DenseMatrix:
@@ -220,40 +229,14 @@ def linear_mix_matrix(t: Tournament, weights: WeightSeq, mix: LinearMix) -> Dens
     _check_weights(t, weights)
     if mix.field != weights.field:
         raise FieldMismatchError("mix coefficients from a different field")
-    n = t.n
-    vals = weights.values
-    zero = weights.field.zero
-    grid = [[zero] * n for _ in range(n)]
-    code = t.code
-    k = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if (code >> k) & 1:
-                e = mix.alpha * vals[i] + mix.beta * vals[j]
-            else:
-                e = mix.alpha * vals[j] + mix.beta * vals[i]
-            grid[i][j] = e
-            grid[j][i] = e
-            k += 1
-    return DenseMatrix(weights.field, n, n, tuple(v for row in grid for v in row))
+    alpha, beta = mix.alpha, mix.beta
+    return _pair_matrix(t.code, weights, lambda x, y: alpha * x + beta * y)
 
 
 def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Entry (i, j) = winner's weight divided by loser's; zero diagonal, symmetric."""
     _check_weights(t, weights)
-    n = t.n
-    vals = weights.values
-    zero = weights.field.zero
-    grid = [[zero] * n for _ in range(n)]
-    code = t.code
-    k = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            e = vals[i] / vals[j] if (code >> k) & 1 else vals[j] / vals[i]
-            grid[i][j] = e
-            grid[j][i] = e
-            k += 1
-    return DenseMatrix(weights.field, n, n, tuple(v for row in grid for v in row))
+    return _pair_matrix(t.code, weights, operator.truediv)
 
 
 def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:
@@ -262,13 +245,7 @@ def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:
     Equals tournament_matrix(t, w) + tournament_matrix(t.reverse(), w) for
     every tournament t, and also diag(a)J + Jdiag(a) - 2diag(a).
     """
-    n = len(weights)
-    vals = weights.values
-    zero = weights.field.zero
-    ent = tuple(
-        zero if r == c else vals[r] + vals[c] for r in range(n) for c in range(n)
-    )
-    return DenseMatrix(weights.field, n, n, ent)
+    return _pair_matrix(0, weights, operator.add)
 
 
 def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:

@@ -1,12 +1,14 @@
 """Exact rank, determinant, and principal minors by elimination.
 
-Prime fields use modular row reduction (a vectorized numpy kernel above a
-small-size cutoff, a plain-int kernel below it; both apply the identical
-pivot rule).  Rational matrices are cleared to integers row by row and
-eliminated fraction-free (Bareiss one-step), so intermediate values stay
-bounded by minor determinants and every division is exact.  Pivot selection
-is always leftmost nonzero column, lowest row index, which makes the pivot
-column list deterministic across platforms.
+One elimination pass yields the rank, the pivot columns and the determinant,
+and there is one routine per arithmetic.  Prime fields use modular row
+reduction, with a plain-int body up to `_NP_CUTOFF` entries and a vectorized
+numpy body above it (each is the faster one on its side of the cutoff; both
+apply the identical pivot rule).  Rational matrices are cleared to integers
+row by row and eliminated fraction-free (Bareiss one-step), so intermediate
+values stay bounded by minor determinants and every division is exact.
+Pivot selection is always leftmost nonzero column, lowest row index, which
+makes the pivot column list deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .fields import Field, Scalar
 from .matrices import DenseMatrix
 
-_NP_CUTOFF = 100  # entry count below which the plain-int kernel wins
+_NP_CUTOFF = 100  # entry count up to which the plain-int body wins
 
 
 class NotSquareError(ValueError):
@@ -36,97 +38,67 @@ class RankProfile:
     field: Field
 
 
-def _rank_mod_p_small(rows, p):
-    m = [[v % p for v in row] for row in rows]
-    nr, nc = len(m), len(m[0])
+def _eliminate_mod_p(rows, p):
+    """Rank, pivot columns and determinant mod p of an integer matrix.
+
+    The determinant is meaningful for square input only, and is 0 when the
+    rank falls short.  Small matrices run a plain-int body, larger ones a
+    vectorized numpy body; both apply the same pivot rule.
+    """
+    nr, nc = len(rows), len(rows[0])
     pr = 0
-    pivots = []
-    for c in range(nc):
-        r0 = None
-        for r in range(pr, nr):
-            if m[r][c]:
-                r0 = r
-                break
-        if r0 is None:
-            continue
-        if r0 != pr:
-            m[pr], m[r0] = m[r0], m[pr]
-        prow = m[pr]
-        inv = pow(prow[c], p - 2, p)
-        for r in range(pr + 1, nr):
-            row = m[r]
-            f = row[c]
-            if f:
-                f = f * inv % p
-                for cc in range(c, nc):
-                    row[cc] = (row[cc] - f * prow[cc]) % p
-        pivots.append(c)
-        pr += 1
-        if pr == nr:
-            break
-    return pr, tuple(pivots)
-
-
-def _rank_mod_p_np(rows, p):
-    R = np.array(rows, dtype=np.int64) % p
-    nr, nc = R.shape
-    pr = 0
-    pivots = []
-    for c in range(nc):
-        nz = np.nonzero(R[pr:, c])[0]
-        if nz.size == 0:
-            continue
-        r0 = pr + int(nz[0])
-        if r0 != pr:
-            R[[pr, r0]] = R[[r0, pr]]
-        inv = pow(int(R[pr, c]), p - 2, p)
-        below = R[pr + 1 :]
-        if below.shape[0]:
-            factors = below[:, c] * inv % p
-            # factors and entries are < p < 2**31, products fit int64
-            R[pr + 1 :] = (below - factors[:, None] * R[pr]) % p
-        pivots.append(c)
-        pr += 1
-        if pr == nr:
-            break
-    return pr, tuple(pivots)
-
-
-def _rank_mod_p(rows, p):
-    if not rows or not rows[0]:
-        return 0, ()
-    if len(rows) * len(rows[0]) <= _NP_CUTOFF:
-        return _rank_mod_p_small(rows, p)
-    return _rank_mod_p_np(rows, p)
-
-
-def _det_mod_p(rows, p):
-    n = len(rows)
-    m = [[v % p for v in row] for row in rows]
     det = 1
-    for c in range(n):
-        r0 = None
-        for r in range(c, n):
-            if m[r][c]:
-                r0 = r
+    pivots = []
+    if nr * nc <= _NP_CUTOFF:
+        m = [[v % p for v in row] for row in rows]
+        for c in range(nc):
+            r0 = None
+            for r in range(pr, nr):
+                if m[r][c]:
+                    r0 = r
+                    break
+            if r0 is None:
+                continue
+            if r0 != pr:
+                m[pr], m[r0] = m[r0], m[pr]
+                det = -det
+            prow = m[pr]
+            det = det * prow[c] % p
+            inv = pow(prow[c], p - 2, p)
+            for r in range(pr + 1, nr):
+                row = m[r]
+                f = row[c]
+                if f:
+                    f = f * inv % p
+                    for cc in range(c, nc):
+                        row[cc] = (row[cc] - f * prow[cc]) % p
+            pivots.append(c)
+            pr += 1
+            if pr == nr:
                 break
-        if r0 is None:
-            return 0
-        if r0 != c:
-            m[c], m[r0] = m[r0], m[c]
-            det = -det % p
-        prow = m[c]
-        piv = prow[c]
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        for r in range(c + 1, n):
-            row = m[r]
-            f = row[c]
-            if f:
-                f = f * inv % p
-                for cc in range(c, n):
-                    row[cc] = (row[cc] - f * prow[cc]) % p
-    return det
+    else:
+        R = np.array(rows, dtype=np.int64) % p
+        for c in range(nc):
+            nz = np.nonzero(R[pr:, c])[0]
+            if nz.size == 0:
+                continue
+            r0 = pr + int(nz[0])
+            if r0 != pr:
+                R[[pr, r0]] = R[[r0, pr]]
+                det = -det
+            piv = int(R[pr, c])
+            det = det * piv % p
+            inv = pow(piv, p - 2, p)
+            below = R[pr + 1 :]
+            if below.shape[0]:
+                factors = below[:, c] * inv % p
+                # factors and entries are < p < 2**31, products fit int64
+                R[pr + 1 :] = (below - factors[:, None] * R[pr]) % p
+            pivots.append(c)
+            pr += 1
+            if pr == nr:
+                break
+    return pr, tuple(pivots), det if pr == nr == nc else 0
 
 
 def _exact_div(a, b):
@@ -136,12 +108,15 @@ def _exact_div(a, b):
     return q
 
 
-def _bareiss_rank(rows):
-    """Rank and pivot columns of an integer matrix, fraction-free."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+def _bareiss(m):
+    """Rank, pivot columns and determinant of an integer matrix, fraction-free.
+
+    Eliminates the list-of-lists `m` in place.  The determinant is meaningful
+    for square input only, and is 0 when the rank falls short.
+    """
+    nr, nc = len(m), len(m[0])
     prev = 1
+    sign = 1
     pr = 0
     pivots = []
     for c in range(nc):
@@ -154,6 +129,7 @@ def _bareiss_rank(rows):
             continue
         if r0 != pr:
             m[pr], m[r0] = m[r0], m[pr]
+            sign = -sign
         prow = m[pr]
         piv = prow[c]
         for r in range(pr + 1, nr):
@@ -167,61 +143,33 @@ def _bareiss_rank(rows):
         pr += 1
         if pr == nr:
             break
-    return pr, tuple(pivots)
+    return pr, tuple(pivots), sign * prev if pr == nr == nc else 0
 
 
-def _bareiss_det(rows):
-    """Exact determinant of a square integer matrix (fraction-free, with swaps)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    prev = 1
-    sign = 1
-    for c in range(n):
-        r0 = None
-        for r in range(c, n):
-            if m[r][c]:
-                r0 = r
-                break
-        if r0 is None:
-            return 0
-        if r0 != c:
-            m[c], m[r0] = m[r0], m[c]
-            sign = -sign
-        prow = m[c]
-        piv = prow[c]
-        for r in range(c + 1, n):
-            row = m[r]
-            f = row[c]
-            for cc in range(c + 1, n):
-                row[cc] = _exact_div(piv * row[cc] - f * prow[cc], prev)
-            row[c] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+def _eliminate(m: DenseMatrix):
+    """(rank, pivot columns, determinant as a raw value) of m over its field.
 
-
-def _clear_denominators(rows):
-    """Scale each row of Fractions to integers; return (int rows, row multipliers)."""
-    out = []
-    mults = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) for v in row])
-        mults.append(mult)
-    return out, mults
+    Rational rows are scaled to integers by the lcm of their denominators
+    first; the determinant is divided by the product of those multipliers.
+    """
+    if m.n_rows == 0 or m.n_cols == 0:
+        return 0, (), 1
+    raw = m.raw_rows()
+    if m.field.is_prime_field:
+        return _eliminate_mod_p(raw, m.field.char)
+    int_rows = []
+    scale = 1
+    for row in raw:
+        mult = lcm(*(v.denominator for v in row))
+        int_rows.append([int(v * mult) for v in row])
+        scale *= mult
+    r, pivots, det = _bareiss(int_rows)
+    return r, pivots, Fraction(det, scale)
 
 
 def rank(m: DenseMatrix) -> RankProfile:
     """Exact rank over the matrix's field, with deterministic pivot columns."""
-    if m.n_rows == 0 or m.n_cols == 0:
-        return RankProfile(0, (), m.field)
-    raw = m.raw_rows()
-    if m.field.is_prime_field:
-        r, pivots = _rank_mod_p(raw, m.field.char)
-    else:
-        int_rows, _ = _clear_denominators(raw)
-        r, pivots = _bareiss_rank(int_rows)
+    r, pivots, _ = _eliminate(m)
     return RankProfile(r, pivots, m.field)
 
 
@@ -229,16 +177,7 @@ def determinant(m: DenseMatrix) -> Scalar:
     """Exact determinant; the empty 0x0 matrix has determinant one."""
     if m.n_rows != m.n_cols:
         raise NotSquareError(f"determinant of {m.n_rows}x{m.n_cols} matrix")
-    if m.n_rows == 0:
-        return m.field.one
-    raw = m.raw_rows()
-    if m.field.is_prime_field:
-        return Scalar(m.field, _det_mod_p(raw, m.field.char))
-    int_rows, mults = _clear_denominators(raw)
-    det = Fraction(_bareiss_det(int_rows))
-    for mult in mults:
-        det /= mult
-    return Scalar(m.field, det)
+    return Scalar(m.field, _eliminate(m)[2])
 
 
 def principal_minor_rank(m: DenseMatrix, s: int) -> RankProfile:

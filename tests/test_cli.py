@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tourmat.cli import main
 
 
@@ -145,3 +147,32 @@ def test_csv_report_format(capsys):
                           "--n-range", "2..5", "--format", "csv", "--seed", "1")
     assert code == 0
     assert stdout.splitlines()[0].startswith("n,field,rank,bound")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["montecarlo", "--n", "4", "--samples", "0", "--seq", "1,2,3,4"], "EmptyRunError"),
+    (["verify", "--theorem", "certify", "--n-max", "1"], "EmptyRunError"),
+    (["verify", "--theorem", "certify", "--n-max", "0"], "EmptyRunError"),
+    (["verify", "--theorem", "ffbound", "--field", "GF(3)", "--n-max", "0"], "EmptyRunError"),
+    (["verify", "--theorem", "reversal", "--sample", "0"], "EmptyRunError"),
+    (["verify", "--theorem", "lipschitz", "--n", "1"], "BadRangeError"),
+    (["verify", "--theorem", "lipschitz", "--n", "0"], "BadRangeError"),
+    (["verify", "--theorem", "reversal", "--n", "0"], "BadRangeError"),
+    (["verify", "--theorem", "f-ensemble", "--n", "1", "--alpha", "1", "--beta", "1"],
+     "BadRangeError"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:5"], "EmptyRunError"),
+    (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:0"],
+     "EmptyRunError"),
+])
+def test_degenerate_runs_refused(capsys, argv, error):
+    code, stdout, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert error in err
+    assert stdout == ""
+
+
+def test_empty_n_range_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--theorem", "transitive", "--n-range", "5..4",
+                       "--seed", "1")
+    assert code == 2
+    assert "empty n-range" in err

@@ -266,3 +266,49 @@ def test_transitive_matrix_under_any_order_obeys_floor():
     kinds = {rec["kind"] for rec in rep.records}
     assert kinds == {"reverse_ranked", "random_order"}
     assert rep.passed
+
+
+def test_degenerate_runs_raise_named_errors():
+    w = ex.cycling_weights(QQ, 4)
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_transitive(range(5, 3), QQ)
+    with pytest.raises(ex.EmptyRunError):
+        ex.montecarlo_rank(4, QQ, w, 0, seed=1)
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_certifiability(1, [QQ])
+    with pytest.raises(ex.BadRangeError):
+        ex.verify_lipschitz(1, QQ, ex.cycling_weights(QQ, 1))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (10_000, 2, 2),    # clamped to the CPU count
+    (10_000, 64, 20),  # clamped to the number of chunks (one per sample)
+    (3, 64, 3),
+])
+def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
+    _RecordingPool.requested = []
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
+    w = ex.cycling_weights(GF(3), 6)
+    rep = ex.montecarlo_rank(6, GF(3), w, 20, seed=3, workers=workers)
+    assert _RecordingPool.requested == [expected]
+    serial = ex.montecarlo_rank(6, GF(3), w, 20, seed=3, workers=1)
+    assert rep.to_json(full_records=True) == serial.to_json(full_records=True)
