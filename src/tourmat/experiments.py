@@ -141,7 +141,6 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     """
     t0 = time.perf_counter()
     n_list = list(n_range)
-    _refuse_empty(len(n_list), "an empty n range")
     for n in n_list:
         if n < 3:
             raise BadRangeError(f"transitive check needs n >= 3, got {n}")
@@ -149,6 +148,7 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     if sequence_source is not None:
         fixed = list(sequence_source)
         trials = 1
+    _refuse_empty(len(n_list) * trials, f"{len(n_list)} sizes x {trials} trials")
     records = []
     for n in n_list:
         bound = bounds.transitive_floor_bound(n)

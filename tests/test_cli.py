@@ -155,6 +155,7 @@ def test_csv_report_format(capsys):
     (["verify", "--theorem", "certify", "--n-max", "0"], "EmptyRunError"),
     (["verify", "--theorem", "ffbound", "--field", "GF(3)", "--n-max", "0"], "EmptyRunError"),
     (["verify", "--theorem", "reversal", "--sample", "0"], "EmptyRunError"),
+    (["verify", "--theorem", "transitive", "--trials", "0"], "EmptyRunError"),
     (["verify", "--theorem", "lipschitz", "--n", "1"], "BadRangeError"),
     (["verify", "--theorem", "lipschitz", "--n", "0"], "BadRangeError"),
     (["verify", "--theorem", "reversal", "--n", "0"], "BadRangeError"),
