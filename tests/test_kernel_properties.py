@@ -41,7 +41,7 @@ def small_matrices(draw, square=False):
     return rows
 
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 @SETTINGS
@@ -60,7 +60,7 @@ def test_determinant_matches_cofactor(rows, p):
 
 @SETTINGS
 @given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)))
+    lambda n: st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_rational_entries_match_oracles(rows):
     m = DenseMatrix.from_rows(QQ, rows)
     assert rank(m).rank == minor_scan_rank(rows)
