@@ -58,6 +58,12 @@ def _parse_seq(field: Field, text: str, n: int | None = None) -> WeightSeq:
     return WeightSeq(field, tuple(values))
 
 
+def _n_and_weights(args, field: Field, n_default: int, default_weights):
+    """--n (else n_default) and the weights from --seq, or else default_weights(field, n)."""
+    n = n_default if args.n is None else args.n
+    return n, (_parse_seq(field, args.seq, n) if args.seq else default_weights(field, n))
+
+
 def _parse_tournament_arg(text: str, seed: int):
     if text.startswith("transitive:"):
         return transitive(int(text.split(":", 1)[1]))
@@ -162,16 +168,12 @@ def _cmd_verify(args) -> int:
         report = experiments.verify_transitive(n_range, field, trials=args.trials,
                                                seed=args.seed)
     elif theorem == "reversal":
-        n = 4 if args.n is None else args.n
-        weights = (_parse_seq(field, args.seq, n) if args.seq
-                   else experiments.counting_weights(field, n))
+        n, weights = _n_and_weights(args, field, 4, experiments.counting_weights)
         source = "exhaustive" if args.sample is None else args.sample
         report = experiments.verify_reversal(n, field, weights, tournaments=source,
                                              seed=args.seed)
     elif theorem == "lipschitz":
-        n = 8 if args.n is None else args.n
-        weights = (_parse_seq(field, args.seq, n) if args.seq
-                   else experiments.cycling_weights(field, n))
+        n, weights = _n_and_weights(args, field, 8, experiments.cycling_weights)
         report = experiments.verify_lipschitz(n, field, weights, flips=args.flips,
                                               seed=args.seed)
     elif theorem == "certify":
@@ -187,9 +189,7 @@ def _cmd_verify(args) -> int:
     elif theorem == "f-ensemble":
         if args.alpha is None or args.beta is None:
             raise UsageError("f-ensemble needs --alpha and --beta")
-        n = 4 if args.n is None else args.n
-        weights = (_parse_seq(field, args.seq, n) if args.seq
-                   else experiments.counting_weights(field, n))
+        n, weights = _n_and_weights(args, field, 4, experiments.counting_weights)
         source = "exhaustive" if args.sample is None else args.sample
         report = experiments.verify_f_ensemble(
             n, field, weights, parse_scalar(field, args.alpha),
@@ -320,6 +320,8 @@ def main(argv=None) -> int:
         args.seed = secrets.randbits(64)
     args.field_given = any(a.startswith("--field") for a in (argv if argv is not None else sys.argv[1:]))
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import itertools
 import os
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -64,9 +65,7 @@ class TooManyPermutationsError(ValueError):
 
 def _random_nonzero(field: Field, stream: ByteStream) -> Scalar:
     """Uniform nonzero element for GF(p); uniform integer in 1..100 for Q."""
-    if field.is_prime_field:
-        return Scalar(field, 1 + stream.randrange(field.char - 1))
-    return Scalar(field, 1 + stream.randrange(100))
+    return Scalar(field, 1 + stream.randrange(field.char - 1 if field.char else 100))
 
 
 def random_weights(field: Field, n: int, seed: int, *labels) -> WeightSeq:
@@ -85,17 +84,21 @@ def cycling_weights(field: Field, n: int, values=None) -> WeightSeq:
 def counting_weights(field: Field, n: int) -> WeightSeq:
     """The sequence 1, 2, ..., n kept nonzero: literal over Q, and walked
     through the nonzero residues 1..p-1 cyclically over GF(p)."""
-    if field.is_prime_field:
-        p = field.char
-        return WeightSeq.of(field, [1 + (k % (p - 1)) for k in range(n)])
-    return WeightSeq.of(field, range(1, n + 1))
+    return WeightSeq.of(field, [_nonzero_filler(field, k) for k in range(n)])
+
+
+def _nonzero_filler(field: Field, k: int) -> int:
+    """k + 1 over Q; over GF(p) the (k mod (p - 1)) + 1-th nonzero residue."""
+    return 1 + k % (field.char - 1) if field.char else k + 1
 
 
 def _rank_histogram(ranks) -> dict:
-    hist: dict = {}
-    for r in ranks:
-        hist[str(r)] = hist.get(str(r), 0) + 1
-    return hist
+    return dict(Counter(map(str, ranks)))
+
+
+def _require_n(n: int, least: int, what: str):
+    if n < least:
+        raise BadRangeError(f"{what} needs n >= {least}, got {n}")
 
 
 def _refuse_empty(count: int, what: str):
@@ -141,9 +144,7 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     """
     t0 = time.perf_counter()
     n_list = list(n_range)
-    for n in n_list:
-        if n < 3:
-            raise BadRangeError(f"transitive check needs n >= 3, got {n}")
+    _require_n(min(n_list, default=3), 3, "transitive check")
     fixed = None
     if sequence_source is not None:
         fixed = list(sequence_source)
@@ -183,12 +184,11 @@ def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix
     entrywise; in characteristic != 2 also rank M(t) + rank M(rev t) >= n - 2
     and more_ok(rank M(t), rank M(rev t)).
     """
-    if n < 2:
-        raise BadRangeError(f"reversal check needs n >= 2, got {n}")
+    _require_n(n, 2, "reversal check")
     char2 = field.char == 2
-    scale = mix.alpha + mix.beta
-    expected = DenseMatrix(field, n, n,
-                           tuple(scale * e for e in reversal_sum_matrix(weights).entries))
+    scale = (mix.alpha + mix.beta).value
+    expected = DenseMatrix(field, n, n, tuple(
+        field.reduce(scale * e) for e in reversal_sum_matrix(weights).entries))
     low = bounds.reversal_sum_bound(n)
     records = []
     for t in _resolve_tournaments(n, tournaments, seed):
@@ -238,8 +238,7 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
     """Check the two perturbation bounds: |rank change| <= 2 per single edge
     flip and per single weight replacement, over random instances."""
     t0 = time.perf_counter()
-    if n < 2:
-        raise BadRangeError(f"edge-flip check needs n >= 2, got {n}")
+    _require_n(n, 2, "edge-flip check")
     _refuse_empty(flips, f"flips={flips}")
     records = []
     for i in range(flips):
@@ -265,13 +264,7 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
 
 def _certify_weights(field: Field, n: int, s: int, z: Scalar) -> WeightSeq:
     """First s + 1 weights equal z; the rest varied nonzero filler."""
-    vals = [z] * (s + 1)
-    for i in range(s + 1, n):
-        if field.is_prime_field:
-            vals.append(Scalar(field, 1 + i % (field.char - 1)))
-        else:
-            vals.append(Scalar(field, i + 1))
-    return WeightSeq(field, tuple(vals))
+    return WeightSeq.of(field, [z] * (s + 1) + [_nonzero_filler(field, i) for i in range(s + 1, n)])
 
 
 def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
@@ -319,18 +312,21 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
 def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
     """For constant weights every tournament has the same matrix; check its
     rank is >= n - 1 over every field, and equals n - 1 exactly when the
-    characteristic divides n - 1 (else n)."""
+    characteristic divides n - 1 (else n).  Needs n >= 2."""
     t0 = time.perf_counter()
+    n_list = list(n_range)
+    _require_n(min(n_list, default=2), 2, "constant-weight check")
+    _refuse_empty(len(n_list) * len(fields), f"{len(n_list)} sizes x {len(fields)} fields")
     records = []
     for field in fields:
         a = field.scalar(value)
         if a.is_zero():
             raise ValueError(f"constant {value} vanishes in {field}")
-        for n in n_range:
+        for n in n_list:
             weights = WeightSeq(field, (a,) * n)
             # the constant matrix a(J - I), built directly
-            zero = field.zero
-            flat = tuple(zero if r == c else a for r in range(n) for c in range(n))
+            zero = field.reduce(0)
+            flat = tuple(zero if r == c else a.value for r in range(n) for c in range(n))
             const = DenseMatrix(field, n, n, flat)
             built_trans = tournament_matrix(transitive(n), weights)
             built_rand = tournament_matrix(random_tournament(n, 1, n), weights)
@@ -437,10 +433,7 @@ def _run_chunks(fn, jobs, workers):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, jobs))
-    merged = []
-    for part in results:
-        merged.extend(part)
-    return merged
+    return list(itertools.chain.from_iterable(results))
 
 
 def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,

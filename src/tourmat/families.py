@@ -89,7 +89,7 @@ def tau(a: frozenset, b: frozenset) -> frozenset:
 
 def incidence_pm1(family: SetFamily) -> DenseMatrix:
     """m x n matrix over Q: +1 where the element belongs to the set, -1 otherwise."""
-    one = QQ.one
+    one = Fraction(1)
     neg = -one
     ent = tuple(
         one if x in s else neg
@@ -133,7 +133,7 @@ def gram_check(family: SetFamily, gram: DenseMatrix | None = None) -> GramVerdic
                 expected = Fraction(n - 2 * (len(a) + len(b)) + 4 * len(a & b))
                 if expected != n - 2 * len(tau(a, b)):
                     return GramVerdict(False, (r, c, str(expected), "tau-size mismatch"))
-            actual = gram.at(r, c).value
+            actual = gram.entries[r * gram.n_cols + c]
             if actual != expected:
                 return GramVerdict(False, (r, c, str(expected), str(actual)))
     return GramVerdict(True, None)
@@ -153,12 +153,7 @@ def family_to_matrix(family: SetFamily):
     gram = x @ x.transpose()
     n = family.ground_n
     m = len(family.sets)
-    ent = tuple(
-        QQ.scalar(Fraction(n - gram.at(r, c).value, 2))
-        for r in range(m)
-        for c in range(m)
-    )
-    matrix = DenseMatrix(QQ, m, m, ent)
+    matrix = DenseMatrix(QQ, m, m, tuple((n - v) / 2 for v in gram.entries))
     weights = WeightSeq.of(QQ, [len(s) for s in family.sets])
     if not in_matrix_family(matrix, weights):
         raise NotBisectingError("reduced matrix fails the family membership check")

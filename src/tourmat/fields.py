@@ -1,10 +1,13 @@
 """Exact field arithmetic: prime fields GF(p) and arbitrary-precision rationals.
 
 A :class:`Field` is either GF(p) for a prime p < 2**31 (characteristic p) or
-the rationals (characteristic 0).  A :class:`Scalar` is an immutable element
-of one field, always kept in canonical form: a residue in [0, p) for prime
-fields, a fully reduced `fractions.Fraction` (positive denominator) for the
-rationals.  All operations are pure; values are safe to share across workers.
+the rationals (characteristic 0).  `Field.reduce` is the one canonical-form
+rule: a residue in [0, p) for prime fields, a fully reduced
+`fractions.Fraction` (positive denominator) for the rationals.  Matrices store
+these raw canonical values directly; a :class:`Scalar` wraps one of them with
+its field and is the element type of the public API (weights, single entries,
+determinants).  All operations are pure; values are safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -79,12 +82,19 @@ class Field:
     def is_prime_field(self) -> bool:
         return self.char != 0
 
-    def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or Scalar of this field to a canonical Scalar."""
+    def reduce(self, value):
+        """The canonical raw value of an int, a Fraction or a Scalar of this field:
+        an int residue in [0, p) for GF(p), a Fraction for the rationals."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatchError(f"scalar of {value.field} used in {self}")
-            return value
+            return value.value
+        if self.char:
+            return int(value) % self.char
+        return value if isinstance(value, Fraction) else Fraction(value)
+
+    def scalar(self, value) -> "Scalar":
+        """Coerce an int, Fraction, or Scalar of this field to a canonical Scalar."""
         return Scalar(self, value)
 
     @property
@@ -126,20 +136,15 @@ def format_field(field: Field) -> str:
 class Scalar:
     """An element of one Field, stored canonically.
 
-    value is an int residue in [0, p) for prime fields, a reduced Fraction
-    for the rationals.  Construction canonicalizes, so Scalar(GF(5), -3)
-    equals Scalar(GF(5), 2).
+    value is the field's raw canonical value (see `Field.reduce`).
+    Construction canonicalizes, so Scalar(GF(5), -3) equals Scalar(GF(5), 2).
     """
 
     field: Field
     value: object
 
     def __post_init__(self):
-        p = self.field.char
-        if p:
-            object.__setattr__(self, "value", int(self.value) % p)
-        elif not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", self.field.reduce(self.value))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -152,33 +157,24 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.char
-        v = self.value + other.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.char
-        v = self.value - other.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, self.value - other.value)
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.char
-        v = self.value * other.value
-        return Scalar(self.field, v % p if p else v)
+        return Scalar(self.field, self.value * other.value)
 
     def __neg__(self):
-        p = self.field.char
-        return Scalar(self.field, -self.value % p if p else -self.value)
+        return Scalar(self.field, -self.value)
 
     def inv(self) -> "Scalar":
         if self.value == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
         p = self.field.char
-        if p:
-            return Scalar(self.field, pow(self.value, p - 2, p))
-        return Scalar(self.field, Fraction(1) / self.value)
+        return Scalar(self.field, pow(self.value, p - 2, p) if p else 1 / self.value)
 
     def __truediv__(self, other):
         self._check(other)
@@ -214,10 +210,5 @@ def parse_scalar(field: Field, text: str) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form; parse_scalar(field, format_scalar(x)) == x."""
-    if x.field.is_prime_field:
-        return str(x.value)
-    v: Fraction = x.value
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """Canonical text form ("n" or "n/d"); parse_scalar(field, format_scalar(x)) == x."""
+    return str(x.value)

@@ -8,7 +8,12 @@ base matrix (the winner's weight), the reverse-ranked transitive matrix (the
 base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
 (alpha*winner + beta*loser), the ratio matrix (winner's weight over loser's),
 and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
-matrix plus its reversal's.
+matrix plus its reversal's.  The builder walks the tournament's pair-bit text
+(`Tournament.bits()`), so the bit layout lives in one place.
+
+A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
+GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
+values directly; `Scalar` appears only at the API edge (`at`, `row`, weights).
 
 Matrix rows/columns are 0-indexed; row r corresponds to vertex r + 1.
 """
@@ -19,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
-from .tournaments import Tournament
+from .tournaments import Tournament, n_pairs
 
 
 class LengthMismatchError(ValueError):
@@ -82,7 +87,8 @@ class WeightSeq:
 
 @dataclass(frozen=True, slots=True)
 class DenseMatrix:
-    """Dense matrix of scalars over one field, row-major, immutable."""
+    """Dense matrix over one field, row-major, immutable, of raw canonical values
+    (`Field.reduce`); `from_rows` canonicalizes, the constructor trusts its caller."""
 
     field: Field
     n_rows: int
@@ -98,7 +104,8 @@ class DenseMatrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "DenseMatrix":
-        rows = [tuple(field.scalar(v) for v in row) for row in rows]
+        """Rows of ints, Fractions or Scalars of `field`, canonicalized."""
+        rows = [tuple(map(field.reduce, row)) for row in rows]
         n_rows = len(rows)
         n_cols = len(rows[0]) if rows else 0
         if any(len(r) != n_cols for r in rows):
@@ -106,24 +113,26 @@ class DenseMatrix:
         return cls(field, n_rows, n_cols, tuple(v for row in rows for v in row))
 
     def at(self, r: int, c: int) -> Scalar:
-        return self.entries[r * self.n_cols + c]
+        return Scalar(self.field, self.entries[r * self.n_cols + c])
 
     def row(self, r: int) -> tuple:
-        return self.entries[r * self.n_cols : (r + 1) * self.n_cols]
+        return tuple(self.at(r, c) for c in range(self.n_cols))
 
     def raw_rows(self) -> list:
-        """Rows of raw values (ints for GF(p), Fractions for Q)."""
-        return [[v.value for v in self.row(r)] for r in range(self.n_rows)]
+        """Rows of raw values (ints for GF(p), Fractions for Q), as tuples."""
+        ent, nc = self.entries, self.n_cols
+        return [ent[r * nc : (r + 1) * nc] for r in range(self.n_rows)]
 
     def transpose(self) -> "DenseMatrix":
-        ent = tuple(self.at(r, c) for c in range(self.n_cols) for r in range(self.n_rows))
-        return DenseMatrix(self.field, self.n_cols, self.n_rows, ent)
+        ent, nc = self.entries, self.n_cols
+        return DenseMatrix(self.field, nc, self.n_rows,
+                           tuple(v for c in range(nc) for v in ent[c::nc]))
 
     def principal_submatrix(self, s: int) -> "DenseMatrix":
         """Top-left s x s block."""
         if not 0 <= s <= min(self.n_rows, self.n_cols):
             raise MatrixShapeError(f"principal size {s} out of range")
-        ent = tuple(self.at(r, c) for r in range(s) for c in range(s))
+        ent = tuple(v for row in self.raw_rows()[:s] for v in row[:s])
         return DenseMatrix(self.field, s, s, ent)
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -131,7 +140,8 @@ class DenseMatrix:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise MatrixShapeError("shape mismatch in add")
-        ent = tuple(a + b for a, b in zip(self.entries, other.entries))
+        reduce = self.field.reduce
+        ent = tuple(reduce(a + b) for a, b in zip(self.entries, other.entries))
         return DenseMatrix(self.field, self.n_rows, self.n_cols, ent)
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -139,26 +149,17 @@ class DenseMatrix:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.n_cols != other.n_rows:
             raise MatrixShapeError("shape mismatch in matmul")
-        zero = self.field.zero
-        out = []
-        for r in range(self.n_rows):
-            row = self.row(r)
-            for c in range(other.n_cols):
-                acc = zero
-                for k in range(self.n_cols):
-                    acc = acc + row[k] * other.at(k, c)
-                out.append(acc)
-        return DenseMatrix(self.field, self.n_rows, other.n_cols, tuple(out))
+        reduce = self.field.reduce
+        cols = other.transpose().raw_rows()
+        out = tuple(reduce(sum(a * b for a, b in zip(row, col)))
+                    for row in self.raw_rows() for col in cols)
+        return DenseMatrix(self.field, self.n_rows, other.n_cols, out)
 
     def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and all(
-            self.at(r, c) == self.at(c, r)
-            for r in range(self.n_rows)
-            for c in range(r + 1, self.n_cols)
-        )
+        return self.n_rows == self.n_cols and self == self.transpose()
 
     def has_zero_diagonal(self) -> bool:
-        return all(self.at(r, r).is_zero() for r in range(min(self.n_rows, self.n_cols)))
+        return not any(row[r] for r, row in enumerate(self.raw_rows()[:self.n_cols]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,26 +187,23 @@ def _check_weights(t: Tournament, weights: WeightSeq):
         raise LengthMismatchError(f"{len(weights)} weights for n={t.n}")
 
 
-def _pair_matrix(code: int, weights: WeightSeq, entry) -> DenseMatrix:
+def _pair_matrix(bits: str, weights: WeightSeq, entry) -> DenseMatrix:
     """Symmetric zero-diagonal matrix with entry (i, j) = entry(winner, loser).
 
-    Bit k of `code` orders the k-th pair i < j (in row-major order): set
-    means i beats j, so the entry is entry(a_i, a_j); clear means entry(a_j, a_i).
+    Character k of `bits` orders the k-th pair i < j (in row-major order, as
+    `Tournament.bits()` lays it out): "1" means i beats j, so the entry is
+    entry(a_i, a_j); "0" means entry(a_j, a_i).  `entry` maps raw weight
+    values to a raw canonical value.
     """
     n = len(weights)
-    vals = weights.values
-    zero = weights.field.zero
+    vals = [v.value for v in weights.values]
+    zero = weights.field.reduce(0)
     grid = [[zero] * n for _ in range(n)]
-    k = 0
+    bit = iter(bits)
     for i in range(n - 1):
         for j in range(i + 1, n):
-            if (code >> k) & 1:
-                e = entry(vals[i], vals[j])
-            else:
-                e = entry(vals[j], vals[i])
-            grid[i][j] = e
-            grid[j][i] = e
-            k += 1
+            e = entry(vals[i], vals[j]) if next(bit) == "1" else entry(vals[j], vals[i])
+            grid[i][j] = grid[j][i] = e
     return DenseMatrix(weights.field, n, n, tuple(v for row in grid for v in row))
 
 
@@ -216,12 +214,12 @@ def _winner(x, y):
 def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
     _check_weights(t, weights)
-    return _pair_matrix(t.code, weights, _winner)
+    return _pair_matrix(t.bits(), weights, _winner)
 
 
 def transitive_matrix(weights: WeightSeq) -> DenseMatrix:
     """The reverse-ranked transitive tournament's matrix: entry (i, j) = a_max(i,j)."""
-    return _pair_matrix(0, weights, _winner)
+    return _pair_matrix("0" * n_pairs(len(weights)), weights, _winner)
 
 
 def linear_mix_matrix(t: Tournament, weights: WeightSeq, mix: LinearMix) -> DenseMatrix:
@@ -229,14 +227,16 @@ def linear_mix_matrix(t: Tournament, weights: WeightSeq, mix: LinearMix) -> Dens
     _check_weights(t, weights)
     if mix.field != weights.field:
         raise FieldMismatchError("mix coefficients from a different field")
-    alpha, beta = mix.alpha, mix.beta
-    return _pair_matrix(t.code, weights, lambda x, y: alpha * x + beta * y)
+    alpha, beta, reduce = mix.alpha.value, mix.beta.value, weights.field.reduce
+    return _pair_matrix(t.bits(), weights, lambda x, y: reduce(alpha * x + beta * y))
 
 
 def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Entry (i, j) = winner's weight divided by loser's; zero diagonal, symmetric."""
     _check_weights(t, weights)
-    return _pair_matrix(t.code, weights, operator.truediv)
+    p = weights.field.char
+    law = (lambda x, y: x * pow(y, p - 2, p) % p) if p else operator.truediv
+    return _pair_matrix(t.bits(), weights, law)
 
 
 def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:
@@ -245,7 +245,8 @@ def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:
     Equals tournament_matrix(t, w) + tournament_matrix(t.reverse(), w) for
     every tournament t, and also diag(a)J + Jdiag(a) - 2diag(a).
     """
-    return _pair_matrix(0, weights, operator.add)
+    reduce = weights.field.reduce
+    return _pair_matrix("0" * n_pairs(len(weights)), weights, lambda x, y: reduce(x + y))
 
 
 def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:
@@ -255,10 +256,10 @@ def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:
         return False
     if not m.has_zero_diagonal() or not m.is_symmetric():
         return False
-    vals = weights.values
+    vals = [v.value for v in weights.values]
     return all(
-        m.at(r, c) in (vals[r], vals[c])
-        for r in range(n)
+        row[c] in (vals[r], vals[c])
+        for r, row in enumerate(m.raw_rows())
         for c in range(r + 1, n)
     )
 
@@ -266,8 +267,7 @@ def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:
 def matrix_to_csv(m: DenseMatrix) -> str:
     """Serialize: header "field=<spec>,rows=<r>,cols=<c>", then entry rows."""
     lines = [f"field={format_field(m.field)},rows={m.n_rows},cols={m.n_cols}"]
-    for r in range(m.n_rows):
-        lines.append(",".join(format_scalar(v) for v in m.row(r)))
+    lines += [",".join(map(str, row)) for row in m.raw_rows()]
     return "\n".join(lines) + "\n"
 
 

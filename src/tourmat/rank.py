@@ -5,8 +5,10 @@ and there is one routine per arithmetic.  Prime fields use modular row
 reduction, with a plain-int body up to `_NP_CUTOFF` entries and a vectorized
 numpy body above it (each is the faster one on its side of the cutoff; both
 apply the identical pivot rule).  Rational matrices are cleared to integers
-row by row and eliminated fraction-free (Bareiss one-step), so intermediate
-values stay bounded by minor determinants and every division is exact.
+row by row with integer operations only and eliminated fraction-free
+(Bareiss one-step), so intermediate values stay bounded by minor
+determinants and every division is exact.  The routines take the matrix's
+raw canonical rows as they are; only `determinant` builds a field element.
 Pivot selection is always leftmost nonzero column, lowest row index, which
 makes the pivot column list deterministic across platforms.
 """
@@ -39,7 +41,7 @@ class RankProfile:
 
 
 def _eliminate_mod_p(rows, p):
-    """Rank, pivot columns and determinant mod p of an integer matrix.
+    """Rank, pivot columns and determinant mod p of a matrix of residues in [0, p).
 
     The determinant is meaningful for square input only, and is 0 when the
     rank falls short.  Small matrices run a plain-int body, larger ones a
@@ -50,7 +52,7 @@ def _eliminate_mod_p(rows, p):
     det = 1
     pivots = []
     if nr * nc <= _NP_CUTOFF:
-        m = [[v % p for v in row] for row in rows]
+        m = [list(row) for row in rows]
         for c in range(nc):
             r0 = None
             for r in range(pr, nr):
@@ -77,7 +79,7 @@ def _eliminate_mod_p(rows, p):
             if pr == nr:
                 break
     else:
-        R = np.array(rows, dtype=np.int64) % p
+        R = np.array(rows, dtype=np.int64)
         for c in range(nc):
             nz = np.nonzero(R[pr:, c])[0]
             if nz.size == 0:
@@ -147,24 +149,25 @@ def _bareiss(m):
 
 
 def _eliminate(m: DenseMatrix):
-    """(rank, pivot columns, determinant as a raw value) of m over its field.
+    """(rank, pivot columns, (det numerator, det denominator)) of m over its field.
 
     Rational rows are scaled to integers by the lcm of their denominators
-    first; the determinant is divided by the product of those multipliers.
+    first; the determinant's denominator is the product of those multipliers.
     """
     if m.n_rows == 0 or m.n_cols == 0:
-        return 0, (), 1
+        return 0, (), (1, 1)
     raw = m.raw_rows()
     if m.field.is_prime_field:
-        return _eliminate_mod_p(raw, m.field.char)
+        r, pivots, det = _eliminate_mod_p(raw, m.field.char)
+        return r, pivots, (det, 1)
     int_rows = []
     scale = 1
     for row in raw:
         mult = lcm(*(v.denominator for v in row))
-        int_rows.append([int(v * mult) for v in row])
+        int_rows.append([v.numerator * (mult // v.denominator) for v in row])
         scale *= mult
     r, pivots, det = _bareiss(int_rows)
-    return r, pivots, Fraction(det, scale)
+    return r, pivots, (det, scale)
 
 
 def rank(m: DenseMatrix) -> RankProfile:
@@ -177,7 +180,7 @@ def determinant(m: DenseMatrix) -> Scalar:
     """Exact determinant; the empty 0x0 matrix has determinant one."""
     if m.n_rows != m.n_cols:
         raise NotSquareError(f"determinant of {m.n_rows}x{m.n_cols} matrix")
-    return Scalar(m.field, _eliminate(m)[2])
+    return Scalar(m.field, Fraction(*_eliminate(m)[2]))
 
 
 def principal_minor_rank(m: DenseMatrix, s: int) -> RankProfile:

@@ -5,7 +5,10 @@ edge is directed i -> j, 0 means j -> i.  Pair bits are laid out in
 lexicographic pair order (1,2), (1,3), ..., (1,n), (2,3), ..., so a
 tournament is just n plus an integer code in [0, 2**(n(n-1)/2)).  The code
 doubles as the enumeration counter, which makes exhaustive-search sharding a
-plain range split.
+plain range split.  `Tournament.bits()` and `from_bits` own that layout: the
+bit text's character k is pair k's bit, and every per-pair walk (edges, the
+constructions, the text grammar, the matrix builders) reads or writes that
+text instead of shifting the code once per pair.
 """
 
 from __future__ import annotations
@@ -70,15 +73,17 @@ class Tournament:
         if not 1 <= v <= self.n:
             raise VertexRangeError(f"vertex {v} outside 1..{self.n}")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """True iff the edge between i and j is directed i -> j."""
+    def _pair_bit(self, i: int, j: int) -> int:
+        """Bit position of the pair {i, j}, after checking both vertices."""
         if i == j:
             raise SelfLoopError(f"no edge from {i} to itself")
         self._check_vertex(i)
         self._check_vertex(j)
-        if i < j:
-            return (self.code >> pair_index(self.n, i, j)) & 1 == 1
-        return (self.code >> pair_index(self.n, j, i)) & 1 == 0
+        return pair_index(self.n, min(i, j), max(i, j))
+
+    def has_edge(self, i: int, j: int) -> bool:
+        """True iff the edge between i and j is directed i -> j."""
+        return (self.code >> self._pair_bit(i, j)) & 1 == (i < j)
 
     def reverse(self) -> "Tournament":
         """Flip every edge; an involution."""
@@ -87,24 +92,36 @@ class Tournament:
 
     def flip_edge(self, i: int, j: int) -> "Tournament":
         """Flip the single edge between i and j; an involution."""
-        if i == j:
-            raise SelfLoopError(f"cannot flip edge ({i}, {i})")
-        self._check_vertex(i)
-        self._check_vertex(j)
-        k = pair_index(self.n, min(i, j), max(i, j))
-        return Tournament(self.n, self.code ^ (1 << k))
+        return Tournament(self.n, self.code ^ 1 << self._pair_bit(i, j))
 
     def out_degree(self, v: int) -> int:
         self._check_vertex(v)
         return sum(1 for u in range(1, self.n + 1) if u != v and self.has_edge(v, u))
 
+    def bits(self) -> str:
+        """The pair bits as text: character k is "1" iff pair k's edge is i -> j."""
+        return bin(self.code | 1 << n_pairs(self.n))[:2:-1]
+
     def edges(self):
         """Yield every directed edge as (winner, loser) in pair order."""
-        k = 0
+        bit = iter(self.bits())
         for i in range(1, self.n):
             for j in range(i + 1, self.n + 1):
-                yield (i, j) if (self.code >> k) & 1 else (j, i)
-                k += 1
+                yield (i, j) if next(bit) == "1" else (j, i)
+
+
+def from_bits(n: int, bits: str) -> Tournament:
+    """The tournament on n vertices whose pair k has bit bits[k]; inverts bits()."""
+    if len(bits) != n_pairs(n) or bits.strip("01"):
+        raise TournamentParseError(
+            f"need {n_pairs(n)} bits of 0/1 for n={n}, got {len(bits)} characters")
+    return Tournament(n, int(bits[::-1] or "0", 2))
+
+
+def _from_law(n: int, beats) -> Tournament:
+    """The tournament where i -> j, for i < j, exactly when beats(i, j)."""
+    return from_bits(n, "".join("1" if beats(i, j) else "0"
+                                for i in range(1, n) for j in range(i + 1, n + 1)))
 
 
 def transitive(n: int, order=None) -> Tournament:
@@ -119,14 +136,7 @@ def transitive(n: int, order=None) -> Tournament:
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidPermutationError(f"{order!r} is not a permutation of 1..{n}")
     pos = {v: r for r, v in enumerate(order)}
-    code = 0
-    k = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if pos[i] < pos[j]:
-                code |= 1 << k
-            k += 1
-    return Tournament(n, code)
+    return _from_law(n, lambda i, j: pos[i] < pos[j])
 
 
 def random_tournament(n: int, seed: int, index: int) -> Tournament:
@@ -154,14 +164,7 @@ def paley(q: int) -> Tournament:
     if q % 4 != 3:
         raise BadCongruenceError(f"need q = 3 (mod 4), got q = {q}")
     squares = {pow(x, 2, q) for x in range(1, q)}
-    code = 0
-    k = 0
-    for i in range(1, q):
-        for j in range(i + 1, q + 1):
-            if (j - i) % q in squares:
-                code |= 1 << k
-            k += 1
-    return Tournament(q, code)
+    return _from_law(q, lambda i, j: (j - i) % q in squares)
 
 
 def enumerate_all(n: int, start: int | None = None, end: int | None = None):
@@ -192,18 +195,8 @@ def parse_tournament(text: str) -> Tournament:
     m = _TOUR_RE.fullmatch(text.strip())
     if m is None:
         raise TournamentParseError(f"bad tournament text {text!r}")
-    n, bits = int(m.group(1)), m.group(2)
-    if len(bits) != n_pairs(n):
-        raise TournamentParseError(
-            f"need {n_pairs(n)} bits for n={n}, got {len(bits)}"
-        )
-    code = 0
-    for k, ch in enumerate(bits):
-        if ch == "1":
-            code |= 1 << k
-    return Tournament(n, code)
+    return from_bits(int(m.group(1)), m.group(2))
 
 
 def format_tournament(t: Tournament) -> str:
-    bits = "".join("1" if (t.code >> k) & 1 else "0" for k in range(n_pairs(t.n)))
-    return f"n={t.n}:{bits}"
+    return f"n={t.n}:{t.bits()}"

@@ -39,8 +39,3 @@ def minor_scan_rank(rows, p=None):
                 if d != 0:
                     return k
     return 0
-
-
-def raw_matrix(m):
-    """Rows of raw entry values from a DenseMatrix."""
-    return m.raw_rows()

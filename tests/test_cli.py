@@ -164,6 +164,13 @@ def test_csv_report_format(capsys):
     (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:5"], "EmptyRunError"),
     (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:0"],
      "EmptyRunError"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--workers", "-5"], "--workers"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--workers", "0"], "--workers"),
+    (["montecarlo", "--n", "5", "--samples", "3", "--seq", "1,2,1,2,1", "--workers", "0"],
+     "--workers"),
+    (["verify", "--theorem", "constant", "--n-range", "0..2"], "BadRangeError"),
+    (["verify", "--theorem", "constant", "--n-range", "1..2", "--field", "Q"],
+     "BadRangeError"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")

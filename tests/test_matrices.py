@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from tourmat.matrices import (
     tournament_matrix,
     transitive_matrix,
 )
+from tourmat.rank import rank
 from tourmat.tournaments import enumerate_all, parse_tournament, random_tournament, transitive
 
 
@@ -95,7 +97,7 @@ def test_reversal_sum_entries():
 
 def test_reversal_sum_char2_constant_vanishes():
     w = WeightSeq.of(GF(2), [1, 1, 1])
-    assert all(v.is_zero() for v in reversal_sum_matrix(w).entries)
+    assert all(v == 0 for v in reversal_sum_matrix(w).entries)
 
 
 def test_single_weight_change_touches_one_row_col():
@@ -174,3 +176,48 @@ def test_matmul_and_transpose():
     x = DenseMatrix.from_rows(QQ, [[1, -1, 1], [1, 1, -1]])
     g = x @ x.transpose()
     assert grid(g) == [[3, -1], [-1, 3]]
+
+
+def _built_matrices(field):
+    w = WeightSeq.of(field, [1, 2, 3, 4, 6])
+    t = random_tournament(5, 4, 0)
+    mix = LinearMix(field.scalar(2), field.scalar(3))
+    return [tournament_matrix(t, w), transitive_matrix(w), linear_mix_matrix(t, w, mix),
+            ratio_matrix(t, w), reversal_sum_matrix(w)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_entries_are_raw_canonical_values(field):
+    for m in _built_matrices(field):
+        for v in m.entries:
+            assert field.reduce(v) == v
+            assert type(field.reduce(v)) is type(v) is (int if field.char else Fraction)
+        for r in range(m.n_rows):
+            for c in range(m.n_cols):
+                assert m.at(r, c) == Scalar(m.field, m.entries[r * m.n_cols + c])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_from_rows_stores_the_same_entries_for_any_input_kind(field):
+    ints = [[0, 1, -2], [7, 3, 0]]
+    fractions = [[Fraction(v) for v in row] for row in ints]
+    scalars = [[Scalar(field, v) for v in row] for row in ints]
+    stored = {DenseMatrix.from_rows(field, rows).entries for rows in (ints, fractions, scalars)}
+    assert len(stored) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_build_and_rank_construct_no_scalar_per_entry(field):
+    n = 30
+    t = random_tournament(n, 3, 0)
+    w = WeightSeq.of(field, [1 + k % 4 for k in range(n)])
+    made = []
+    real = Scalar.__post_init__
+
+    def counting(self):
+        made.append(1)
+        real(self)
+
+    with mock.patch.object(Scalar, "__post_init__", counting):
+        rank(tournament_matrix(t, w))
+    assert len(made) <= 2
