@@ -88,7 +88,7 @@ class WeightSeq:
 @dataclass(frozen=True, slots=True)
 class DenseMatrix:
     """Dense matrix over one field, row-major, immutable, of raw canonical values
-    (`Field.reduce`); `from_rows` canonicalizes, the constructor trusts its caller."""
+    (`Field.reduce`); `from_rows` canonicalizes, the constructor only checks them."""
 
     field: Field
     n_rows: int
@@ -101,6 +101,9 @@ class DenseMatrix:
                 f"{self.n_rows}x{self.n_cols} needs {self.n_rows * self.n_cols} entries,"
                 f" got {len(self.entries)}"
             )
+        p = self.field.char  # the eliminations trust residues; a stray 5 in GF(5) would pivot
+        if p and self.entries and not 0 <= min(self.entries) <= max(self.entries) < p:
+            raise ValueError(f"GF({p}) entries must be residues in [0, {p}); from_rows reduces")
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "DenseMatrix":

@@ -197,6 +197,13 @@ def test_entries_are_raw_canonical_values(field):
                 assert m.at(r, c) == Scalar(m.field, m.entries[r * m.n_cols + c])
 
 
+def test_constructor_refuses_unreduced_residues():
+    for bad in ((5,), (-1,)):
+        with pytest.raises(ValueError):
+            DenseMatrix(GF(5), 1, 1, bad)
+    assert DenseMatrix.from_rows(GF(5), [[5]]).entries == (0,)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_from_rows_stores_the_same_entries_for_any_input_kind(field):
     ints = [[0, 1, -2], [7, 3, 0]]
