@@ -167,10 +167,10 @@ def size_bound_report(family: SetFamily, c: Fraction) -> dict:
     m <= (n + 1)/c.  Informational only; the rank constant is conjectural.
     """
     matrix, _ = family_to_matrix(family)  # raises NotBisectingError if needed
-    x = incidence_pm1(family)
-    gram = x @ x.transpose()
     m = len(family.sets)
     n = family.ground_n
+    # family_to_matrix verified matrix = (nJ - G)/2, so G = nJ - 2 matrix
+    gram = DenseMatrix(QQ, m, m, tuple(n - 2 * v for v in matrix.entries))
     rank_gram = rank(gram).rank
     rank_matrix = rank(matrix).rank
     c = Fraction(c)

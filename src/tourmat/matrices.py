@@ -238,8 +238,10 @@ def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Entry (i, j) = winner's weight divided by loser's; zero diagonal, symmetric."""
     _check_weights(t, weights)
     p = weights.field.char
-    law = (lambda x, y: x * pow(y, p - 2, p) % p) if p else operator.truediv
-    return _pair_matrix(t.bits(), weights, law)
+    if not p:
+        return _pair_matrix(t.bits(), weights, operator.truediv)
+    inverse = {v.value: pow(v.value, p - 2, p) for v in weights.values}  # one per weight
+    return _pair_matrix(t.bits(), weights, lambda x, y: x * inverse[y] % p)
 
 
 def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:

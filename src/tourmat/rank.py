@@ -5,12 +5,17 @@ and there is one routine per arithmetic.  Prime fields use modular row
 reduction, with a plain-int body up to `_NP_CUTOFF` entries and a vectorized
 numpy body above it (each is the faster one on its side of the cutoff; both
 apply the identical pivot rule).  Rational matrices are cleared to integers
-row by row with integer operations only and eliminated fraction-free
-(Bareiss one-step), so intermediate values stay bounded by minor
-determinants and every division is exact.  The routines take the matrix's
-raw canonical rows as they are; only `determinant` builds a field element.
-Pivot selection is always leftmost nonzero column, lowest row index, which
-makes the pivot column list deterministic across platforms.
+row by row with integer operations only.  A rational rank is first
+certified by one elimination of those integer rows mod `_CERT_P` = 2**31 - 1:
+rank mod p never exceeds rank over Q, so a mod-p rank equal to
+min(rows, cols) with pivot columns 0..r-1 is the rank and the pivot columns
+over Q as well.  When the certificate fails, and for every rational
+determinant, the integer rows are eliminated fraction-free (Bareiss
+one-step), so intermediate values stay bounded by minor determinants and
+every division is exact.  The routines take the matrix's raw canonical rows
+as they are; only `determinant` builds a field element.  Pivot selection is
+always leftmost nonzero column, lowest row index, which makes the pivot
+column list deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .fields import Field, Scalar
 from .matrices import DenseMatrix
 
 _NP_CUTOFF = 100  # entry count up to which the plain-int body wins
+_CERT_P = 2**31 - 1  # certificate prime; below 2**31, so the numpy body's products fit int64
 
 
 class NotSquareError(ValueError):
@@ -148,6 +154,18 @@ def _bareiss(m):
     return pr, tuple(pivots), sign * prev if pr == nr == nc else 0
 
 
+def _cleared(raw):
+    """Integer rows of rational rows, each scaled by the lcm of its denominators,
+    and the product of those multipliers."""
+    int_rows = []
+    scale = 1
+    for row in raw:
+        mult = lcm(*(v.denominator for v in row))
+        int_rows.append([v.numerator * (mult // v.denominator) for v in row])
+        scale *= mult
+    return int_rows, scale
+
+
 def _eliminate(m: DenseMatrix):
     """(rank, pivot columns, (det numerator, det denominator)) of m over its field.
 
@@ -160,19 +178,47 @@ def _eliminate(m: DenseMatrix):
     if m.field.is_prime_field:
         r, pivots, det = _eliminate_mod_p(raw, m.field.char)
         return r, pivots, (det, 1)
-    int_rows = []
-    scale = 1
-    for row in raw:
-        mult = lcm(*(v.denominator for v in row))
-        int_rows.append([v.numerator * (mult // v.denominator) for v in row])
-        scale *= mult
+    int_rows, scale = _cleared(raw)
     r, pivots, det = _bareiss(int_rows)
     return r, pivots, (det, scale)
 
 
+def _certified_rank(raw):
+    """(rank, pivot columns) of nonempty rational rows from one elimination
+    mod _CERT_P, or None when that elimination certifies nothing.
+
+    The rows are cleared to integers and reduced mod p in one pass.  For an
+    integer matrix every column prefix has rank mod p at most its rank over Q.
+    If the mod-p rank r is min(rows, cols) and the pivot columns are 0..r-1,
+    then each leading prefix of k <= r columns has rank k mod p, hence over Q,
+    and the whole matrix has the largest rank it can have: the rank and the
+    leftmost-pivot columns over Q are the same.
+    """
+    p = _CERT_P
+    residues = []
+    for row in raw:
+        mult = lcm(*(v.denominator for v in row))
+        if mult == 1:
+            residues.append([v.numerator % p for v in row])
+        else:
+            residues.append([v.numerator * (mult // v.denominator) % p for v in row])
+    r, pivots, _ = _eliminate_mod_p(residues, p)
+    if r == min(len(raw), len(raw[0])) and pivots == tuple(range(r)):
+        return r, pivots
+    return None
+
+
 def rank(m: DenseMatrix) -> RankProfile:
-    """Exact rank over the matrix's field, with deterministic pivot columns."""
-    r, pivots, _ = _eliminate(m)
+    """Exact rank over the matrix's field, with deterministic pivot columns.
+
+    A rational rank is certified mod _CERT_P when it can be, else computed by
+    fraction-free elimination.
+    """
+    if m.field.is_prime_field or m.n_rows == 0 or m.n_cols == 0:
+        r, pivots, _ = _eliminate(m)
+    else:
+        raw = m.raw_rows()
+        r, pivots = _certified_rank(raw) or _bareiss(_cleared(raw)[0])[:2]
     return RankProfile(r, pivots, m.field)
 
 

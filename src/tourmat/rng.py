@@ -21,16 +21,17 @@ class ByteStream:
         key = "|".join([str(int(seed))] + [str(l) for l in labels])
         self._key = key.encode("ascii")
         self._counter = 0
-        self._buf = b""
-
-    def _refill(self):
-        h = hashlib.sha256(self._key + b"#" + str(self._counter).encode("ascii"))
-        self._counter += 1
-        self._buf += h.digest()
+        self._buf = b""  # fewer than 32 unread bytes between calls
 
     def take_bytes(self, k: int) -> bytes:
-        while len(self._buf) < k:
-            self._refill()
+        short = k - len(self._buf)
+        if short > 0:
+            # join every missing digest at once, so a draw costs time linear in k
+            start = self._counter
+            self._counter += -(-short // 32)
+            self._buf += b"".join(
+                hashlib.sha256(self._key + b"#" + str(c).encode("ascii")).digest()
+                for c in range(start, self._counter))
         out, self._buf = self._buf[:k], self._buf[k:]
         return out
 

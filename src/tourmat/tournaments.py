@@ -95,8 +95,12 @@ class Tournament:
         return Tournament(self.n, self.code ^ 1 << self._pair_bit(i, j))
 
     def out_degree(self, v: int) -> int:
+        """Number of vertices v beats, counted in one pass over bits()."""
         self._check_vertex(v)
-        return sum(1 for u in range(1, self.n + 1) if u != v and self.has_edge(v, u))
+        n, bits = self.n, self.bits()
+        start = pair_index(n, v, v + 1)  # v's own row: pairs (v, j), j > v; "1" is a win
+        return (bits.count("1", start, start + n - v)
+                + sum(bits[pair_index(n, i, v)] == "0" for i in range(1, v)))
 
     def bits(self) -> str:
         """The pair bits as text: character k is "1" iff pair k's edge is i -> j."""

@@ -154,6 +154,13 @@ def test_size_bound_report_star():
     assert rep["rank_ge_cm"] and rep["size_le_bound"]
 
 
+def test_size_bound_report_ranks_the_gram_product():
+    for fam in (STAR4, STAR5, SetFamily.of(4, [{1, 2}]), SetFamily.of(6, [{1, 2}, {1, 3, 4, 5}])):
+        x = incidence_pm1(fam)
+        rep = size_bound_report(fam, Fraction(1, 3))
+        assert rep["rank_gram"] == rank(x @ x.transpose()).rank
+
+
 def test_size_bound_single_set_vacuous():
     # one set means no pairs: bisecting vacuously, report still produced
     rep = size_bound_report(SetFamily.of(4, [{1, 2}]), Fraction(1, 2))

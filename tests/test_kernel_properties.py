@@ -2,8 +2,9 @@
 
 Small matrices are compared with cofactor determinants and minor-scan ranks
 (tests/oracles.py); the two bodies of the modular routine are compared with
-each other on both sides of the entry-count cutoff; and large modular
-determinants are compared with the exact rational determinant reduced mod p.
+each other on both sides of the entry-count cutoff; large modular
+determinants are compared with the exact rational determinant reduced mod p;
+and the certified rational rank is compared with fraction-free elimination.
 """
 
 import importlib
@@ -98,3 +99,30 @@ def test_large_modular_determinant_matches_rational(rows, p):
     exact = determinant(DenseMatrix.from_rows(QQ, rows)).value
     assert exact.denominator == 1
     assert determinant(DenseMatrix.from_rows(GF(p), rows)).value == exact.numerator % p
+
+
+P = rank_mod._CERT_P
+# multiples of P and near-multiples vanish or shrink mod P, so the certificate fails
+cert_entries = st.one_of(small_fractions, st.integers(-4, 4),
+                         st.sampled_from((P, -P, 2 * P, P + 1)))
+
+
+@st.composite
+def certificate_cases(draw):
+    """Rational rows up to 6 x 6, sometimes with a row repeated to force a rank drop."""
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(cert_entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, nr - 2))])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(certificate_cases())
+def test_certified_rank_matches_bareiss(rows):
+    m = DenseMatrix.from_rows(QQ, rows)
+    exact = rank_mod._bareiss(rank_mod._cleared(m.raw_rows())[0])
+    prof = rank(m)
+    assert (prof.rank, prof.pivot_columns) == exact[:2]

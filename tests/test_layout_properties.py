@@ -1,7 +1,8 @@
 """Property tests of the two text layouts: tournament pair bits and matrix CSV.
 
 `Tournament.bits()` and `from_bits` own the pair-bit layout; the shift
-`(code >> k) & 1` is kept here only as the oracle they are checked against.
+`(code >> k) & 1` is kept here only as the oracle they are checked against,
+and `has_edge` is the oracle of the one-pass `out_degree`.
 The matrix CSV round trip is checked over Q with fractional entries and over
 prime fields.
 """
@@ -48,6 +49,15 @@ def test_from_bits_inverts_bits(t):
 @given(tournaments)
 def test_parse_inverts_format(t):
     assert parse_tournament(format_tournament(t)) == t
+
+
+@SETTINGS
+@given(tournaments)
+def test_out_degree_counts_wins(t):
+    vertices = range(1, t.n + 1)
+    degrees = [t.out_degree(v) for v in vertices]
+    assert degrees == [sum(t.has_edge(v, u) for u in vertices if u != v) for v in vertices]
+    assert sum(degrees) == n_pairs(t.n)
 
 
 nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)

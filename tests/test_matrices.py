@@ -148,6 +148,17 @@ def test_ratio_matrix():
     assert grid(const) == [[0 if r == c else 1 for c in range(4)] for r in range(4)]
 
 
+def test_ratio_matrix_over_word_size_prime():
+    p, n = 2**31 - 1, 30
+    t = random_tournament(n, 4, 0)
+    values = [(k * 7919) % 97 + 1 if k % 3 else p - 1 - k for k in range(n)]  # repeats, large
+    m = ratio_matrix(t, WeightSeq.of(GF(p), values))
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            win, lose = (i, j) if t.has_edge(i, j) else (j, i)
+            assert m.entries[(i - 1) * n + j - 1] * values[lose - 1] % p == values[win - 1]
+
+
 def test_csv_round_trip():
     w = WeightSeq.of(QQ, [Fraction(1, 2), 2, 3])
     m = tournament_matrix(transitive(3), w)

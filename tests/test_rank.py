@@ -1,10 +1,12 @@
+import importlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from oracles import det_cofactor, minor_scan_rank
 from tourmat.fields import GF, QQ, Scalar
-from tourmat.matrices import DenseMatrix, WeightSeq, transitive_matrix
+from tourmat.matrices import DenseMatrix, WeightSeq, tournament_matrix, transitive_matrix
 from tourmat.rank import (
     NotSquareError,
     determinant,
@@ -13,6 +15,11 @@ from tourmat.rank import (
     rank,
 )
 from tourmat.rng import ByteStream
+from tourmat.tournaments import random_tournament
+
+# the package re-exports the function `rank`, which shadows the module attribute
+rank_mod = importlib.import_module("tourmat.rank")
+P = rank_mod._CERT_P
 
 
 def qmat(rows):
@@ -162,3 +169,29 @@ def test_scalar_entries_preserved():
     m = qmat([[Fraction(1, 2), 1], [1, 2]])
     assert determinant(m) == Scalar(QQ, 0)
     assert rank(m).rank == 1
+
+
+def bareiss_spy():
+    return mock.patch.object(rank_mod, "_bareiss", wraps=rank_mod._bareiss)
+
+
+@pytest.mark.parametrize("rows, expected, bareiss_calls", [
+    ([[P, 0], [0, 1]], (2, (0, 1)), 1),  # full rank over Q, singular mod P
+    ([[P, 1]], (1, (0,)), 1),  # the mod-P pivot column is 1
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], (2, (0, 1)), 1),  # rank-deficient over Q
+    ([[Fraction(1, P), 1], [1, P]], (1, (0,)), 1),  # both rows clear to [1, P]
+    ([[Fraction(1, P), 1], [0, 1]], (2, (0, 1)), 0),  # clears to [1, P], [0, 1]: certified
+])
+def test_certificate_or_bareiss(rows, expected, bareiss_calls):
+    with bareiss_spy() as spy:
+        prof = rank(qmat(rows))
+    assert (prof.rank, prof.pivot_columns) == expected
+    assert spy.call_count == bareiss_calls
+
+
+def test_random_tournament_ranks_are_certified():
+    weights = WeightSeq.of(QQ, [1 + k % 2 for k in range(50)])
+    with bareiss_spy() as spy:
+        for index in range(10):
+            rank(tournament_matrix(random_tournament(50, 1, index), weights))
+    assert spy.call_count == 0

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
 from tourmat.fields import NotPrimeError
+from tourmat.rng import ByteStream
 from tourmat.tournaments import (
     BadCongruenceError,
     InvalidPermutationError,
@@ -158,3 +160,20 @@ def test_code_bounds_checked():
         Tournament(3, 8)
     with pytest.raises(ValueError):
         Tournament(0, 0)
+
+
+def test_random_tournament_is_the_concatenated_digest_stream():
+    n, seed, index = 2048, 5, 3
+    key = f"{seed}|tournament|{index}".encode("ascii")
+    nbytes = (n_pairs(n) + 7) // 8
+    stream = b"".join(hashlib.sha256(key + b"#" + str(c).encode("ascii")).digest()
+                      for c in range(nbytes // 32 + 1))
+    code = int.from_bytes(stream[:nbytes], "big") >> (8 * nbytes - n_pairs(n))
+    assert random_tournament(n, seed, index).code == code
+
+
+def test_split_draws_read_one_stream():
+    sizes = [0, 1, 31, 32, 33, 5, 100, 64, 7]
+    pieces = ByteStream(9, "split")
+    whole = ByteStream(9, "split").take_bytes(sum(sizes))
+    assert b"".join(pieces.take_bytes(k) for k in sizes) == whole
