@@ -240,7 +240,7 @@ def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     p = weights.field.char
     if not p:
         return _pair_matrix(t.bits(), weights, operator.truediv)
-    inverse = {v.value: pow(v.value, p - 2, p) for v in weights.values}  # one per weight
+    inverse = {v.value: pow(v.value, -1, p) for v in weights.values}  # one per weight
     return _pair_matrix(t.bits(), weights, lambda x, y: x * inverse[y] % p)
 
 

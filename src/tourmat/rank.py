@@ -72,7 +72,7 @@ def _eliminate_mod_p(rows, p):
                 det = -det
             prow = m[pr]
             det = det * prow[c] % p
-            inv = pow(prow[c], p - 2, p)
+            inv = pow(prow[c], -1, p)
             for r in range(pr + 1, nr):
                 row = m[r]
                 f = row[c]
@@ -96,7 +96,7 @@ def _eliminate_mod_p(rows, p):
                 det = -det
             piv = int(R[pr, c])
             det = det * piv % p
-            inv = pow(piv, p - 2, p)
+            inv = pow(piv, -1, p)
             below = R[pr + 1 :]
             if below.shape[0]:
                 factors = below[:, c] * inv % p
@@ -198,10 +198,7 @@ def _certified_rank(raw):
     residues = []
     for row in raw:
         mult = lcm(*(v.denominator for v in row))
-        if mult == 1:
-            residues.append([v.numerator % p for v in row])
-        else:
-            residues.append([v.numerator * (mult // v.denominator) % p for v in row])
+        residues.append([v.numerator * (mult // v.denominator) % p for v in row])
     r, pivots, _ = _eliminate_mod_p(residues, p)
     if r == min(len(raw), len(raw[0])) and pivots == tuple(range(r)):
         return r, pivots
