@@ -208,8 +208,8 @@ def _certified_rank(raw):
 def rank(m: DenseMatrix) -> RankProfile:
     """Exact rank over the matrix's field, with deterministic pivot columns.
 
-    A rational rank is certified mod _CERT_P when it can be, else computed by
-    fraction-free elimination.
+    A rational rank is certified by one elimination mod 2**31 - 1 when it can
+    be, else computed by fraction-free elimination.
     """
     if m.field.is_prime_field or m.n_rows == 0 or m.n_cols == 0:
         r, pivots, _ = _eliminate(m)
