@@ -23,6 +23,7 @@ from tourmat.matrices import (
     tournament_matrix,
     transitive_matrix,
 )
+from tourmat.rank import determinant
 from tourmat.rng import ByteStream
 from tourmat.tournaments import paley, random_tournament
 
@@ -168,3 +169,83 @@ def test_rank_digest(tmp_path):
 
 def test_minrank_worker_count_does_not_move_bytes():
     assert PINNED["minrank-workers-1"] == PINNED["minrank-workers-2"]
+
+
+# Pins wider than one 32-column elimination panel.  The CSVs are drawn from
+# ByteStream, so their bytes are fixed by the keys below.
+GF3_DEFICIENT_ROWS, GF3_DEFICIENT_COLS, GF3_DEFICIENT_INNER = 160, 170, 120
+WORD_P = 2**31 - 1
+
+
+def _byte_grid(n_rows, n_cols, *key):
+    data = ByteStream(0, "panel-pin", *key).take_bytes(n_rows * n_cols)
+    return [list(data[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows)]
+
+
+def _csv_text(field_spec, rows):
+    lines = [f"field={field_spec},rows={len(rows)},cols={len(rows[0])}"]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _gf3_deficient_csv():
+    """A 160 x 170 product of 160 x 120 and 120 x 170 factors mod 3, with every
+    seventh column zeroed and every eleventh a copy of its left neighbour."""
+    left = _byte_grid(GF3_DEFICIENT_ROWS, GF3_DEFICIENT_INNER, "left")
+    right = _byte_grid(GF3_DEFICIENT_INNER, GF3_DEFICIENT_COLS, "right")
+    rows = [[sum(a * b for a, b in zip(lrow, col)) % 3 for col in zip(*right)]
+            for lrow in left]
+    for row in rows:
+        for c in range(GF3_DEFICIENT_COLS):
+            if c % 7 == 3:
+                row[c] = 0
+            elif c % 11 == 5:
+                row[c] = row[c - 1]
+    return _csv_text("GF(3)", rows)
+
+
+def _word_prime_csv():
+    """A 130 x 130 matrix mod 2**31 - 1 with entries in [p - 256, p - 1], its
+    last ten rows repeating the first ten and column 70 repeating column 69."""
+    rows = [[WORD_P - 1 - b for b in row] for row in _byte_grid(130, 130, "word")]
+    rows[120:] = [list(row) for row in rows[:10]]
+    for row in rows:
+        row[70] = row[69]
+    return _csv_text(f"GF({WORD_P})", rows)
+
+
+def _panel_rank_json(text, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    return _run_cli(["rank", "--matrix", str(path), "--seed", "0"], tmp_path / "rank.json")
+
+
+def _gf7_determinants():
+    """Determinants of 100 x 100 GF(7) tournament matrices, one per line."""
+    field = GF(7)
+    w = WeightSeq.of(field, [1 + i % 6 for i in range(100)])
+    return "".join(f"{determinant(tournament_matrix(random_tournament(100, seed, 0), w)).value}\n"
+                   for seed in range(6))
+
+
+PANEL_CASES = {
+    "rank-gf3-deficient-170": lambda tmp_path: _panel_rank_json(_gf3_deficient_csv(), tmp_path),
+    "rank-word-prime-130": lambda tmp_path: _panel_rank_json(_word_prime_csv(), tmp_path),
+    "montecarlo-GF5-n150": lambda tmp_path: _run_cli(
+        ["montecarlo", "--field", "GF(5)", "--n", "150", "--samples", "4",
+         "--seq", ",".join(str(1 + i % 4) for i in range(150)), "--seed", "3"],
+        tmp_path / "report"),
+    "determinant-GF7-n100": lambda tmp_path: _gf7_determinants(),
+}
+
+PANEL_PINNED = {
+    "determinant-GF7-n100": "412b1636d0fbd1db609d18a4959d3d303ea2cd1f3cc00862bac99dc9b12f0abf",
+    "montecarlo-GF5-n150": "bb83c0ab9503bdee819002520c29e090e1cc392d79a4d56794f9c65834f86db8",
+    "rank-gf3-deficient-170": "e269028ab8a919f2b655fc7ad2f2174ab94daefe406725e93b5dc59e0166bbe2",
+    "rank-word-prime-130": "29f58c739b5d69ec1275b605972b8e0f0d72380dc40f84de57de0c59e2cbf74d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_CASES))
+def test_multi_panel_digest(name, tmp_path):
+    assert sha(PANEL_CASES[name](tmp_path)) == PANEL_PINNED[name]
