@@ -2,10 +2,21 @@
 
 One elimination pass yields the rank, the pivot columns and the determinant,
 and there is one routine per arithmetic.  Prime fields use modular row
-reduction, with a plain-int body up to `_NP_CUTOFF` entries and a vectorized
+reduction, with a plain-int body up to `_NP_CUTOFF` entries and a blocked
 numpy body above it (each is the faster one on its side of the cutoff; both
-apply the identical pivot rule).  Rational matrices are cleared to integers
-row by row with integer operations only.  A rational rank is first
+apply the identical pivot rule).  The blocked body eliminates `_PANEL` = 32
+columns at a time in int64, each panel over its own columns only, keeping
+the multipliers below the pivots.  The panel's pivot rows are then
+forward-substituted in int64 and the rows below get one float64 (BLAS)
+product of the multipliers with the pivot rows, reduced mod p.  That product
+is exact because every partial sum stays below 2**53: directly while
+32 * (p - 1)**2 < 2**53 (p <= 16,777,213), and above that by splitting the
+right factor into 16-bit halves.  A matrix at most 64 columns wide is one
+panel and runs no product: each pivot updates the whole rows below it, as
+an unblocked elimination does.  Blocking reorders exact updates only, so
+the rank, the pivot columns and the determinant are the unblocked ones.
+Rational matrices are cleared to integers row by row, reading each entry
+once as an integer ratio.  A rational rank is first
 certified by one elimination of those integer rows mod `_CERT_P` = 2**31 - 1:
 rank mod p never exceeds rank over Q, so a mod-p rank equal to
 min(rows, cols) with pivot columns 0..r-1 is the rank and the pivot columns
@@ -30,6 +41,7 @@ from .fields import Field, Scalar
 from .matrices import DenseMatrix
 
 _NP_CUTOFF = 100  # entry count up to which the plain-int body wins
+_PANEL = 32  # columns per panel of the blocked numpy body; at most 32 keeps `_dot_mod` exact
 _CERT_P = 2**31 - 1  # certificate prime; below 2**31, so the numpy body's products fit int64
 
 
@@ -50,8 +62,8 @@ def _eliminate_mod_p(rows, p):
     """Rank, pivot columns and determinant mod p of a matrix of residues in [0, p).
 
     The determinant is meaningful for square input only, and is 0 when the
-    rank falls short.  Small matrices run a plain-int body, larger ones a
-    vectorized numpy body; both apply the same pivot rule.
+    rank falls short.  Small matrices run a plain-int body, larger ones the
+    blocked numpy body; both apply the same pivot rule.
     """
     nr, nc = len(rows), len(rows[0])
     pr = 0
@@ -86,27 +98,76 @@ def _eliminate_mod_p(rows, p):
                 break
     else:
         R = np.array(rows, dtype=np.int64)
-        for c in range(nc):
-            nz = np.nonzero(R[pr:, c])[0]
-            if nz.size == 0:
-                continue
-            r0 = pr + int(nz[0])
-            if r0 != pr:
-                R[[pr, r0]] = R[[r0, pr]]
-                det = -det
-            piv = int(R[pr, c])
-            det = det * piv % p
-            inv = pow(piv, -1, p)
-            below = R[pr + 1 :]
-            if below.shape[0]:
-                factors = below[:, c] * inv % p
+        width = nc if nc <= 2 * _PANEL else _PANEL
+        for c0 in range(0, nc, width):
+            c1 = min(c0 + width, nc)
+            pr0 = pr
+            for c in range(c0, c1):
+                nz = np.nonzero(R[pr:, c])[0]
+                if nz.size == 0:
+                    continue
+                r0 = pr + int(nz[0])
+                if r0 != pr:
+                    R[[pr, r0]] = R[[r0, pr]]
+                    det = -det
+                piv = int(R[pr, c])
+                det = det * piv % p
+                inv = pow(piv, -1, p)
+                # a panel with a trailing block keeps multipliers left of c;
+                # the last panel is zero there, so it updates whole panel rows
+                # (whole matrix rows when one panel spans the matrix)
+                c_lo = c0 if c1 == nc else c
+                below = R[pr + 1 :, c_lo:c1]
+                factors = R[pr + 1 :, c] * inv % p
                 # factors and entries are < p < 2**31, products fit int64
-                R[pr + 1 :] = (below - factors[:, None] * R[pr]) % p
-            pivots.append(c)
-            pr += 1
+                below[...] = (below - factors[:, None] * R[pr, c_lo:c1]) % p
+                if c1 < nc:
+                    R[pr + 1 :, c] = factors  # multipliers for the trailing update
+                pivots.append(c)
+                pr += 1
+                if pr == nr:
+                    break
             if pr == nr:
                 break
+            if pr > pr0 and c1 < nc:
+                _update_trailing(R, pr0, pr, pivots[pr0:], c1, p)
     return pr, tuple(pivots), det if pr == nr == nc else 0
+
+
+def _dot_mod(a, b, p):
+    """An array congruent to a @ b mod p, computed in a's dtype (int64 or
+    float64), with every entry and partial sum below 2**53.
+
+    a and b hold residues in [0, p), b is int64, and the inner dimension is
+    at most _PANEL.  While _PANEL * (p - 1)**2 < 2**53 the plain product
+    qualifies; above that b is split into 16-bit halves, and the high half's
+    product is reduced mod p before it is shifted back: with p < 2**31 both
+    products then stay below 2**52.
+    """
+    if _PANEL * (p - 1) ** 2 < 2**53:
+        return a @ b.astype(a.dtype, copy=False)
+    prod = a @ (b >> 16).astype(a.dtype, copy=False)
+    prod %= p
+    prod *= 1 << 16
+    prod += a @ (b & 0xFFFF).astype(a.dtype, copy=False)
+    return prod
+
+
+def _update_trailing(R, pr0, pr, cols, c1, p):
+    """Apply one panel's pivots (rows pr0..pr-1 in columns `cols`, with their
+    multipliers stored below each pivot) to the columns from c1 on, in place.
+
+    The pivot rows are forward-substituted one at a time in int64; the rows
+    below get one float64 (BLAS) product of their multipliers with the pivot
+    rows.  `_dot_mod` keeps both exact.
+    """
+    U = R[pr0:pr, c1:]
+    for j in range(1, pr - pr0):
+        U[j] = (U[j] - _dot_mod(R[pr0 + j, cols[:j]], U[:j], p)) % p
+    tail = R[pr:, c1:]
+    prod = _dot_mod(R[pr:, cols].astype(np.float64), U, p)
+    np.subtract(tail, prod, out=tail, casting="unsafe")  # exact: |tail - prod| < 2**53
+    np.remainder(tail, p, out=tail)
 
 
 def _exact_div(a, b):
@@ -160,8 +221,9 @@ def _cleared(raw):
     int_rows = []
     scale = 1
     for row in raw:
-        mult = lcm(*(v.denominator for v in row))
-        int_rows.append([v.numerator * (mult // v.denominator) for v in row])
+        ratios = [v.as_integer_ratio() for v in row]
+        mult = lcm(*(d for _, d in ratios))
+        int_rows.append([a * (mult // d) for a, d in ratios])
         scale *= mult
     return int_rows, scale
 
@@ -183,24 +245,19 @@ def _eliminate(m: DenseMatrix):
     return r, pivots, (det, scale)
 
 
-def _certified_rank(raw):
-    """(rank, pivot columns) of nonempty rational rows from one elimination
+def _certified_rank(int_rows):
+    """(rank, pivot columns) of nonempty integer rows from one elimination
     mod _CERT_P, or None when that elimination certifies nothing.
 
-    The rows are cleared to integers and reduced mod p in one pass.  For an
-    integer matrix every column prefix has rank mod p at most its rank over Q.
-    If the mod-p rank r is min(rows, cols) and the pivot columns are 0..r-1,
-    then each leading prefix of k <= r columns has rank k mod p, hence over Q,
-    and the whole matrix has the largest rank it can have: the rank and the
-    leftmost-pivot columns over Q are the same.
+    For an integer matrix every column prefix has rank mod p at most its rank
+    over Q.  If the mod-p rank r is min(rows, cols) and the pivot columns are
+    0..r-1, then each leading prefix of k <= r columns has rank k mod p, hence
+    over Q, and the whole matrix has the largest rank it can have: the rank
+    and the leftmost-pivot columns over Q are the same.
     """
     p = _CERT_P
-    residues = []
-    for row in raw:
-        mult = lcm(*(v.denominator for v in row))
-        residues.append([v.numerator * (mult // v.denominator) % p for v in row])
-    r, pivots, _ = _eliminate_mod_p(residues, p)
-    if r == min(len(raw), len(raw[0])) and pivots == tuple(range(r)):
+    r, pivots, _ = _eliminate_mod_p([[v % p for v in row] for row in int_rows], p)
+    if r == min(len(int_rows), len(int_rows[0])) and pivots == tuple(range(r)):
         return r, pivots
     return None
 
@@ -214,8 +271,8 @@ def rank(m: DenseMatrix) -> RankProfile:
     if m.field.is_prime_field or m.n_rows == 0 or m.n_cols == 0:
         r, pivots, _ = _eliminate(m)
     else:
-        raw = m.raw_rows()
-        r, pivots = _certified_rank(raw) or _bareiss(_cleared(raw)[0])[:2]
+        int_rows = _cleared(m.raw_rows())[0]
+        r, pivots = _certified_rank(int_rows) or _bareiss(int_rows)[:2]
     return RankProfile(r, pivots, m.field)
 
 

@@ -8,9 +8,12 @@ and the certified rational rank is compared with fraction-free elimination.
 """
 
 import importlib
+import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,3 +129,92 @@ def test_certified_rank_matches_bareiss(rows):
     exact = rank_mod._bareiss(rank_mod._cleared(m.raw_rows())[0])
     prof = rank(m)
     assert (prof.rank, prof.pivot_columns) == exact[:2]
+
+
+# Primes on both sides of the float64 exactness threshold of the blocked body:
+# 32 * (p - 1)**2 < 2**53 holds up to 16,777,213 and fails from 16,777,259 on.
+BLOCK_PRIMES = (2, 3, 16_777_213, 16_777_259, 2**31 - 1)
+
+
+@st.composite
+def panel_cases(draw):
+    """Tall, wide and square shapes up to 14 x 14, a panel width of 1..4, and
+    residues small, near p or anywhere, with some zero columns and repeated rows."""
+    p = draw(st.sampled_from(BLOCK_PRIMES))
+    nr = draw(st.integers(1, 14))
+    nc = draw(st.integers(1, 14))
+    entries = st.one_of(st.integers(0, min(p - 1, 3)), st.integers(max(0, p - 4), p - 1),
+                        st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    for c in range(nc):
+        if draw(st.integers(0, 5)) == 0:
+            for row in rows:
+                row[c] = 0
+    for r in range(1, nr):
+        if draw(st.integers(0, 4)) == 0:
+            rows[r] = list(rows[draw(st.integers(0, r - 1))])
+    return rows, p, draw(st.integers(1, 4))
+
+
+def _plain_and_blocked(rows, p, panel=rank_mod._PANEL):
+    with mock.patch.object(rank_mod, "_NP_CUTOFF", 10**9):
+        plain = rank_mod._eliminate_mod_p(rows, p)
+    with mock.patch.object(rank_mod, "_NP_CUTOFF", 0), mock.patch.object(rank_mod, "_PANEL", panel):
+        blocked = rank_mod._eliminate_mod_p(rows, p)
+    return plain, blocked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(panel_cases())
+def test_blocked_body_matches_plain_body(case):
+    rows, p, panel = case
+    plain, blocked = _plain_and_blocked(rows, p, panel)
+    assert blocked == plain
+
+
+def _near_top(n_rows, n_cols, p, seed):
+    """Residues in [p - 1000, p - 1]: multipliers and pivot rows are then
+    large, so the panel products come near the float64 and int64 limits."""
+    rnd = random.Random(seed)
+    return [[p - 1 - rnd.randrange(1000) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+WORD_P = 2**31 - 1
+
+
+@pytest.mark.parametrize("rows, p", [
+    ([[WORD_P - 1] * 100 for _ in range(100)], WORD_P),
+    (_near_top(100, 100, WORD_P, 1), WORD_P),
+    (_near_top(100, 100, 16_777_259, 2), 16_777_259),
+    (_near_top(100, 100, 16_777_213, 3), 16_777_213),
+    (_near_top(70, 130, WORD_P, 4), WORD_P),
+], ids=["all-p-1", "word-p", "above-threshold", "below-threshold", "wide"])
+def test_full_size_panels_match_plain_body(rows, p):
+    """At the real panel width, matrices of three or more panels."""
+    plain, blocked = _plain_and_blocked(rows, p)
+    assert blocked == plain
+    assert len(rows[0]) > 2 * rank_mod._PANEL
+
+
+def test_one_panel_runs_no_product():
+    rows = _near_top(64, 64, WORD_P, 5)
+    with mock.patch.object(rank_mod, "_dot_mod", wraps=rank_mod._dot_mod) as dot:
+        rank_mod._eliminate_mod_p(rows, WORD_P)
+        assert dot.call_count == 0
+        rank_mod._eliminate_mod_p([row + [1] for row in rows], WORD_P)
+        assert dot.call_count > 0
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@pytest.mark.parametrize("dtype", (np.int64, np.float64))
+def test_panel_product_is_exact_at_the_largest_residues(p, dtype):
+    """A full-panel inner dimension of p - 1 entries with one odd product:
+    above the threshold the unsplit float64 sum is odd and past 2**53, so it
+    cannot be represented."""
+    k = rank_mod._PANEL
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    a[:, -1] = b[-1] = max(p - 2, 1)
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    got = rank_mod._dot_mod(a.astype(dtype), b, p)
+    assert [[int(v) % p for v in row] for row in got.tolist()] == exact
