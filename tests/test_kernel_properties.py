@@ -179,15 +179,12 @@ def _near_top(n_rows, n_cols, p, seed):
     return [[p - 1 - rnd.randrange(1000) for _ in range(n_cols)] for _ in range(n_rows)]
 
 
-WORD_P = 2**31 - 1
-
-
 @pytest.mark.parametrize("rows, p", [
-    ([[WORD_P - 1] * 100 for _ in range(100)], WORD_P),
-    (_near_top(100, 100, WORD_P, 1), WORD_P),
+    ([[P - 1] * 100 for _ in range(100)], P),
+    (_near_top(100, 100, P, 1), P),
     (_near_top(100, 100, 16_777_259, 2), 16_777_259),
     (_near_top(100, 100, 16_777_213, 3), 16_777_213),
-    (_near_top(70, 130, WORD_P, 4), WORD_P),
+    (_near_top(70, 130, P, 4), P),
 ], ids=["all-p-1", "word-p", "above-threshold", "below-threshold", "wide"])
 def test_full_size_panels_match_plain_body(rows, p):
     """At the real panel width, matrices of three or more panels."""
@@ -197,11 +194,11 @@ def test_full_size_panels_match_plain_body(rows, p):
 
 
 def test_one_panel_runs_no_product():
-    rows = _near_top(64, 64, WORD_P, 5)
+    rows = _near_top(64, 64, P, 5)
     with mock.patch.object(rank_mod, "_dot_mod", wraps=rank_mod._dot_mod) as dot:
-        rank_mod._eliminate_mod_p(rows, WORD_P)
+        rank_mod._eliminate_mod_p(rows, P)
         assert dot.call_count == 0
-        rank_mod._eliminate_mod_p([row + [1] for row in rows], WORD_P)
+        rank_mod._eliminate_mod_p([row + [1] for row in rows], P)
         assert dot.call_count > 0
 
 
