@@ -105,6 +105,18 @@ CLI_CASES = {
                        "--seq", ",".join("1212121212121"), "--seed", "9", "--format", "csv"],
     "perm-scan": ["perm-scan", "--field", "Q", "--tournament", "random:5",
                   "--seq", "1,2,3,4,5", "--seed", "4"],
+    # exhaustive prime-field sweeps: a shard that starts and ends off any
+    # batch boundary, weights near a word-size p, and the one- and two-vertex
+    # edge cases
+    "minrank-GF2-shard": ["minrank", "--field", "GF(2)", "--n", "5", "--seq", "1,1,1,1,1",
+                          "--shard", "100:900", "--workers", "2", "--seed", "0"],
+    "minrank-word-prime": ["minrank", "--field", "GF(2147483647)", "--n", "5",
+                           "--seq", "2147483646,2147483645,2147483646,1,2147483640",
+                           "--seed", "0"],
+    "minrank-GF3-n1": ["minrank", "--field", "GF(3)", "--n", "1", "--seq", "2", "--seed", "0"],
+    "minrank-GF3-n2": ["minrank", "--field", "GF(3)", "--n", "2", "--seq", "1,2", "--seed", "0"],
+    "verify-ffbound-GF5": ["verify", "--theorem", "ffbound", "--field", "GF(5)",
+                           "--n-max", "5"],
 }
 
 PINNED = {
@@ -112,7 +124,11 @@ PINNED = {
     "builders-GF5": "3afaac0607327e1f3fcbde775eee7037fb251a99602ffb474eb2245737e7ec1d",
     "builders-Q": "ad16bd6afea9d8218632bde99affb849ea8a766439b2da846e0c05f9bcb3f0dc",
     "bytestream": "97df01570eae3efa18c62587ff9d4993aa02b029aee545febae9d0dcaacdb85e",
+    "minrank-GF2-shard": "d68b192154747df607c6fff3ca5cf5b4c330768c9688240c9352e155034513cc",
+    "minrank-GF3-n1": "80f9217142fe413b0f7ee216def88053200a1ae6d72e8563fe342c8141477b5d",
+    "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
     "minrank-csv": "4b0e36afa2674a367e682f83144cb9ba003f4c463b7a82c577f947f2b2ebca03",
+    "minrank-word-prime": "aee44a471e9914a8a2d4193f0ac9dfb973993dde6658e4d3ce20f8e28c0f650b",
     "minrank-workers-1": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
     "minrank-workers-2": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
     "montecarlo-GF3": "7c56bacb85e8d30e91572de3462136a53a5f97f24c52f2b8ad2e92f9fef42728",
@@ -125,6 +141,7 @@ PINNED = {
     "verify-constant": "d9b11579ea5a33d2dc5b19b598175433c03438fe03a39c322b8135eae9024437",
     "verify-f-ensemble": "83f5633617610aae6b2c88797f02a9563f32f9bddcdfb7701f76db328c975271",
     "verify-ffbound": "42d736ffc2f2a54a1cd036fd020448a0a491172b051492067241a36cfdefb2e5",
+    "verify-ffbound-GF5": "4893c914fb0bda85c8cca8c065e77508c0c27c31d8cb76c02658112b5d09fb40",
     "verify-lipschitz": "f91eea99f1ac3585638044c485f51b923d27f69fb12455514dc6ec9b1746934b",
     "verify-reversal": "3c25fd28dd2436008549253af448e17ec09dce5c156c4fdbcb4ae985a7533827",
     "verify-transitive": "b53d4ce2f72d3d29c72d8d4ec9b5ba41e3cb65f6d77f9f031b920121b173cf93",
