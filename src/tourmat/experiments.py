@@ -11,6 +11,7 @@ are reported as information, never as violations.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import statistics
 import time
@@ -27,9 +28,10 @@ from .matrices import (
     linear_mix_matrix,
     reversal_sum_matrix,
     tournament_matrix,
+    tournament_stack,
     transitive_matrix,
 )
-from .rank import principal_minor_det, rank
+from .rank import principal_minor_det, rank, stack_ranks
 from .report import Report
 from .rng import ByteStream
 from .tournaments import (
@@ -39,12 +41,14 @@ from .tournaments import (
     enumerate_all,
     format_tournament,
     n_pairs,
+    pair_bits,
     random_tournament,
     transitive,
 )
 
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
+_BATCH_ENTRIES = 2**16  # matrix entries per batch of a prime-field sweep
 
 
 class BadRangeError(ValueError):
@@ -99,6 +103,12 @@ def _rank_histogram(ranks) -> dict:
 def _require_n(n: int, least: int, what: str):
     if n < least:
         raise BadRangeError(f"{what} needs n >= {least}, got {n}")
+
+
+def _require_enumerable(n: int):
+    """Refuse, before any work, a sweep whose codes on n vertices overflow one word."""
+    if n_pairs(n) > MAX_ENUM_BITS:
+        raise TooLargeError(f"n={n} has {n_pairs(n)} pair bits; cap is {MAX_ENUM_BITS}")
 
 
 def _refuse_empty(count: int, what: str):
@@ -276,6 +286,7 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
     """
     t0 = time.perf_counter()
     _refuse_empty(n_max - 1, f"n_max={n_max}")
+    _require_enumerable(n_max)
     records = []
     for field in fields:
         for raw_z in z_values:
@@ -369,20 +380,19 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
     """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights."""
     t0 = time.perf_counter()
     _refuse_empty(n_max, f"n_max={n_max}")
+    _require_enumerable(n_max)
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
         weights = cycling_weights(field, n, values)
         low = bounds.finite_field_bound(n, p)
-        min_rank = None
+        need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
+        min_rank = n
         bad = 0
-        checked = 0
-        for t in enumerate_all(n):
-            r = rank(tournament_matrix(t, weights)).rank
-            checked += 1
-            min_rank = r if min_rank is None else min(min_rank, r)
-            if r < low:
-                bad += 1
+        checked = 1 << n_pairs(n)
+        for ranks in _prime_rank_batches(n, weights, 0, checked):
+            min_rank = min(min_rank, int(ranks.min()))
+            bad += int((ranks < need).sum())
         records.append({
             "n": n, "tournaments": checked, "min_rank": min_rank,
             "bound": str(low), "violations": bad, "pass": bad == 0,
@@ -413,10 +423,22 @@ def _split_range(start: int, end: int, parts: int):
     return chunks
 
 
+def _prime_rank_batches(n: int, weights: WeightSeq, lo: int, hi: int):
+    """Yield the ranks mod p of the tournament matrices with codes in [lo, hi),
+    in code order, as one int64 array per batch of about _BATCH_ENTRIES entries."""
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for a in range(lo, hi, step):
+        stack = tournament_stack(pair_bits(n, a, min(a + step, hi)), weights)
+        yield stack_ranks(stack, weights.field.char)
+
+
 def _minrank_chunk(args):
+    """Ranks of the tournament matrices with codes in [lo, hi), in code order:
+    batched over a prime field, one rank() per matrix over Q."""
     weights, n, lo, hi = args
-    return [(t.code, rank(tournament_matrix(t, weights)).rank)
-            for t in enumerate_all(n, lo, hi)]
+    if weights.field.is_prime_field:
+        return [r for ranks in _prime_rank_batches(n, weights, lo, hi) for r in ranks.tolist()]
+    return [rank(tournament_matrix(t, weights)).rank for t in enumerate_all(n, lo, hi)]
 
 
 def _mc_chunk(args):
@@ -447,24 +469,21 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     informational "min_rank >= c*n" flag, never a violation.
     """
     t0 = time.perf_counter()
-    if n_pairs(n) > MAX_ENUM_BITS:
-        raise TooLargeError(f"n={n} has {n_pairs(n)} pair bits; cap is {MAX_ENUM_BITS}")
+    _require_enumerable(n)
     total = 1 << n_pairs(n)
     lo, hi = shard if shard is not None else (0, total)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"bad shard [{lo}, {hi}) for {total} codes")
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
-    pairs = _run_chunks(_minrank_chunk,
+    ranks = _run_chunks(_minrank_chunk,
                         [(weights, n, a, b) for a, b in _split_range(lo, hi, workers)],
                         workers)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
-    records = []
-    for code, r in pairs:
-        ok = True if low is None else r >= low
-        records.append({"code": code, "rank": r, "pass": ok})
-    ranks = [r for _, r in pairs]
+    need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
+    records = [{"code": code, "rank": r, "pass": r >= need}
+               for code, r in zip(range(lo, hi), ranks)]
     min_rank = min(ranks)
-    argmin = [code for code, r in pairs if r == min_rank]
+    argmin = [code for code, r in zip(range(lo, hi), ranks) if r == min_rank]
     kept = argmin[:ARGMIN_CODES_KEPT]
     summary = {
         "min_rank": min_rank,

@@ -9,7 +9,10 @@ base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
 (alpha*winner + beta*loser), the ratio matrix (winner's weight over loser's),
 and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
 matrix plus its reversal's.  The builder walks the tournament's pair-bit text
-(`Tournament.bits()`), so the bit layout lives in one place.
+(`Tournament.bits()`), so the bit layout lives in one place.  For exhaustive
+sweeps over GF(p), `tournament_stack` builds the base matrices of a whole
+code range at once, as an int64 (B, n, n) array of residues, from the
+tournaments module's pair-bit array (`pair_bits`).
 
 A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
 GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
 from .tournaments import Tournament, n_pairs
@@ -218,6 +223,30 @@ def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
     _check_weights(t, weights)
     return _pair_matrix(t.bits(), weights, _winner)
+
+
+def tournament_stack(bits: np.ndarray, weights: WeightSeq) -> np.ndarray:
+    """The tournament matrices of B pair-bit rows over a prime field, as an
+    int64 (B, n, n) array of residues.
+
+    `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
+    [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
+    np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit is
+    1 (i beats j) and a_j where it is 0; the diagonal is zero.
+    """
+    p = weights.field.char
+    if not p:
+        raise FieldMismatchError(f"residue stacks need a prime field, got {weights.field}")
+    n = len(weights)
+    if bits.ndim != 2 or bits.shape[1] != n_pairs(n):
+        raise LengthMismatchError(f"{len(weights)} weights for pair bits of shape {bits.shape}")
+    vals = np.array([v.value for v in weights.values], dtype=np.int64)
+    rows, cols = np.triu_indices(n, 1)
+    winners = np.where(bits != 0, vals[rows], vals[cols])
+    stack = np.zeros((bits.shape[0], n, n), dtype=np.int64)
+    stack[:, rows, cols] = winners
+    stack[:, cols, rows] = winners
+    return stack
 
 
 def transitive_matrix(weights: WeightSeq) -> DenseMatrix:

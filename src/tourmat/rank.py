@@ -15,6 +15,11 @@ right factor into 16-bit halves.  A matrix at most 64 columns wide is one
 panel and runs no product: each pivot updates the whole rows below it, as
 an unblocked elimination does.  Blocking reorders exact updates only, so
 the rank, the pivot columns and the determinant are the unblocked ones.
+Exhaustive sweeps over GF(p) rank whole stacks instead: `stack_ranks` takes
+a (B, n, n) int64 array and eliminates all B matrices together, each row
+below a pivot becoming (piv * row - row[c] * pivot_row) mod p.  Both
+products stay below 2**62 because p < 2**31, so int64 is exact; it returns
+ranks only, which the scaling by pivots does not change.
 Rational matrices are cleared to integers row by row, reading each entry
 once as an integer ratio.  A rational rank is first
 certified by one elimination of those integer rows mod `_CERT_P` = 2**31 - 1:
@@ -132,6 +137,47 @@ def _eliminate_mod_p(rows, p):
             if pr > pr0 and c1 < nc:
                 _update_trailing(R, pr0, pr, pivots[pr0:], c1, p)
     return pr, tuple(pivots), det if pr == nr == nc else 0
+
+
+def stack_ranks(stack, p) -> np.ndarray:
+    """Ranks mod p of every matrix in a (B, n_rows, n_cols) stack of residues
+    in [0, p), as an int64 array of B ranks.
+
+    All B matrices are eliminated together, column by column, each with its
+    own pivot row, on a copy laid out (n_rows, n_cols, B) so that every
+    array operation runs along the batch.  A mask picks each matrix's lowest
+    nonzero row at or below its pivot row, fancy indexing swaps it into
+    place, and every row below becomes (piv * row - row[c] * pivot_row) mod p,
+    with no inverse.  Both products are below 2**62 because p < 2**31, so
+    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
+    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
+    entries are not.
+    """
+    n_mat, nr, nc = np.shape(stack)
+    R = np.array(np.moveaxis(stack, 0, -1), dtype=np.int64, order="C")
+    ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row
+    mats, row_ids = np.arange(n_mat), np.arange(nr)[:, None]
+    for c in range(nc):
+        cand = (R[:, c] != 0) & (row_ids >= ranks)
+        found = cand.any(axis=0)
+        if not found.any():
+            continue
+        # a matrix without a pivot here swaps a row with itself and keeps its rows
+        pr = np.minimum(ranks, nr - 1)
+        r0 = np.where(found, cand.argmax(axis=0), pr)
+        # rows at or below a pivot row are zero left of c, so only columns c on move
+        R[pr, c:, mats], R[r0, c:, mats] = R[r0, c:, mats], R[pr, c:, mats]
+        prow = R[pr, c:, mats].T
+        lo = int(pr[found].min()) + 1  # no matrix updates a row above lo
+        below = found & (row_ids[lo:] > pr)
+        scale = np.where(below, prow[0], 1)
+        factor = np.where(below, R[lo:, c], 0)
+        tail = R[lo:, c:]
+        update = scale[:, None] * tail
+        update -= factor[:, None] * prow
+        np.remainder(update, p, out=tail)
+        ranks += found
+    return ranks
 
 
 def _dot_mod(a, b, p):

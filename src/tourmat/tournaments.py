@@ -8,13 +8,17 @@ doubles as the enumeration counter, which makes exhaustive-search sharding a
 plain range split.  `Tournament.bits()` and `from_bits` own that layout: the
 bit text's character k is pair k's bit, and every per-pair walk (edges, the
 constructions, the text grammar, the matrix builders) reads or writes that
-text instead of shifting the code once per pair.
+text instead of shifting the code once per pair.  Exhaustive sweeps over a
+prime field skip the per-code objects: `pair_bits` turns a whole code range
+into one array of the same bits, one row per code.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fields import NotPrimeError, is_prime
 from .rng import ByteStream
@@ -171,12 +175,9 @@ def paley(q: int) -> Tournament:
     return _from_law(q, lambda i, j: (j - i) % q in squares)
 
 
-def enumerate_all(n: int, start: int | None = None, end: int | None = None):
-    """Yield all tournaments with code in [start, end), in increasing code order.
-
-    The full range covers every tournament on n vertices exactly once.
-    Requires n(n-1)/2 <= 63 so codes fit one machine word.
-    """
+def _code_range(n: int, start: int | None, end: int | None) -> tuple:
+    """[start, end) defaulted to every code on n vertices, after checking that
+    codes fit one machine word and the range lies inside the code space."""
     m = n_pairs(n)
     if m > MAX_ENUM_BITS:
         raise TooLargeError(f"n={n} has {m} pair bits; enumeration capped at {MAX_ENUM_BITS}")
@@ -187,8 +188,32 @@ def enumerate_all(n: int, start: int | None = None, end: int | None = None):
         end = total
     if not 0 <= start <= end <= total:
         raise ValueError(f"bad shard [{start}, {end}) for {total} codes")
+    return start, end
+
+
+def enumerate_all(n: int, start: int | None = None, end: int | None = None):
+    """Yield all tournaments with code in [start, end), in increasing code order.
+
+    The full range covers every tournament on n vertices exactly once.
+    Requires n(n-1)/2 <= 63 so codes fit one machine word.
+    """
+    start, end = _code_range(n, start, end)
     for code in range(start, end):
         yield Tournament(n, code)
+
+
+def pair_bits(n: int, start: int, end: int) -> np.ndarray:
+    """The pair bits of codes start..end-1 as a uint8 array of shape
+    (end - start, n(n-1)/2).
+
+    Entry [b, k] is (code >> k) & 1 for code start + b, the k-th character of
+    bits(); pair k is the k-th pair of np.triu_indices(n, 1), vertices
+    counted from 0.  Requires n(n-1)/2 <= 63, as enumerate_all does.
+    """
+    start, end = _code_range(n, start, end)
+    codes = np.arange(start, end, dtype=np.uint64)
+    shifts = np.arange(n_pairs(n), dtype=np.uint64)
+    return ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 _TOUR_RE = re.compile(r"n=(\d+):([01]*)")

@@ -154,6 +154,8 @@ def test_csv_report_format(capsys):
     (["verify", "--theorem", "certify", "--n-max", "1"], "EmptyRunError"),
     (["verify", "--theorem", "certify", "--n-max", "0"], "EmptyRunError"),
     (["verify", "--theorem", "ffbound", "--field", "GF(3)", "--n-max", "0"], "EmptyRunError"),
+    (["verify", "--theorem", "ffbound", "--field", "GF(3)", "--n-max", "12"], "TooLargeError"),
+    (["verify", "--theorem", "certify", "--n-max", "12"], "TooLargeError"),
     (["verify", "--theorem", "reversal", "--sample", "0"], "EmptyRunError"),
     (["verify", "--theorem", "transitive", "--trials", "0"], "EmptyRunError"),
     (["verify", "--theorem", "lipschitz", "--n", "1"], "BadRangeError"),

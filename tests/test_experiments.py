@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -312,3 +313,27 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
     assert _RecordingPool.requested == [expected]
     serial = ex.montecarlo_rank(6, GF(3), w, 20, seed=3, workers=1)
     assert rep.to_json(full_records=True) == serial.to_json(full_records=True)
+
+
+def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
+    """GF(p) exhaustive sweeps rank stacks; only Q ranks each code's matrix."""
+    with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
+            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds:
+        ex.minrank_exhaustive(5, GF(3), ex.cycling_weights(GF(3), 5))
+        ex.verify_finite_field_bound(5, 3)
+        assert rank_calls.call_count == 0
+        assert builds.call_count == 0
+        ex.minrank_exhaustive(4, QQ, ex.counting_weights(QQ, 4))
+        assert rank_calls.call_count == 1 << 6
+
+
+def test_batched_sweep_matches_per_matrix_ranks_across_batches():
+    """A shard spanning several batches, starting and ending off a boundary."""
+    field = GF(5)
+    w = ex.counting_weights(field, 6)
+    step = ex._BATCH_ENTRIES // 36  # codes per batch at n = 6
+    lo, hi = 3 * step - 7, 5 * step + 11
+    rep = ex.minrank_exhaustive(6, field, w, shard=(lo, hi))
+    expected = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(6, lo, hi)]
+    assert [rec["rank"] for rec in rep.records] == expected
+    assert [rec["code"] for rec in rep.records] == list(range(lo, hi))
