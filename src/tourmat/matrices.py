@@ -234,8 +234,7 @@ def tournament_stack(bits: np.ndarray, weights: WeightSeq) -> np.ndarray:
     np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit is
     1 (i beats j) and a_j where it is 0; the diagonal is zero.
     """
-    p = weights.field.char
-    if not p:
+    if not weights.field.is_prime_field:
         raise FieldMismatchError(f"residue stacks need a prime field, got {weights.field}")
     n = len(weights)
     if bits.ndim != 2 or bits.shape[1] != n_pairs(n):
