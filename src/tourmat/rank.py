@@ -145,7 +145,7 @@ def stack_ranks(stack, p) -> np.ndarray:
 
     All B matrices are eliminated together, column by column, each with its
     own pivot row, on a copy laid out (n_rows, n_cols, B) so that every
-    array operation runs along the batch.  A mask picks each matrix's lowest
+    array operation runs along the batch.  A mask picks each matrix's first
     nonzero row at or below its pivot row, fancy indexing swaps it into
     place, and every row below becomes (piv * row - row[c] * pivot_row) mod p,
     with no inverse.  Both products are below 2**62 because p < 2**31, so
