@@ -117,6 +117,14 @@ CLI_CASES = {
     "minrank-GF3-n2": ["minrank", "--field", "GF(3)", "--n", "2", "--seq", "1,2", "--seed", "0"],
     "verify-ffbound-GF5": ["verify", "--theorem", "ffbound", "--field", "GF(5)",
                            "--n-max", "5"],
+    # certifiability over GF(2), over GF(5) with z != 1, and with z near a
+    # word-size p
+    "verify-certify-GF2": ["verify", "--theorem", "certify", "--field", "GF(2)",
+                           "--n-max", "5"],
+    "verify-certify-GF5-z3": ["verify", "--theorem", "certify", "--field", "GF(5)",
+                              "--z", "3"],
+    "verify-certify-word-prime": ["verify", "--theorem", "certify", "--field", "GF(2147483647)",
+                                  "--z", "2147483646", "--n-max", "4"],
 }
 
 PINNED = {
@@ -136,8 +144,11 @@ PINNED = {
     "perm-scan": "989fb7df3f8372c8ed60047140c210ba059d0ea70f5412d46d858161bf822211",
     "rank": "760a6a3de4873e4d40bd9f584ff5a839da6739d466b2573254b64203a27c0231",
     "tournament-codes": "355fc987e6350fc523591970f191e4151fb3bcf609b85d2c10e4db37e85d58e5",
+    "verify-certify-GF2": "daab1251119581643678ac7346e8558cbed61809e9fca8d842ca81d773ab9164",
     "verify-certify-GF3": "be89c65f199c1d044f8ec59e2717805594ff83b27dc6fb930430f6ebd2dd9ee5",
+    "verify-certify-GF5-z3": "3ec3e02b3c5f56908f63465ba71ca4a4ec3220f06898de887071c251dbc017db",
     "verify-certify-Q": "8e679eb0398abd735f535c9dc12be48ce24c5dc70aa954ae3c8e03203ef82f34",
+    "verify-certify-word-prime": "a56f68cc9a270aa4807876d93169baa6d733a61f3bef670c379114a8a4ed63f0",
     "verify-constant": "d9b11579ea5a33d2dc5b19b598175433c03438fe03a39c322b8135eae9024437",
     "verify-f-ensemble": "83f5633617610aae6b2c88797f02a9563f32f9bddcdfb7701f76db328c975271",
     "verify-ffbound": "42d736ffc2f2a54a1cd036fd020448a0a491172b051492067241a36cfdefb2e5",
