@@ -122,7 +122,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    override = parse_field(args.field) if args.field_given else None
+    override = None if args.field is None else parse_field(args.field)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         m = matrix_from_csv(fh.read(), field=override)
     _echo_config(args, {"matrix": args.matrix})
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="exact rank of a matrix CSV")
     _add_common(p)
     p.add_argument("--matrix", required=True, help="matrix CSV path")
-    p.set_defaults(fn=_cmd_rank)
+    p.set_defaults(fn=_cmd_rank, field=None)  # no --field: the CSV header's field
 
     p = sub.add_parser("minrank", help="exhaustive min rank over all tournaments")
     _add_common(p)
@@ -318,7 +318,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = secrets.randbits(64)
-    args.field_given = any(a.startswith("--field") for a in (argv if argv is not None else sys.argv[1:]))
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")

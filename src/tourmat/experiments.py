@@ -19,6 +19,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds
 from .fields import Field, Scalar
 from .matrices import (
@@ -31,16 +33,14 @@ from .matrices import (
     tournament_stack,
     transitive_matrix,
 )
-from .rank import principal_minor_det, rank, stack_ranks
+from .rank import rank, stack_ranks
 from .report import Report
 from .rng import ByteStream
 from .tournaments import (
-    MAX_ENUM_BITS,
     Tournament,
-    TooLargeError,
+    code_range,
     enumerate_all,
     format_tournament,
-    n_pairs,
     pair_bits,
     random_tournament,
     transitive,
@@ -48,11 +48,11 @@ from .tournaments import (
 
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
-_BATCH_ENTRIES = 2**16  # matrix entries per batch of a prime-field sweep
+_BATCH_ENTRIES = 2**16  # matrix entries per batch of an exhaustive sweep
 
 
 class BadRangeError(ValueError):
-    """A vertex count below what the check needs (n >= 3 transitive, n >= 2 otherwise)."""
+    """A vertex count below what the check needs (n >= 3 transitive, 1 min-rank, else 2)."""
 
 
 class EmptyRunError(ValueError):
@@ -103,12 +103,6 @@ def _rank_histogram(ranks) -> dict:
 def _require_n(n: int, least: int, what: str):
     if n < least:
         raise BadRangeError(f"{what} needs n >= {least}, got {n}")
-
-
-def _require_enumerable(n: int):
-    """Refuse, before any work, a sweep whose codes on n vertices overflow one word."""
-    if n_pairs(n) > MAX_ENUM_BITS:
-        raise TooLargeError(f"n={n} has {n_pairs(n)} pair bits; cap is {MAX_ENUM_BITS}")
 
 
 def _refuse_empty(count: int, what: str):
@@ -282,35 +276,41 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
     nonzero whenever the first s + 1 weights are equal.
 
     Runs every tournament on n <= n_max vertices, every s in 1..n-1, every
-    field, every z.  Records are aggregated per (n, s, field, z).
+    field, every z.  A minor is nonzero exactly when its block has full
+    rank, so each batch ranks its s-blocks, then its (s+1)-blocks only where
+    the s-block falls short.  Records are aggregated per (n, s, field, z).
+
+    With these weights the check cannot fail: the leading (s+1)-block is
+    z(J - I) for every tournament, whose k x k minor is (-1)^(k-1) (k-1) z^k,
+    and no prime divides both s - 1 and s.
     """
     t0 = time.perf_counter()
     _refuse_empty(n_max - 1, f"n_max={n_max}")
-    _require_enumerable(n_max)
+    code_range(n_max)  # refuse codes that overflow one word before any work
     records = []
     for field in fields:
+        p = field.char
         for raw_z in z_values:
             z = field.scalar(raw_z)
             if z.is_zero():
                 raise ValueError(f"z = {raw_z} vanishes in {field}")
             for n in range(2, n_max + 1):
+                lo, hi = code_range(n)
                 for s in range(1, n):
-                    weights = _certify_weights(field, n, s, z)
-                    checked = 0
                     bad = 0
                     first_bad = None
-                    for t in enumerate_all(n):
-                        m = tournament_matrix(t, weights)
-                        ok = (not principal_minor_det(m, s).is_zero()
-                              or not principal_minor_det(m, s + 1).is_zero())
-                        checked += 1
-                        if not ok:
-                            bad += 1
-                            if first_bad is None:
-                                first_bad = t.code
+                    base = lo  # code of the batch's first tournament
+                    for batch in _code_batches(n, _certify_weights(field, n, s, z), lo, hi):
+                        short = np.flatnonzero(_block_ranks(batch, s, p) < s)
+                        sub = batch[short] if p else [batch[i] for i in short]
+                        failed = short[_block_ranks(sub, s + 1, p) < s + 1]
+                        if first_bad is None and failed.size:
+                            first_bad = base + int(failed[0])
+                        bad += failed.size
+                        base += len(batch)
                     records.append({
                         "n": n, "s": s, "field": str(field), "z": str(z),
-                        "tournaments": checked, "violations": bad,
+                        "tournaments": hi - lo, "violations": bad,
                         "first_bad_code": first_bad, "pass": bad == 0,
                     })
     parameters = {"n_max": n_max, "fields": [str(f) for f in fields],
@@ -380,7 +380,7 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
     """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights."""
     t0 = time.perf_counter()
     _refuse_empty(n_max, f"n_max={n_max}")
-    _require_enumerable(n_max)
+    code_range(n_max)  # refuse codes that overflow one word before any work
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
@@ -389,12 +389,13 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
         need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
         min_rank = n
         bad = 0
-        checked = 1 << n_pairs(n)
-        for ranks in _prime_rank_batches(n, weights, 0, checked):
+        lo, hi = code_range(n)
+        for batch in _code_batches(n, weights, lo, hi):
+            ranks = _block_ranks(batch, n, p)
             min_rank = min(min_rank, int(ranks.min()))
             bad += int((ranks < need).sum())
         records.append({
-            "n": n, "tournaments": checked, "min_rank": min_rank,
+            "n": n, "tournaments": hi - lo, "min_rank": min_rank,
             "bound": str(low), "violations": bad, "pass": bad == 0,
         })
     parameters = {"n_max": n_max, "field": str(field),
@@ -409,41 +410,45 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
 # ---------------------------------------------------------------------------
 
 def _split_range(start: int, end: int, parts: int):
-    """Contiguous chunks covering [start, end); at most `parts` of them."""
+    """Contiguous nonempty chunks covering [start, end); at most `parts` of them."""
     total = end - start
     parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    chunks = []
-    lo = start
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        if hi > lo:
-            chunks.append((lo, hi))
-        lo = hi
-    return chunks
+    cuts = [start + total * i // parts for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
-def _prime_rank_batches(n: int, weights: WeightSeq, lo: int, hi: int):
-    """Yield the ranks mod p of the tournament matrices with codes in [lo, hi),
-    in code order, as one int64 array per batch of about _BATCH_ENTRIES entries."""
+def _code_batches(n: int, weights: WeightSeq, lo: int, hi: int):
+    """The tournaments with codes in [lo, hi), in code order, in batches of
+    about _BATCH_ENTRIES matrix entries: an int64 (B, n, n) residue stack
+    over GF(p), a list of B tournament matrices over Q."""
     step = max(1, _BATCH_ENTRIES // (n * n))
     for a in range(lo, hi, step):
-        stack = tournament_stack(pair_bits(n, a, min(a + step, hi)), weights)
-        yield stack_ranks(stack, weights.field.char)
+        b = min(a + step, hi)
+        if weights.field.is_prime_field:
+            yield tournament_stack(pair_bits(n, a, b), weights)
+        else:
+            yield [tournament_matrix(t, weights) for t in enumerate_all(n, a, b)]
+
+
+def _block_ranks(batch, k: int, p: int) -> np.ndarray:
+    """Ranks of the leading k x k blocks of a `_code_batches` batch: the whole
+    stack mod p at once over GF(p), one rank() per matrix over Q (p = 0)."""
+    if p:
+        return stack_ranks(batch[:, :k, :k], p)
+    return np.array([rank(m.principal_submatrix(k)).rank for m in batch], dtype=np.int64)
 
 
 def _minrank_chunk(args):
-    """Ranks of the tournament matrices with codes in [lo, hi), in code order:
-    batched over a prime field, one rank() per matrix over Q."""
+    """Ranks of the tournament matrices with codes in [lo, hi), in code order."""
     weights, n, lo, hi = args
-    if weights.field.is_prime_field:
-        return [r for ranks in _prime_rank_batches(n, weights, lo, hi) for r in ranks.tolist()]
-    return [rank(tournament_matrix(t, weights)).rank for t in enumerate_all(n, lo, hi)]
+    return [r for batch in _code_batches(n, weights, lo, hi)
+            for r in _block_ranks(batch, n, weights.field.char).tolist()]
 
 
 def _mc_chunk(args):
+    """Ranks of the sampled tournament matrices with indices in [lo, hi), in order."""
     weights, n, seed, lo, hi = args
-    return [(i, rank(tournament_matrix(random_tournament(n, seed, i), weights)).rank)
+    return [rank(tournament_matrix(random_tournament(n, seed, i), weights)).rank
             for i in range(lo, hi)]
 
 
@@ -469,11 +474,8 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     informational "min_rank >= c*n" flag, never a violation.
     """
     t0 = time.perf_counter()
-    _require_enumerable(n)
-    total = 1 << n_pairs(n)
-    lo, hi = shard if shard is not None else (0, total)
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"bad shard [{lo}, {hi}) for {total} codes")
+    _require_n(n, 1, "exhaustive min-rank")
+    lo, hi = code_range(n, *shard) if shard is not None else code_range(n)
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
     ranks = _run_chunks(_minrank_chunk,
                         [(weights, n, a, b) for a, b in _split_range(lo, hi, workers)],
@@ -515,15 +517,12 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
     char2 = field.char == 2
     low = bounds.half_minus_tail_floor(n)
     vacuous = bounds.half_minus_tail_vacuous(n)
-    pairs = _run_chunks(_mc_chunk,
+    ranks = _run_chunks(_mc_chunk,
                         [(weights, n, seed, a, b)
                          for a, b in _split_range(0, samples, workers)],
                         workers)
-    records = []
-    for i, r in pairs:
-        ok = True if char2 else r >= low
-        records.append({"index": i, "rank": r, "bound": low, "pass": ok})
-    ranks = [r for _, r in pairs]
+    records = [{"index": i, "rank": r, "bound": low, "pass": True if char2 else r >= low}
+               for i, r in enumerate(ranks)]
     parameters = {
         "n": n, "field": str(field), "weights": str(weights),
         "samples": samples, "seed": seed,

@@ -274,23 +274,6 @@ def _cleared(raw):
     return int_rows, scale
 
 
-def _eliminate(m: DenseMatrix):
-    """(rank, pivot columns, (det numerator, det denominator)) of m over its field.
-
-    Rational rows are scaled to integers by the lcm of their denominators
-    first; the determinant's denominator is the product of those multipliers.
-    """
-    if m.n_rows == 0 or m.n_cols == 0:
-        return 0, (), (1, 1)
-    raw = m.raw_rows()
-    if m.field.is_prime_field:
-        r, pivots, det = _eliminate_mod_p(raw, m.field.char)
-        return r, pivots, (det, 1)
-    int_rows, scale = _cleared(raw)
-    r, pivots, det = _bareiss(int_rows)
-    return r, pivots, (det, scale)
-
-
 def _certified_rank(int_rows):
     """(rank, pivot columns) of nonempty integer rows from one elimination
     mod _CERT_P, or None when that elimination certifies nothing.
@@ -314,8 +297,10 @@ def rank(m: DenseMatrix) -> RankProfile:
     A rational rank is certified by one elimination mod 2**31 - 1 when it can
     be, else computed by fraction-free elimination.
     """
-    if m.field.is_prime_field or m.n_rows == 0 or m.n_cols == 0:
-        r, pivots, _ = _eliminate(m)
+    if m.n_rows == 0 or m.n_cols == 0:
+        r, pivots = 0, ()
+    elif m.field.is_prime_field:
+        r, pivots, _ = _eliminate_mod_p(m.raw_rows(), m.field.char)
     else:
         int_rows = _cleared(m.raw_rows())[0]
         r, pivots = _certified_rank(int_rows) or _bareiss(int_rows)[:2]
@@ -326,7 +311,12 @@ def determinant(m: DenseMatrix) -> Scalar:
     """Exact determinant; the empty 0x0 matrix has determinant one."""
     if m.n_rows != m.n_cols:
         raise NotSquareError(f"determinant of {m.n_rows}x{m.n_cols} matrix")
-    return Scalar(m.field, Fraction(*_eliminate(m)[2]))
+    if m.n_rows == 0:
+        return Scalar(m.field, 1)
+    if m.field.is_prime_field:
+        return Scalar(m.field, _eliminate_mod_p(m.raw_rows(), m.field.char)[2])
+    int_rows, scale = _cleared(m.raw_rows())  # det over Q = integer det / scale
+    return Scalar(m.field, Fraction(_bareiss(int_rows)[2], scale))
 
 
 def principal_minor_rank(m: DenseMatrix, s: int) -> RankProfile:

@@ -175,9 +175,9 @@ def paley(q: int) -> Tournament:
     return _from_law(q, lambda i, j: (j - i) % q in squares)
 
 
-def _code_range(n: int, start: int | None, end: int | None) -> tuple:
-    """[start, end) defaulted to every code on n vertices, after checking that
-    codes fit one machine word and the range lies inside the code space."""
+def code_range(n: int, start: int | None = None, end: int | None = None) -> tuple:
+    """[start, end) defaulted to every code on n vertices, after checking that codes
+    fit one machine word (every sweep's cap) and lie inside the code space."""
     m = n_pairs(n)
     if m > MAX_ENUM_BITS:
         raise TooLargeError(f"n={n} has {m} pair bits; enumeration capped at {MAX_ENUM_BITS}")
@@ -197,7 +197,7 @@ def enumerate_all(n: int, start: int | None = None, end: int | None = None):
     The full range covers every tournament on n vertices exactly once.
     Requires n(n-1)/2 <= 63 so codes fit one machine word.
     """
-    start, end = _code_range(n, start, end)
+    start, end = code_range(n, start, end)
     for code in range(start, end):
         yield Tournament(n, code)
 
@@ -210,7 +210,7 @@ def pair_bits(n: int, start: int, end: int) -> np.ndarray:
     bits(); pair k is the k-th pair of np.triu_indices(n, 1), vertices
     counted from 0.  Requires n(n-1)/2 <= 63, as enumerate_all does.
     """
-    start, end = _code_range(n, start, end)
+    start, end = code_range(n, start, end)
     codes = np.arange(start, end, dtype=np.uint64)
     shifts = np.arange(n_pairs(n), dtype=np.uint64)
     return ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)

@@ -186,3 +186,18 @@ def test_empty_n_range_is_usage_error(capsys):
                        "--seed", "1")
     assert code == 2
     assert "empty n-range" in err
+
+
+@pytest.mark.parametrize("flags, field, rank", [
+    ([], "Q", 3),                  # no flag: the CSV header's field
+    (["--fie", "GF(2)"], "GF(2)", 2),  # an abbreviation argparse accepts
+    (["--field=GF(2)"], "GF(2)", 2),
+])
+def test_rank_field_override_spellings(tmp_path, capsys, flags, field, rank):
+    path = tmp_path / "d3.csv"
+    assert main(["build", "--tournament", "transitive:3", "--seq", "1,1,1",
+                 "--out", str(path)]) == 0
+    code, stdout, _ = run(capsys, "rank", "--matrix", str(path), *flags)
+    assert code == 0
+    assert json.loads(stdout) == {"rank": rank, "pivot_columns": list(range(rank)),
+                                  "field": field}

@@ -279,6 +279,9 @@ def test_degenerate_runs_raise_named_errors():
         ex.verify_certifiability(1, [QQ])
     with pytest.raises(ex.BadRangeError):
         ex.verify_lipschitz(1, QQ, ex.cycling_weights(QQ, 1))
+    for field in (GF(3), QQ):
+        with pytest.raises(ex.BadRangeError):
+            ex.minrank_exhaustive(0, field, WeightSeq(field, ()))
 
 
 class _RecordingPool:
@@ -337,3 +340,47 @@ def test_batched_sweep_matches_per_matrix_ranks_across_batches():
     expected = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(6, lo, hi)]
     assert [rec["rank"] for rec in rep.records] == expected
     assert [rec["code"] for rec in rep.records] == list(range(lo, hi))
+
+
+def test_certify_ranks_blocks_and_takes_no_determinant():
+    """GF(p) certify ranks stacks; Q certify ranks each s-block, and the
+    (s+1)-block only where the s-block falls short (with z = 1 over Q that
+    is s = 1 alone, where the block is the 1 x 1 zero)."""
+    with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
+            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
+            mock.patch.object(ex, "principal_minor_det", create=True,
+                              wraps=principal_minor_det) as dets:
+        assert ex.verify_certifiability(5, [GF(3)]).passed
+        assert (rank_calls.call_count, builds.call_count, dets.call_count) == (0, 0, 0)
+        assert ex.verify_certifiability(4, [QQ]).passed
+        assert dets.call_count == 0
+        # n tournaments' worth of block ranks per n: n - 1 s-blocks plus one (s+1)-block
+        assert rank_calls.call_count == sum(n << n * (n - 1) // 2 for n in (2, 3, 4))
+
+
+# Weights per field under which some leading minors vanish together; with
+# the real certify weights no tournament fails.
+_FAILING_WEIGHTS = {GF(3): [1, 2, 1, 2, 1], GF(5): [1, 2, 3, 4, 1], QQ: [1, 2, 3, 4, 5]}
+
+
+def test_certify_failures_match_per_code_determinants(monkeypatch):
+    """Violations and first failing codes, across batches of four codes,
+    equal a per-code check of the s x s and (s+1) x (s+1) determinants."""
+    monkeypatch.setattr(ex, "_certify_weights",
+                        lambda field, n, s, z: WeightSeq.of(field, _FAILING_WEIGHTS[field][:n]))
+    monkeypatch.setattr(ex, "_BATCH_ENTRIES", 100)  # 4 codes per batch at n = 5
+    rep = ex.verify_certifiability(5, list(_FAILING_WEIGHTS))
+    expected = []
+    for field, values in _FAILING_WEIGHTS.items():
+        for n in range(2, 6):
+            w = WeightSeq.of(field, values[:n])
+            for s in range(1, n):
+                bad = [t.code for t in enumerate_all(n)
+                       if all(principal_minor_det(tournament_matrix(t, w), k).is_zero()
+                              for k in (s, s + 1))]
+                expected.append((str(field), n, s, len(bad), bad[0] if bad else None))
+    got = [(rec["field"], rec["n"], rec["s"], rec["violations"], rec["first_bad_code"])
+           for rec in rep.records]
+    assert got == expected
+    assert rep.summary["violations"] == sum(e[3] for e in expected) > 0
+    assert all(e[4] is None or e[4] >= 4 for e in expected)  # found past the first batch
