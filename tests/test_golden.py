@@ -125,6 +125,15 @@ CLI_CASES = {
                               "--z", "3"],
     "verify-certify-word-prime": ["verify", "--theorem", "certify", "--field", "GF(2147483647)",
                                   "--z", "2147483646", "--n-max", "4"],
+    # exhaustive Q sweeps whose entries reach or pass 2**31 - 1: word-size and
+    # fractional weights, a weight past 2**63, and a z that vanishes mod
+    # 2**31 - 1, so ranks taken mod that prime alone would fall short
+    "minrank-Q-word-size": ["minrank", "--field", "Q", "--n", "5",
+                            "--seq", "1/2,1/3,2147483647,4294967294,5", "--seed", "0"],
+    "minrank-Q-past-63-bits": ["minrank", "--field", "Q", "--n", "5",
+                               "--seq", "123456789012345678901,-3,7/5,2,1", "--seed", "0"],
+    "verify-certify-Q-word-prime": ["verify", "--theorem", "certify", "--field", "Q",
+                                    "--z", "2147483647", "--n-max", "5"],
 }
 
 PINNED = {
@@ -135,6 +144,8 @@ PINNED = {
     "minrank-GF2-shard": "d68b192154747df607c6fff3ca5cf5b4c330768c9688240c9352e155034513cc",
     "minrank-GF3-n1": "80f9217142fe413b0f7ee216def88053200a1ae6d72e8563fe342c8141477b5d",
     "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
+    "minrank-Q-past-63-bits": "b97d1f502791df04c1a730773f31c63eb56af21fe68d81fb963ec3f746588453",
+    "minrank-Q-word-size": "9811b30dc5a5776dc3ddf7b1e8823c7e40ce95ae6d10b6d353ce7513aad1e982",
     "minrank-csv": "4b0e36afa2674a367e682f83144cb9ba003f4c463b7a82c577f947f2b2ebca03",
     "minrank-word-prime": "aee44a471e9914a8a2d4193f0ac9dfb973993dde6658e4d3ce20f8e28c0f650b",
     "minrank-workers-1": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
@@ -148,6 +159,7 @@ PINNED = {
     "verify-certify-GF3": "be89c65f199c1d044f8ec59e2717805594ff83b27dc6fb930430f6ebd2dd9ee5",
     "verify-certify-GF5-z3": "3ec3e02b3c5f56908f63465ba71ca4a4ec3220f06898de887071c251dbc017db",
     "verify-certify-Q": "8e679eb0398abd735f535c9dc12be48ce24c5dc70aa954ae3c8e03203ef82f34",
+    "verify-certify-Q-word-prime": "8bdc810537177067ca295593eec39f21a9c12895d749c19193b420418aae308e",
     "verify-certify-word-prime": "a56f68cc9a270aa4807876d93169baa6d733a61f3bef670c379114a8a4ed63f0",
     "verify-constant": "d9b11579ea5a33d2dc5b19b598175433c03438fe03a39c322b8135eae9024437",
     "verify-f-ensemble": "83f5633617610aae6b2c88797f02a9563f32f9bddcdfb7701f76db328c975271",
