@@ -27,6 +27,7 @@ from .matrices import (
     DenseMatrix,
     LinearMix,
     WeightSeq,
+    ZeroWeightError,
     linear_mix_matrix,
     reversal_sum_matrix,
     tournament_matrix,
@@ -293,7 +294,7 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
         for raw_z in z_values:
             z = field.scalar(raw_z)
             if z.is_zero():
-                raise ValueError(f"z = {raw_z} vanishes in {field}")
+                raise ZeroWeightError(f"z = {raw_z} vanishes in {field}")
             for n in range(2, n_max + 1):
                 lo, hi = code_range(n)
                 for s in range(1, n):
@@ -301,9 +302,8 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
                     first_bad = None
                     base = lo  # code of the batch's first tournament
                     for batch in _code_batches(n, _certify_weights(field, n, s, z), lo, hi):
-                        short = np.flatnonzero(_block_ranks(batch, s, p) < s)
-                        sub = batch[short] if p else [batch[i] for i in short]
-                        failed = short[_block_ranks(sub, s + 1, p) < s + 1]
+                        short = np.flatnonzero(stack_ranks(batch[:, :s, :s], p) < s)
+                        failed = short[stack_ranks(batch[short, :s + 1, :s + 1], p) < s + 1]
                         if first_bad is None and failed.size:
                             first_bad = base + int(failed[0])
                         bad += failed.size
@@ -332,7 +332,7 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
     for field in fields:
         a = field.scalar(value)
         if a.is_zero():
-            raise ValueError(f"constant {value} vanishes in {field}")
+            raise ZeroWeightError(f"constant {value} vanishes in {field}")
         for n in n_list:
             weights = WeightSeq(field, (a,) * n)
             # the constant matrix a(J - I), built directly
@@ -391,7 +391,7 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
         bad = 0
         lo, hi = code_range(n)
         for batch in _code_batches(n, weights, lo, hi):
-            ranks = _block_ranks(batch, n, p)
+            ranks = stack_ranks(batch, p)
             min_rank = min(min_rank, int(ranks.min()))
             bad += int((ranks < need).sum())
         records.append({
@@ -418,31 +418,19 @@ def _split_range(start: int, end: int, parts: int):
 
 
 def _code_batches(n: int, weights: WeightSeq, lo: int, hi: int):
-    """The tournaments with codes in [lo, hi), in code order, in batches of
-    about _BATCH_ENTRIES matrix entries: an int64 (B, n, n) residue stack
-    over GF(p), a list of B tournament matrices over Q."""
+    """The tournaments with codes in [lo, hi), in code order, as `tournament_stack`
+    batches of about _BATCH_ENTRIES matrix entries: residues over GF(p) and
+    integers over Q alike, ranked by `stack_ranks(batch, field.char)`."""
     step = max(1, _BATCH_ENTRIES // (n * n))
     for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        if weights.field.is_prime_field:
-            yield tournament_stack(pair_bits(n, a, b), weights)
-        else:
-            yield [tournament_matrix(t, weights) for t in enumerate_all(n, a, b)]
-
-
-def _block_ranks(batch, k: int, p: int) -> np.ndarray:
-    """Ranks of the leading k x k blocks of a `_code_batches` batch: the whole
-    stack mod p at once over GF(p), one rank() per matrix over Q (p = 0)."""
-    if p:
-        return stack_ranks(batch[:, :k, :k], p)
-    return np.array([rank(m.principal_submatrix(k)).rank for m in batch], dtype=np.int64)
+        yield tournament_stack(pair_bits(n, a, min(a + step, hi)), weights)
 
 
 def _minrank_chunk(args):
     """Ranks of the tournament matrices with codes in [lo, hi), in code order."""
     weights, n, lo, hi = args
     return [r for batch in _code_batches(n, weights, lo, hi)
-            for r in _block_ranks(batch, n, weights.field.char).tolist()]
+            for r in stack_ranks(batch, weights.field.char).tolist()]
 
 
 def _mc_chunk(args):

@@ -10,9 +10,9 @@ base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
 and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
 matrix plus its reversal's.  The builder walks the tournament's pair-bit text
 (`Tournament.bits()`), so the bit layout lives in one place.  For exhaustive
-sweeps over GF(p), `tournament_stack` builds the base matrices of a whole
-code range at once, as an int64 (B, n, n) array of residues, from the
-tournaments module's pair-bit array (`pair_bits`).
+sweeps, `tournament_stack` builds the base matrices of a whole code range at
+once from the pair-bit array `pair_bits`, as a (B, n, n) array: residues over
+GF(p), integers over Q (the weights cleared of their common denominator).
 
 A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
 GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -226,23 +227,25 @@ def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
 
 
 def tournament_stack(bits: np.ndarray, weights: WeightSeq) -> np.ndarray:
-    """The tournament matrices of B pair-bit rows over a prime field, as an
-    int64 (B, n, n) array of residues.
+    """The tournament matrices of B pair-bit rows, as a (B, n, n) array of
+    residues over GF(p), and over Q of the integer matrices times the weights'
+    common denominator, which keeps every rank: int64 while the entries fit,
+    exact Python ints in an object array past that.
 
     `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
     [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
     np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit is
     1 (i beats j) and a_j where it is 0; the diagonal is zero.
     """
-    if not weights.field.is_prime_field:
-        raise FieldMismatchError(f"residue stacks need a prime field, got {weights.field}")
     n = len(weights)
     if bits.ndim != 2 or bits.shape[1] != n_pairs(n):
         raise LengthMismatchError(f"{len(weights)} weights for pair bits of shape {bits.shape}")
-    vals = np.array([v.value for v in weights.values], dtype=np.int64)
+    den = lcm(*(v.value.denominator for v in weights.values))  # 1 over GF(p)
+    vals = [int(v.value * den) for v in weights.values]
+    vals = np.array(vals, dtype=np.int64 if max(map(abs, vals), default=0) < 2**63 else object)
     rows, cols = np.triu_indices(n, 1)
     winners = np.where(bits != 0, vals[rows], vals[cols])
-    stack = np.zeros((bits.shape[0], n, n), dtype=np.int64)
+    stack = np.zeros((bits.shape[0], n, n), dtype=vals.dtype)
     stack[:, rows, cols] = winners
     stack[:, cols, rows] = winners
     return stack

@@ -15,11 +15,12 @@ right factor into 16-bit halves.  A matrix at most 64 columns wide is one
 panel and runs no product: each pivot updates the whole rows below it, as
 an unblocked elimination does.  Blocking reorders exact updates only, so
 the rank, the pivot columns and the determinant are the unblocked ones.
-Exhaustive sweeps over GF(p) rank whole stacks instead: `stack_ranks` takes
-a (B, n, n) int64 array and eliminates all B matrices together, each row
-below a pivot becoming (piv * row - row[c] * pivot_row) mod p.  Both
-products stay below 2**62 because p < 2**31, so int64 is exact; it returns
-ranks only, which the scaling by pivots does not change.
+Exhaustive sweeps rank whole (B, n, n) stacks with `stack_ranks` instead.
+It ranks an integer stack over Q mod the fewest primes, from 2**31 - 1 down,
+whose product passes Hadamard's bound (E * sqrt(c))**m on every m x m minor
+(entries at most E in size, at most c nonzero per row; c = k - 1 for a k x k
+tournament block).  A nonzero integer minor below that product is nonzero
+mod one of the primes, so the max of the ranks mod them is the rank over Q.
 Rational matrices are cleared to integers row by row, reading each entry
 once as an integer ratio.  A rational rank is first
 certified by one elimination of those integer rows mod `_CERT_P` = 2**31 - 1:
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .matrices import DenseMatrix
 _NP_CUTOFF = 100  # entry count up to which the plain-int body wins
 _PANEL = 32  # columns per panel of the blocked numpy body; at most 32 keeps `_dot_mod` exact
 _CERT_P = 2**31 - 1  # certificate prime; below 2**31, so the numpy body's products fit int64
+_PRIMES = [_CERT_P]  # descending primes below 2**31, extended on demand by _prime
 
 
 class NotSquareError(ValueError):
@@ -139,20 +141,39 @@ def _eliminate_mod_p(rows, p):
     return pr, tuple(pivots), det if pr == nr == nc else 0
 
 
-def stack_ranks(stack, p) -> np.ndarray:
-    """Ranks mod p of every matrix in a (B, n_rows, n_cols) stack of residues
-    in [0, p), as an int64 array of B ranks.
+def _prime(i):
+    """The i-th prime below 2**31 from 2**31 - 1 down, found by trial division once."""
+    while len(_PRIMES) <= i:
+        _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2)
+                            if all(q % d for d in range(3, isqrt(q) + 1, 2))))
+    return _PRIMES[i]
 
-    All B matrices are eliminated together, column by column, each with its
-    own pivot row, on a copy laid out (n_rows, n_cols, B) so that every
-    array operation runs along the batch.  A mask picks each matrix's first
-    nonzero row at or below its pivot row, fancy indexing swaps it into
-    place, and every row below becomes (piv * row - row[c] * pivot_row) mod p,
-    with no inverse.  Both products are below 2**62 because p < 2**31, so
-    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
-    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
-    entries are not.
+
+def stack_ranks(stack, p) -> np.ndarray:
+    """Ranks of every matrix in a (B, n_rows, n_cols) stack, as an int64 array
+    of B ranks: mod p of residues in [0, p), or with p = 0 over Q of integers
+    (int64, or Python ints in an object array).
+
+    Over Q this is the elementwise max of the ranks mod _prime(0), _prime(1),
+    ... up to the first product past the Hadamard bound on m x m minors, m =
+    min(n_rows, n_cols).  Mod p all B matrices are eliminated together, column
+    by column, each with its own pivot row, on a copy laid out (n_rows,
+    n_cols, B) so that every array operation runs along the batch.  A mask
+    picks each matrix's first nonzero row at or below its pivot row, fancy
+    indexing swaps it into place, and every row below becomes (piv * row -
+    row[c] * pivot_row) mod p, with no inverse.  Both products are below 2**62
+    because p < 2**31, so int64 holds them exactly.  Scaling a row by a nonzero
+    pivot keeps the row space, so the ranks are `_eliminate_mod_p`'s although
+    the eliminated entries are not.
     """
+    if not p:
+        size = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
+        width = int(np.count_nonzero(stack, axis=-1).max(initial=0))
+        bound_sq = (size**2 * width) ** min(stack.shape[1:])  # the bound squared, exact
+        primes = [_prime(0)]
+        while prod(primes) ** 2 <= bound_sq:
+            primes.append(_prime(len(primes)))
+        return np.max([stack_ranks(stack % q, q) for q in primes], axis=0)
     n_mat, nr, nc = np.shape(stack)
     R = np.array(np.moveaxis(stack, 0, -1), dtype=np.int64, order="C")
     ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row

@@ -1,20 +1,32 @@
-"""Property tests of the batched prime-field sweep path.
+"""Property tests of the batched sweep path.
 
 `stack_ranks` is checked against `_eliminate_mod_p` run on each matrix of
-the stack alone, and `tournament_stack(pair_bits(...))` against
-`tournament_matrix` of the same codes, entry for entry: exhaustively for
-n <= 5 and on random codes at n = 11.
+the stack alone over GF(p), and against `rank()` of each matrix over Q, and
+`tournament_stack(pair_bits(...))` against `tournament_matrix` of the same
+codes, entry for entry: exhaustively for n <= 5 and on random codes at
+n = 11.  Over Q a `mock` count pins how many primes the stacks are ranked
+mod.
 """
 
 import importlib
+import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourmat.fields import GF, QQ, FieldMismatchError
-from tourmat.matrices import LengthMismatchError, WeightSeq, tournament_matrix, tournament_stack
+from tourmat import experiments as ex
+from tourmat.fields import GF, QQ
+from tourmat.matrices import (
+    DenseMatrix,
+    LengthMismatchError,
+    WeightSeq,
+    tournament_matrix,
+    tournament_stack,
+)
 from tourmat.tournaments import TooLargeError, Tournament, n_pairs, pair_bits
 
 # the package re-exports the function `rank`, which shadows the module attribute
@@ -107,8 +119,171 @@ def test_pair_bits_refuse_what_enumerate_all_refuses():
         pair_bits(3, 0, 9)
 
 
-def test_tournament_stack_refuses_q_and_wrong_lengths():
-    with pytest.raises(FieldMismatchError):
-        tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(QQ, [1, 2, 3]))
-    with pytest.raises(LengthMismatchError):
-        tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(GF(3), [1, 2, 1, 2]))
+def test_tournament_stack_refuses_wrong_lengths():
+    for field in (GF(3), QQ):
+        with pytest.raises(LengthMismatchError):
+            tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(field, [1, 2, 1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# Integer stacks over Q
+# ---------------------------------------------------------------------------
+
+# the largest primes below 2**31, found independently by Miller-Rabin
+FIRST_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+                2147483563, 2147483549, 2147483543, 2147483497)
+P0, P1, P2 = FIRST_PRIMES[:3]
+BIG = 2**63
+
+
+def test_primes_count_down_from_the_largest_below_2_31():
+    assert tuple(rank_mod._prime(i) for i in range(len(FIRST_PRIMES))) == FIRST_PRIMES
+
+
+def _object_if_big(rows):
+    """The stack as int64 where every entry fits, else as Python ints."""
+    big = any(abs(v) >= BIG for mat in rows for row in mat for v in row)
+    return np.array(rows, dtype=object if big else np.int64)
+
+
+def _q_rank(rows):
+    return rank_mod.rank(DenseMatrix.from_rows(QQ, rows)).rank
+
+
+# a nonzero integer of each kind the prime count has to respect
+LARGE_INTS = st.one_of(
+    st.integers(1, 3).map(lambda k: k * P0),
+    st.integers(1, 3).map(lambda k: k * P1),
+    st.sampled_from((P0 * P1, P0 * P1 * P2)),
+    st.integers(BIG, 2**70),
+)
+SIGNED_LARGE = st.tuples(LARGE_INTS, st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def integer_stacks(draw):
+    """Up to 4 matrices of 1..8 rows and columns: small signed entries, some
+    rows zeroed or repeating an earlier row; the whole stack then times 1 or
+    a large integer (a multiple of the first or second prime, a product of
+    the first primes, or past 2**63), and a few entries large on their own."""
+    n_mat = draw(st.integers(1, 4))
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    factor = draw(st.one_of(st.just(1), SIGNED_LARGE))
+    stack = []
+    for _ in range(n_mat):
+        rows = [[factor * v for v in draw(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc))]
+                for _ in range(nr)]
+        for r in range(nr):
+            kind = draw(st.sampled_from(("keep", "keep", "zero", "repeat", "large")))
+            if kind == "zero":
+                rows[r] = [0] * nc
+            elif kind == "repeat" and r:
+                rows[r] = list(rows[draw(st.integers(0, r - 1))])
+            elif kind == "large":
+                rows[r][draw(st.integers(0, nc - 1))] = draw(SIGNED_LARGE)
+        stack.append(rows)
+    return stack
+
+
+@SETTINGS
+@given(integer_stacks())
+def test_q_stack_ranks_match_rank_per_matrix(stack):
+    ranks = rank_mod.stack_ranks(_object_if_big(stack), 0)
+    assert ranks.tolist() == [_q_rank(rows) for rows in stack]
+    if not any(abs(v) >= BIG for mat in stack for row in mat for v in row):
+        as_objects = np.array(stack, dtype=object)
+        assert rank_mod.stack_ranks(as_objects, 0).tolist() == ranks.tolist()
+
+
+# a nonzero weight: small and signed, fractional, a multiple of the first
+# or second prime, a product of the first primes, or past 2**63
+WEIGHTS = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(-5, 5, max_denominator=6).filter(lambda f: f and f.denominator > 1),
+    SIGNED_LARGE,
+)
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(WEIGHTS, min_size=n, max_size=n),
+    st.lists(st.integers(0, (1 << n_pairs(n)) - 1), min_size=1, max_size=4),
+    st.integers(1, n))))
+def test_q_tournament_stack_block_ranks_match_rank(case):
+    """Leading k x k blocks of Q tournament stacks, as the sweeps rank them."""
+    values, codes, k = case
+    n = len(values)
+    weights = WeightSeq.of(QQ, values)
+    stack = tournament_stack(np.concatenate([pair_bits(n, c, c + 1) for c in codes]), weights)
+    blocks = [tournament_matrix(Tournament(n, c), weights).principal_submatrix(k) for c in codes]
+    expected = [rank_mod.rank(m).rank for m in blocks]
+    assert rank_mod.stack_ranks(stack[:, :k, :k], 0).tolist() == expected
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2, 3, 4, 5],
+    [Fraction(1, 2), Fraction(1, 3), 2**31 - 1, 2**32 - 2, 5],
+    [123456789012345678901, -3, Fraction(7, 5), 2, 1],
+])
+def test_q_stack_is_the_matrix_times_the_common_denominator(values):
+    weights = WeightSeq.of(QQ, values)
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    stack = tournament_stack(pair_bits(5, 0, 1 << 10), weights)
+    assert stack.dtype == (object if max(abs(v) * den for v in values) >= BIG else np.int64)
+    for code in range(1 << 10):
+        m = tournament_matrix(Tournament(5, code), weights)
+        assert stack[code].ravel().tolist() == [v * den for v in m.entries]
+
+
+def _fewest_primes(stack):
+    """How many of the primes from 2**31 - 1 down a stack of k x k tournament
+    blocks needs: the fewest whose product exceeds (E * sqrt(k - 1))**k, E
+    the largest entry in size, and at least one."""
+    k = stack.shape[-1]
+    size = max((abs(int(v)) for v in stack.ravel()), default=0)
+    bound_sq = size ** (2 * k) * (k - 1) ** k
+    count, prod = 1, P0
+    while prod * prod <= bound_sq:
+        prod *= rank_mod._prime(count)
+        count += 1
+    return count
+
+
+def _primes_per_sweep_call(run):
+    """The primes each `stack_ranks` call of the sweeps ranked mod, with the
+    stack it ranked."""
+    calls = []
+    ranks = rank_mod.stack_ranks
+
+    def ranked(stack, p):
+        calls.append((stack, []))
+        return ranks(stack, p)
+
+    def ranked_mod(stack, p):  # the calls mod each prime that stack_ranks makes of itself
+        calls[-1][1].append(p)
+        return ranks(stack, p)
+
+    with mock.patch.object(ex, "stack_ranks", side_effect=ranked), \
+            mock.patch.object(rank_mod, "stack_ranks", side_effect=ranked_mod):
+        run()
+    return calls
+
+
+def test_q_certify_ranks_one_prime_for_the_benchmark_weights():
+    """z <= 9 and n <= 5 keep every minor below 2**31 - 1: one prime each."""
+    calls = _primes_per_sweep_call(
+        lambda: ex.verify_certifiability(5, [QQ], z_values=range(1, 10)))
+    assert len(calls) > 9 * sum(n - 1 for n in range(2, 6))
+    assert all(primes == [P0] for _, primes in calls)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ex.verify_certifiability(5, [QQ], z_values=(2**31 - 1,)),
+    lambda: ex.minrank_exhaustive(
+        5, QQ, WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])),
+], ids=["certify-z-word-prime", "minrank-past-63-bits"])
+def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run):
+    calls = _primes_per_sweep_call(run)
+    for stack, primes in calls:
+        assert primes == [rank_mod._prime(i) for i in range(_fewest_primes(stack))]
+    assert max(len(primes) for _, primes in calls) >= 2

@@ -173,6 +173,8 @@ def test_csv_report_format(capsys):
      "BadRangeError"),
     (["verify", "--theorem", "ffbound", "--field", "GF(3)", "--n-max", "12"], "TooLargeError"),
     (["verify", "--theorem", "certify", "--n-max", "12"], "TooLargeError"),
+    (["verify", "--theorem", "constant", "--field", "GF(3)", "--value", "3"], "ZeroWeightError"),
+    (["verify", "--theorem", "certify", "--field", "GF(3)", "--z", "3"], "ZeroWeightError"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")

@@ -319,7 +319,7 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
 
 
 def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
-    """GF(p) exhaustive sweeps rank stacks; only Q ranks each code's matrix."""
+    """Exhaustive sweeps rank stacks over GF(p) and over Q alike."""
     with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
             mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds:
         ex.minrank_exhaustive(5, GF(3), ex.cycling_weights(GF(3), 5))
@@ -327,7 +327,8 @@ def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
         assert rank_calls.call_count == 0
         assert builds.call_count == 0
         ex.minrank_exhaustive(4, QQ, ex.counting_weights(QQ, 4))
-        assert rank_calls.call_count == 1 << 6
+        assert rank_calls.call_count == 0
+        assert builds.call_count == 0
 
 
 def test_batched_sweep_matches_per_matrix_ranks_across_batches():
@@ -343,9 +344,8 @@ def test_batched_sweep_matches_per_matrix_ranks_across_batches():
 
 
 def test_certify_ranks_blocks_and_takes_no_determinant():
-    """GF(p) certify ranks stacks; Q certify ranks each s-block, and the
-    (s+1)-block only where the s-block falls short (with z = 1 over Q that
-    is s = 1 alone, where the block is the 1 x 1 zero)."""
+    """Certify ranks stacks of s-blocks, then of (s+1)-blocks where the
+    s-block falls short, over GF(p) and over Q alike."""
     with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
             mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
             mock.patch.object(ex, "principal_minor_det", create=True,
@@ -353,9 +353,7 @@ def test_certify_ranks_blocks_and_takes_no_determinant():
         assert ex.verify_certifiability(5, [GF(3)]).passed
         assert (rank_calls.call_count, builds.call_count, dets.call_count) == (0, 0, 0)
         assert ex.verify_certifiability(4, [QQ]).passed
-        assert dets.call_count == 0
-        # n tournaments' worth of block ranks per n: n - 1 s-blocks plus one (s+1)-block
-        assert rank_calls.call_count == sum(n << n * (n - 1) // 2 for n in (2, 3, 4))
+        assert (rank_calls.call_count, builds.call_count, dets.call_count) == (0, 0, 0)
 
 
 # Weights per field under which some leading minors vanish together; with
