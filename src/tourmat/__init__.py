@@ -41,7 +41,7 @@ from .matrices import (
     tournament_matrix,
     transitive_matrix,
 )
-from .rank import RankProfile, determinant, principal_minor_det, principal_minor_rank, rank
+from .rank import RankProfile, determinant, rank
 from .families import (
     SetFamily,
     check_bisecting,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import secrets
 import sys
 from fractions import Fraction
@@ -27,6 +28,17 @@ from .tournaments import paley, parse_tournament, random_tournament, transitive
 
 class UsageError(Exception):
     """Bad flag combination or malformed input file; exits with code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting with a minus and a
+    digit as a value, so `--seq -1,2,3` and `--seq -1/2,3,5` parse as
+    `--seq=-1,2,3` does; argparse's own rule takes single numbers only.  No
+    option here starts with a digit.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _parse_n_range(text: str):
@@ -248,7 +260,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tourmat", description=__doc__)
+    top = _Parser(prog="tourmat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a tournament matrix as CSV")

@@ -1,42 +1,35 @@
-"""Exact rank, determinant, and principal minors by elimination.
+"""Exact rank and determinant by elimination.
 
-One elimination pass yields the rank, the pivot columns and the determinant,
-and there is one routine per arithmetic.  Prime fields use modular row
-reduction, with a plain-int body up to `_NP_CUTOFF` entries and a blocked
-numpy body above it (each is the faster one on its side of the cutoff; both
-apply the identical pivot rule).  The blocked body eliminates `_PANEL` = 32
-columns at a time in int64, each panel over its own columns only, keeping
-the multipliers below the pivots.  The panel's pivot rows are then
-forward-substituted in int64 and the rows below get one float64 (BLAS)
-product of the multipliers with the pivot rows, reduced mod p.  That product
-is exact because every partial sum stays below 2**53: directly while
-32 * (p - 1)**2 < 2**53 (p <= 16,777,213), and above that by splitting the
-right factor into 16-bit halves.  A matrix at most 64 columns wide is one
-panel and runs no product: each pivot updates the whole rows below it, as
-an unblocked elimination does.  Blocking reorders exact updates only, so
-the rank, the pivot columns and the determinant are the unblocked ones.
-Exhaustive sweeps rank whole (B, n, n) stacks with `stack_ranks` instead.
-It ranks an integer stack over Q mod the fewest primes, from 2**31 - 1 down,
-whose product passes Hadamard's bound (E * sqrt(c))**m on every m x m minor
-(entries at most E in size, at most c nonzero per row; c = k - 1 for a k x k
-tournament block).  A nonzero integer minor below that product is nonzero
-mod one of the primes, so the max of the ranks mod them is the rank over Q.
-Rational matrices are cleared to integers row by row, reading each entry
-once as an integer ratio.  A rational rank is first
-certified by one elimination of those integer rows mod `_CERT_P` = 2**31 - 1:
-rank mod p never exceeds rank over Q, so a mod-p rank equal to
-min(rows, cols) with pivot columns 0..r-1 is the rank and the pivot columns
-over Q as well.  When the certificate fails, and for every rational
-determinant, the integer rows are eliminated fraction-free (Bareiss
-one-step), so intermediate values stay bounded by minor determinants and
-every division is exact.  The routines take the matrix's raw canonical rows
-as they are; only `determinant` builds a field element.  Pivot selection is
-always leftmost nonzero column, lowest row index, which makes the pivot
-column list deterministic across platforms.
+One routine eliminates mod a prime and yields the rank, the pivot columns
+and the determinant at once.  It has a plain-int body up to `_NP_CUTOFF`
+entries and a blocked numpy body above it (each is the faster one on its
+side of the cutoff; both apply the identical pivot rule).  The blocked body
+eliminates `_PANEL` = 32 columns at a time in int64, each panel over its own
+columns only, keeping the multipliers below the pivots.  The panel's pivot
+rows are then forward-substituted in int64 and the rows below get one
+float64 (BLAS) product of the multipliers with the pivot rows, reduced mod
+p.  That product is exact because every partial sum stays below 2**53:
+directly while 32 * (p - 1)**2 < 2**53 (p <= 16,777,213), and above that by
+splitting the right factor into 16-bit halves.  A matrix at most 64 columns
+wide is one panel and runs no product, so blocking reorders exact updates
+only.  Rational rows are cleared to integers row by row and eliminated mod
+`_prime(0)` = 2**31 - 1, `_prime(1)`, ...  Rank mod p never exceeds rank
+over Q, column prefix by column prefix, so a full rank with pivot columns
+0..r-1 mod the first prime is the rank over Q.  Otherwise the primes run
+until their product passes Hadamard's bound H = (E * sqrt(c))**m on every
+minor (entries at most E in size, at most c nonzero per row, m = min(rows,
+cols)), or 2H for a determinant.  A nonzero integer minor below that
+product is nonzero mod one of the primes, so the max of the ranks mod them
+is the rank over Q, and the determinant is the symmetric residue of the
+Chinese remainder of its residues.  `stack_ranks` ranks whole (B, n, n)
+stacks, mod p or over Q by the same prime count.  Pivot selection is always
+leftmost nonzero column, lowest row index, which makes the pivot column
+list deterministic across platforms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -48,8 +41,7 @@ from .matrices import DenseMatrix
 
 _NP_CUTOFF = 100  # entry count up to which the plain-int body wins
 _PANEL = 32  # columns per panel of the blocked numpy body; at most 32 keeps `_dot_mod` exact
-_CERT_P = 2**31 - 1  # certificate prime; below 2**31, so the numpy body's products fit int64
-_PRIMES = [_CERT_P]  # descending primes below 2**31, extended on demand by _prime
+_PRIMES = [2**31 - 1]  # descending primes below 2**31 (int64-safe products), extended by _prime
 
 
 class NotSquareError(ValueError):
@@ -149,30 +141,38 @@ def _prime(i):
     return _PRIMES[i]
 
 
+def _hadamard_primes(size, width, m, factor=1):
+    """The fewest primes from _prime(0) down, at least one, whose product
+    exceeds factor * (size * sqrt(width))**m: factor times Hadamard's bound on
+    every minor of at most m rows when the entries are at most `size` in
+    absolute value and at most `width` of them per row are nonzero."""
+    bound_sq = factor**2 * (size**2 * width) ** m  # exact, as is the test below
+    primes = [_prime(0)]
+    while prod(primes) ** 2 <= bound_sq:
+        primes.append(_prime(len(primes)))
+    return primes
+
+
 def stack_ranks(stack, p) -> np.ndarray:
     """Ranks of every matrix in a (B, n_rows, n_cols) stack, as an int64 array
     of B ranks: mod p of residues in [0, p), or with p = 0 over Q of integers
     (int64, or Python ints in an object array).
 
-    Over Q this is the elementwise max of the ranks mod _prime(0), _prime(1),
-    ... up to the first product past the Hadamard bound on m x m minors, m =
-    min(n_rows, n_cols).  Mod p all B matrices are eliminated together, column
-    by column, each with its own pivot row, on a copy laid out (n_rows,
-    n_cols, B) so that every array operation runs along the batch.  A mask
-    picks each matrix's first nonzero row at or below its pivot row, fancy
-    indexing swaps it into place, and every row below becomes (piv * row -
-    row[c] * pivot_row) mod p, with no inverse.  Both products are below 2**62
-    because p < 2**31, so int64 holds them exactly.  Scaling a row by a nonzero
-    pivot keeps the row space, so the ranks are `_eliminate_mod_p`'s although
-    the eliminated entries are not.
+    Over Q this is the elementwise max of the ranks mod `_hadamard_primes`.
+    Mod p all B matrices are eliminated together, column by column, each with
+    its own pivot row, on a copy laid out (n_rows, n_cols, B) so that every
+    array operation runs along the batch.  A mask picks each matrix's first
+    nonzero row at or below its pivot row, fancy indexing swaps it into
+    place, and every row below becomes (piv * row - row[c] * pivot_row) mod
+    p, with no inverse.  Both products are below 2**62 because p < 2**31, so
+    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
+    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
+    entries are not.
     """
     if not p:
         size = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
         width = int(np.count_nonzero(stack, axis=-1).max(initial=0))
-        bound_sq = (size**2 * width) ** min(stack.shape[1:])  # the bound squared, exact
-        primes = [_prime(0)]
-        while prod(primes) ** 2 <= bound_sq:
-            primes.append(_prime(len(primes)))
+        primes = _hadamard_primes(size, width, min(stack.shape[1:]))
         return np.max([stack_ranks(stack % q, q) for q in primes], axis=0)
     n_mat, nr, nc = np.shape(stack)
     R = np.array(np.moveaxis(stack, 0, -1), dtype=np.int64, order="C")
@@ -237,51 +237,6 @@ def _update_trailing(R, pr0, pr, cols, c1, p):
     np.remainder(tail, p, out=tail)
 
 
-def _exact_div(a, b):
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("fraction-free elimination produced a non-exact division")
-    return q
-
-
-def _bareiss(m):
-    """Rank, pivot columns and determinant of an integer matrix, fraction-free.
-
-    Eliminates the list-of-lists `m` in place.  The determinant is meaningful
-    for square input only, and is 0 when the rank falls short.
-    """
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    sign = 1
-    pr = 0
-    pivots = []
-    for c in range(nc):
-        r0 = None
-        for r in range(pr, nr):
-            if m[r][c]:
-                r0 = r
-                break
-        if r0 is None:
-            continue
-        if r0 != pr:
-            m[pr], m[r0] = m[r0], m[pr]
-            sign = -sign
-        prow = m[pr]
-        piv = prow[c]
-        for r in range(pr + 1, nr):
-            row = m[r]
-            f = row[c]
-            for cc in range(c + 1, nc):
-                row[cc] = _exact_div(piv * row[cc] - f * prow[cc], prev)
-            row[c] = 0
-        prev = piv
-        pivots.append(c)
-        pr += 1
-        if pr == nr:
-            break
-    return pr, tuple(pivots), sign * prev if pr == nr == nc else 0
-
-
 def _cleared(raw):
     """Integer rows of rational rows, each scaled by the lcm of its denominators,
     and the product of those multipliers."""
@@ -295,36 +250,46 @@ def _cleared(raw):
     return int_rows, scale
 
 
-def _certified_rank(int_rows):
-    """(rank, pivot columns) of nonempty integer rows from one elimination
-    mod _CERT_P, or None when that elimination certifies nothing.
+def _eliminate_q(int_rows, det=False):
+    """Rank, pivot columns and, with `det`, the determinant over Q of nonempty
+    integer rows, from their eliminations mod _prime(0), _prime(1), ...
 
-    For an integer matrix every column prefix has rank mod p at most its rank
-    over Q.  If the mod-p rank r is min(rows, cols) and the pivot columns are
-    0..r-1, then each leading prefix of k <= r columns has rank k mod p, hence
-    over Q, and the whole matrix has the largest rank it can have: the rank
-    and the leftmost-pivot columns over Q are the same.
+    A rank ends at the first prime when it is full with pivots 0..r-1.  Else
+    the primes are `_hadamard_primes` (with factor 2 for a determinant); each
+    column prefix's rank is the max of its ranks mod them, so the pivot
+    columns are where that max grows.  The determinant is the symmetric
+    residue of the Chinese remainder of its residues.
     """
-    p = _CERT_P
-    r, pivots, _ = _eliminate_mod_p([[v % p for v in row] for row in int_rows], p)
-    if r == min(len(int_rows), len(int_rows[0])) and pivots == tuple(range(r)):
-        return r, pivots
-    return None
+    nr, nc = len(int_rows), len(int_rows[0])
+
+    def mod(q):
+        return _eliminate_mod_p([[v % q for v in row] for row in int_rows], q)
+
+    first = mod(_prime(0))
+    if not det and first[0] == min(nr, nc) and first[1] == tuple(range(first[0])):
+        return first
+    size = max(abs(v) for row in int_rows for v in row)
+    width = max(sum(map(bool, row)) for row in int_rows)
+    primes = _hadamard_primes(size, width, min(nr, nc), 2 if det else 1)
+    runs = [first] + [mod(q) for q in primes[1:]]
+    pivots = []
+    for c in range(nc):
+        if max(bisect_right(run[1], c) for run in runs) > len(pivots):
+            pivots.append(c)
+    modulus = prod(primes)
+    value = sum(d * (modulus // q) * pow(modulus // q, -1, q)
+                for (_, _, d), q in zip(runs, primes)) % modulus
+    return len(pivots), tuple(pivots), value - modulus if 2 * value > modulus else value
 
 
 def rank(m: DenseMatrix) -> RankProfile:
-    """Exact rank over the matrix's field, with deterministic pivot columns.
-
-    A rational rank is certified by one elimination mod 2**31 - 1 when it can
-    be, else computed by fraction-free elimination.
-    """
+    """Exact rank over the matrix's field, with deterministic pivot columns."""
     if m.n_rows == 0 or m.n_cols == 0:
         r, pivots = 0, ()
     elif m.field.is_prime_field:
         r, pivots, _ = _eliminate_mod_p(m.raw_rows(), m.field.char)
     else:
-        int_rows = _cleared(m.raw_rows())[0]
-        r, pivots = _certified_rank(int_rows) or _bareiss(int_rows)[:2]
+        r, pivots, _ = _eliminate_q(_cleared(m.raw_rows())[0])
     return RankProfile(r, pivots, m.field)
 
 
@@ -337,14 +302,5 @@ def determinant(m: DenseMatrix) -> Scalar:
     if m.field.is_prime_field:
         return Scalar(m.field, _eliminate_mod_p(m.raw_rows(), m.field.char)[2])
     int_rows, scale = _cleared(m.raw_rows())  # det over Q = integer det / scale
-    return Scalar(m.field, Fraction(_bareiss(int_rows)[2], scale))
+    return Scalar(m.field, Fraction(_eliminate_q(int_rows, det=True)[2], scale))
 
-
-def principal_minor_rank(m: DenseMatrix, s: int) -> RankProfile:
-    """Rank of the top-left s x s block."""
-    return rank(m.principal_submatrix(s))
-
-
-def principal_minor_det(m: DenseMatrix, s: int) -> Scalar:
-    """Determinant of the top-left s x s block; s = 0 gives one."""
-    return determinant(m.principal_submatrix(s))

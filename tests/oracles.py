@@ -1,8 +1,11 @@
 """Independent brute-force oracles for cross-checking the elimination engine.
 
 Determinants here come from Laplace cofactor expansion and rank from scanning
-all k x k minors for the largest k with a nonzero one.  Nothing in this file
-touches the package's elimination code, so agreement is meaningful.
+all k x k minors for the largest k with a nonzero one.  `bareiss` is
+fraction-free (Bareiss one-step) elimination of integer rows, the reference
+for rank, pivot columns and determinant over Q at sizes where the scans are
+too slow.  Nothing in this file touches the package's elimination code, so
+agreement is meaningful.
 """
 
 from itertools import combinations
@@ -39,3 +42,48 @@ def minor_scan_rank(rows, p=None):
                 if d != 0:
                     return k
     return 0
+
+
+def _exact_div(a, b):
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("fraction-free elimination produced a non-exact division")
+    return q
+
+
+def bareiss(m):
+    """Rank, pivot columns and determinant of an integer matrix, fraction-free.
+
+    Eliminates the list-of-lists `m` in place.  The determinant is meaningful
+    for square input only, and is 0 when the rank falls short.
+    """
+    nr, nc = len(m), len(m[0])
+    prev = 1
+    sign = 1
+    pr = 0
+    pivots = []
+    for c in range(nc):
+        r0 = None
+        for r in range(pr, nr):
+            if m[r][c]:
+                r0 = r
+                break
+        if r0 is None:
+            continue
+        if r0 != pr:
+            m[pr], m[r0] = m[r0], m[pr]
+            sign = -sign
+        prow = m[pr]
+        piv = prow[c]
+        for r in range(pr + 1, nr):
+            row = m[r]
+            f = row[c]
+            for cc in range(c + 1, nc):
+                row[cc] = _exact_div(piv * row[cc] - f * prow[cc], prev)
+            row[c] = 0
+        prev = piv
+        pivots.append(c)
+        pr += 1
+        if pr == nr:
+            break
+    return pr, tuple(pivots), sign * prev if pr == nr == nc else 0

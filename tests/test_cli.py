@@ -114,6 +114,21 @@ def test_minrank_and_montecarlo(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("argv, seq", [
+    (["minrank", "--field", "Q", "--n", "3", "--seq"], "-1,2,3"),
+    (["minrank", "--field", "Q", "--n", "3", "--seq"], "-1/2,3,5"),
+    (["verify", "--theorem", "reversal", "--n", "4", "--seq"], "-1/2,3,5,-7"),
+    (["montecarlo", "--field", "GF(5)", "--n", "4", "--samples", "3", "--seq"], "-1,2,-3,4"),
+])
+def test_leading_negative_weight_parses_with_or_without_equals(capsys, argv, seq):
+    code, spaced, _ = run(capsys, *argv, seq, "--seed", "1")
+    assert code == 0
+    code, joined, _ = run(capsys, *argv[:-1], f"{argv[-1]}={seq}", "--seed", "1")
+    assert code == 0
+    assert spaced == joined
+    assert json.loads(spaced)["experiment_id"]
+
+
 def test_perm_scan_cli(capsys):
     code, stdout, _ = run(capsys, "perm-scan", "--tournament", "paley:3",
                           "--seq", "2,2,2", "--mode", "all", "--seed", "1")

@@ -1,3 +1,4 @@
+import importlib
 import json
 from unittest import mock
 
@@ -6,9 +7,12 @@ import pytest
 from tourmat import experiments as ex
 from tourmat.fields import GF, QQ
 from tourmat.matrices import WeightSeq, tournament_matrix, transitive_matrix
-from tourmat.rank import principal_minor_det, rank
+from tourmat.rank import determinant, rank
 from tourmat.report import Report
 from tourmat.tournaments import enumerate_all, random_tournament
+
+# the package re-exports the function `rank`, which shadows the module attribute
+rank_mod = importlib.import_module("tourmat.rank")
 
 
 def test_verify_transitive_small_fields():
@@ -81,16 +85,16 @@ def test_certifiability_gf3_s4_needs_bigger_minor():
     w = ex._certify_weights(field, 5, 4, field.one)
     for t in enumerate_all(5, 0, 32):
         m = tournament_matrix(t, w)
-        assert principal_minor_det(m, 4).is_zero()
-        assert not principal_minor_det(m, 5).is_zero()
+        assert determinant(m.principal_submatrix(4)).is_zero()
+        assert not determinant(m.principal_submatrix(5)).is_zero()
 
 
 def test_certifiability_s1_block():
     field = QQ
     w = ex._certify_weights(field, 4, 1, field.scalar(3))
     m = tournament_matrix(random_tournament(4, 6, 0), w)
-    assert principal_minor_det(m, 1).is_zero()
-    assert principal_minor_det(m, 2).value == -9
+    assert determinant(m.principal_submatrix(1)).is_zero()
+    assert determinant(m.principal_submatrix(2)).value == -9
 
 
 def test_verify_certifiability_exhaustive_small():
@@ -345,15 +349,16 @@ def test_batched_sweep_matches_per_matrix_ranks_across_batches():
 
 def test_certify_ranks_blocks_and_takes_no_determinant():
     """Certify ranks stacks of s-blocks, then of (s+1)-blocks where the
-    s-block falls short, over GF(p) and over Q alike."""
+    s-block falls short, over GF(p) and over Q alike: no per-matrix
+    elimination, which every rank and determinant of a matrix runs."""
     with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
             mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
-            mock.patch.object(ex, "principal_minor_det", create=True,
-                              wraps=principal_minor_det) as dets:
+            mock.patch.object(rank_mod, "_eliminate_mod_p",
+                              wraps=rank_mod._eliminate_mod_p) as eliminations:
         assert ex.verify_certifiability(5, [GF(3)]).passed
-        assert (rank_calls.call_count, builds.call_count, dets.call_count) == (0, 0, 0)
+        assert (rank_calls.call_count, builds.call_count, eliminations.call_count) == (0, 0, 0)
         assert ex.verify_certifiability(4, [QQ]).passed
-        assert (rank_calls.call_count, builds.call_count, dets.call_count) == (0, 0, 0)
+        assert (rank_calls.call_count, builds.call_count, eliminations.call_count) == (0, 0, 0)
 
 
 # Weights per field under which some leading minors vanish together; with
@@ -374,7 +379,7 @@ def test_certify_failures_match_per_code_determinants(monkeypatch):
             w = WeightSeq.of(field, values[:n])
             for s in range(1, n):
                 bad = [t.code for t in enumerate_all(n)
-                       if all(principal_minor_det(tournament_matrix(t, w), k).is_zero()
+                       if all(determinant(tournament_matrix(t, w).principal_submatrix(k)).is_zero()
                               for k in (s, s + 1))]
                 expected.append((str(field), n, s, len(bad), bad[0] if bad else None))
     got = [(rec["field"], rec["n"], rec["s"], rec["violations"], rec["first_bad_code"])

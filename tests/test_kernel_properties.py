@@ -4,20 +4,22 @@ Small matrices are compared with cofactor determinants and minor-scan ranks
 (tests/oracles.py); the two bodies of the modular routine are compared with
 each other on both sides of the entry-count cutoff; large modular
 determinants are compared with the exact rational determinant reduced mod p;
-and the certified rational rank is compared with fraction-free elimination.
+and the rational rank, pivot columns and determinant are compared with
+fraction-free (Bareiss) elimination.
 """
 
 import importlib
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import det_cofactor, minor_scan_rank
+from oracles import bareiss, det_cofactor, minor_scan_rank
 from tourmat.fields import GF, QQ
 from tourmat.matrices import DenseMatrix
 from tourmat.rank import determinant, rank
@@ -104,7 +106,7 @@ def test_large_modular_determinant_matches_rational(rows, p):
     assert determinant(DenseMatrix.from_rows(GF(p), rows)).value == exact.numerator % p
 
 
-P = rank_mod._CERT_P
+P, P1, P2 = (rank_mod._prime(i) for i in range(3))
 # multiples of P and near-multiples vanish or shrink mod P, so the certificate fails
 cert_entries = st.one_of(small_fractions, st.integers(-4, 4),
                          st.sampled_from((P, -P, 2 * P, P + 1)))
@@ -122,13 +124,115 @@ def certificate_cases(draw):
     return rows
 
 
+def _cleared(rows):
+    """Integer rows, each row times the lcm of its denominators, and the
+    product of those multipliers."""
+    mults = [math.lcm(*(Fraction(v).denominator for v in row)) for row in rows]
+    return [[int(v * k) for v in row] for row, k in zip(rows, mults)], math.prod(mults)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(certificate_cases())
 def test_certified_rank_matches_bareiss(rows):
-    m = DenseMatrix.from_rows(QQ, rows)
-    exact = rank_mod._bareiss(rank_mod._cleared(m.raw_rows())[0])
-    prof = rank(m)
+    exact = bareiss(_cleared(rows)[0])
+    prof = rank(DenseMatrix.from_rows(QQ, rows))
     assert (prof.rank, prof.pivot_columns) == exact[:2]
+
+
+def all_but_last_prime(m, k):
+    """An m x m integer matrix (2 <= m) with determinant P * P1 * ... * P_(k-2)
+    whose Hadamard bound (E * sqrt(c))**m needs exactly k primes.
+
+    Rows [d_(m-1), ..., d_0], [-1, B, 0, ...], [0, -1, B, ...], ... have
+    determinant sum d_i * B**i, so the digits of the target in a base B just
+    above its m-th root give it with entries at most B.  The bound is then
+    at least B**m, past the target, and below it times m**(m/2) * (B**m /
+    target), far short of the target times the next prime.
+    """
+    target = math.prod(rank_mod._prime(i) for i in range(k - 1))
+    base = int(target ** (1 / m)) + 2
+    digits = []
+    for _ in range(m):
+        target, d = divmod(target, base)
+        digits.append(d)
+    assert target == 0
+    return [digits[::-1]] + [[-1 if c == r - 1 else base if c == r else 0 for c in range(m)]
+                             for r in range(1, m)]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_all_but_last_prime_is_seen_by_the_last_prime_only(m, k):
+    rows = all_but_last_prime(m, k)
+    target = math.prod(rank_mod._prime(i) for i in range(k - 1))
+    assert det_cofactor(rows) == target
+    size, width = max(abs(v) for row in rows for v in row), max(sum(map(bool, r)) for r in rows)
+    bound_sq = (size**2 * width) ** m
+    assert target**2 <= bound_sq < (target * rank_mod._prime(k - 1)) ** 2 // 4
+    for i in range(k):
+        p = rank_mod._prime(i)
+        assert rank(DenseMatrix.from_rows(GF(p), rows)).rank == (m if i == k - 1 else m - 1)
+    m_q = DenseMatrix.from_rows(QQ, rows)
+    with mock.patch.object(rank_mod, "_eliminate_mod_p", wraps=rank_mod._eliminate_mod_p) as spy:
+        assert rank(m_q).rank == m
+        assert spy.call_count == k
+        assert determinant(m_q).value == target
+        assert spy.call_count == 2 * k
+
+
+# a nonzero multiple of the first or second prime, a product of both, or a
+# near-multiple; small integers and fractions otherwise
+oracle_entries = st.one_of(
+    st.integers(-4, 4), small_fractions,
+    st.integers(-3, 3).map(lambda k: k * P), st.integers(-3, 3).map(lambda k: k * P1),
+    st.sampled_from((P * P1, -P * P1, P + 1, P1 - 1)),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Rational rows up to 8 x 8, square or not.  Either entries drawn from
+    `oracle_entries`, sometimes with a row repeated; or `all_but_last_prime`,
+    maybe with two rows swapped (negating the determinant), transposed, a
+    row divided by an integer, or a zero column inserted."""
+    if draw(st.integers(0, 3)):
+        nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        rows = draw(st.lists(st.lists(oracle_entries, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+        if nr > 1 and draw(st.booleans()):
+            rows[-1] = list(rows[draw(st.integers(0, nr - 2))])
+        return rows
+    m = draw(st.integers(2, 8))
+    rows = all_but_last_prime(m, draw(st.integers(2, 4)))
+    if draw(st.booleans()):
+        rows[0], rows[1] = rows[1], rows[0]
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    if draw(st.booleans()):
+        r = draw(st.integers(0, m - 1))
+        rows[r] = [Fraction(v, draw(st.integers(2, 7))) for v in rows[r]]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, m))
+        rows = [row[:c] + [0] + row[c:] for row in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+@example([[P, 1]])  # pivot column 1 mod P, 0 over Q
+@example([[P1, 1]])  # likewise mod P1, the last of the two primes the bound needs
+@example([[P, 0], [0, P1]])  # singular mod P and mod P1, regular mod the third prime
+# the leading 2 x 2 block has determinant P * P2, the first and the last of the
+# three primes the bound needs: mod both the pivots are 0 and 2, over Q 0 and 1
+@example([[math.isqrt(P * P2) + 1, 1, 1], [900, math.isqrt(P * P2) + 1, 0]])
+def test_q_rank_pivots_and_determinant_match_bareiss(rows):
+    int_rows, scale = _cleared(rows)
+    exact_rank, exact_pivots, exact_det = bareiss(int_rows)
+    m = DenseMatrix.from_rows(QQ, rows)
+    prof = rank(m)
+    assert (prof.rank, prof.pivot_columns) == (exact_rank, exact_pivots)
+    if m.n_rows == m.n_cols:
+        assert determinant(m).value == Fraction(exact_det, scale)
 
 
 # Primes on both sides of the float64 exactness threshold of the blocked body:

@@ -5,21 +5,16 @@ from unittest import mock
 import pytest
 
 from oracles import det_cofactor, minor_scan_rank
+from tourmat.experiments import cycling_weights
 from tourmat.fields import GF, QQ, Scalar
 from tourmat.matrices import DenseMatrix, WeightSeq, tournament_matrix, transitive_matrix
-from tourmat.rank import (
-    NotSquareError,
-    determinant,
-    principal_minor_det,
-    principal_minor_rank,
-    rank,
-)
+from tourmat.rank import NotSquareError, determinant, rank
 from tourmat.rng import ByteStream
 from tourmat.tournaments import random_tournament
 
 # the package re-exports the function `rank`, which shadows the module attribute
 rank_mod = importlib.import_module("tourmat.rank")
-P = rank_mod._CERT_P
+P = rank_mod._prime(0)
 
 
 def qmat(rows):
@@ -69,11 +64,11 @@ def test_det_all_ones_off_diag_formula():
 
 def test_principal_minor_conventions():
     m = qmat([[1, 2], [3, 4]])
-    assert principal_minor_rank(m, 2).rank == rank(m).rank
-    assert determinant(m) == principal_minor_det(m, 2)
-    assert principal_minor_rank(m, 0).rank == 0
-    assert principal_minor_det(m, 0) == QQ.one
-    assert principal_minor_det(m, 1).value == 1
+    assert rank(m.principal_submatrix(2)).rank == rank(m).rank
+    assert determinant(m) == determinant(m.principal_submatrix(2))
+    assert rank(m.principal_submatrix(0)).rank == 0
+    assert determinant(m.principal_submatrix(0)) == QQ.one
+    assert determinant(m.principal_submatrix(1)).value == 1
 
 
 def test_principal_block_det_vanishes_iff_char_divides():
@@ -102,7 +97,7 @@ def test_principal_rank_monotone():
         m = pmat(5, rows)
         full = rank(m).rank
         for s in range(6):
-            assert principal_minor_rank(m, s).rank <= full
+            assert rank(m.principal_submatrix(s)).rank <= full
 
 
 def test_rank_mod_p_at_most_rational_rank():
@@ -171,27 +166,53 @@ def test_scalar_entries_preserved():
     assert rank(m).rank == 1
 
 
-def bareiss_spy():
-    return mock.patch.object(rank_mod, "_bareiss", wraps=rank_mod._bareiss)
+def elimination_spy():
+    return mock.patch.object(rank_mod, "_eliminate_mod_p", wraps=rank_mod._eliminate_mod_p)
 
 
-@pytest.mark.parametrize("rows, expected, bareiss_calls", [
-    ([[P, 0], [0, 1]], (2, (0, 1)), 1),  # full rank over Q, singular mod P
-    ([[P, 1]], (1, (0,)), 1),  # the mod-P pivot column is 1
-    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], (2, (0, 1)), 1),  # rank-deficient over Q
-    ([[Fraction(1, P), 1], [1, P]], (1, (0,)), 1),  # both rows clear to [1, P]
-    ([[Fraction(1, P), 1], [0, 1]], (2, (0, 1)), 0),  # clears to [1, P], [0, 1]: certified
+# Eliminations a rational rank takes: one when the first prime gives a full
+# rank with pivots 0..r-1, else as many primes as it takes for their product
+# to pass Hadamard's bound H = (E * sqrt(c))**m, E the largest cleared entry
+# in size, c the most nonzero entries in a row, m = min(rows, cols).
+@pytest.mark.parametrize("rows, expected, eliminations", [
+    # full rank over Q, singular mod P; H = P**2 needs P * P1 * P2
+    ([[P, 0], [0, 1]], (2, (0, 1)), 3),
+    # the mod-P pivot column is 1; H = sqrt(2) * P needs P * P1
+    ([[P, 1]], (1, (0,)), 2),
+    # rank-deficient over Q; H = (6 * sqrt(3))**3 is below P
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], (2, (0, 1)), 1),
+    # both rows clear to [1, P]; H = 2 * P**2 needs three primes
+    ([[Fraction(1, P), 1], [1, P]], (1, (0,)), 3),
+    # clears to [1, P], [0, 1]: full with pivots 0, 1 mod P
+    ([[Fraction(1, P), 1], [0, 1]], (2, (0, 1)), 1),
 ])
-def test_certificate_or_bareiss(rows, expected, bareiss_calls):
-    with bareiss_spy() as spy:
+def test_rank_eliminations_follow_the_bound(rows, expected, eliminations):
+    with elimination_spy() as spy:
         prof = rank(qmat(rows))
     assert (prof.rank, prof.pivot_columns) == expected
-    assert spy.call_count == bareiss_calls
+    assert [call.args[1] for call in spy.call_args_list] == [
+        rank_mod._prime(i) for i in range(eliminations)]
+
+
+# A determinant has no early exit and takes primes until their product passes 2H.
+@pytest.mark.parametrize("rows, expected, eliminations", [
+    ([[1, 2], [3, 4]], -2, 1),  # 2H = 64
+    ([[P, 0], [0, 1]], P, 3),  # 2H = 2 * P**2
+    # 2H = 2**31 passes P, though H does not: one prime would read the
+    # symmetric residue 2**30 - P
+    ([[2**30]], 2**30, 2),
+    ([[-(2**30)]], -(2**30), 2),
+    ([[Fraction(1, P), 1], [0, 1]], Fraction(1, P), 3),  # clears to [1, P], [0, 1]; 2H = 4 * P**2
+])
+def test_determinant_eliminations_pass_twice_the_bound(rows, expected, eliminations):
+    with elimination_spy() as spy:
+        assert determinant(qmat(rows)).value == expected
+    assert spy.call_count == eliminations
 
 
 def test_random_tournament_ranks_are_certified():
-    weights = WeightSeq.of(QQ, [1 + k % 2 for k in range(50)])
-    with bareiss_spy() as spy:
+    weights = cycling_weights(QQ, 50)
+    with elimination_spy() as spy:
         for index in range(10):
-            rank(tournament_matrix(random_tournament(50, 1, index), weights))
-    assert spy.call_count == 0
+            assert rank(tournament_matrix(random_tournament(50, 1, index), weights)).rank == 50
+    assert spy.call_count == 10  # the first prime certifies every one
