@@ -76,13 +76,18 @@ def _n_and_weights(args, field: Field, n_default: int, default_weights):
     return n, (_parse_seq(field, args.seq, n) if args.seq else default_weights(field, n))
 
 
+def _count_after(prefix: str, text: str, what: str) -> int:
+    try:
+        return int(text[len(prefix):])
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {text!r}, want {prefix}<integer>") from exc
+
+
 def _parse_tournament_arg(text: str, seed: int):
-    if text.startswith("transitive:"):
-        return transitive(int(text.split(":", 1)[1]))
-    if text.startswith("paley:"):
-        return paley(int(text.split(":", 1)[1]))
-    if text.startswith("random:"):
-        return random_tournament(int(text.split(":", 1)[1]), seed, 0)
+    for prefix, build in (("transitive:", transitive), ("paley:", paley),
+                          ("random:", lambda n: random_tournament(n, seed, 0))):
+        if text.startswith(prefix):
+            return build(_count_after(prefix, text, "tournament"))
     return parse_tournament(_read_maybe_file(text))
 
 
@@ -238,7 +243,7 @@ def _cmd_perm_scan(args) -> int:
     if args.mode == "all":
         mode, sample = "all", 0
     elif args.mode.startswith("sample:"):
-        mode, sample = "sample", int(args.mode.split(":", 1)[1])
+        mode, sample = "sample", _count_after("sample:", args.mode, "mode")
     else:
         raise UsageError(f"bad mode {args.mode!r}, want all or sample:<k>")
     _echo_config(args, {"tournament": args.tournament, "mode": args.mode})

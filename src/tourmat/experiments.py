@@ -23,25 +23,17 @@ import numpy as np
 
 from . import bounds
 from .fields import Field, Scalar
-from .matrices import (
-    DenseMatrix,
-    LinearMix,
-    WeightSeq,
-    ZeroWeightError,
-    linear_mix_matrix,
-    reversal_sum_matrix,
-    tournament_matrix,
-    tournament_stack,
-    transitive_matrix,
-)
+from .matrices import LinearMix, WeightSeq, ZeroWeightError, tournament_matrix, tournament_stack
 from .rank import rank, stack_ranks
 from .report import Report
 from .rng import ByteStream
 from .tournaments import (
     Tournament,
+    bit_rows,
     code_range,
     enumerate_all,
     format_tournament,
+    n_pairs,
     pair_bits,
     random_tournament,
     transitive,
@@ -49,7 +41,7 @@ from .tournaments import (
 
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
-_BATCH_ENTRIES = 2**16  # matrix entries per batch of an exhaustive sweep
+_BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
 
 
 class BadRangeError(ValueError):
@@ -134,6 +126,40 @@ def _resolve_tournaments(n: int, tournaments, seed: int):
     return iter(tournaments)
 
 
+def _batches(items, n: int):
+    """Lists of consecutive items, one per n x n matrix of a batch of about
+    _BATCH_ENTRIES entries."""
+    it = iter(items)
+    while batch := list(itertools.islice(it, max(1, _BATCH_ENTRIES // (n * n)))):
+        yield batch
+
+
+def _ranked(items, n: int, p: int):
+    """(key, rank) for each (key, tournament, weights) item on n vertices, in order,
+    ranked as `tournament_stack` batches mod p, or with p = 0 over Q."""
+    for batch in _batches(items, n):
+        keys, ts, ws = zip(*batch)
+        yield from zip(keys, stack_ranks(tournament_stack(bit_rows(ts), list(ws)), p).tolist())
+
+
+def _reduce(stack, p: int):
+    """The stack mod p; unchanged over Q (p = 0)."""
+    return stack % p if p else stack
+
+
+def _with_reversals(bits, weights: WeightSeq):
+    """The stacks of the bit rows and of their reversals (every bit flipped):
+    residues, or over Q Python ints that no mix of them can overflow."""
+    stacks = [tournament_stack(b, weights) for b in (bits, 1 - bits)]
+    return stacks if weights.field.char else [s.astype(object) for s in stacks]
+
+
+def _pair_sums(weights: WeightSeq):
+    """The pair sums a_i + a_j (i != j) as one stack: code 0's matrix plus its reversal's."""
+    base, rev = _with_reversals(np.zeros((1, n_pairs(len(weights))), np.uint8), weights)
+    return _reduce(base + rev, weights.field.char)
+
+
 # ---------------------------------------------------------------------------
 # Theorem verifiers
 # ---------------------------------------------------------------------------
@@ -158,17 +184,19 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     records = []
     for n in n_list:
         bound = bounds.transitive_floor_bound(n)
+        items = []
         for k in range(trials):
             if fixed is not None:
                 weights = WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
             else:
                 weights = random_weights(field, n, seed, "transitive", n, k)
             order = ByteStream(seed, "transitive-order", n, k).shuffled(range(1, n + 1))
-            for kind, m in (("reverse_ranked", transitive_matrix(weights)),
-                            ("random_order", tournament_matrix(transitive(n, order), weights))):
-                r = rank(m).rank
-                records.append({"n": n, "trial": k, "kind": kind,
-                                "rank": r, "bound": bound, "pass": r >= bound})
+            # code 0 is the reverse-ranked transitive tournament: j beats i for i < j
+            items += [((k, "reverse_ranked"), Tournament(n, 0), weights),
+                      ((k, "random_order"), transitive(n, order), weights)]
+        for (k, kind), r in _ranked(items, n, field.char):
+            records.append({"n": n, "trial": k, "kind": kind,
+                            "rank": r, "bound": bound, "pass": r >= bound})
     parameters = {
         "n_range": [min(n_list), max(n_list)],
         "field": str(field),
@@ -190,29 +218,30 @@ def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix
     and more_ok(rank M(t), rank M(rev t)).
     """
     _require_n(n, 2, "reversal check")
-    char2 = field.char == 2
-    scale = (mix.alpha + mix.beta).value
-    expected = DenseMatrix(field, n, n, tuple(
-        field.reduce(scale * e) for e in reversal_sum_matrix(weights).entries))
+    p = field.char
+    # M(t) = a W + b L, M(rev t) = a L + b W (L: the reversals' stacks); a and b
+    # are integers over Q, and `reduce` refuses a mix from another field
+    den = math.lcm(mix.alpha.value.denominator, mix.beta.value.denominator)
+    a, b = (int(weights.field.reduce(c) * den) for c in (mix.alpha, mix.beta))
+    expected = _reduce((a + b) * _pair_sums(weights), p)
     low = bounds.reversal_sum_bound(n)
     records = []
-    for t in _resolve_tournaments(n, tournaments, seed):
-        mt = linear_mix_matrix(t, weights, mix)
-        mr = linear_mix_matrix(t.reverse(), weights, mix)
-        identity_ok = (mt + mr) == expected
-        if char2:
-            rt = rr = None
-            ok = identity_ok
+    for batch in _batches(_resolve_tournaments(n, tournaments, seed), n):
+        w, rev = _with_reversals(bit_rows(batch), weights)
+        mt, mr = _reduce(a * w + b * rev, p), _reduce(a * rev + b * w, p)
+        identity = (_reduce(mt + mr, p) == expected).all(axis=(1, 2)).tolist()
+        if p == 2:
+            ranks_t = ranks_r = [None] * len(batch)
         else:
-            rt = rank(mt).rank
-            rr = rank(mr).rank
-            ok = identity_ok and rt + rr >= low and more_ok(rt, rr)
-        records.append({"code": t.code, "identity_ok": identity_ok,
-                        "rank_t": rt, "rank_rev": rr, "pass": ok})
+            ranks_t, ranks_r = stack_ranks(mt, p).tolist(), stack_ranks(mr, p).tolist()
+        for t, identity_ok, rt, rr in zip(batch, identity, ranks_t, ranks_r):
+            ok = identity_ok and (p == 2 or rt + rr >= low and more_ok(rt, rr))
+            records.append({"code": t.code, "identity_ok": identity_ok,
+                            "rank_t": rt, "rank_rev": rr, "pass": ok})
     parameters = {
         "n": n, "field": str(field), "weights": str(weights), "seed": seed,
         "tournaments": tournaments if isinstance(tournaments, (str, int)) else "explicit",
-        "rank_checks": "refused: characteristic 2" if char2 else "enabled",
+        "rank_checks": "refused: characteristic 2" if p == 2 else "enabled",
     }
     return records, parameters
 
@@ -228,7 +257,7 @@ def verify_reversal(n: int, field: Field, weights: WeightSeq,
     linear mix with alpha = 1, beta = 0.
     """
     t0 = time.perf_counter()
-    rank_sum = None if field.char == 2 else rank(reversal_sum_matrix(weights)).rank
+    rank_sum = None if field.char == 2 else int(stack_ranks(_pair_sums(weights), field.char)[0])
     low = bounds.reversal_sum_bound(n)
     half = -(-low // 2)  # ceil((n - 2) / 2)
     records, parameters = _mix_reversal_sweep(
@@ -245,18 +274,21 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
     t0 = time.perf_counter()
     _require_n(n, 2, "edge-flip check")
     _refuse_empty(flips, f"flips={flips}")
-    records = []
+    items = []
     for i in range(flips):
         t = random_tournament(n, seed, i)
         stream = ByteStream(seed, "lipschitz", i)
-        base = rank(tournament_matrix(t, weights)).rank
         u = 1 + stream.randrange(n)
         offset = 1 + stream.randrange(n - 1)  # keeps v distinct from u
         v = 1 + (u - 1 + offset) % n
-        flipped = rank(tournament_matrix(t.flip_edge(u, v), weights)).rank
         pos = stream.randrange(n)
         z = _random_nonzero(field, stream)
-        replaced = rank(tournament_matrix(t, weights.replace(pos, z))).rank
+        items += [(i, t, weights), (i, t.flip_edge(u, v), weights),
+                  (i, t, weights.replace(pos, z))]
+    records = []
+    ranked = _ranked(items, n, weights.field.char)
+    # three consecutive ranks per trial: as drawn, flipped, weight replaced
+    for (i, base), (_, flipped), (_, replaced) in zip(ranked, ranked, ranked):
         ok = abs(flipped - base) <= 2 and abs(replaced - base) <= 2
         records.append({
             "trial": i, "rank": base, "rank_flipped": flipped,
@@ -334,15 +366,12 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
         if a.is_zero():
             raise ZeroWeightError(f"constant {value} vanishes in {field}")
         for n in n_list:
-            weights = WeightSeq(field, (a,) * n)
-            # the constant matrix a(J - I), built directly
-            zero = field.reduce(0)
-            flat = tuple(zero if r == c else a.value for r in range(n) for c in range(n))
-            const = DenseMatrix(field, n, n, flat)
-            built_trans = tournament_matrix(transitive(n), weights)
-            built_rand = tournament_matrix(random_tournament(n, 1, n), weights)
-            collapse_ok = built_trans == const and built_rand == const
-            r = rank(const).rank
+            built = tournament_stack(bit_rows([transitive(n), random_tournament(n, 1, n)]),
+                                     WeightSeq(field, (a,) * n))
+            # the constant matrix a(J - I), built directly (a is an integer over Q)
+            const = (1 - np.eye(n, dtype=built.dtype)) * int(a.value)
+            collapse_ok = bool((built == const).all())
+            r = int(stack_ranks(const[None], field.char)[0])
             low = bounds.constant_seq_bound(n)
             char_divides = field.char != 0 and (n - 1) % field.char == 0
             full_ok = (r == n - 1) if char_divides else (r == n)
@@ -552,8 +581,8 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
     witness: dict = {}
     counts: dict = {}
     scanned = 0
-    for perm in perms:
-        r = rank(tournament_matrix(t, weights.permuted(perm))).rank
+    items = ((perm, t, weights.permuted(perm)) for perm in perms)
+    for perm, r in _ranked(items, n, weights.field.char):
         scanned += 1
         counts[r] = counts.get(r, 0) + 1
         if r not in witness:

@@ -144,15 +144,6 @@ class DenseMatrix:
         ent = tuple(v for row in self.raw_rows()[:s] for v in row[:s])
         return DenseMatrix(self.field, s, s, ent)
 
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise MatrixShapeError("shape mismatch in add")
-        reduce = self.field.reduce
-        ent = tuple(reduce(a + b) for a, b in zip(self.entries, other.entries))
-        return DenseMatrix(self.field, self.n_rows, self.n_cols, ent)
-
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
@@ -226,7 +217,7 @@ def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     return _pair_matrix(t.bits(), weights, _winner)
 
 
-def tournament_stack(bits: np.ndarray, weights: WeightSeq) -> np.ndarray:
+def tournament_stack(bits: np.ndarray, weights) -> np.ndarray:
     """The tournament matrices of B pair-bit rows, as a (B, n, n) array of
     residues over GF(p), and over Q of the integer matrices times the weights'
     common denominator, which keeps every rank: int64 while the entries fit,
@@ -235,16 +226,21 @@ def tournament_stack(bits: np.ndarray, weights: WeightSeq) -> np.ndarray:
     `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
     [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
     np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit is
-    1 (i beats j) and a_j where it is 0; the diagonal is zero.
+    1 (i beats j) and a_j where it is 0; the diagonal is zero.  `weights` is
+    one WeightSeq for every row, or a list of them, one per row; over Q every
+    row is then cleared by the one common denominator of them all.
     """
-    n = len(weights)
-    if bits.ndim != 2 or bits.shape[1] != n_pairs(n):
-        raise LengthMismatchError(f"{len(weights)} weights for pair bits of shape {bits.shape}")
-    den = lcm(*(v.value.denominator for v in weights.values))  # 1 over GF(p)
-    vals = [int(v.value * den) for v in weights.values]
-    vals = np.array(vals, dtype=np.int64 if max(map(abs, vals), default=0) < 2**63 else object)
+    seqs = [weights] if isinstance(weights, WeightSeq) else weights
+    n = len(seqs[0])
+    if (bits.ndim != 2 or bits.shape[1] != n_pairs(n) or any(len(w) != n for w in seqs)
+            or len(seqs) not in (1, len(bits))):
+        raise LengthMismatchError(f"{len(seqs)} x {n} weights for pair bits of shape {bits.shape}")
+    den = lcm(*(v.value.denominator for w in seqs for v in w.values))  # 1 over GF(p)
+    vals = [[int(v.value * den) for v in w.values] for w in seqs]
+    big = max((abs(v) for row in vals for v in row), default=0) >= 2**63
+    vals = np.array(vals, dtype=object if big else np.int64)
     rows, cols = np.triu_indices(n, 1)
-    winners = np.where(bits != 0, vals[rows], vals[cols])
+    winners = np.where(bits != 0, vals[:, rows], vals[:, cols])
     stack = np.zeros((bits.shape[0], n, n), dtype=vals.dtype)
     stack[:, rows, cols] = winners
     stack[:, cols, rows] = winners

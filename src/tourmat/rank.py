@@ -1,30 +1,29 @@
 """Exact rank and determinant by elimination.
 
 One routine eliminates mod a prime and yields the rank, the pivot columns
-and the determinant at once.  It has a plain-int body up to `_NP_CUTOFF`
-entries and a blocked numpy body above it (each is the faster one on its
-side of the cutoff; both apply the identical pivot rule).  The blocked body
-eliminates `_PANEL` = 32 columns at a time in int64, each panel over its own
-columns only, keeping the multipliers below the pivots.  The panel's pivot
-rows are then forward-substituted in int64 and the rows below get one
-float64 (BLAS) product of the multipliers with the pivot rows, reduced mod
-p.  That product is exact because every partial sum stays below 2**53:
-directly while 32 * (p - 1)**2 < 2**53 (p <= 16,777,213), and above that by
-splitting the right factor into 16-bit halves.  A matrix at most 64 columns
-wide is one panel and runs no product, so blocking reorders exact updates
-only.  Rational rows are cleared to integers row by row and eliminated mod
-`_prime(0)` = 2**31 - 1, `_prime(1)`, ...  Rank mod p never exceeds rank
-over Q, column prefix by column prefix, so a full rank with pivot columns
-0..r-1 mod the first prime is the rank over Q.  Otherwise the primes run
-until their product passes Hadamard's bound H = (E * sqrt(c))**m on every
-minor (entries at most E in size, at most c nonzero per row, m = min(rows,
-cols)), or 2H for a determinant.  A nonzero integer minor below that
-product is nonzero mod one of the primes, so the max of the ranks mod them
-is the rank over Q, and the determinant is the symmetric residue of the
-Chinese remainder of its residues.  `stack_ranks` ranks whole (B, n, n)
-stacks, mod p or over Q by the same prime count.  Pivot selection is always
-leftmost nonzero column, lowest row index, which makes the pivot column
-list deterministic across platforms.
+and the determinant at once.  It eliminates `_PANEL` = 32 columns at a time
+in int64, each panel over its own columns only, keeping the multipliers
+below the pivots.  The panel's pivot rows are then forward-substituted in
+int64 and the rows below get one float64 (BLAS) product of the multipliers
+with the pivot rows, reduced mod p.  That product is exact because every
+partial sum stays below 2**53: directly while 32 * (p - 1)**2 < 2**53 (p <=
+16,777,213), and above that by splitting the right factor into 16-bit
+halves.  A matrix at most 64 columns wide is one panel and runs no product,
+so blocking reorders exact updates only.  Rational rows are cleared to
+integers row by row and eliminated mod `_prime(0)` = 2**31 - 1, `_prime(1)`,
+...  Rank mod p never exceeds rank over Q, column prefix by column prefix,
+so a full rank with pivot columns 0..r-1 mod the first prime is the rank
+over Q.  Otherwise the primes run until their product passes Hadamard's
+bound H = (E * sqrt(c))**m on every minor (entries at most E in size, at
+most c nonzero per row, m = min(rows, cols)), or 2H for a determinant.  A
+nonzero integer minor below that product is nonzero mod one of the primes,
+so the max of the ranks mod them is the rank over Q, and the determinant is
+the symmetric residue of the Chinese remainder of its residues.
+`stack_ranks` ranks whole (B, n, n) stacks, mod p or over Q by the same
+prime count: all B matrices at once up to 64 columns, one at a time by the
+panel routine above that.  Pivot selection is always leftmost nonzero
+column, lowest row index, which makes the pivot column list deterministic
+across platforms.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ import numpy as np
 from .fields import Field, Scalar
 from .matrices import DenseMatrix
 
-_NP_CUTOFF = 100  # entry count up to which the plain-int body wins
-_PANEL = 32  # columns per panel of the blocked numpy body; at most 32 keeps `_dot_mod` exact
+_PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _PRIMES = [2**31 - 1]  # descending primes below 2**31 (int64-safe products), extended by _prime
 
 
@@ -61,75 +59,46 @@ def _eliminate_mod_p(rows, p):
     """Rank, pivot columns and determinant mod p of a matrix of residues in [0, p).
 
     The determinant is meaningful for square input only, and is 0 when the
-    rank falls short.  Small matrices run a plain-int body, larger ones the
-    blocked numpy body; both apply the same pivot rule.
+    rank falls short.  Past 2 * _PANEL columns it runs in _PANEL-column panels.
     """
-    nr, nc = len(rows), len(rows[0])
+    R = np.array(rows, dtype=np.int64)
+    nr, nc = R.shape
     pr = 0
     det = 1
     pivots = []
-    if nr * nc <= _NP_CUTOFF:
-        m = [list(row) for row in rows]
-        for c in range(nc):
-            r0 = None
-            for r in range(pr, nr):
-                if m[r][c]:
-                    r0 = r
-                    break
-            if r0 is None:
+    width = nc if nc <= 2 * _PANEL else _PANEL
+    for c0 in range(0, nc, width):
+        c1 = min(c0 + width, nc)
+        pr0 = pr
+        for c in range(c0, c1):
+            nz = np.nonzero(R[pr:, c])[0]
+            if nz.size == 0:
                 continue
+            r0 = pr + int(nz[0])
             if r0 != pr:
-                m[pr], m[r0] = m[r0], m[pr]
+                R[[pr, r0]] = R[[r0, pr]]
                 det = -det
-            prow = m[pr]
-            det = det * prow[c] % p
-            inv = pow(prow[c], -1, p)
-            for r in range(pr + 1, nr):
-                row = m[r]
-                f = row[c]
-                if f:
-                    f = f * inv % p
-                    for cc in range(c, nc):
-                        row[cc] = (row[cc] - f * prow[cc]) % p
+            piv = int(R[pr, c])
+            det = det * piv % p
+            inv = pow(piv, -1, p)
+            # a panel with a trailing block keeps multipliers left of c;
+            # the last panel is zero there, so it updates whole panel rows
+            # (whole matrix rows when one panel spans the matrix)
+            c_lo = c0 if c1 == nc else c
+            below = R[pr + 1 :, c_lo:c1]
+            factors = R[pr + 1 :, c] * inv % p
+            # factors and entries are < p < 2**31, products fit int64
+            below[...] = (below - factors[:, None] * R[pr, c_lo:c1]) % p
+            if c1 < nc:
+                R[pr + 1 :, c] = factors  # multipliers for the trailing update
             pivots.append(c)
             pr += 1
             if pr == nr:
                 break
-    else:
-        R = np.array(rows, dtype=np.int64)
-        width = nc if nc <= 2 * _PANEL else _PANEL
-        for c0 in range(0, nc, width):
-            c1 = min(c0 + width, nc)
-            pr0 = pr
-            for c in range(c0, c1):
-                nz = np.nonzero(R[pr:, c])[0]
-                if nz.size == 0:
-                    continue
-                r0 = pr + int(nz[0])
-                if r0 != pr:
-                    R[[pr, r0]] = R[[r0, pr]]
-                    det = -det
-                piv = int(R[pr, c])
-                det = det * piv % p
-                inv = pow(piv, -1, p)
-                # a panel with a trailing block keeps multipliers left of c;
-                # the last panel is zero there, so it updates whole panel rows
-                # (whole matrix rows when one panel spans the matrix)
-                c_lo = c0 if c1 == nc else c
-                below = R[pr + 1 :, c_lo:c1]
-                factors = R[pr + 1 :, c] * inv % p
-                # factors and entries are < p < 2**31, products fit int64
-                below[...] = (below - factors[:, None] * R[pr, c_lo:c1]) % p
-                if c1 < nc:
-                    R[pr + 1 :, c] = factors  # multipliers for the trailing update
-                pivots.append(c)
-                pr += 1
-                if pr == nr:
-                    break
-            if pr == nr:
-                break
-            if pr > pr0 and c1 < nc:
-                _update_trailing(R, pr0, pr, pivots[pr0:], c1, p)
+        if pr == nr:
+            break
+        if pr > pr0 and c1 < nc:
+            _update_trailing(R, pr0, pr, pivots[pr0:], c1, p)
     return pr, tuple(pivots), det if pr == nr == nc else 0
 
 
@@ -159,15 +128,16 @@ def stack_ranks(stack, p) -> np.ndarray:
     (int64, or Python ints in an object array).
 
     Over Q this is the elementwise max of the ranks mod `_hadamard_primes`.
-    Mod p all B matrices are eliminated together, column by column, each with
-    its own pivot row, on a copy laid out (n_rows, n_cols, B) so that every
-    array operation runs along the batch.  A mask picks each matrix's first
-    nonzero row at or below its pivot row, fancy indexing swaps it into
-    place, and every row below becomes (piv * row - row[c] * pivot_row) mod
-    p, with no inverse.  Both products are below 2**62 because p < 2**31, so
-    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
-    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
-    entries are not.
+    Mod p, matrices past 2 * _PANEL columns go one at a time to the faster
+    `_eliminate_mod_p`; narrower ones are eliminated together, column by
+    column, each with its own pivot row, on a copy laid out (n_rows, n_cols,
+    B) so that every array operation runs along the batch.  A mask picks each
+    matrix's first nonzero row at or below its pivot row, fancy indexing
+    swaps it into place, and every row below becomes (piv * row - row[c] *
+    pivot_row) mod p, with no inverse.  Both products are below 2**62 because
+    p < 2**31, so int64 holds them exactly.  Scaling a row by a nonzero pivot
+    keeps the row space, so the ranks are `_eliminate_mod_p`'s although the
+    eliminated entries are not.
     """
     if not p:
         size = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
@@ -175,6 +145,8 @@ def stack_ranks(stack, p) -> np.ndarray:
         primes = _hadamard_primes(size, width, min(stack.shape[1:]))
         return np.max([stack_ranks(stack % q, q) for q in primes], axis=0)
     n_mat, nr, nc = np.shape(stack)
+    if nc > 2 * _PANEL:
+        return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
     R = np.array(np.moveaxis(stack, 0, -1), dtype=np.int64, order="C")
     ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row
     mats, row_ids = np.arange(n_mat), np.arange(nr)[:, None]

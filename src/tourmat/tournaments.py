@@ -8,9 +8,9 @@ doubles as the enumeration counter, which makes exhaustive-search sharding a
 plain range split.  `Tournament.bits()` and `from_bits` own that layout: the
 bit text's character k is pair k's bit, and every per-pair walk (edges, the
 constructions, the text grammar, the matrix builders) reads or writes that
-text instead of shifting the code once per pair.  Exhaustive sweeps over a
-prime field skip the per-code objects: `pair_bits` turns a whole code range
-into one array of the same bits, one row per code.
+text instead of shifting the code once per pair.  Sweeps take the same bits
+as one array, one row per tournament: `pair_bits` for a code range without
+per-code objects, `bit_rows` for a list of tournaments.
 """
 
 from __future__ import annotations
@@ -214,6 +214,16 @@ def pair_bits(n: int, start: int, end: int) -> np.ndarray:
     codes = np.arange(start, end, dtype=np.uint64)
     shifts = np.arange(n_pairs(n), dtype=np.uint64)
     return ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def bit_rows(tournaments) -> np.ndarray:
+    """The pair bits of tournaments on one vertex count, laid out as `pair_bits`
+    lays out codes: entry [b, k] is the k-th character of tournament b's bits()."""
+    ts = list(tournaments)
+    if len({t.n for t in ts}) != 1:
+        raise ValueError("bit rows need a nonempty list of tournaments on one vertex count")
+    text = "".join(t.bits() for t in ts).encode("ascii")
+    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(ts), n_pairs(ts[0].n))
 
 
 _TOUR_RE = re.compile(r"n=(\d+):([01]*)")

@@ -4,7 +4,8 @@
 the stack alone over GF(p), and against `rank()` of each matrix over Q, and
 `tournament_stack(pair_bits(...))` against `tournament_matrix` of the same
 codes, entry for entry: exhaustively for n <= 5 and on random codes at
-n = 11.  Over Q a `mock` count pins how many primes the stacks are ranked
+n = 11, and with one weight sequence per row.  Stacks wider than two panels
+are ranked one matrix at a time.  Over Q a `mock` count pins how many primes the stacks are ranked
 mod.
 """
 
@@ -27,7 +28,14 @@ from tourmat.matrices import (
     tournament_matrix,
     tournament_stack,
 )
-from tourmat.tournaments import TooLargeError, Tournament, n_pairs, pair_bits
+from tourmat.tournaments import (
+    TooLargeError,
+    Tournament,
+    bit_rows,
+    n_pairs,
+    pair_bits,
+    random_tournament,
+)
 
 # the package re-exports the function `rank`, which shadows the module attribute
 rank_mod = importlib.import_module("tourmat.rank")
@@ -75,6 +83,29 @@ def test_stack_ranks_of_an_empty_stack():
     assert rank_mod.stack_ranks(np.zeros((0, 3, 3), dtype=np.int64), 3).shape == (0,)
 
 
+def test_wide_stacks_are_ranked_one_matrix_at_a_time():
+    """Past 2 * _PANEL columns `stack_ranks` runs `_eliminate_mod_p` once per
+    matrix, mod p and mod each prime over Q, with the ranks the batch kernel
+    gives when `_PANEL` is raised to let it run; at 2 * _PANEL it runs none."""
+    n = 2 * rank_mod._PANEL + 2
+    weights = WeightSeq.of(GF(3), [1 + k % 2 for k in range(n)])
+    stack = tournament_stack(bit_rows([random_tournament(n, 4, i) for i in range(3)]), weights)
+    stack = np.concatenate([stack, stack[:1]])
+    stack[3, n // 2:] = stack[3, : n - n // 2]  # a repeated half: rank at most n // 2 + 1
+    with mock.patch.object(rank_mod, "_eliminate_mod_p", wraps=rank_mod._eliminate_mod_p) as spy:
+        ranks = rank_mod.stack_ranks(stack, 3).tolist()
+        assert spy.call_count == len(stack)
+        q_ranks = rank_mod.stack_ranks(stack, 0).tolist()
+        primes = rank_mod._hadamard_primes(2, n - 1, n)
+        assert spy.call_count == len(stack) * (1 + len(primes))
+        rank_mod.stack_ranks(stack[:, :-2, :-2], 3)
+        assert spy.call_count == len(stack) * (1 + len(primes))
+    with mock.patch.object(rank_mod, "_PANEL", n):
+        assert rank_mod.stack_ranks(stack, 3).tolist() == ranks
+        assert rank_mod.stack_ranks(stack, 0).tolist() == q_ranks
+    assert ranks[3] <= n // 2 + 1 < ranks[0]
+
+
 def _weights(field, n, seed):
     p = field.char
     return WeightSeq.of(field, [1 + (seed * 7 + 5 * k) % (p - 1) for k in range(n)])
@@ -110,6 +141,30 @@ def test_pair_bits_follow_bits_text():
     assert bits.shape == (35, 6) and bits.dtype == np.uint8
     for b, row in enumerate(bits):
         assert "".join(map(str, row)) == Tournament(4, 5 + b).bits()
+    rows = bit_rows(Tournament(4, code) for code in range(5, 40))
+    assert rows.dtype == np.uint8 and (rows == bits).all()
+    assert bit_rows([Tournament(1, 0)] * 2).shape == (2, 0)
+    with pytest.raises(ValueError):
+        bit_rows([Tournament(3, 0), Tournament(4, 0)])
+
+
+@pytest.mark.parametrize("field, values", [
+    (GF(5), lambda b, k: 1 + (b + 2 * k) % 4),
+    (GF(2**31 - 1), lambda b, k: 2**31 - 2 - b * k),
+    (QQ, lambda b, k: Fraction((-1) ** k * (k + 1), b + 2)),
+], ids=["GF5", "word-prime", "Q-fractions"])
+def test_per_row_weights_match_tournament_matrix(field, values):
+    """One weight sequence per row: each matrix is `tournament_matrix` of its
+    own tournament and weights, times the one common denominator over Q."""
+    n, count = 6, 7
+    tournaments = [random_tournament(n, 5, b) for b in range(count)]
+    weights = [WeightSeq.of(field, [values(b, k) for k in range(n)]) for b in range(count)]
+    den = math.lcm(*(v.value.denominator for w in weights for v in w.values))
+    assert den == (1 if field.char else 840)  # lcm(2..8): no one row's denominator
+    stack = tournament_stack(bit_rows(tournaments), weights)
+    assert stack.shape == (count, n, n) and stack.dtype == np.int64
+    for t, w, built in zip(tournaments, weights, stack):
+        assert built.ravel().tolist() == [v * den for v in tournament_matrix(t, w).entries]
 
 
 def test_pair_bits_refuse_what_enumerate_all_refuses():
@@ -123,6 +178,11 @@ def test_tournament_stack_refuses_wrong_lengths():
     for field in (GF(3), QQ):
         with pytest.raises(LengthMismatchError):
             tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(field, [1, 2, 1, 2]))
+        three = WeightSeq.of(field, [1, 2, 1])
+        with pytest.raises(LengthMismatchError):
+            tournament_stack(pair_bits(3, 0, 8), [three] * 7)
+        with pytest.raises(LengthMismatchError):
+            tournament_stack(pair_bits(3, 0, 2), [three, WeightSeq.of(field, [1, 2])])
 
 
 # ---------------------------------------------------------------------------

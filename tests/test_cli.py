@@ -190,6 +190,12 @@ def test_csv_report_format(capsys):
     (["verify", "--theorem", "certify", "--n-max", "12"], "TooLargeError"),
     (["verify", "--theorem", "constant", "--field", "GF(3)", "--value", "3"], "ZeroWeightError"),
     (["verify", "--theorem", "certify", "--field", "GF(3)", "--z", "3"], "ZeroWeightError"),
+    (["build", "--tournament", "random:x", "--seq", "1"], "usage error: bad tournament 'random:x'"),
+    (["build", "--tournament", "transitive:x", "--seq", "1"],
+     "usage error: bad tournament 'transitive:x'"),
+    (["build", "--tournament", "paley:x", "--seq", "1"], "usage error: bad tournament 'paley:x'"),
+    (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:abc"],
+     "usage error: bad mode 'sample:abc'"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")

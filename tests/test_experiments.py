@@ -1,18 +1,27 @@
 import importlib
+from fractions import Fraction
 import json
 from unittest import mock
 
 import pytest
 
 from tourmat import experiments as ex
-from tourmat.fields import GF, QQ
-from tourmat.matrices import WeightSeq, tournament_matrix, transitive_matrix
+from tourmat.fields import GF, QQ, FieldMismatchError
+from tourmat.matrices import (
+    LinearMix,
+    WeightSeq,
+    linear_mix_matrix,
+    reversal_sum_matrix,
+    tournament_matrix,
+    transitive_matrix,
+)
 from tourmat.rank import determinant, rank
 from tourmat.report import Report
-from tourmat.tournaments import enumerate_all, random_tournament
+from tourmat.tournaments import Tournament, enumerate_all, random_tournament
 
 # the package re-exports the function `rank`, which shadows the module attribute
 rank_mod = importlib.import_module("tourmat.rank")
+matrices_mod = importlib.import_module("tourmat.matrices")
 
 
 def test_verify_transitive_small_fields():
@@ -286,6 +295,10 @@ def test_degenerate_runs_raise_named_errors():
     for field in (GF(3), QQ):
         with pytest.raises(ex.BadRangeError):
             ex.minrank_exhaustive(0, field, WeightSeq(field, ()))
+    with pytest.raises(FieldMismatchError):
+        ex.verify_reversal(4, GF(3), w)
+    with pytest.raises(FieldMismatchError):
+        ex.verify_f_ensemble(4, QQ, ex.cycling_weights(GF(5), 4), 1, 2)
 
 
 class _RecordingPool:
@@ -323,9 +336,17 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
 
 
 def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
-    """Exhaustive sweeps rank stacks over GF(p) and over Q alike."""
+    """Exhaustive sweeps and the five stack verifiers rank stacks over GF(p)
+    and over Q alike.  Every per-matrix builder (`tournament_matrix`,
+    `linear_mix_matrix`, `transitive_matrix`, `reversal_sum_matrix`) builds
+    through `matrices._pair_matrix`, so its count covers them all; no matrix
+    here is wider than one panel, so none is eliminated on its own."""
     with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
-            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds:
+            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
+            mock.patch.object(matrices_mod, "_pair_matrix",
+                              wraps=matrices_mod._pair_matrix) as pair_builds, \
+            mock.patch.object(rank_mod, "_eliminate_mod_p",
+                              wraps=rank_mod._eliminate_mod_p) as eliminations:
         ex.minrank_exhaustive(5, GF(3), ex.cycling_weights(GF(3), 5))
         ex.verify_finite_field_bound(5, 3)
         assert rank_calls.call_count == 0
@@ -333,6 +354,39 @@ def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
         ex.minrank_exhaustive(4, QQ, ex.counting_weights(QQ, 4))
         assert rank_calls.call_count == 0
         assert builds.call_count == 0
+        for field in (GF(3), QQ):
+            weights = ex.counting_weights(field, 5)
+            assert ex.verify_transitive(range(3, 7), field, trials=3, seed=1).passed
+            assert ex.verify_reversal(5, field, weights).passed
+            assert ex.verify_f_ensemble(5, field, weights, 4, 1, tournaments=20, seed=1).passed
+            assert ex.verify_lipschitz(5, field, weights, flips=20, seed=1).passed
+            assert ex.verify_constant_seq(range(2, 8), [field]).passed
+            ex.perm_scan(Tournament(5, 300), field, weights, mode="sample", sample=30, seed=1)
+        counts = (rank_calls.call_count, builds.call_count, pair_builds.call_count,
+                  eliminations.call_count)
+        assert counts == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("field, values, alpha, beta", [
+    (GF(2**31 - 1), [2**31 - 2, 5, 2**30, 7, 1], 2**31 - 2, 2**31 - 3),
+    (QQ, [2**62, -3, Fraction(2**70, 3), 5, Fraction(1, 7)], 2**40 + 1, Fraction(-1, 9)),
+    (QQ, [1, 2, 3, 4, 5], Fraction(1, 2), Fraction(1, 3)),
+], ids=["word-prime", "q-past-int64", "q-fractional-mix"])
+def test_mix_sweep_matches_matrices_built_one_by_one(field, values, alpha, beta):
+    """The stacked mix a W + b L, its reversal a L + b W and the pair-sum law,
+    against `linear_mix_matrix` and `rank()` per tournament, with entries and
+    coefficients near p or past 2**63 over Q."""
+    weights = WeightSeq.of(field, values)
+    mix = LinearMix(field.scalar(alpha), field.scalar(beta))
+    rep = ex.verify_f_ensemble(5, field, weights, alpha, beta, tournaments=40, seed=2)
+    assert rep.passed and len(rep.records) == 40
+    for i, rec in enumerate(rep.records):
+        t = random_tournament(5, 2, i)
+        assert rec["code"] == t.code and rec["identity_ok"] is True
+        assert rec["rank_t"] == rank(linear_mix_matrix(t, weights, mix)).rank
+        assert rec["rank_rev"] == rank(linear_mix_matrix(t.reverse(), weights, mix)).rank
+    assert ex.verify_reversal(5, field, weights).summary["rank_sum_matrix"] == rank(
+        reversal_sum_matrix(weights)).rank
 
 
 def test_batched_sweep_matches_per_matrix_ranks_across_batches():

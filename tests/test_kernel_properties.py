@@ -1,9 +1,11 @@
 """Property tests of the elimination kernels against independent oracles.
 
 Small matrices are compared with cofactor determinants and minor-scan ranks
-(tests/oracles.py); the two bodies of the modular routine are compared with
-each other on both sides of the entry-count cutoff; large modular
-determinants are compared with the exact rational determinant reduced mod p;
+(tests/oracles.py); the modular routine run in narrow panels is compared
+with its one-panel run (the plain elimination, with no trailing update) and,
+on the leading block of up to 6 x 6, with the oracles' rank, pivot columns
+and determinant mod p; large modular determinants are compared with the
+exact rational determinant reduced mod p;
 and the rational rank, pivot columns and determinant are compared with
 fraction-free (Bareiss) elimination.
 """
@@ -73,9 +75,42 @@ def test_rational_entries_match_oracles(rows):
     assert determinant(m).value == Fraction(det_cofactor(rows))
 
 
+def _panelled_and_one_panel(rows, p, panel):
+    """`_eliminate_mod_p` in panels of `panel` columns, and in one panel: with
+    `_PANEL` at the width, which is at least half of it."""
+    with mock.patch.object(rank_mod, "_PANEL", panel):
+        panelled = rank_mod._eliminate_mod_p(rows, p)
+    with mock.patch.object(rank_mod, "_PANEL", len(rows[0])):
+        one_panel = rank_mod._eliminate_mod_p(rows, p)
+    return panelled, one_panel
+
+
+def _oracle_elimination(rows, p):
+    """Rank, pivot columns and determinant mod p (0 unless square of full
+    rank) from tests/oracles.py: a pivot column is where the minor-scan rank
+    of the leading columns grows."""
+    prefix = [minor_scan_rank([row[:c] for row in rows], p=p) for c in range(len(rows[0]) + 1)]
+    pivots = tuple(c for c in range(len(rows[0])) if prefix[c + 1] > prefix[c])
+    full = len(rows) == len(rows[0]) == prefix[-1]
+    return prefix[-1], pivots, det_cofactor(rows) % p if full else 0
+
+
+ORACLE_SIDE = 6  # the largest side the oracles scan within the tests' time
+
+
+def _check_panels(rows, p, panel):
+    """Panels of `panel` columns against one panel on the whole matrix, and
+    against the oracles on its leading block of at most ORACLE_SIDE x ORACLE_SIDE."""
+    panelled, one_panel = _panelled_and_one_panel(rows, p, panel)
+    assert panelled == one_panel
+    block = [row[:ORACLE_SIDE] for row in rows[:ORACLE_SIDE]]
+    panelled, one_panel = _panelled_and_one_panel(block, p, panel)
+    assert panelled == one_panel == _oracle_elimination(block, p)
+
+
 @st.composite
 def cutoff_cases(draw):
-    """Shapes on both sides of the cutoff, entries mod p, some rows duplicated."""
+    """Shapes up to 14 x 14, entries mod p, some rows duplicated."""
     nr = draw(st.integers(1, 14))
     nc = draw(st.integers(1, 14))
     p = draw(st.sampled_from((2, 3, 7, 2**31 - 1)))
@@ -89,12 +124,9 @@ def cutoff_cases(draw):
 @SETTINGS
 @given(cutoff_cases())
 def test_modular_bodies_agree(case):
+    """Two-column panels against one panel, and against the oracles."""
     rows, p = case
-    with mock.patch.object(rank_mod, "_NP_CUTOFF", 10**9):
-        plain = rank_mod._eliminate_mod_p(rows, p)
-    with mock.patch.object(rank_mod, "_NP_CUTOFF", 0):
-        vectorized = rank_mod._eliminate_mod_p(rows, p)
-    assert plain == vectorized
+    _check_panels(rows, p, 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -260,20 +292,12 @@ def panel_cases(draw):
     return rows, p, draw(st.integers(1, 4))
 
 
-def _plain_and_blocked(rows, p, panel=rank_mod._PANEL):
-    with mock.patch.object(rank_mod, "_NP_CUTOFF", 10**9):
-        plain = rank_mod._eliminate_mod_p(rows, p)
-    with mock.patch.object(rank_mod, "_NP_CUTOFF", 0), mock.patch.object(rank_mod, "_PANEL", panel):
-        blocked = rank_mod._eliminate_mod_p(rows, p)
-    return plain, blocked
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(panel_cases())
 def test_blocked_body_matches_plain_body(case):
+    """Panels of 1..4 columns against one panel, and against the oracles."""
     rows, p, panel = case
-    plain, blocked = _plain_and_blocked(rows, p, panel)
-    assert blocked == plain
+    _check_panels(rows, p, panel)
 
 
 def _near_top(n_rows, n_cols, p, seed):
@@ -291,9 +315,10 @@ def _near_top(n_rows, n_cols, p, seed):
     (_near_top(70, 130, P, 4), P),
 ], ids=["all-p-1", "word-p", "above-threshold", "below-threshold", "wide"])
 def test_full_size_panels_match_plain_body(rows, p):
-    """At the real panel width, matrices of three or more panels."""
-    plain, blocked = _plain_and_blocked(rows, p)
-    assert blocked == plain
+    """At the real panel width, matrices of three or more panels against one
+    panel; too large for the oracles."""
+    panelled, one_panel = _panelled_and_one_panel(rows, p, rank_mod._PANEL)
+    assert panelled == one_panel
     assert len(rows[0]) > 2 * rank_mod._PANEL
 
 
