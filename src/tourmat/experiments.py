@@ -10,8 +10,10 @@ are reported as information, never as violations.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import multiprocessing
 import os
 import statistics
 import time
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import bounds
 from .fields import Field, Scalar
-from .matrices import LinearMix, WeightSeq, ZeroWeightError, tournament_matrix, tournament_stack
-from .rank import rank, stack_ranks
+from .matrices import LinearMix, WeightSeq, ZeroWeightError, tournament_stack
+from .rank import stack_ranks
 from .report import Report
 from .rng import ByteStream
 from .tournaments import (
@@ -35,6 +37,7 @@ from .tournaments import (
     format_tournament,
     n_pairs,
     pair_bits,
+    random_pair_bits,
     random_tournament,
     transitive,
 )
@@ -42,6 +45,7 @@ from .tournaments import (
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
 _BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 class BadRangeError(ValueError):
@@ -446,36 +450,51 @@ def _split_range(start: int, end: int, parts: int):
     return list(zip(cuts, cuts[1:]))
 
 
-def _code_batches(n: int, weights: WeightSeq, lo: int, hi: int):
-    """The tournaments with codes in [lo, hi), in code order, as `tournament_stack`
-    batches of about _BATCH_ENTRIES matrix entries: residues over GF(p) and
-    integers over Q alike, ranked by `stack_ranks(batch, field.char)`."""
+def _code_batches(n: int, weights: WeightSeq, lo: int, hi: int, seed: int | None = None):
+    """The tournaments with codes in [lo, hi), in code order, or with a seed the
+    sampled tournaments `random_tournament(n, seed, i)` for i in [lo, hi), in
+    index order, as `tournament_stack` batches of about _BATCH_ENTRIES matrix
+    entries: residues over GF(p) and integers over Q alike, ranked by
+    `stack_ranks(batch, field.char)`."""
     step = max(1, _BATCH_ENTRIES // (n * n))
     for a in range(lo, hi, step):
-        yield tournament_stack(pair_bits(n, a, min(a + step, hi)), weights)
+        b = min(a + step, hi)
+        bits = pair_bits(n, a, b) if seed is None else random_pair_bits(n, seed, a, b)
+        yield tournament_stack(bits, weights)
 
 
-def _minrank_chunk(args):
-    """Ranks of the tournament matrices with codes in [lo, hi), in code order."""
-    weights, n, lo, hi = args
-    return [r for batch in _code_batches(n, weights, lo, hi)
+def _ranks_chunk(args):
+    """Ranks of the matrices `_code_batches(*args)` yields, in order."""
+    weights = args[1]
+    return [r for batch in _code_batches(*args)
             for r in stack_ranks(batch, weights.field.char).tolist()]
 
 
-def _mc_chunk(args):
-    """Ranks of the sampled tournament matrices with indices in [lo, hi), in order."""
-    weights, n, seed, lo, hi = args
-    return [rank(tournament_matrix(random_tournament(n, seed, i), weights)).rank
-            for i in range(lo, hi)]
+@contextlib.contextmanager
+def _environment(values: dict):
+    """os.environ updated by `values` inside the block, and restored after it."""
+    saved = {k: os.environ.get(k) for k in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k)
+            else:
+                os.environ[k] = v
 
 
 def _run_chunks(fn, jobs, workers):
-    # the pool forks all its workers up front, so never ask for more than can run
+    # the pool starts a process per worker, so never ask for more than can run
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         results = [fn(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned children load OpenBLAS afresh, with one thread each: at its
+        # default of one thread per CPU, parallel workers oversubscribe the CPUs
+        with _environment(_WORKER_ENV), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(fn, jobs))
     return list(itertools.chain.from_iterable(results))
 
@@ -494,8 +513,8 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     _require_n(n, 1, "exhaustive min-rank")
     lo, hi = code_range(n, *shard) if shard is not None else code_range(n)
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
-    ranks = _run_chunks(_minrank_chunk,
-                        [(weights, n, a, b) for a, b in _split_range(lo, hi, workers)],
+    ranks = _run_chunks(_ranks_chunk,
+                        [(n, weights, a, b) for a, b in _split_range(lo, hi, workers)],
                         workers)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
@@ -534,9 +553,8 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
     char2 = field.char == 2
     low = bounds.half_minus_tail_floor(n)
     vacuous = bounds.half_minus_tail_vacuous(n)
-    ranks = _run_chunks(_mc_chunk,
-                        [(weights, n, seed, a, b)
-                         for a, b in _split_range(0, samples, workers)],
+    ranks = _run_chunks(_ranks_chunk,
+                        [(n, weights, a, b, seed) for a, b in _split_range(0, samples, workers)],
                         workers)
     records = [{"index": i, "rank": r, "bound": low, "pass": True if char2 else r >= low}
                for i, r in enumerate(ranks)]

@@ -19,11 +19,15 @@ most c nonzero per row, m = min(rows, cols)), or 2H for a determinant.  A
 nonzero integer minor below that product is nonzero mod one of the primes,
 so the max of the ranks mod them is the rank over Q, and the determinant is
 the symmetric residue of the Chinese remainder of its residues.
-`stack_ranks` ranks whole (B, n, n) stacks, mod p or over Q by the same
-prime count: all B matrices at once up to 64 columns, one at a time by the
-panel routine above that.  Pivot selection is always leftmost nonzero
-column, lowest row index, which makes the pivot column list deterministic
-across platforms.
+`stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once up to 64
+columns, one at a time by the panel routine above that.  Either way the
+elimination reduces its input mod p while it makes its one int64 copy, so
+an integer stack, of int64 or of Python ints past 2**63, goes to every
+prime as it is.  Over Q a stack is ranked mod `_prime(0)` first, and a
+matrix whose rank there is min(rows, cols) is done; only the matrices that
+fall short are ranked mod the rest of the primes their Hadamard bound asks
+for.  Pivot selection is always leftmost nonzero column, lowest row index,
+which makes the pivot column list deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .fields import Field, Scalar
 from .matrices import DenseMatrix
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
+_ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
 _PRIMES = [2**31 - 1]  # descending primes below 2**31 (int64-safe products), extended by _prime
 
 
@@ -56,12 +61,13 @@ class RankProfile:
 
 
 def _eliminate_mod_p(rows, p):
-    """Rank, pivot columns and determinant mod p of a matrix of residues in [0, p).
+    """Rank, pivot columns and determinant mod p of a matrix of integers, reduced
+    mod p into its one int64 copy.
 
     The determinant is meaningful for square input only, and is 0 when the
     rank falls short.  Past 2 * _PANEL columns it runs in _PANEL-column panels.
     """
-    R = np.array(rows, dtype=np.int64)
+    R = _residues(rows, p)
     nr, nc = R.shape
     pr = 0
     det = 1
@@ -102,6 +108,17 @@ def _eliminate_mod_p(rows, p):
     return pr, tuple(pivots), det if pr == nr == nc else 0
 
 
+def _residues(a, p):
+    """a mod p as a new int64 array in [0, p): the one copy an elimination makes
+    of its input, an int64 array, an object array of Python ints of any size,
+    or nested lists of ints that fit int64 (OverflowError past that)."""
+    if isinstance(a, np.ndarray):
+        return np.remainder(a, p, out=np.empty(a.shape, np.int64), casting="unsafe")
+    R = np.array(a, dtype=np.int64)
+    R %= p
+    return R
+
+
 def _prime(i):
     """The i-th prime below 2**31 from 2**31 - 1 down, found by trial division once."""
     while len(_PRIMES) <= i:
@@ -123,31 +140,43 @@ def _hadamard_primes(size, width, m, factor=1):
 
 
 def stack_ranks(stack, p) -> np.ndarray:
-    """Ranks of every matrix in a (B, n_rows, n_cols) stack, as an int64 array
-    of B ranks: mod p of residues in [0, p), or with p = 0 over Q of integers
-    (int64, or Python ints in an object array).
+    """Ranks of every matrix in a (B, n_rows, n_cols) stack of integers (int64,
+    or Python ints in an object array), as an int64 array of B ranks: mod p,
+    or with p = 0 over Q.
 
-    Over Q this is the elementwise max of the ranks mod `_hadamard_primes`.
-    Mod p, matrices past 2 * _PANEL columns go one at a time to the faster
-    `_eliminate_mod_p`; narrower ones are eliminated together, column by
-    column, each with its own pivot row, on a copy laid out (n_rows, n_cols,
-    B) so that every array operation runs along the batch.  A mask picks each
-    matrix's first nonzero row at or below its pivot row, fancy indexing
-    swaps it into place, and every row below becomes (piv * row - row[c] *
-    pivot_row) mod p, with no inverse.  Both products are below 2**62 because
-    p < 2**31, so int64 holds them exactly.  Scaling a row by a nonzero pivot
-    keeps the row space, so the ranks are `_eliminate_mod_p`'s although the
-    eliminated entries are not.
+    Over Q a matrix is done when its rank mod `_prime(0)` is min(n_rows,
+    n_cols), since rank mod p <= rank over Q <= min(n_rows, n_cols).  The
+    matrices that fall short get the max of their ranks mod
+    `_hadamard_primes` of their own entries.  Mod p, matrices past 2 * _PANEL
+    columns go one at a time to the faster `_eliminate_mod_p`; narrower ones
+    are eliminated together, column by column, each with its own pivot row,
+    on one copy reduced mod p and laid out (n_rows, n_cols, B) so that every
+    array operation runs along the batch.  A mask picks each matrix's first
+    nonzero row at or below its pivot row, fancy indexing swaps it into
+    place, and every row below becomes (piv * row - row[c] * pivot_row) mod p
+    in place, _ROWS rows at a time through one scratch buffer of _ROWS rows,
+    with no inverse.  Both products are below 2**62 because p < 2**31, so
+    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
+    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
+    entries are not.
     """
     if not p:
-        size = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
-        width = int(np.count_nonzero(stack, axis=-1).max(initial=0))
-        primes = _hadamard_primes(size, width, min(stack.shape[1:]))
-        return np.max([stack_ranks(stack % q, q) for q in primes], axis=0)
+        full = min(stack.shape[1:])
+        ranks = stack_ranks(stack, _prime(0))
+        short = np.flatnonzero(ranks < full)
+        if short.size:
+            rest = stack[short]
+            size = max(int(rest.max()), -int(rest.min()))
+            width = int(np.count_nonzero(rest, axis=-1).max())
+            primes = _hadamard_primes(size, width, full)
+            ranks[short] = np.max([ranks[short]] + [stack_ranks(rest, q) for q in primes[1:]],
+                                  axis=0)
+        return ranks
     n_mat, nr, nc = np.shape(stack)
     if nc > 2 * _PANEL:
         return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
-    R = np.array(np.moveaxis(stack, 0, -1), dtype=np.int64, order="C")
+    R = _residues(np.moveaxis(stack, 0, -1), p)
+    scratch = np.empty((min(nr, _ROWS), nc, n_mat), dtype=np.int64)
     ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row
     mats, row_ids = np.arange(n_mat), np.arange(nr)[:, None]
     for c in range(nc):
@@ -163,12 +192,13 @@ def stack_ranks(stack, p) -> np.ndarray:
         prow = R[pr, c:, mats].T
         lo = int(pr[found].min()) + 1  # no matrix updates a row above lo
         below = found & (row_ids[lo:] > pr)
-        scale = np.where(below, prow[0], 1)
-        factor = np.where(below, R[lo:, c], 0)
-        tail = R[lo:, c:]
-        update = scale[:, None] * tail
-        update -= factor[:, None] * prow
-        np.remainder(update, p, out=tail)
+        scale, factor = np.where(below, prow[0], 1), np.where(below, R[lo:, c], 0)
+        for r in range(0, nr - lo, _ROWS):
+            tail = R[lo + r:lo + r + _ROWS, c:]
+            tail *= scale[r:r + _ROWS, None]
+            tail -= np.multiply(factor[r:r + _ROWS, None], prow,
+                                out=scratch[:len(tail), :nc - c])
+            np.remainder(tail, p, out=tail)
         ranks += found
     return ranks
 

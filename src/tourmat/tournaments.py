@@ -9,8 +9,9 @@ plain range split.  `Tournament.bits()` and `from_bits` own that layout: the
 bit text's character k is pair k's bit, and every per-pair walk (edges, the
 constructions, the text grammar, the matrix builders) reads or writes that
 text instead of shifting the code once per pair.  Sweeps take the same bits
-as one array, one row per tournament: `pair_bits` for a code range without
-per-code objects, `bit_rows` for a list of tournaments.
+as one array, one row per tournament: `pair_bits` for a code range and
+`random_pair_bits` for a range of sample indices, both without per-code
+objects, and `bit_rows` for a list of tournaments.
 """
 
 from __future__ import annotations
@@ -154,10 +155,14 @@ def random_tournament(n: int, seed: int, index: int) -> Tournament:
     counter stream keyed by (seed, "tournament", index); repeat calls with
     the same triple are bit-identical regardless of worker scheduling.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    _check_n(n)
     stream = ByteStream(seed, "tournament", index)
     return Tournament(n, stream.bits(n_pairs(n)))
+
+
+def _check_n(n: int):
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
 
 
 def paley(q: int) -> Tournament:
@@ -214,6 +219,22 @@ def pair_bits(n: int, start: int, end: int) -> np.ndarray:
     codes = np.arange(start, end, dtype=np.uint64)
     shifts = np.arange(n_pairs(n), dtype=np.uint64)
     return ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def random_pair_bits(n: int, seed: int, start: int, end: int) -> np.ndarray:
+    """The pair bits of random_tournament(n, seed, i) for i in [start, end), laid
+    out as `pair_bits` lays out codes, read from the same stream bytes.
+
+    A code is its stream's first n(n-1)/2 bits read big-endian, so pair k is
+    unpacked bit n(n-1)/2 - 1 - k.
+    """
+    _check_n(n)
+    m = n_pairs(n)
+    size = -(-m // 8)
+    indices = range(start, end)
+    raw = b"".join(ByteStream(seed, "tournament", i).take_bytes(size) for i in indices)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(indices), size), axis=1, count=m)
+    return bits[:, ::-1]
 
 
 def bit_rows(tournaments) -> np.ndarray:

@@ -6,7 +6,9 @@ the stack alone over GF(p), and against `rank()` of each matrix over Q, and
 codes, entry for entry: exhaustively for n <= 5 and on random codes at
 n = 11, and with one weight sequence per row.  Stacks wider than two panels
 are ranked one matrix at a time.  Over Q a `mock` count pins how many primes the stacks are ranked
-mod.
+mod: `_prime(0)` for every matrix, the rest only for those short of full
+rank there, and stacks that mix both kinds are checked against `rank()` and
+the Bareiss oracle.
 """
 
 import importlib
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bareiss
 
 from tourmat import experiments as ex
 from tourmat.fields import GF, QQ
@@ -70,12 +73,15 @@ def residue_stacks(draw):
 
 
 @SETTINGS
-@given(residue_stacks())
-def test_stack_ranks_match_per_matrix_elimination(case):
+@given(residue_stacks(), st.integers(1, 4))
+def test_stack_ranks_match_per_matrix_elimination(case, rows_per_step):
+    """Also with the row update cut into steps of 1..4 rows."""
     stack, p = case
     arr = np.array(stack, dtype=np.int64)
     ranks = rank_mod.stack_ranks(arr, p)
     assert ranks.tolist() == [rank_mod._eliminate_mod_p(rows, p)[0] for rows in stack]
+    with mock.patch.object(rank_mod, "_ROWS", rows_per_step):
+        assert rank_mod.stack_ranks(arr, p).tolist() == ranks.tolist()
     assert (arr == np.array(stack, dtype=np.int64)).all()  # the input is not touched
 
 
@@ -85,8 +91,10 @@ def test_stack_ranks_of_an_empty_stack():
 
 def test_wide_stacks_are_ranked_one_matrix_at_a_time():
     """Past 2 * _PANEL columns `stack_ranks` runs `_eliminate_mod_p` once per
-    matrix, mod p and mod each prime over Q, with the ranks the batch kernel
-    gives when `_PANEL` is raised to let it run; at 2 * _PANEL it runs none."""
+    matrix mod p, and over Q once per matrix mod _prime(0) and once per
+    further prime for the one matrix short of full rank, with the ranks the
+    batch kernel gives when `_PANEL` is raised to let it run; at 2 * _PANEL
+    it runs none."""
     n = 2 * rank_mod._PANEL + 2
     weights = WeightSeq.of(GF(3), [1 + k % 2 for k in range(n)])
     stack = tournament_stack(bit_rows([random_tournament(n, 4, i) for i in range(3)]), weights)
@@ -97,9 +105,13 @@ def test_wide_stacks_are_ranked_one_matrix_at_a_time():
         assert spy.call_count == len(stack)
         q_ranks = rank_mod.stack_ranks(stack, 0).tolist()
         primes = rank_mod._hadamard_primes(2, n - 1, n)
-        assert spy.call_count == len(stack) * (1 + len(primes))
+        assert spy.call_count == 2 * len(stack) + len(primes) - 1
+        assert [c.args[1] for c in spy.call_args_list[len(stack):]] == (
+            [primes[0]] * len(stack) + primes[1:])
+        assert all((c.args[0] == stack[3]).all()
+                   for c in spy.call_args_list[2 * len(stack):])
         rank_mod.stack_ranks(stack[:, :-2, :-2], 3)
-        assert spy.call_count == len(stack) * (1 + len(primes))
+        assert spy.call_count == 2 * len(stack) + len(primes) - 1
     with mock.patch.object(rank_mod, "_PANEL", n):
         assert rank_mod.stack_ranks(stack, 3).tolist() == ranks
         assert rank_mod.stack_ranks(stack, 0).tolist() == q_ranks
@@ -255,6 +267,43 @@ def test_q_stack_ranks_match_rank_per_matrix(stack):
         assert rank_mod.stack_ranks(as_objects, 0).tolist() == ranks.tolist()
 
 
+@st.composite
+def mixed_q_stacks(draw):
+    """2..5 k x k integer matrices (k in 1..7) in shuffled order, at least one
+    of full rank and one deficient over Q.  Full rank: small off-diagonal
+    entries under a strictly dominant diagonal, whose entries may be
+    multiples of the first primes (short of full rank mod them) or past
+    2**63.  Deficient: a zero row, or a row that is a combination of two
+    others with large or small coefficients."""
+    k = draw(st.integers(1, 7))
+    small = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    dominant = st.one_of(st.integers(3 * k, 3 * k + 5), LARGE_INTS)
+    coefficient = st.one_of(st.integers(-3, 3), SIGNED_LARGE)
+    stack, kinds = [], [True, False] + draw(st.lists(st.booleans(), max_size=3))
+    for full in kinds:
+        rows = [draw(small) for _ in range(k)]
+        if full:
+            for i in range(k):
+                rows[i][i] = draw(dominant) * draw(st.sampled_from((1, -1)))
+        else:
+            i, j, l = (draw(st.integers(0, k - 1)) for _ in range(3))
+            a, b = draw(coefficient), draw(coefficient)
+            rows[i] = [0] * k if j == i or l == i else [
+                a * x + b * y for x, y in zip(rows[j], rows[l])]
+        stack.append(rows)
+    return draw(st.permutations(stack))
+
+
+@SETTINGS
+@given(mixed_q_stacks())
+def test_q_stacks_of_full_and_deficient_matrices_match_rank_and_bareiss(stack):
+    k = len(stack[0])
+    ranks = rank_mod.stack_ranks(_object_if_big(stack), 0).tolist()
+    assert ranks == [_q_rank(rows) for rows in stack]
+    assert ranks == [bareiss([list(row) for row in rows])[0] for rows in stack]
+    assert min(ranks) < k == max(ranks)
+
+
 # a nonzero weight: small and signed, fractional, a multiple of the first
 # or second prime, a product of the first primes, or past 2**63
 WEIGHTS = st.one_of(
@@ -311,16 +360,17 @@ def _fewest_primes(stack):
 
 def _primes_per_sweep_call(run):
     """The primes each `stack_ranks` call of the sweeps ranked mod, with the
-    stack it ranked."""
+    stack it ranked and the stack it ranked mod each prime."""
     calls = []
     ranks = rank_mod.stack_ranks
 
     def ranked(stack, p):
-        calls.append((stack, []))
+        calls.append((stack, [], []))
         return ranks(stack, p)
 
     def ranked_mod(stack, p):  # the calls mod each prime that stack_ranks makes of itself
         calls[-1][1].append(p)
+        calls[-1][2].append(stack)
         return ranks(stack, p)
 
     with mock.patch.object(ex, "stack_ranks", side_effect=ranked), \
@@ -334,16 +384,38 @@ def test_q_certify_ranks_one_prime_for_the_benchmark_weights():
     calls = _primes_per_sweep_call(
         lambda: ex.verify_certifiability(5, [QQ], z_values=range(1, 10)))
     assert len(calls) > 9 * sum(n - 1 for n in range(2, 6))
-    assert all(primes == [P0] for _, primes in calls)
+    assert all(primes == [P0] for _, primes, _ in calls)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: ex.verify_certifiability(5, [QQ], z_values=(2**31 - 1,)),
-    lambda: ex.minrank_exhaustive(
-        5, QQ, WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])),
-], ids=["certify-z-word-prime", "minrank-past-63-bits"])
-def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run):
+@pytest.mark.parametrize("run, settles, goes_on", [
+    (lambda: ex.verify_certifiability(5, [QQ], z_values=(2**31 - 1,)), False, True),
+    (lambda: ex.minrank_exhaustive(
+        5, QQ, WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])), True, False),
+    (lambda: ex.minrank_exhaustive(
+        5, QQ, WeightSeq.of(QQ, [k * (2**40 + 1) for k in range(1, 6)])), True, True),
+], ids=["certify-z-word-prime", "minrank-past-63-bits", "minrank-scaled-mixed"])
+def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run, settles, goes_on):
+    """Every matrix is ranked mod _prime(0) once, and only the matrices short
+    of full rank there go on, mod the fewest primes past their own bound.
+    `settles`: some matrix whose stack's bound asks for 2+ primes ends at
+    the first; `goes_on`: some matrix goes on.  The scaled weights do both in
+    one stack: multiples of 2**40 + 1 keep the ranks of weights 1..5 (nine
+    codes rank 4) and raise the bound past one prime."""
     calls = _primes_per_sweep_call(run)
-    for stack, primes in calls:
-        assert primes == [rank_mod._prime(i) for i in range(_fewest_primes(stack))]
-    assert max(len(primes) for _, primes in calls) >= 2
+    settled = went_on = mixed = False
+    for stack, primes, stacks in calls:
+        assert primes[0] == P0 and stacks[0] is stack
+        full = min(stack.shape[1:])
+        short = [i for i, m in enumerate(stack) if rank_mod._eliminate_mod_p(m, P0)[0] < full]
+        if short:
+            rest = stack[short]
+            assert primes == [rank_mod._prime(i) for i in range(_fewest_primes(rest))]
+            assert all(np.array_equal(s, rest) for s in stacks[1:])
+        else:
+            assert primes == [P0]
+        settled_here = len(short) < len(stack) and _fewest_primes(stack) >= 2
+        settled |= settled_here
+        went_on |= len(primes) >= 2
+        mixed |= settled_here and len(primes) >= 2
+    assert (settled, went_on) == (settles, goes_on)
+    assert mixed == (settles and goes_on)

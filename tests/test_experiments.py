@@ -1,6 +1,8 @@
+import contextlib
 import importlib
 from fractions import Fraction
 import json
+import os
 from unittest import mock
 
 import pytest
@@ -206,6 +208,55 @@ def test_montecarlo_worker_invariance():
     assert one.to_json(full_records=True) == four.to_json(full_records=True)
 
 
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_montecarlo_ranks_stacks_and_builds_no_matrix_one_by_one(field):
+    """Samples are built from stream bits and ranked as stacks: no
+    `random_tournament`, per-matrix build, `rank()` or single-matrix
+    elimination at n = 50, and the ranks of the per-matrix path."""
+    w = ex.cycling_weights(field, 50)
+    with _no_per_matrix_names() as (rank_calls, builds), \
+            mock.patch.object(ex, "random_tournament", wraps=random_tournament) as draws, \
+            mock.patch.object(matrices_mod, "_pair_matrix",
+                              wraps=matrices_mod._pair_matrix) as pair_builds, \
+            mock.patch.object(rank_mod, "_eliminate_mod_p",
+                              wraps=rank_mod._eliminate_mod_p) as eliminations:
+        rep = ex.montecarlo_rank(50, field, w, 30, seed=4)
+        counts = (rank_calls.call_count, builds.call_count, draws.call_count,
+                  pair_builds.call_count, eliminations.call_count)
+    assert counts == (0, 0, 0, 0, 0)
+    assert [rec["rank"] for rec in rep.records] == [
+        rank(tournament_matrix(random_tournament(50, 4, i), w)).rank for i in range(30)]
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_montecarlo_bytes_do_not_depend_on_batches_or_workers(field):
+    """61 samples at n = 50 make three stacks (26, 26, 9); two workers split
+    them at 30, inside the second stack."""
+    assert ex._BATCH_ENTRIES // 50**2 == 26
+    w = ex.cycling_weights(field, 50)
+    one = ex.montecarlo_rank(50, field, w, 61, seed=8, workers=1)
+    two = ex.montecarlo_rank(50, field, w, 61, seed=8, workers=2)
+    assert one.to_json(full_records=True) == two.to_json(full_records=True)
+    assert [rec["rank"] for rec in one.records] == [
+        rank(tournament_matrix(random_tournament(50, 8, i), w)).rank for i in range(61)]
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
+    """Past 2 * _PANEL columns each sample is one `_eliminate_mod_p` call mod
+    3, or mod 2**31 - 1 for the full-rank samples over Q."""
+    n = 2 * rank_mod._PANEL + 2
+    w = ex.cycling_weights(field, n)
+    with mock.patch.object(rank_mod, "_eliminate_mod_p",
+                           wraps=rank_mod._eliminate_mod_p) as eliminations:
+        rep = ex.montecarlo_rank(n, field, w, 5, seed=2)
+    ranks = [rank(tournament_matrix(random_tournament(n, 2, i), w)).rank for i in range(5)]
+    assert [rec["rank"] for rec in rep.records] == ranks
+    if field.char == 0:
+        assert ranks == [n] * 5
+    assert [c.args[1] for c in eliminations.call_args_list] == [field.char or 2**31 - 1] * 5
+
+
 def test_montecarlo_char2_refusal():
     rep = ex.montecarlo_rank(6, GF(2), ex.cycling_weights(GF(2), 6), 10, seed=1)
     assert rep.parameters["theorem_check"].startswith("refused")
@@ -306,7 +357,7 @@ class _RecordingPool:
 
     requested = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.requested.append(max_workers)
 
     def __enter__(self):
@@ -335,14 +386,39 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
     assert rep.to_json(full_records=True) == serial.to_json(full_records=True)
 
 
+def _report_blas_threads(names):
+    """Pool job: the BLAS thread settings the worker process started with."""
+    return [os.environ.get(name) for name in names]
+
+
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    """Workers are spawned with one OpenBLAS / OpenMP thread each; the parent's
+    environment is left as it was."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+    assert ex._run_chunks(_report_blas_threads, [names, names], 2) == ["1", "1"] * 2
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "OMP_NUM_THREADS" not in os.environ
+
+
+@contextlib.contextmanager
+def _no_per_matrix_names():
+    """Spies on the names `rank` and `tournament_matrix` in `experiments`, which
+    no longer imports them: any code there that calls either by name calls a spy."""
+    with mock.patch.object(ex, "rank", wraps=rank, create=True) as rank_calls, \
+            mock.patch.object(ex, "tournament_matrix", wraps=tournament_matrix,
+                              create=True) as builds:
+        yield rank_calls, builds
+
+
 def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
     """Exhaustive sweeps and the five stack verifiers rank stacks over GF(p)
     and over Q alike.  Every per-matrix builder (`tournament_matrix`,
     `linear_mix_matrix`, `transitive_matrix`, `reversal_sum_matrix`) builds
     through `matrices._pair_matrix`, so its count covers them all; no matrix
     here is wider than one panel, so none is eliminated on its own."""
-    with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
-            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
+    with _no_per_matrix_names() as (rank_calls, builds), \
             mock.patch.object(matrices_mod, "_pair_matrix",
                               wraps=matrices_mod._pair_matrix) as pair_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
@@ -405,8 +481,7 @@ def test_certify_ranks_blocks_and_takes_no_determinant():
     """Certify ranks stacks of s-blocks, then of (s+1)-blocks where the
     s-block falls short, over GF(p) and over Q alike: no per-matrix
     elimination, which every rank and determinant of a matrix runs."""
-    with mock.patch.object(ex, "rank", wraps=ex.rank) as rank_calls, \
-            mock.patch.object(ex, "tournament_matrix", wraps=ex.tournament_matrix) as builds, \
+    with _no_per_matrix_names() as (rank_calls, builds), \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
                               wraps=rank_mod._eliminate_mod_p) as eliminations:
         assert ex.verify_certifiability(5, [GF(3)]).passed

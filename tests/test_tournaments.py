@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from tourmat.fields import NotPrimeError
@@ -12,11 +13,13 @@ from tourmat.tournaments import (
     Tournament,
     TooLargeError,
     TournamentParseError,
+    bit_rows,
     enumerate_all,
     format_tournament,
     n_pairs,
     paley,
     parse_tournament,
+    random_pair_bits,
     random_tournament,
     transitive,
 )
@@ -107,6 +110,20 @@ def test_random_tournament_bit_means():
 def test_random_tournament_distinct_indices():
     codes = {random_tournament(10, 5, i).code for i in range(1000)}
     assert len(codes) == 1000
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 50, 400])
+def test_random_pair_bits_are_the_sampled_tournaments_bits(n):
+    """0 pairs at n = 1, pair counts on and off a multiple of 8 (n = 9: 36,
+    n = 400: 79,800), from index 0 and from later indices."""
+    for start, end in ((0, 3), (5, 7 if n == 400 else 12), (4, 4)):
+        bits = random_pair_bits(n, 17, start, end)
+        assert bits.dtype == np.uint8 and bits.shape == (end - start, n_pairs(n))
+        if end > start:
+            assert np.array_equal(
+                bits, bit_rows([random_tournament(n, 17, i) for i in range(start, end)]))
+    with pytest.raises(ValueError):
+        random_pair_bits(0, 17, 0, 1)
 
 
 def test_paley_three_cycle():
