@@ -59,13 +59,13 @@ def _read_maybe_file(text: str) -> str:
     return text
 
 
-def _parse_seq(field: Field, text: str, n: int | None = None) -> WeightSeq:
+def _parse_seq(field: Field, text: str, n: int) -> WeightSeq:
     raw = _read_maybe_file(text)
     tokens = [tok for chunk in raw.split(",") for tok in chunk.split()]
     if not tokens:
         raise UsageError(f"no weights in {text!r}")
     values = [parse_scalar(field, tok) for tok in tokens]
-    if n is not None and len(values) != n:
+    if len(values) != n:
         raise UsageError(f"need {n} weights, got {len(values)}")
     return WeightSeq(field, tuple(values))
 
@@ -99,16 +99,15 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _echo_config(args, extra: dict | None = None):
+def _echo_config(args, extra: dict):
     items = {
         "command": args.command,
         "field": args.field,
         "seed": args.seed,
         "format": args.format,
         "workers": args.workers,
+        **extra,
     }
-    if extra:
-        items.update(extra)
     line = " ".join(f"{k}={v}" for k, v in items.items() if v is not None)
     print(f"config: {line}", file=sys.stderr)
 

@@ -75,10 +75,9 @@ def random_weights(field: Field, n: int, seed: int, *labels) -> WeightSeq:
     return WeightSeq(field, tuple(_random_nonzero(field, stream) for _ in range(n)))
 
 
-def cycling_weights(field: Field, n: int, values=None) -> WeightSeq:
-    """Weights cycling through `values`; default (1, 2), or (1,) when p = 2."""
-    if values is None:
-        values = (1,) if field.char == 2 else (1, 2)
+def cycling_weights(field: Field, n: int) -> WeightSeq:
+    """Weights cycling through (1, 2), or all 1 when p = 2."""
+    values = (1,) if field.char == 2 else (1, 2)
     return WeightSeq.of(field, [values[k % len(values)] for k in range(n)])
 
 
@@ -183,6 +182,7 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     fixed = None
     if sequence_source is not None:
         fixed = list(sequence_source)
+        _refuse_empty(len(fixed), "an empty weight sequence")
         trials = 1
     _refuse_empty(len(n_list) * trials, f"{len(n_list)} sizes x {trials} trials")
     records = []
@@ -409,7 +409,7 @@ def verify_f_ensemble(n: int, field: Field, weights: WeightSeq, alpha, beta,
     return _finish(t0, "linear-mix-reversal", parameters, records, {"checks": len(records)})
 
 
-def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
+def verify_finite_field_bound(n_max: int, p: int) -> Report:
     """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights."""
     t0 = time.perf_counter()
     _refuse_empty(n_max, f"n_max={n_max}")
@@ -417,7 +417,7 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
-        weights = cycling_weights(field, n, values)
+        weights = cycling_weights(field, n)
         low = bounds.finite_field_bound(n, p)
         need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
         min_rank = n
@@ -431,8 +431,7 @@ def verify_finite_field_bound(n_max: int, p: int, values=None) -> Report:
             "n": n, "tournaments": hi - lo, "min_rank": min_rank,
             "bound": str(low), "violations": bad, "pass": bad == 0,
         })
-    parameters = {"n_max": n_max, "field": str(field),
-                  "weights": "cycling" if values is None else str(list(values))}
+    parameters = {"n_max": n_max, "field": str(field), "weights": "cycling"}
     return _finish(t0, "finite-field-floor", parameters, records,
                    {"checks": sum(rec["tournaments"] for rec in records)},
                    violations=sum(rec["violations"] for rec in records))

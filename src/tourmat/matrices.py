@@ -12,7 +12,8 @@ matrix plus its reversal's.  The builder walks the tournament's pair-bit text
 (`Tournament.bits()`), so the bit layout lives in one place.  For exhaustive
 sweeps, `tournament_stack` builds the base matrices of a whole code range at
 once from the pair-bit array `pair_bits`, as a (B, n, n) array: residues over
-GF(p), integers over Q (the weights cleared of their common denominator).
+GF(p), integers over Q (the weights cleared of their common denominator),
+in the dtype `int_array` picks: int64, or Python ints past 2**63.
 
 A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
 GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
@@ -217,11 +218,17 @@ def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     return _pair_matrix(t.bits(), weights, _winner)
 
 
+def int_array(rows) -> np.ndarray:
+    """Rows of ints as an int64 array, or past 2**63 an object array of ints."""
+    big = any(abs(v) >= 2**63 for row in rows for v in row)
+    return np.array(rows, dtype=object if big else np.int64)
+
+
 def tournament_stack(bits: np.ndarray, weights) -> np.ndarray:
     """The tournament matrices of B pair-bit rows, as a (B, n, n) array of
     residues over GF(p), and over Q of the integer matrices times the weights'
-    common denominator, which keeps every rank: int64 while the entries fit,
-    exact Python ints in an object array past that.
+    common denominator, which keeps every rank, in the dtype of the weights'
+    `int_array`.
 
     `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
     [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
@@ -236,9 +243,7 @@ def tournament_stack(bits: np.ndarray, weights) -> np.ndarray:
             or len(seqs) not in (1, len(bits))):
         raise LengthMismatchError(f"{len(seqs)} x {n} weights for pair bits of shape {bits.shape}")
     den = lcm(*(v.value.denominator for w in seqs for v in w.values))  # 1 over GF(p)
-    vals = [[int(v.value * den) for v in w.values] for w in seqs]
-    big = max((abs(v) for row in vals for v in row), default=0) >= 2**63
-    vals = np.array(vals, dtype=object if big else np.int64)
+    vals = int_array([[int(v.value * den) for v in w.values] for w in seqs])
     rows, cols = np.triu_indices(n, 1)
     winners = np.where(bits != 0, vals[:, rows], vals[:, cols])
     stack = np.zeros((bits.shape[0], n, n), dtype=vals.dtype)

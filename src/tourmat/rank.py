@@ -9,25 +9,25 @@ with the pivot rows, reduced mod p.  That product is exact because every
 partial sum stays below 2**53: directly while 32 * (p - 1)**2 < 2**53 (p <=
 16,777,213), and above that by splitting the right factor into 16-bit
 halves.  A matrix at most 64 columns wide is one panel and runs no product,
-so blocking reorders exact updates only.  Rational rows are cleared to
-integers row by row and eliminated mod `_prime(0)` = 2**31 - 1, `_prime(1)`,
-...  Rank mod p never exceeds rank over Q, column prefix by column prefix,
-so a full rank with pivot columns 0..r-1 mod the first prime is the rank
-over Q.  Otherwise the primes run until their product passes Hadamard's
-bound H = (E * sqrt(c))**m on every minor (entries at most E in size, at
-most c nonzero per row, m = min(rows, cols)), or 2H for a determinant.  A
+so blocking reorders exact updates only.  `stack_ranks` ranks whole (B, n,
+n) stacks: all B matrices at once up to 64 columns, one at a time by the
+panel routine above that.  Every elimination takes an integer array, of
+int64 or past 2**63 of Python ints (as `matrices.int_array` decides), and
+reduces it mod p while it makes its one int64 copy.  Over Q, `rank()` and
+`determinant()` first clear rational rows to such an array row by row.  The
+matrix, or each matrix of a stack, is eliminated mod `_prime(0)` = 2**31 - 1
+first.  Rank mod p never exceeds rank over Q, column prefix by column
+prefix, so a rank of min(rows, cols) there, with pivot columns 0..r-1 for
+`rank()`, is the rank over Q.  Otherwise, and always for a determinant,
+`_prime(1)`, ... run until their product passes Hadamard's bound
+H = (E * sqrt(c))**m on every minor, or 2H for a determinant:
+`_hadamard_primes` reads E (the largest entry in size) and c (the most
+nonzeros in a row) from the array itself, and m = min(rows, cols).  A
 nonzero integer minor below that product is nonzero mod one of the primes,
 so the max of the ranks mod them is the rank over Q, and the determinant is
-the symmetric residue of the Chinese remainder of its residues.
-`stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once up to 64
-columns, one at a time by the panel routine above that.  Either way the
-elimination reduces its input mod p while it makes its one int64 copy, so
-an integer stack, of int64 or of Python ints past 2**63, goes to every
-prime as it is.  Over Q a stack is ranked mod `_prime(0)` first, and a
-matrix whose rank there is min(rows, cols) is done; only the matrices that
-fall short are ranked mod the rest of the primes their Hadamard bound asks
-for.  Pivot selection is always leftmost nonzero column, lowest row index,
-which makes the pivot column list deterministic across platforms.
+the symmetric residue of the Chinese remainder of its residues.  Pivot
+selection is always leftmost nonzero column, lowest row index, which makes
+the pivot column list deterministic across platforms.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
-from .fields import Field, Scalar
-from .matrices import DenseMatrix
+from .fields import Field, Scalar, is_prime
+from .matrices import DenseMatrix, int_array
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
@@ -110,28 +110,25 @@ def _eliminate_mod_p(rows, p):
 
 def _residues(a, p):
     """a mod p as a new int64 array in [0, p): the one copy an elimination makes
-    of its input, an int64 array, an object array of Python ints of any size,
-    or nested lists of ints that fit int64 (OverflowError past that)."""
-    if isinstance(a, np.ndarray):
-        return np.remainder(a, p, out=np.empty(a.shape, np.int64), casting="unsafe")
-    R = np.array(a, dtype=np.int64)
-    R %= p
-    return R
+    of its integer array, int64 or Python ints of any size in an object array."""
+    return np.remainder(a, p, out=np.empty(np.shape(a), np.int64), casting="unsafe")
 
 
 def _prime(i):
-    """The i-th prime below 2**31 from 2**31 - 1 down, found by trial division once."""
+    """The i-th prime below 2**31 from 2**31 - 1 down, found once."""
     while len(_PRIMES) <= i:
-        _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2)
-                            if all(q % d for d in range(3, isqrt(q) + 1, 2))))
+        _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2) if is_prime(q)))
     return _PRIMES[i]
 
 
-def _hadamard_primes(size, width, m, factor=1):
+def _hadamard_primes(a, m, factor=1):
     """The fewest primes from _prime(0) down, at least one, whose product
-    exceeds factor * (size * sqrt(width))**m: factor times Hadamard's bound on
-    every minor of at most m rows when the entries are at most `size` in
-    absolute value and at most `width` of them per row are nonzero."""
+    exceeds factor * (E * sqrt(c))**m: factor times Hadamard's bound on every
+    minor of at most m rows of the integer matrix `a`, or of every matrix of
+    the stack `a`, whose entries are at most E in absolute value with at most
+    c of them nonzero per row."""
+    size = max(int(a.max()), -int(a.min()))
+    width = int(np.count_nonzero(a, axis=-1).max())
     bound_sq = factor**2 * (size**2 * width) ** m  # exact, as is the test below
     primes = [_prime(0)]
     while prod(primes) ** 2 <= bound_sq:
@@ -166,11 +163,8 @@ def stack_ranks(stack, p) -> np.ndarray:
         short = np.flatnonzero(ranks < full)
         if short.size:
             rest = stack[short]
-            size = max(int(rest.max()), -int(rest.min()))
-            width = int(np.count_nonzero(rest, axis=-1).max())
-            primes = _hadamard_primes(size, width, full)
-            ranks[short] = np.max([ranks[short]] + [stack_ranks(rest, q) for q in primes[1:]],
-                                  axis=0)
+            runs = [stack_ranks(rest, q) for q in _hadamard_primes(rest, full)[1:]]
+            ranks[short] = np.max([ranks[short]] + runs, axis=0)
         return ranks
     n_mat, nr, nc = np.shape(stack)
     if nc > 2 * _PANEL:
@@ -240,8 +234,8 @@ def _update_trailing(R, pr0, pr, cols, c1, p):
 
 
 def _cleared(raw):
-    """Integer rows of rational rows, each scaled by the lcm of its denominators,
-    and the product of those multipliers."""
+    """The `int_array` of rational rows, each scaled by the lcm of its
+    denominators, and the product of those multipliers."""
     int_rows = []
     scale = 1
     for row in raw:
@@ -249,12 +243,12 @@ def _cleared(raw):
         mult = lcm(*(d for _, d in ratios))
         int_rows.append([a * (mult // d) for a, d in ratios])
         scale *= mult
-    return int_rows, scale
+    return int_array(int_rows), scale
 
 
-def _eliminate_q(int_rows, det=False):
-    """Rank, pivot columns and, with `det`, the determinant over Q of nonempty
-    integer rows, from their eliminations mod _prime(0), _prime(1), ...
+def _eliminate_q(a, det=False):
+    """Rank, pivot columns and, with `det`, the determinant over Q of a nonempty
+    integer matrix, from its eliminations mod _prime(0), _prime(1), ...
 
     A rank ends at the first prime when it is full with pivots 0..r-1.  Else
     the primes are `_hadamard_primes` (with factor 2 for a determinant); each
@@ -262,20 +256,13 @@ def _eliminate_q(int_rows, det=False):
     columns are where that max grows.  The determinant is the symmetric
     residue of the Chinese remainder of its residues.
     """
-    nr, nc = len(int_rows), len(int_rows[0])
-
-    def mod(q):
-        return _eliminate_mod_p([[v % q for v in row] for row in int_rows], q)
-
-    first = mod(_prime(0))
-    if not det and first[0] == min(nr, nc) and first[1] == tuple(range(first[0])):
+    first = _eliminate_mod_p(a, _prime(0))
+    if not det and first[0] == min(a.shape) and first[1] == tuple(range(first[0])):
         return first
-    size = max(abs(v) for row in int_rows for v in row)
-    width = max(sum(map(bool, row)) for row in int_rows)
-    primes = _hadamard_primes(size, width, min(nr, nc), 2 if det else 1)
-    runs = [first] + [mod(q) for q in primes[1:]]
+    primes = _hadamard_primes(a, min(a.shape), 2 if det else 1)
+    runs = [first] + [_eliminate_mod_p(a, q) for q in primes[1:]]
     pivots = []
-    for c in range(nc):
+    for c in range(a.shape[1]):
         if max(bisect_right(run[1], c) for run in runs) > len(pivots):
             pivots.append(c)
     modulus = prod(primes)
@@ -303,6 +290,6 @@ def determinant(m: DenseMatrix) -> Scalar:
         return Scalar(m.field, 1)
     if m.field.is_prime_field:
         return Scalar(m.field, _eliminate_mod_p(m.raw_rows(), m.field.char)[2])
-    int_rows, scale = _cleared(m.raw_rows())  # det over Q = integer det / scale
-    return Scalar(m.field, Fraction(_eliminate_q(int_rows, det=True)[2], scale))
+    a, scale = _cleared(m.raw_rows())  # det over Q = integer det / scale
+    return Scalar(m.field, Fraction(_eliminate_q(a, det=True)[2], scale))
 

@@ -28,7 +28,7 @@ class Report:
     def passed(self) -> bool:
         return self.summary.get("violations", 0) == 0
 
-    def to_json(self, full_records: bool = False, indent: int = 2) -> str:
+    def to_json(self, full_records: bool = False) -> str:
         doc = {
             "experiment_id": self.experiment_id,
             "parameters": self.parameters,
@@ -38,7 +38,7 @@ class Report:
             doc["records"] = self.records
         else:
             doc["records_elided"] = len(self.records)
-        return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         if not self.records:

@@ -28,6 +28,10 @@ MAX_N = 4096
 MAX_ENUM_BITS = 63
 
 
+class VertexCountError(ValueError):
+    """Vertex count n outside 1..MAX_N."""
+
+
 class InvalidPermutationError(ValueError):
     """Order argument is not a permutation of 1..n."""
 
@@ -69,8 +73,7 @@ class Tournament:
     code: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in 1..{MAX_N}, got {self.n}")
+        _check_n(self.n)
         if not 0 <= self.code < (1 << n_pairs(self.n)):
             raise ValueError(f"code {self.code} out of range for n={self.n}")
 
@@ -162,7 +165,7 @@ def random_tournament(n: int, seed: int, index: int) -> Tournament:
 
 def _check_n(n: int):
     if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+        raise VertexCountError(f"n must be in 1..{MAX_N}, got {n}")
 
 
 def paley(q: int) -> Tournament:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import bareiss
 
 from tourmat import experiments as ex
@@ -104,7 +105,7 @@ def test_wide_stacks_are_ranked_one_matrix_at_a_time():
         ranks = rank_mod.stack_ranks(stack, 3).tolist()
         assert spy.call_count == len(stack)
         q_ranks = rank_mod.stack_ranks(stack, 0).tolist()
-        primes = rank_mod._hadamard_primes(2, n - 1, n)
+        primes = rank_mod._hadamard_primes(stack[3:], n)
         assert spy.call_count == 2 * len(stack) + len(primes) - 1
         assert [c.args[1] for c in spy.call_args_list[len(stack):]] == (
             [primes[0]] * len(stack) + primes[1:])
@@ -210,6 +211,16 @@ BIG = 2**63
 
 def test_primes_count_down_from_the_largest_below_2_31():
     assert tuple(rank_mod._prime(i) for i in range(len(FIRST_PRIMES))) == FIRST_PRIMES
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(arrays(np.int64, st.sampled_from(((3, 3), (2, 5), (4, 2, 3)))),
+       st.integers(1, 3), st.sampled_from((1, 2)))
+def test_hadamard_primes_read_int64_and_object_arrays_alike(a, m, factor):
+    """The bound's E and c come from the array, a matrix or a stack, whatever its
+    dtype: the int64 array and its entries as Python ints get the same primes."""
+    assert (rank_mod._hadamard_primes(a, m, factor)
+            == rank_mod._hadamard_primes(a.astype(object), m, factor))
 
 
 def _object_if_big(rows):

@@ -196,6 +196,8 @@ def test_csv_report_format(capsys):
     (["build", "--tournament", "paley:x", "--seq", "1"], "usage error: bad tournament 'paley:x'"),
     (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:abc"],
      "usage error: bad mode 'sample:abc'"),
+    (["build", "--tournament", "transitive:0", "--seq", "1"], "error: VertexCountError: n must"),
+    (["build", "--tournament", "random:0", "--seq", "1"], "error: VertexCountError: n must"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")

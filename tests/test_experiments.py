@@ -338,6 +338,8 @@ def test_degenerate_runs_raise_named_errors():
     with pytest.raises(ex.EmptyRunError):
         ex.verify_transitive(range(5, 3), QQ)
     with pytest.raises(ex.EmptyRunError):
+        ex.verify_transitive(range(3, 6), QQ, sequence_source=[])
+    with pytest.raises(ex.EmptyRunError):
         ex.montecarlo_rank(4, QQ, w, 0, seed=1)
     with pytest.raises(ex.EmptyRunError):
         ex.verify_certifiability(1, [QQ])

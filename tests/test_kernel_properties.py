@@ -257,6 +257,11 @@ def oracle_cases(draw):
 # the leading 2 x 2 block has determinant P * P2, the first and the last of the
 # three primes the bound needs: mod both the pivots are 0 and 2, over Q 0 and 1
 @example([[math.isqrt(P * P2) + 1, 1, 1], [900, math.isqrt(P * P2) + 1, 0]])
+# rows that clear past 2**63 go in as Python ints: full and deficient, square or not
+@example([[Fraction(1, 2**64 + 1), 1]])
+@example([[Fraction(1, 2**64 + 1), 1], [0, 1]])
+@example([[Fraction(1, 2**64 + 1), 1], [1, 2**64 + 1]])
+@example([[2**64, 2**65, 3 * 2**64], [1, 2, 3]])
 def test_q_rank_pivots_and_determinant_match_bareiss(rows):
     int_rows, scale = _cleared(rows)
     exact_rank, exact_pivots, exact_det = bareiss(int_rows)
