@@ -91,12 +91,14 @@ def _parse_tournament_arg(text: str, seed: int):
     return parse_tournament(_read_maybe_file(text))
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(text, out_path: str | None):
+    """Write `text`, a string or an iterable of strings, to out_path or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _echo_config(args, extra: dict):
@@ -114,7 +116,7 @@ def _echo_config(args, extra: dict):
 
 def _emit_report(report: Report, args) -> int:
     if args.format == "csv":
-        _emit(report.to_csv(), args.out)
+        _emit(report.csv_chunks(), args.out)
     else:
         _emit(report.to_json(full_records=args.full_records), args.out)
     if not report.passed:

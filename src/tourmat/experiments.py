@@ -6,6 +6,18 @@ means exactly "zero violation records".  Randomness is keyed per sample by
 worker parallelism only splits contiguous index ranges and merges with
 order-independent reductions.  Checks against conjectured (unproven) values
 are reported as information, never as violations.
+
+The exhaustive min-rank search and the GF(p) floor rank a code range
+through `_code_ranks`, one int8 rank per code in code order.  It borders:
+the 2**(n-1) codes of each aligned run share the block on vertices 2..n,
+so `rank.bordered_ranks` eliminates each block once and ranks all its
+children from one product; only the unaligned ends of a range are ranked
+as `tournament_stack` batches, and worker chunks are cut at run
+boundaries.  `minrank_exhaustive` reduces the rank array to its summary
+with numpy (histogram, min, argmin count and the first argmins) and keeps
+it as a `report.RecordTable`, with no dict per code.  Certifiability,
+Monte Carlo and the per-matrix verifiers rank `tournament_stack` batches
+with `stack_ranks`.
 """
 
 from __future__ import annotations
@@ -26,8 +38,8 @@ import numpy as np
 from . import bounds
 from .fields import Field, Scalar
 from .matrices import LinearMix, WeightSeq, ZeroWeightError, tournament_stack
-from .rank import stack_ranks
-from .report import Report
+from .rank import bordered_ranks, stack_ranks
+from .report import RecordTable, Report
 from .rng import ByteStream
 from .tournaments import (
     Tournament,
@@ -420,15 +432,11 @@ def verify_finite_field_bound(n_max: int, p: int) -> Report:
         weights = cycling_weights(field, n)
         low = bounds.finite_field_bound(n, p)
         need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
-        min_rank = n
-        bad = 0
         lo, hi = code_range(n)
-        for batch in _code_batches(n, weights, lo, hi):
-            ranks = stack_ranks(batch, p)
-            min_rank = min(min_rank, int(ranks.min()))
-            bad += int((ranks < need).sum())
+        ranks = _code_ranks((n, weights, lo, hi))
+        bad = int(np.count_nonzero(ranks < need))
         records.append({
-            "n": n, "tournaments": hi - lo, "min_rank": min_rank,
+            "n": n, "tournaments": hi - lo, "min_rank": int(ranks.min()),
             "bound": str(low), "violations": bad, "pass": bad == 0,
         })
     parameters = {"n_max": n_max, "field": str(field), "weights": "cycling"}
@@ -441,11 +449,13 @@ def verify_finite_field_bound(n_max: int, p: int) -> Report:
 # Exhaustive min-rank search and Monte Carlo sampling (worker-splittable)
 # ---------------------------------------------------------------------------
 
-def _split_range(start: int, end: int, parts: int):
-    """Contiguous nonempty chunks covering [start, end); at most `parts` of them."""
+def _split_range(start: int, end: int, parts: int, align: int = 1):
+    """Contiguous nonempty chunks covering [start, end); at most `parts` of them,
+    cut only at multiples of `align`."""
     total = end - start
     parts = max(1, min(parts, total))
-    cuts = [start + total * i // parts for i in range(parts + 1)]
+    cuts = {(start + total * i // parts) // align * align for i in range(1, parts)}
+    cuts = sorted({start, end} | {c for c in cuts if start < c < end})
     return list(zip(cuts, cuts[1:]))
 
 
@@ -469,6 +479,34 @@ def _ranks_chunk(args):
             for r in stack_ranks(batch, weights.field.char).tolist()]
 
 
+def _code_ranks(args) -> np.ndarray:
+    """The ranks of the tournaments with codes in [lo, hi), for args = (n,
+    weights, lo, hi), as an int8 array in code order.
+
+    Vertex 1's n - 1 pairs are a code's low bits, so each aligned run of
+    2**(n-1) codes, k * 2**(n-1) + border bits, shares the block on vertices
+    2..n (the tournament with code k there) and differs only in vertex 1's
+    row.  `bordered_ranks` ranks the whole runs in batches of blocks, cut
+    from the first tournament of each run, against the 2**(n-1) rows of the
+    first run.  The codes before the first whole run and after the last are
+    ranked as `_code_batches` stacks.
+    """
+    n, weights, lo, hi = args
+    p, run = weights.field.char, 1 << (n - 1)
+    a = min(-(-lo // run) * run, hi)  # the whole runs cover [a, b)
+    b = max(hi // run * run, a)
+    parts = [stack_ranks(batch, p).astype(np.int8) for batch in _code_batches(n, weights, lo, a)]
+    borders = tournament_stack(pair_bits(n, 0, run), weights)[:, 0, 1:]
+    step = max(1, _BATCH_ENTRIES // (run * n))  # blocks per batch
+    for k in range(a // run, b // run, step):
+        bits = np.zeros((min(step, b // run - k), n_pairs(n)), dtype=np.uint8)
+        bits[:, n - 1:] = pair_bits(n - 1, k, k + len(bits))
+        blocks = tournament_stack(bits, weights)[:, 1:, 1:]
+        parts.append(bordered_ranks(blocks, borders, p).astype(np.int8).ravel())
+    parts += [stack_ranks(batch, p).astype(np.int8) for batch in _code_batches(n, weights, b, hi)]
+    return np.concatenate(parts)
+
+
 @contextlib.contextmanager
 def _environment(values: dict):
     """os.environ updated by `values` inside the block, and restored after it."""
@@ -485,17 +523,16 @@ def _environment(values: dict):
 
 
 def _run_chunks(fn, jobs, workers):
+    """[fn(job) for job in jobs], run in this process or by a pool of workers."""
     # the pool starts a process per worker, so never ask for more than can run
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        results = [fn(job) for job in jobs]
-    else:
-        # spawned children load OpenBLAS afresh, with one thread each: at its
-        # default of one thread per CPU, parallel workers oversubscribe the CPUs
-        with _environment(_WORKER_ENV), ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(fn, jobs))
-    return list(itertools.chain.from_iterable(results))
+        return [fn(job) for job in jobs]
+    # spawned children load OpenBLAS afresh, with one thread each: at its
+    # default of one thread per CPU, parallel workers oversubscribe the CPUs
+    with _environment(_WORKER_ENV), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
@@ -512,22 +549,21 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     _require_n(n, 1, "exhaustive min-rank")
     lo, hi = code_range(n, *shard) if shard is not None else code_range(n)
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
-    ranks = _run_chunks(_ranks_chunk,
-                        [(n, weights, a, b) for a, b in _split_range(lo, hi, workers)],
-                        workers)
+    jobs = [(n, weights, a, b) for a, b in _split_range(lo, hi, workers, 1 << (n - 1))]
+    ranks = np.concatenate(_run_chunks(_code_ranks, jobs, workers))
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
-    records = [{"code": code, "rank": r, "pass": r >= need}
-               for code, r in zip(range(lo, hi), ranks)]
-    min_rank = min(ranks)
-    argmin = [code for code, r in zip(range(lo, hi), ranks) if r == min_rank]
-    kept = argmin[:ARGMIN_CODES_KEPT]
+    # bincount copies its input to intp, so it runs over slices of the int8 ranks
+    counts = sum(np.bincount(ranks[i:i + _BATCH_ENTRIES], minlength=n + 1)
+                 for i in range(0, len(ranks), _BATCH_ENTRIES))
+    min_rank = int(ranks.min())
+    kept = (lo + np.flatnonzero(ranks == min_rank)[:ARGMIN_CODES_KEPT]).tolist()
     summary = {
         "min_rank": min_rank,
-        "argmin_count": len(argmin),
+        "argmin_count": int(counts[min_rank]),
         "argmin_codes": kept,
         "argmin_tournaments": [format_tournament(Tournament(n, c)) for c in kept],
-        "rank_histogram": _rank_histogram(ranks),
+        "rank_histogram": {str(r): int(c) for r, c in enumerate(counts) if c},
         "ff_bound": str(low) if low is not None else None,
     }
     if conjecture_c is not None:
@@ -535,7 +571,8 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
         summary["conjecture_c"] = str(c)
         summary["min_rank_ge_cn"] = min_rank >= c * n
     parameters = {"n": n, "field": str(field), "weights": str(weights), "shard": [lo, hi]}
-    return _finish(t0, "minrank-exhaustive", parameters, records, summary)
+    return _finish(t0, "minrank-exhaustive", parameters, RecordTable(lo, ranks, need), summary,
+                   violations=int(counts[:need].sum()))
 
 
 def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
@@ -552,9 +589,9 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
     char2 = field.char == 2
     low = bounds.half_minus_tail_floor(n)
     vacuous = bounds.half_minus_tail_vacuous(n)
-    ranks = _run_chunks(_ranks_chunk,
-                        [(n, weights, a, b, seed) for a, b in _split_range(0, samples, workers)],
-                        workers)
+    ranks = list(itertools.chain.from_iterable(_run_chunks(
+        _ranks_chunk, [(n, weights, a, b, seed) for a, b in _split_range(0, samples, workers)],
+        workers)))
     records = [{"index": i, "rank": r, "bound": low, "pass": True if char2 else r >= low}
                for i, r in enumerate(ranks)]
     parameters = {

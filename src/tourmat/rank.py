@@ -28,6 +28,18 @@ so the max of the ranks mod them is the rank over Q, and the determinant is
 the symmetric residue of the Chinese remainder of its residues.  Pivot
 selection is always leftmost nonzero column, lowest row index, which makes
 the pivot column list deterministic across platforms.
+
+`bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
+B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
+batched Gauss-Jordan elimination per block, `_gauss_jordan`, with the pivot
+rule and row update of `stack_ranks`, gives T with T B in reduced echelon
+form, r = rank B and the pivot columns P; a border then costs two exact
+products (`_dot_mod`) shared by all borders and blocks: rows r.. of T u,
+which are zero exactly when u is in col(B) (else the rank is r + 2), and
+the form u^T x of a solution of B x = u, which adds 1 to r when nonzero.
+Over Q every bordered matrix is ranked mod `_prime(0)` first, and only the
+matrices short of full rank there are built and ranked mod the further
+Hadamard primes, as `stack_ranks` does.
 """
 
 from __future__ import annotations
@@ -158,14 +170,7 @@ def stack_ranks(stack, p) -> np.ndarray:
     entries are not.
     """
     if not p:
-        full = min(stack.shape[1:])
-        ranks = stack_ranks(stack, _prime(0))
-        short = np.flatnonzero(ranks < full)
-        if short.size:
-            rest = stack[short]
-            runs = [stack_ranks(rest, q) for q in _hadamard_primes(rest, full)[1:]]
-            ranks[short] = np.max([ranks[short]] + runs, axis=0)
-        return ranks
+        return _over_q(stack, stack_ranks(stack, _prime(0)))
     n_mat, nr, nc = np.shape(stack)
     if nc > 2 * _PANEL:
         return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
@@ -195,6 +200,116 @@ def stack_ranks(stack, p) -> np.ndarray:
             np.remainder(tail, p, out=tail)
         ranks += found
     return ranks
+
+
+def _over_q(stack, ranks):
+    """The ranks over Q of an integer stack, from `ranks`, its ranks mod
+    `_prime(0)`: each matrix short of min(n_rows, n_cols) there gets the max
+    of its ranks mod `_hadamard_primes` of the short matrices' entries."""
+    full = min(stack.shape[1:])
+    short = np.flatnonzero(ranks < full)
+    if short.size:
+        rest = stack[short]
+        runs = [stack_ranks(rest, q) for q in _hadamard_primes(rest, full)[1:]]
+        ranks[short] = np.max([ranks[short]] + runs, axis=0)
+    return ranks
+
+
+def _gauss_jordan(blocks, p):
+    """(T, r, P) for the (K, m, m) integer stack `blocks` mod p: T (K, m, m)
+    with T[k] @ blocks[k] in reduced row echelon form mod p, pivots 1; r (K,)
+    the ranks; P (K, m) the pivot columns, padded past r[k] with m.
+
+    [B | I] is eliminated column by column with `stack_ranks`' pivot rule and
+    its row update without inverses, applied above the pivot row as well as
+    below it; each pivot row is scaled by its pivot's inverse at the end.
+    """
+    n_mat, m, _ = np.shape(blocks)
+    A = np.zeros((m, 2 * m, n_mat), dtype=np.int64)  # laid out as in stack_ranks
+    A[:, :m] = _residues(np.moveaxis(blocks, 0, -1), p)
+    A[:, m:] = np.eye(m, dtype=np.int64)[:, :, None]
+    ranks = np.zeros(n_mat, dtype=np.int64)
+    pivots = np.full((m, n_mat), m)
+    mats, row_ids = np.arange(n_mat), np.arange(m)[:, None]
+    for c in range(m):
+        cand = (A[:, c] != 0) & (row_ids >= ranks)
+        found = cand.any(axis=0)
+        if not found.any():
+            continue
+        pr = np.minimum(ranks, m - 1)
+        r0 = np.where(found, cand.argmax(axis=0), pr)
+        A[pr, :, mats], A[r0, :, mats] = A[r0, :, mats], A[pr, :, mats]
+        prow = A[pr, :, mats].T
+        other = found & (row_ids != pr)
+        factor = np.where(other, A[:, c], 0)[:, None]
+        A *= np.where(other, prow[c], 1)[:, None]
+        A -= factor * prow  # products below 2**62
+        A %= p
+        pivots[pr[found], mats[found]] = c
+        ranks += found
+    piv = np.where(row_ids < ranks, np.take_along_axis(A, pivots[:, None], axis=1)[:, 0], 1)
+    inv, base, e = np.ones_like(piv), piv, p - 2  # piv**(p - 2) = 1 / piv mod p
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base, e = base * base % p, e >> 1
+    T = np.moveaxis(A[:, m:] * inv[:, None] % p, -1, 0)
+    return T, ranks, pivots.T
+
+
+def bordered_ranks(blocks, borders, p) -> np.ndarray:
+    """Ranks of the matrices [[0, u^T], [u, B]] for every symmetric block B of
+    the (K, m, m) integer stack `blocks` and every border u of the (L, m)
+    integer array `borders`, as a (K, L) int64 array: mod p, or with p = 0
+    over Q.  Integers are taken as `stack_ranks` takes them.
+
+    This is the bordering method.  With T, r and P from `_gauss_jordan(B)`
+    and v = T u, u lies in col(B) exactly when v is zero past row r, and
+    then u = B x for the x with x[P_i] = v_i and zeros elsewhere.  For
+    symmetric B the rank is r + 2 when u is outside col(B), and otherwise
+    r + [u^T x != 0], where u^T x = sum_{i<r} u[P_i] v_i is the same for
+    every such x.  One exact product of the borders with every block's T
+    gives all K * L vectors v, and one of the products u_j u_j' with every
+    block's quadratic form all K * L values u^T x.  Over Q each matrix is
+    ranked mod `_prime(0)` this way first, and only those short of full rank
+    there are built and raised to their ranks over Q by `_over_q`.
+    """
+    n_mat, m, _ = np.shape(blocks)
+    n_bord = len(borders)
+    if not p:
+        ranks = bordered_ranks(blocks, borders, _prime(0))
+        short = np.flatnonzero(ranks < m + 1)
+        if short.size:
+            k, b = np.divmod(short, n_bord)
+            kids = np.zeros((short.size, m + 1, m + 1), dtype=np.result_type(blocks, borders))
+            kids[:, 1:, 1:] = blocks[k]
+            kids[:, 0, 1:] = kids[:, 1:, 0] = borders[b]
+            ranks.flat[short] = _over_q(kids, ranks.flat[short])
+        return ranks
+    T, r, P = _gauss_jordan(blocks, p)
+    U = _residues(borders, p)
+    # rows r.. of every T u: column k * m + i of U @ left is (T[k] u)[i]
+    left = np.where(np.arange(m)[:, None] >= r[:, None, None], T, 0)
+    past = _product_mod(U, left.transpose(2, 0, 1).reshape(m, n_mat * m), p)
+    past = past.reshape(n_bord, n_mat, m).any(axis=2)
+    # u^T x = u^T Q u, where Q[P_i] = T[i] for i < r: the products u_j u_j'
+    # against the entries of every Q
+    Q = np.zeros((n_mat, m + 1, m), dtype=np.int64)
+    Q[np.arange(n_mat)[:, None], P] = T  # the rows past r land in row m
+    UU = (U[:, :, None] * U[:, None, :] % p).reshape(n_bord, m * m)
+    form = _product_mod(UU, Q[:, :m].reshape(n_mat, m * m).T, p)
+    return r[:, None] + np.where(past, 2, form != 0).T
+
+
+def _product_mod(a, b, p):
+    """a @ b mod p as int64, for int64 residue matrices a and b with an inner
+    dimension below 2**15: the sum of exact `_dot_mod` products over
+    _PANEL-term slices, each below 2**53, so the sum stays below 2**63."""
+    a = a.astype(np.float64)
+    out = _dot_mod(a[:, :_PANEL], b[:_PANEL], p).astype(np.int64)
+    for i in range(_PANEL, a.shape[1], _PANEL):
+        out += _dot_mod(a[:, i:i + _PANEL], b[i:i + _PANEL], p).astype(np.int64)
+    return out % p
 
 
 def _dot_mod(a, b, p):

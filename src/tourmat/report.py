@@ -6,21 +6,57 @@ reproducible from its parameters and seed; wall time is kept on the object
 for display but never serialized.  Records are elided from JSON above a
 size threshold unless explicitly forced; CSV always carries the full
 per-record table.
+
+Records are a list of dicts, or for an exhaustive min-rank sweep a
+`RecordTable`: a read-only sequence of the same dicts kept as columns (the
+code range and an int8 rank array), which builds a dict only when one is
+read, so an elided report never builds them.  One CSV writer serves both:
+`csv_chunks` yields the table column by column, `CSV_CHUNK_ROWS` rows at a
+time, and `to_csv` joins the chunks.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 RECORD_ELIDE_THRESHOLD = 4096
+CSV_CHUNK_ROWS = 2**16
+_NUMBERS = tuple(map(str, range(128)))  # the text of every int8 rank
+
+
+class RecordTable(Sequence):
+    """The records {"code", "rank", "pass"} of the codes lo, lo + 1, ... with
+    the given ranks, where pass means rank >= need."""
+
+    def __init__(self, lo: int, ranks, need: int):
+        self.lo, self.ranks, self.need = lo, ranks.view(), need
+        self.ranks.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        r = int(self.ranks[i])
+        return {"code": self.lo + i, "rank": r, "pass": r >= self.need}
+
+    def cells(self, a: int, b: int) -> list:
+        """The CSV cells of rows a..b-1, one iterator per column."""
+        ranks = self.ranks[a:b].tolist()
+        passes = ("false",) * self.need + ("true",) * (len(_NUMBERS) - self.need)
+        return [map(str, range(self.lo + a, self.lo + a + len(ranks))),
+                map(_NUMBERS.__getitem__, ranks), map(passes.__getitem__, ranks)]
 
 
 @dataclass
 class Report:
     experiment_id: str
     parameters: dict
-    records: list = field(default_factory=list)
+    records: Sequence = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
@@ -35,19 +71,29 @@ class Report:
             "summary": self.summary,
         }
         if full_records or len(self.records) <= RECORD_ELIDE_THRESHOLD:
-            doc["records"] = self.records
+            doc["records"] = list(self.records)
         else:
             doc["records_elided"] = len(self.records)
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def to_csv(self) -> str:
+    def csv_chunks(self):
+        """The CSV text in pieces: the header line, then the rows in chunks of
+        CSV_CHUNK_ROWS, each built column by column."""
         if not self.records:
-            return "# no records\n"
-        header = list(self.records[0].keys())
-        lines = [",".join(header)]
-        for rec in self.records:
-            lines.append(",".join(_cell(rec.get(k)) for k in header))
-        return "\n".join(lines) + "\n"
+            yield "# no records\n"
+            return
+        header = list(self.records[0])
+        yield ",".join(header) + "\n"
+        for a in range(0, len(self.records), CSV_CHUNK_ROWS):
+            b = a + CSV_CHUNK_ROWS
+            if isinstance(self.records, RecordTable):
+                columns = self.records.cells(a, b)
+            else:
+                columns = [[_cell(rec.get(k)) for rec in self.records[a:b]] for k in header]
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 def _cell(v) -> str:

@@ -48,6 +48,14 @@ class TooLargeError(ValueError):
     """Exhaustive enumeration requested beyond the 63-bit code space."""
 
 
+class ShardRangeError(ValueError):
+    """Code range [start, end) not inside the code space of n vertices."""
+
+
+class CodeRangeError(ValueError):
+    """Tournament code outside 0..2**(n(n-1)/2) - 1."""
+
+
 class TournamentParseError(ValueError):
     """Tournament text does not match "n=<n>:<bits>"."""
 
@@ -75,7 +83,7 @@ class Tournament:
     def __post_init__(self):
         _check_n(self.n)
         if not 0 <= self.code < (1 << n_pairs(self.n)):
-            raise ValueError(f"code {self.code} out of range for n={self.n}")
+            raise CodeRangeError(f"code {self.code} out of range for n={self.n}")
 
     def _check_vertex(self, v: int):
         if not 1 <= v <= self.n:
@@ -195,7 +203,7 @@ def code_range(n: int, start: int | None = None, end: int | None = None) -> tupl
     if end is None:
         end = total
     if not 0 <= start <= end <= total:
-        raise ValueError(f"bad shard [{start}, {end}) for {total} codes")
+        raise ShardRangeError(f"bad shard [{start}, {end}) for {total} codes")
     return start, end
 
 

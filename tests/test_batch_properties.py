@@ -8,7 +8,9 @@ n = 11, and with one weight sequence per row.  Stacks wider than two panels
 are ranked one matrix at a time.  Over Q a `mock` count pins how many primes the stacks are ranked
 mod: `_prime(0)` for every matrix, the rest only for those short of full
 rank there, and stacks that mix both kinds are checked against `rank()` and
-the Bareiss oracle.
+the Bareiss oracle.  `bordered_ranks` is checked against `stack_ranks` of
+the bordered matrices it ranks, on symmetric blocks of any rank, and the
+bordered sweep `_code_ranks` against `stack_ranks` of the same codes.
 """
 
 import importlib
@@ -369,11 +371,22 @@ def _fewest_primes(stack):
     return count
 
 
+def _bordered_children(blocks, borders):
+    """The matrices [[0, u^T], [u, B]] of `bordered_ranks(blocks, borders, p)`,
+    in the order of its flattened result."""
+    n_mat, m, _ = blocks.shape
+    kids = np.zeros((n_mat, len(borders), m + 1, m + 1), dtype=np.result_type(blocks, borders))
+    kids[:, :, 1:, 1:] = blocks[:, None]
+    kids[:, :, 0, 1:] = kids[:, :, 1:, 0] = borders
+    return kids.reshape(-1, m + 1, m + 1)
+
+
 def _primes_per_sweep_call(run):
-    """The primes each `stack_ranks` call of the sweeps ranked mod, with the
-    stack it ranked and the stack it ranked mod each prime."""
+    """The primes each `stack_ranks` or `bordered_ranks` call of the sweeps
+    ranked mod, with the stack it ranked (a bordered call's children) and the
+    stack it ranked mod each prime."""
     calls = []
-    ranks = rank_mod.stack_ranks
+    ranks, bordered = rank_mod.stack_ranks, rank_mod.bordered_ranks
 
     def ranked(stack, p):
         calls.append((stack, [], []))
@@ -384,8 +397,19 @@ def _primes_per_sweep_call(run):
         calls[-1][2].append(stack)
         return ranks(stack, p)
 
+    def bordered_ranked(blocks, borders, p):
+        calls.append((_bordered_children(blocks, borders), [], []))
+        return bordered(blocks, borders, p)
+
+    def bordered_mod(blocks, borders, p):  # the call mod the first prime it makes of itself
+        calls[-1][1].append(p)
+        calls[-1][2].append(calls[-1][0])
+        return bordered(blocks, borders, p)
+
     with mock.patch.object(ex, "stack_ranks", side_effect=ranked), \
-            mock.patch.object(rank_mod, "stack_ranks", side_effect=ranked_mod):
+            mock.patch.object(rank_mod, "stack_ranks", side_effect=ranked_mod), \
+            mock.patch.object(ex, "bordered_ranks", side_effect=bordered_ranked), \
+            mock.patch.object(rank_mod, "bordered_ranks", side_effect=bordered_mod):
         run()
     return calls
 
@@ -430,3 +454,97 @@ def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run, settles, goes_
         mixed |= settled_here and len(primes) >= 2
     assert (settled, went_on) == (settles, goes_on)
     assert mixed == (settles and goes_on)
+
+
+@st.composite
+def bordered_cases(draw):
+    """(blocks, borders, p): 1..4 symmetric m x m blocks (m in 0..7), each
+    X D X^T for an m x k factor X and a diagonal D, so of rank at most k; and
+    1..6 borders, some of them B y for the first block B, where the form
+    u^T x decides the rank.  Mod a prime, entries are small or within 4 of p;
+    over Q (p = 0) they are signed, and the whole case may be scaled past
+    2**63 or by a multiple of the first primes."""
+    p = draw(st.sampled_from((2, 3, 2**31 - 1, 0)))
+    m = draw(st.integers(0, 7))
+    entry = (st.integers(-3, 3) if not p
+             else st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1)).map(lambda v: v % p))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=object).reshape(rows, cols)
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = matrix(m, draw(st.integers(0, m)))
+        blocks.append(x @ np.diag(matrix(1, x.shape[1])[0]) @ x.T if x.size else
+                      np.zeros((m, m), dtype=object))
+    borders = [blocks[0] @ matrix(m, 1)[:, 0] if draw(st.booleans()) else matrix(1, m)[0]
+               for _ in range(draw(st.integers(1, 6)))]
+    blocks, borders = np.array(blocks, dtype=object), np.array(borders, dtype=object)
+    if p:
+        return blocks % p, borders % p, p
+    factor = draw(st.one_of(st.just(1), SIGNED_LARGE))
+    blocks, borders = blocks * factor, borders * factor
+    big = any(abs(v) >= BIG for v in [*blocks.ravel(), *borders.ravel()])
+    return (blocks, borders, 0) if big else (blocks.astype(np.int64), borders.astype(np.int64), 0)
+
+
+@SETTINGS
+@given(bordered_cases())
+def test_bordered_ranks_match_stack_ranks_of_the_bordered_matrices(case):
+    blocks, borders, p = case
+    ranks = rank_mod.bordered_ranks(blocks, borders, p)
+    assert ranks.shape == (len(blocks), len(borders))
+    expected = rank_mod.stack_ranks(_bordered_children(blocks, borders), p)
+    assert ranks.ravel().tolist() == expected.tolist()
+
+
+def _sweep_weights(field, n):
+    p = field.char
+    if p:
+        return st.lists(st.integers(1, p - 1), min_size=n, max_size=n)
+    signed = st.sampled_from((1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)))
+    return st.lists(signed, min_size=n, max_size=n)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((GF(2), GF(3), GF(2**31 - 1), QQ)), st.integers(1, 6), st.data())
+def test_bordered_sweeps_match_stack_ranks(field, n, data):
+    """`_code_ranks` over GF(2), GF(3), GF(2**31 - 1) and Q (signed weights)
+    for n = 1..6, on shards of whole runs of 2**(n-1) codes, shards that
+    start or end inside a run, and single codes: the ranks of
+    `tournament_stack` batches, as int8, with only the codes outside whole
+    runs ranked as stacks."""
+    weights = WeightSeq.of(field, data.draw(_sweep_weights(field, n)))
+    total, run = 1 << n_pairs(n), 1 << (n - 1)
+    kind = data.draw(st.sampled_from(("aligned", "unaligned", "single")))
+    if kind == "aligned":
+        k = data.draw(st.integers(0, total // run - 1))
+        lo, hi = k * run, data.draw(st.integers(k + 1, min(total // run, k + 8))) * run
+    else:
+        lo = data.draw(st.integers(0, total - 1))
+        hi = lo + 1 if kind == "single" else data.draw(st.integers(lo + 1, min(total, lo + 8 * run)))
+    with mock.patch.object(ex, "stack_ranks", wraps=rank_mod.stack_ranks) as stacked:
+        ranks = ex._code_ranks((n, weights, lo, hi))
+    expected = rank_mod.stack_ranks(tournament_stack(pair_bits(n, lo, hi), weights), field.char)
+    assert ranks.dtype == np.int8 and ranks.tolist() == expected.tolist()
+    outside = (-lo) % run + hi % run if hi // run > -(-lo // run) else hi - lo
+    assert sum(len(c.args[0]) for c in stacked.call_args_list) == min(outside, hi - lo)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "GF(3)", "--seq", "1,2,1,2,1,2", "--shard", "1000:20011", "--format", "csv"],
+    ["--field", "Q", "--seq", "1,1,-1,-1,2,2", "--format", "csv"],
+], ids=["gf3-shard-off-blocks", "q-signed"])
+def test_minrank_bytes_do_not_depend_on_workers(argv, tmp_path):
+    """One worker and two spawned workers, whose chunks are cut at run
+    boundaries, write the same report bytes."""
+    from tourmat.cli import main
+
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"report-{workers}"
+        assert main(["minrank", "--n", "6", "--seed", "0", "--workers", workers,
+                     "--out", str(out)] + argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1000

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tourmat
 from tourmat.cli import main
 
 
@@ -177,6 +183,10 @@ def test_csv_report_format(capsys):
     (["verify", "--theorem", "f-ensemble", "--n", "1", "--alpha", "1", "--beta", "1"],
      "BadRangeError"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:5"], "EmptyRunError"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:9"],
+     "error: ShardRangeError: bad shard [5, 9) for 8 codes"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "6:2"],
+     "error: ShardRangeError: bad shard [6, 2) for 8 codes"),
     (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:0"],
      "EmptyRunError"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--workers", "-5"], "--workers"),
@@ -226,3 +236,30 @@ def test_rank_field_override_spellings(tmp_path, capsys, flags, field, rank):
     assert code == 0
     assert json.loads(stdout) == {"rank": rank, "pivot_columns": list(range(rank)),
                                   "field": field}
+
+
+N7_ARGV = ["minrank", "--n", "7", "--field", "GF(3)", "--seq", "1,2,1,2,1,2,1", "--seed", "0"]
+# SHA-256 of the n = 7 CSV written by the per-code stack sweep before bordering
+N7_CSV_SHA256 = "25239ef0335a47a7dd3c3281b537f4cffc64a40352073b2f6701244a25d3c9f0"
+# runs the command in argv[1:] and prints the peak resident KiB of its process
+_PEAK_RSS = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def test_full_n7_sweep_in_bounded_memory(tmp_path):
+    """All 2**21 tournaments on 7 vertices over GF(3), weights 1,2,1,2,1,2,1:
+    min rank 4 on 36,864 codes, the histogram of a full sweep, the CSV bytes
+    of the stack sweep, and a CSV run that peaks below 150 MiB."""
+    src = str(Path(tourmat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    cli = [sys.executable, "-m", "tourmat.cli", *N7_ARGV]
+    csv = tmp_path / "n7.csv"
+    peak = subprocess.run([sys.executable, "-c", _PEAK_RSS, *cli, "--format", "csv",
+                           "--out", str(csv)], env=env, check=True, capture_output=True, text=True)
+    assert int(peak.stdout.split()[-1]) < 150 * 1024  # KiB
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == N7_CSV_SHA256
+    summary = json.loads(subprocess.run(cli, env=env, check=True, capture_output=True,
+                                        text=True).stdout)["summary"]
+    assert summary["min_rank"] == 4 and summary["argmin_count"] == 36_864
+    assert summary["rank_histogram"] == {"4": 36_864, "6": 1_086_464, "7": 973_824}

@@ -5,9 +5,11 @@ import json
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from tourmat import experiments as ex
+from tourmat import report as report_mod
 from tourmat.fields import GF, QQ, FieldMismatchError
 from tourmat.matrices import (
     LinearMix,
@@ -18,7 +20,7 @@ from tourmat.matrices import (
     transitive_matrix,
 )
 from tourmat.rank import determinant, rank
-from tourmat.report import Report
+from tourmat.report import RecordTable, Report
 from tourmat.tournaments import Tournament, enumerate_all, random_tournament
 
 # the package re-exports the function `rank`, which shadows the module attribute
@@ -313,6 +315,59 @@ def test_report_csv():
     assert not rep.passed
 
 
+def test_record_table_reads_as_a_list_of_dicts():
+    """Indexing (negative too), slices, iteration and len of the column table
+    give the dicts a list of records would hold, and its ranks are read-only."""
+    ranks = np.array([3, 1, 2, 2, 0], dtype=np.int8)
+    table = RecordTable(40, ranks, 2)
+    dicts = [{"code": 40 + i, "rank": int(r), "pass": int(r) >= 2} for i, r in enumerate(ranks)]
+    assert len(table) == 5 and list(table) == dicts
+    assert [table[i] for i in range(-5, 5)] == dicts * 2
+    assert table[1:4] == dicts[1:4] and table[::-2] == dicts[::-2]
+    assert type(table[0]["rank"]) is int and table[-1] == {"code": 44, "rank": 0, "pass": False}
+    with pytest.raises(IndexError):
+        table[5]
+    with pytest.raises(ValueError):
+        table.ranks[0] = 7
+    ranks[0] = 7  # the caller's array stays writable; the table reads it
+    assert table[0]["rank"] == 7
+
+
+def test_record_table_csv_and_json_match_dict_records(monkeypatch):
+    """The same bytes from the table as from its dicts, in chunks of three rows
+    (so the last is short) and of one chunk; an elided report never builds a
+    record."""
+    table = RecordTable(1000, np.array([5, 4, 6, 4, 5, 6, 6, 3], dtype=np.int8), 5)
+    as_table = Report("minrank-exhaustive", {}, table, {"violations": 3})
+    as_dicts = Report("minrank-exhaustive", {}, list(table), {"violations": 3})
+    one_chunk = as_table.to_csv()
+    assert one_chunk == as_dicts.to_csv() and one_chunk.startswith("code,rank,pass\n1000,5,true\n")
+    monkeypatch.setattr(report_mod, "CSV_CHUNK_ROWS", 3)
+    assert len(list(as_table.csv_chunks())) == 1 + 3
+    assert as_table.to_csv() == one_chunk == as_dicts.to_csv()
+    assert as_table.to_json(full_records=True) == as_dicts.to_json(full_records=True)
+    monkeypatch.setattr(report_mod, "RECORD_ELIDE_THRESHOLD", 7)
+    with mock.patch.object(RecordTable, "__getitem__", side_effect=AssertionError), \
+            mock.patch.object(RecordTable, "__iter__", side_effect=AssertionError):
+        assert json.loads(as_table.to_json())["records_elided"] == 8
+
+
+def test_minrank_holds_its_records_as_columns():
+    """An exhaustive sweep keeps one int8 rank per code and reduces it to the
+    summary: min, argmin count, the first 16 argmins and the histogram."""
+    field = GF(3)
+    w = ex.cycling_weights(field, 5)
+    rep = ex.minrank_exhaustive(5, field, w, shard=(3, 1000))
+    assert isinstance(rep.records, RecordTable) and rep.records.ranks.dtype == np.int8
+    ranks = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(5, 3, 1000)]
+    low = min(ranks)
+    argmin = [3 + i for i, r in enumerate(ranks) if r == low]
+    assert rep.summary["min_rank"] == low and rep.summary["argmin_count"] == len(argmin)
+    assert rep.summary["argmin_codes"] == argmin[:ex.ARGMIN_CODES_KEPT]
+    assert rep.summary["rank_histogram"] == {str(r): ranks.count(r) for r in set(ranks)}
+    assert [rec["rank"] for rec in rep.records] == ranks
+
+
 def test_wall_time_not_serialized():
     rep = ex.verify_reversal(3, QQ, WeightSeq.of(QQ, [1, 2, 3]))
     assert rep.wall_time_s > 0
@@ -400,7 +455,7 @@ def test_pool_workers_start_with_one_blas_thread(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
     names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
-    assert ex._run_chunks(_report_blas_threads, [names, names], 2) == ["1", "1"] * 2
+    assert ex._run_chunks(_report_blas_threads, [names, names], 2) == [["1", "1"]] * 2
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "OMP_NUM_THREADS" not in os.environ
 
 

@@ -134,6 +134,17 @@ CLI_CASES = {
                                "--seq", "123456789012345678901,-3,7/5,2,1", "--seed", "0"],
     "verify-certify-Q-word-prime": ["verify", "--theorem", "certify", "--field", "Q",
                                     "--z", "2147483647", "--n-max", "5"],
+    # bordered n = 6 sweeps: a CSV shard that starts and ends inside a run of
+    # 2**5 codes sharing one block, and two elided Q reports whose children
+    # short of full rank mod 2**31 - 1 (768 and 96 codes of rank 5) go on to
+    # the Hadamard primes
+    "minrank-GF3-shard-off-blocks": ["minrank", "--field", "GF(3)", "--n", "6",
+                                     "--seq", "1,2,1,2,1,2", "--shard", "1000:20011",
+                                     "--format", "csv", "--seed", "0"],
+    "minrank-Q-n6-rank5-768": ["minrank", "--field", "Q", "--n", "6", "--seq", "1,2,2,1,1,1",
+                               "--seed", "0"],
+    "minrank-Q-n6-signed-rank5-96": ["minrank", "--field", "Q", "--n", "6",
+                                     "--seq", "1,1,-1,-1,2,2", "--seed", "0"],
 }
 
 PINNED = {
@@ -142,9 +153,12 @@ PINNED = {
     "builders-Q": "ad16bd6afea9d8218632bde99affb849ea8a766439b2da846e0c05f9bcb3f0dc",
     "bytestream": "97df01570eae3efa18c62587ff9d4993aa02b029aee545febae9d0dcaacdb85e",
     "minrank-GF2-shard": "d68b192154747df607c6fff3ca5cf5b4c330768c9688240c9352e155034513cc",
+    "minrank-GF3-shard-off-blocks": "d80d82b319bf481a58a9aea0da5015c35c9e0917da140036bcbfcacd39c79411",
     "minrank-GF3-n1": "80f9217142fe413b0f7ee216def88053200a1ae6d72e8563fe342c8141477b5d",
     "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
     "minrank-Q-past-63-bits": "b97d1f502791df04c1a730773f31c63eb56af21fe68d81fb963ec3f746588453",
+    "minrank-Q-n6-rank5-768": "6f8c1ada93a7190b7be3ecbd19b30ed535bfae02a9ef568f1bca3e37f890fc37",
+    "minrank-Q-n6-signed-rank5-96": "1a40139dc148a10726fed9a3df416b7655e1f511e54bd3eb2110e054d578db73",
     "minrank-Q-word-size": "9811b30dc5a5776dc3ddf7b1e8823c7e40ce95ae6d10b6d353ce7513aad1e982",
     "minrank-csv": "4b0e36afa2674a367e682f83144cb9ba003f4c463b7a82c577f947f2b2ebca03",
     "minrank-word-prime": "aee44a471e9914a8a2d4193f0ac9dfb973993dde6658e4d3ce20f8e28c0f650b",

@@ -8,12 +8,15 @@ from tourmat.fields import NotPrimeError
 from tourmat.rng import ByteStream
 from tourmat.tournaments import (
     BadCongruenceError,
+    CodeRangeError,
     InvalidPermutationError,
     SelfLoopError,
+    ShardRangeError,
     Tournament,
     TooLargeError,
     TournamentParseError,
     bit_rows,
+    code_range,
     enumerate_all,
     format_tournament,
     n_pairs,
@@ -173,8 +176,13 @@ def test_parse_format():
 
 
 def test_code_bounds_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(CodeRangeError, match="code 8 out of range for n=3"):
         Tournament(3, 8)
+    with pytest.raises(CodeRangeError):
+        Tournament(3, -1)
+    for start, end in ((5, 9), (6, 2), (-1, 3)):
+        with pytest.raises(ShardRangeError, match=f"bad shard \\[{start}, {end}\\) for 8 codes"):
+            code_range(3, start, end)
     with pytest.raises(ValueError):
         Tournament(0, 0)
 
