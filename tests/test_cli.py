@@ -183,10 +183,6 @@ def test_csv_report_format(capsys):
     (["verify", "--theorem", "f-ensemble", "--n", "1", "--alpha", "1", "--beta", "1"],
      "BadRangeError"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:5"], "EmptyRunError"),
-    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:9"],
-     "error: ShardRangeError: bad shard [5, 9) for 8 codes"),
-    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "6:2"],
-     "error: ShardRangeError: bad shard [6, 2) for 8 codes"),
     (["perm-scan", "--tournament", "paley:3", "--seq", "1,2,3", "--mode", "sample:0"],
      "EmptyRunError"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--workers", "-5"], "--workers"),
@@ -208,6 +204,10 @@ def test_csv_report_format(capsys):
      "usage error: bad mode 'sample:abc'"),
     (["build", "--tournament", "transitive:0", "--seq", "1"], "error: VertexCountError: n must"),
     (["build", "--tournament", "random:0", "--seq", "1"], "error: VertexCountError: n must"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "5:9"],
+     "error: ShardRangeError: bad shard [5, 9) for 8 codes"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "6:2"],
+     "error: ShardRangeError: bad shard [6, 2) for 8 codes"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")
