@@ -11,11 +11,12 @@ The exhaustive min-rank search and the GF(p) floor rank a code range
 through `_code_ranks`, one int8 rank per code in code order.  It borders:
 the 2**(n-1) codes of each aligned run share the block on vertices 2..n,
 so `rank.bordered_ranks` eliminates each block once and ranks all its
-children from one product; only the unaligned ends of a range are ranked
-as `tournament_stack` batches, and worker chunks are cut at run
-boundaries.  `minrank_exhaustive` reduces the rank array to its summary
-with numpy (histogram, min, argmin count and the first argmins) and keeps
-it as a `report.RecordTable`, with no dict per code.  Certifiability,
+children from one product; a run only partly inside a range is ranked
+whole and cut to it, and worker chunks are cut at run boundaries.  The
+GF(p) floor reduces the ranks of _SWEEP_CODES codes at a time to a running
+min and violation count.  `minrank_exhaustive` reduces the rank array to
+its summary with numpy (histogram, min, argmin count and the first
+argmins) and keeps it as a `report.RecordTable`, with no dict per code.  Certifiability,
 Monte Carlo and the per-matrix verifiers rank `tournament_stack` batches
 with `stack_ranks`.
 """
@@ -57,6 +58,7 @@ from .tournaments import (
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
 _BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
+_SWEEP_CODES = 2**16  # codes the GF(p) floor ranks and reduces at a time
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -433,10 +435,14 @@ def verify_finite_field_bound(n_max: int, p: int) -> Report:
         low = bounds.finite_field_bound(n, p)
         need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
         lo, hi = code_range(n)
-        ranks = _code_ranks((n, weights, lo, hi))
-        bad = int(np.count_nonzero(ranks < need))
+        step = max(_SWEEP_CODES, 1 << (n - 1))  # whole runs of codes per call
+        min_rank, bad = n, 0
+        for a in range(lo, hi, step):
+            ranks = _code_ranks((n, weights, a, min(a + step, hi)))
+            min_rank = min(min_rank, int(ranks.min()))
+            bad += int(np.count_nonzero(ranks < need))
         records.append({
-            "n": n, "tournaments": hi - lo, "min_rank": int(ranks.min()),
+            "n": n, "tournaments": hi - lo, "min_rank": min_rank,
             "bound": str(low), "violations": bad, "pass": bad == 0,
         })
     parameters = {"n_max": n_max, "field": str(field), "weights": "cycling"}
@@ -486,25 +492,25 @@ def _code_ranks(args) -> np.ndarray:
     Vertex 1's n - 1 pairs are a code's low bits, so each aligned run of
     2**(n-1) codes, k * 2**(n-1) + border bits, shares the block on vertices
     2..n (the tournament with code k there) and differs only in vertex 1's
-    row.  `bordered_ranks` ranks the whole runs in batches of blocks, cut
-    from the first tournament of each run, against the 2**(n-1) rows of the
-    first run.  The codes before the first whole run and after the last are
-    ranked as `_code_batches` stacks.
+    row.  `bordered_ranks` ranks every run that meets [lo, hi) in batches of
+    blocks, cut from the first tournament of each run, against the 2**(n-1)
+    rows of the first run; a run only partly inside the range is ranked
+    whole and cut to it.
     """
     n, weights, lo, hi = args
-    p, run = weights.field.char, 1 << (n - 1)
-    a = min(-(-lo // run) * run, hi)  # the whole runs cover [a, b)
-    b = max(hi // run * run, a)
-    parts = [stack_ranks(batch, p).astype(np.int8) for batch in _code_batches(n, weights, lo, a)]
+    run = 1 << (n - 1)
+    ranks = np.empty(hi - lo, dtype=np.int8)
     borders = tournament_stack(pair_bits(n, 0, run), weights)[:, 0, 1:]
     step = max(1, _BATCH_ENTRIES // (run * n))  # blocks per batch
-    for k in range(a // run, b // run, step):
-        bits = np.zeros((min(step, b // run - k), n_pairs(n)), dtype=np.uint8)
+    end = -(-hi // run)
+    for k in range(lo // run, end, step):
+        bits = np.zeros((min(step, end - k), n_pairs(n)), dtype=np.uint8)
         bits[:, n - 1:] = pair_bits(n - 1, k, k + len(bits))
         blocks = tournament_stack(bits, weights)[:, 1:, 1:]
-        parts.append(bordered_ranks(blocks, borders, p).astype(np.int8).ravel())
-    parts += [stack_ranks(batch, p).astype(np.int8) for batch in _code_batches(n, weights, b, hi)]
-    return np.concatenate(parts)
+        batch = bordered_ranks(blocks, borders, weights.field.char).ravel()
+        a, b = max(lo, k * run), min(hi, (k + len(bits)) * run)
+        ranks[a - lo:b - lo] = batch[a - k * run:b - k * run]
+    return ranks
 
 
 @contextlib.contextmanager
@@ -550,7 +556,8 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     lo, hi = code_range(n, *shard) if shard is not None else code_range(n)
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
     jobs = [(n, weights, a, b) for a, b in _split_range(lo, hi, workers, 1 << (n - 1))]
-    ranks = np.concatenate(_run_chunks(_code_ranks, jobs, workers))
+    parts = _run_chunks(_code_ranks, jobs, workers)
+    ranks = parts[0] if len(parts) == 1 else np.concatenate(parts)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
     # bincount copies its input to intp, so it runs over slices of the int8 ranks

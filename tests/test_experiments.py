@@ -153,6 +153,22 @@ def test_verify_finite_field_bound():
     assert rep.records[-1]["n"] == 5
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_finite_field_bound_reduces_the_code_space_in_chunks(p, monkeypatch):
+    """The GF(p) floor ranks each n's codes a few whole runs at a time and
+    keeps only a running min and violation count, which add up to the
+    records of one call over the whole code space."""
+    whole = ex.verify_finite_field_bound(6, p)
+    monkeypatch.setattr(ex, "_SWEEP_CODES", 4)
+    with mock.patch.object(ex, "_code_ranks", wraps=ex._code_ranks) as ranked:
+        chunked = ex.verify_finite_field_bound(6, p)
+    assert list(chunked.records) == list(whole.records)
+    assert chunked.summary == whole.summary
+    spans = [(n, hi - lo) for (n, _, lo, hi), in (c.args for c in ranked.call_args_list)]
+    assert all(size <= max(4, 1 << (n - 1)) for n, size in spans)
+    assert [n for n, _ in spans].count(6) == 2**15 // 32
+
+
 def test_minrank_pinned_regression():
     rep = ex.minrank_exhaustive(3, QQ, WeightSeq.of(QQ, [1, 2, 3]))
     assert rep.summary["min_rank"] == 3  # det = 2*a1*a2*a3 != 0 for every orientation
