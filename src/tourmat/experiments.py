@@ -16,9 +16,9 @@ whole and cut to it, and worker chunks are cut at run boundaries.  The
 GF(p) floor reduces the ranks of _SWEEP_CODES codes at a time to a running
 min and violation count.  `minrank_exhaustive` reduces the rank array to
 its summary with numpy (histogram, min, argmin count and the first
-argmins) and keeps it as a `report.RecordTable`, with no dict per code.  Certifiability,
-Monte Carlo and the per-matrix verifiers rank `tournament_stack` batches
-with `stack_ranks`.
+argmins) and keeps it as a `report.RecordTable`, with no dict per code.
+Certifiability, Monte Carlo and the per-matrix verifiers rank
+`tournament_stack` batches with `stack_ranks`.
 """
 
 from __future__ import annotations
