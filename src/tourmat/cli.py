@@ -16,6 +16,7 @@ import re
 import secrets
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import experiments
 from .families import check_bisecting, family_to_matrix, parse_family
@@ -265,6 +266,7 @@ def _add_common(parser):
                         help="force per-record data into JSON output")
 
 
+@cache  # built once per process: parse_args fills a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="tourmat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

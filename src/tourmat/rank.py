@@ -9,25 +9,36 @@ with the pivot rows, reduced mod p.  That product is exact because every
 partial sum stays below 2**53: directly while 32 * (p - 1)**2 < 2**53 (p <=
 16,777,213), and above that by splitting the right factor into 16-bit
 halves.  A matrix at most 64 columns wide is one panel and runs no product,
-so blocking reorders exact updates only.  `stack_ranks` ranks whole (B, n,
-n) stacks: all B matrices at once up to 64 columns, one at a time by the
-panel routine above that.  Every elimination takes an integer array, of
-int64 or past 2**63 of Python ints (as `matrices.int_array` decides), and
-reduces it mod p while it makes its one int64 copy.  Over Q, `rank()` and
-`determinant()` first clear rational rows to such an array row by row.  The
-matrix, or each matrix of a stack, is eliminated mod `_prime(0)` = 2**31 - 1
-first.  Rank mod p never exceeds rank over Q, column prefix by column
-prefix, so a rank of min(rows, cols) there, with pivot columns 0..r-1 for
-`rank()`, is the rank over Q.  Otherwise, and always for a determinant,
-`_prime(1)`, ... run until their product passes Hadamard's bound
-H = (E * sqrt(c))**m on every minor, or 2H for a determinant:
-`_hadamard_primes` reads E (the largest entry in size) and c (the most
-nonzeros in a row) from the array itself, and m = min(rows, cols).  A
-nonzero integer minor below that product is nonzero mod one of the primes,
-so the max of the ranks mod them is the rank over Q, and the determinant is
-the symmetric residue of the Chinese remainder of its residues.  Pivot
-selection is always leftmost nonzero column, lowest row index, which makes
-the pivot column list deterministic across platforms.
+so blocking reorders exact updates only.  For small p the reductions wait
+(delayed reduction, as in FFLAS-FFPACK): entries start in [0, p), and each
+pivot subtracts at most (p - 1)**2 from an entry, in the panel or as one
+term of the unsplit product, so after its at most min(rows, cols) pivots
+every entry stays below 2**53 in size while max(min(rows, cols), _PANEL) *
+(p - 1)**2 + p < 2**53.  Then int64 and the float64 subtract of the product
+stay exact with no `% p` on the updated blocks, and only what must be a
+residue is reduced in place: a column before its pivot search, the pivot
+row's panel segment before it is used, and the first pivot row before
+forward substitution (the multipliers and the substituted rows are reduced
+anyway).  Word-size primes such as 2**31 - 1 fail the bound at every shape,
+since a single (p - 1)**2 is past 2**53, so they reduce after every step as
+before.  `stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once
+up to 64 columns, one at a time by the panel routine above that.  Every
+elimination takes an integer array, of int64 or past 2**63 of Python ints
+(as `matrices.int_array` decides), and reduces it mod p while it makes its
+one int64 copy.  Over Q, `rank()` and `determinant()` first clear rational
+rows to such an array row by row.  The matrix, or each matrix of a stack,
+is eliminated mod `_prime(0)` = 2**31 - 1 first.  Rank mod p never exceeds
+rank over Q, column prefix by column prefix, so a rank of min(rows, cols)
+there, with pivot columns 0..r-1 for `rank()`, is the rank over Q.
+Otherwise, and always for a determinant, `_prime(1)`, ... run until their
+product passes Hadamard's bound H = (E * sqrt(c))**m on every minor, or 2H
+for a determinant: `_hadamard_primes` reads E (the largest entry in size)
+and c (the most nonzeros in a row) from the array itself, and m = min(rows,
+cols).  A nonzero integer minor below that product is nonzero mod one of
+the primes, so the max of the ranks mod them is the rank over Q, and the
+determinant is the symmetric residue of the Chinese remainder of its
+residues.  Pivot selection is always leftmost nonzero column, lowest row
+index, which makes the pivot column list deterministic across platforms.
 
 `bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
 B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
@@ -81,6 +92,7 @@ def _eliminate_mod_p(rows, p):
     """
     R = _residues(rows, p)
     nr, nc = R.shape
+    lazy = max(min(nr, nc), _PANEL) * (p - 1) ** 2 + p < 2**53  # see the module docstring
     pr = 0
     det = 1
     pivots = []
@@ -89,6 +101,8 @@ def _eliminate_mod_p(rows, p):
         c1 = min(c0 + width, nc)
         pr0 = pr
         for c in range(c0, c1):
+            if lazy:
+                R[pr:, c] %= p
             nz = np.nonzero(R[pr:, c])[0]
             if nz.size == 0:
                 continue
@@ -104,9 +118,12 @@ def _eliminate_mod_p(rows, p):
             # (whole matrix rows when one panel spans the matrix)
             c_lo = c0 if c1 == nc else c
             below = R[pr + 1 :, c_lo:c1]
+            if lazy:
+                R[pr, c_lo:c1] %= p
             factors = R[pr + 1 :, c] * inv % p
-            # factors and entries are < p < 2**31, products fit int64
-            below[...] = (below - factors[:, None] * R[pr, c_lo:c1]) % p
+            # factors and the pivot row are < p < 2**31, products fit int64
+            step = below - factors[:, None] * R[pr, c_lo:c1]
+            below[...] = step if lazy else step % p
             if c1 < nc:
                 R[pr + 1 :, c] = factors  # multipliers for the trailing update
             pivots.append(c)
@@ -116,7 +133,7 @@ def _eliminate_mod_p(rows, p):
         if pr == nr:
             break
         if pr > pr0 and c1 < nc:
-            _update_trailing(R, pr0, pr, pivots[pr0:], c1, p)
+            _update_trailing(R, pr0, pr, pivots[pr0:], c1, p, lazy)
     return pr, tuple(pivots), det if pr == nr == nc else 0
 
 
@@ -331,21 +348,28 @@ def _dot_mod(a, b, p):
     return prod
 
 
-def _update_trailing(R, pr0, pr, cols, c1, p):
+def _update_trailing(R, pr0, pr, cols, c1, p, lazy):
     """Apply one panel's pivots (rows pr0..pr-1 in columns `cols`, with their
     multipliers stored below each pivot) to the columns from c1 on, in place.
 
     The pivot rows are forward-substituted one at a time in int64; the rows
     below get one float64 (BLAS) product of their multipliers with the pivot
-    rows.  `_dot_mod` keeps both exact.
+    rows.  `_dot_mod` keeps both exact.  With `lazy` (the bound of the module
+    docstring holds) the first pivot row is reduced before it is used and the
+    rows below are left unreduced: every entry stays below 2**53, so the
+    float64 subtract is still exact.  Without it, as for word-size primes,
+    whose (p - 1)**2 alone is past 2**53, the rows below are reduced here.
     """
     U = R[pr0:pr, c1:]
+    if lazy:
+        U[0] %= p
     for j in range(1, pr - pr0):
         U[j] = (U[j] - _dot_mod(R[pr0 + j, cols[:j]], U[:j], p)) % p
     tail = R[pr:, c1:]
     prod = _dot_mod(R[pr:, cols].astype(np.float64), U, p)
     np.subtract(tail, prod, out=tail, casting="unsafe")  # exact: |tail - prod| < 2**53
-    np.remainder(tail, p, out=tail)
+    if not lazy:
+        np.remainder(tail, p, out=tail)
 
 
 def _cleared(raw):

@@ -4,8 +4,10 @@ Determinants here come from Laplace cofactor expansion and rank from scanning
 all k x k minors for the largest k with a nonzero one.  `bareiss` is
 fraction-free (Bareiss one-step) elimination of integer rows, the reference
 for rank, pivot columns and determinant over Q at sizes where the scans are
-too slow.  Nothing in this file touches the package's elimination code, so
-agreement is meaningful.
+too slow.  `eliminate_mod_p` is textbook Gaussian elimination mod p that
+reduces every entry after every step, the reference for the modular kernel
+at sizes past the scans.  Nothing in this file touches the package's
+elimination code, so agreement is meaningful.
 """
 
 from itertools import combinations
@@ -87,3 +89,37 @@ def bareiss(m):
         if pr == nr:
             break
     return pr, tuple(pivots), sign * prev if pr == nr == nc else 0
+
+
+def eliminate_mod_p(rows, p):
+    """Rank, pivot columns and determinant mod p of an integer matrix by
+    Gaussian elimination with every entry reduced mod p after every step.
+
+    The pivot is the leftmost column with a nonzero entry at or below the
+    pivot row, in the lowest such row.  The determinant is meaningful for
+    square input only, and is 0 when the rank falls short.
+    """
+    m = [[v % p for v in row] for row in rows]
+    nr, nc = len(m), len(m[0])
+    det = 1
+    pr = 0
+    pivots = []
+    for c in range(nc):
+        r0 = next((r for r in range(pr, nr) if m[r][c]), None)
+        if r0 is None:
+            continue
+        if r0 != pr:
+            m[pr], m[r0] = m[r0], m[pr]
+            det = -det
+        prow = m[pr]
+        det = det * prow[c] % p
+        inv = pow(prow[c], -1, p)
+        for r in range(pr + 1, nr):
+            f = m[r][c] * inv % p
+            if f:
+                m[r][c:] = [(x - f * y) % p for x, y in zip(m[r][c:], prow[c:])]
+        pivots.append(c)
+        pr += 1
+        if pr == nr:
+            break
+    return pr, tuple(pivots), det if pr == nr == nc else 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tourmat
-from tourmat.cli import main
+from tourmat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -236,6 +236,28 @@ def test_rank_field_override_spellings(tmp_path, capsys, flags, field, rank):
     assert code == 0
     assert json.loads(stdout) == {"rank": rank, "pivot_columns": list(range(rank)),
                                   "field": field}
+
+
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    """minrank, montecarlo, rank (whose --field defaults to None, the CSV
+    header's field, not Q) and minrank again in one process share one parser,
+    and each prints the bytes of the same run on a freshly built parser."""
+    path = tmp_path / "d3.csv"
+    assert main(["build", "--tournament", "transitive:3", "--seq", "1,1,1", "--field", "GF(2)",
+                 "--out", str(path)]) == 0
+    runs = [["minrank", "--n", "4", "--seq", "1,2,1,2"],
+            ["montecarlo", "--n", "6", "--samples", "4", "--seq", "1,2,1,2,1,2", "--field", "GF(3)"],
+            ["rank", "--matrix", str(path)],
+            ["minrank", "--n", "4", "--seq", "1,2,1,2"]]
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv, "--seed", "1") for argv in runs]
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0] * 4
+    assert json.loads(shared[2][1])["field"] == "GF(2)"
+    assert shared[3][1] == shared[0][1]
+    for argv, (_, out, _) in zip(runs, shared):
+        build_parser.cache_clear()
+        assert run(capsys, *argv, "--seed", "1")[1] == out
 
 
 N7_ARGV = ["minrank", "--n", "7", "--field", "GF(3)", "--seq", "1,2,1,2,1,2,1", "--seed", "0"]

@@ -4,8 +4,10 @@ Small matrices are compared with cofactor determinants and minor-scan ranks
 (tests/oracles.py); the modular routine run in narrow panels is compared
 with its one-panel run (the plain elimination, with no trailing update) and,
 on the leading block of up to 6 x 6, with the oracles' rank, pivot columns
-and determinant mod p; large modular determinants are compared with the
-exact rational determinant reduced mod p;
+and determinant mod p; at the real panel width, on both sides of the bound
+below which it delays its reductions, it is compared with textbook
+elimination that reduces after every step; large modular determinants are
+compared with the exact rational determinant reduced mod p;
 and the rational rank, pivot columns and determinant are compared with
 fraction-free (Bareiss) elimination.
 """
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss, det_cofactor, minor_scan_rank
+from oracles import bareiss, det_cofactor, eliminate_mod_p, minor_scan_rank
 from tourmat.fields import GF, QQ
 from tourmat.matrices import DenseMatrix
 from tourmat.rank import determinant, rank
@@ -325,6 +327,76 @@ def test_full_size_panels_match_plain_body(rows, p):
     panelled, one_panel = _panelled_and_one_panel(rows, p, rank_mod._PANEL)
     assert panelled == one_panel
     assert len(rows[0]) > 2 * rank_mod._PANEL
+
+
+def _lazy(n_rows, n_cols, p):
+    """Whether `_eliminate_mod_p` delays its reductions at this shape and prime:
+    every entry then stays below 2**53 without them."""
+    return max(min(n_rows, n_cols), rank_mod._PANEL) * (p - 1) ** 2 + p < 2**53
+
+
+def _random_residues(n_rows, n_cols, p, seed, repeat=0):
+    """Random residues mod p, with `repeat` rows replaced by copies of earlier rows."""
+    rnd = random.Random(seed)
+    rows = [[rnd.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)]
+    for r in rnd.sample(range(1, n_rows), repeat):
+        rows[r] = list(rows[rnd.randrange(r)])
+    return rows
+
+
+def _steepest(n, p):
+    """The n x n matrix L U mod p for L unit lower and U unit upper triangular
+    with p - 1 off the diagonal: its pivots are 1 and its multipliers and
+    pivot rows p - 1, so every pivot subtracts (p - 1)**2 from every entry
+    below and right of it, the most the delayed-reduction bound allows."""
+    return [[(min(i, j) - 1 + 2 * (i == j)) % p for j in range(n)] for i in range(n)]
+
+
+LAZY_TOP = 9_490_601  # the largest prime that delays reduction at 100 x 100
+EAGER_LOW = 9_490_631  # the next prime, which reduces after every step there
+
+
+@pytest.mark.parametrize("rows, p, lazy, repeat", [
+    (_random_residues(100, 100, 2, 1), 2, True, 0),
+    (_random_residues(100, 100, 3, 2), 3, True, 0),
+    (_random_residues(70, 130, 7, 3), 7, True, 0),
+    (_random_residues(130, 70, 3, 4), 3, True, 0),
+    (_random_residues(100, 100, 3, 5, repeat=8), 3, True, 8),
+    (_near_top(100, 100, LAZY_TOP, 6), LAZY_TOP, True, 0),
+    (_random_residues(100, 100, LAZY_TOP, 7, repeat=8), LAZY_TOP, True, 8),
+    (_near_top(100, 100, EAGER_LOW, 8), EAGER_LOW, False, 0),
+    (_near_top(20, 130, 16_777_213, 9), 16_777_213, True, 0),
+    (_near_top(20, 130, 16_777_259, 10), 16_777_259, False, 0),
+    (_steepest(100, LAZY_TOP), LAZY_TOP, True, 0),
+    (_steepest(100, 16_777_213), 16_777_213, False, 0),
+    (_near_top(100, 100, P, 11), P, False, 0),
+], ids=["gf2", "gf3", "gf7-wide", "gf3-tall", "gf3-repeated", "lazy-top", "lazy-top-repeated",
+        "eager-low", "short-unsplit", "short-split", "steepest-lazy", "steepest-eager", "word-p"])
+def test_full_width_elimination_matches_eager_oracle(rows, p, lazy, repeat):
+    """At the real panel width, matrices of three or more panels against
+    textbook elimination that reduces every entry after every step, on both
+    sides of the delayed-reduction bound; `repeat` copied rows cut the rank."""
+    n_rows, n_cols = len(rows), len(rows[0])
+    assert n_cols > 2 * rank_mod._PANEL
+    assert _lazy(n_rows, n_cols, p) == lazy
+    got = rank_mod._eliminate_mod_p(rows, p)
+    assert got == eliminate_mod_p(rows, p)
+    assert got[0] <= min(n_rows, n_cols) - repeat
+
+
+@pytest.mark.parametrize("n, seed", [(100, 1), (130, 2)])
+def test_full_width_modular_determinant_matches_rational(n, seed):
+    """The determinants over GF(3) and GF(7) of an n x n integer matrix, which
+    delay their reductions, against its determinant over Q reduced mod p,
+    whose primes near 2**31 reduce after every step."""
+    rnd = random.Random(seed)
+    rows = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    assert _lazy(n, n, 7) and not any(_lazy(n, n, q) for q in rank_mod._hadamard_primes(
+        np.array(rows), n, 2))
+    exact = determinant(DenseMatrix.from_rows(QQ, rows)).value
+    assert exact.denominator == 1
+    for p in (3, 7):
+        assert determinant(DenseMatrix.from_rows(GF(p), rows)).value == exact.numerator % p
 
 
 def test_one_panel_runs_no_product():
