@@ -560,11 +560,14 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     ranks = parts[0] if len(parts) == 1 else np.concatenate(parts)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
-    # bincount copies its input to intp, so it runs over slices of the int8 ranks
-    counts = sum(np.bincount(ranks[i:i + _BATCH_ENTRIES], minlength=n + 1)
-                 for i in range(0, len(ranks), _BATCH_ENTRIES))
-    min_rank = int(ranks.min())
-    kept = (lo + np.flatnonzero(ranks == min_rank)[:ARGMIN_CODES_KEPT]).tolist()
+    # bincount copies its input to intp, and a comparison makes a bool array as
+    # long as its input, so both run over slices of the int8 ranks
+    starts = range(0, len(ranks), _BATCH_ENTRIES)
+    counts = sum(np.bincount(ranks[i:i + _BATCH_ENTRIES], minlength=n + 1) for i in starts)
+    min_rank = int(np.flatnonzero(counts)[0])
+    argmins = (lo + i + j for i in starts
+               for j in np.flatnonzero(ranks[i:i + _BATCH_ENTRIES] == min_rank).tolist())
+    kept = list(itertools.islice(argmins, ARGMIN_CODES_KEPT))
     summary = {
         "min_rank": min_rank,
         "argmin_count": int(counts[min_rank]),

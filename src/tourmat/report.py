@@ -10,9 +10,11 @@ per-record table.
 Records are a list of dicts, or for an exhaustive min-rank sweep a
 `RecordTable`: a read-only sequence of the same dicts kept as columns (the
 code range and an int8 rank array), which builds a dict only when one is
-read, so an elided report never builds them.  One CSV writer serves both:
-`csv_chunks` yields the table column by column, `CSV_CHUNK_ROWS` rows at a
-time, and `to_csv` joins the chunks.
+read, so an elided report never builds them.  `csv_chunks` yields the CSV
+`CSV_CHUNK_ROWS` rows at a time and `to_csv` joins the chunks.  A table
+builds each chunk as bytes in numpy (`RecordTable.csv_rows`): the digits of
+the consecutive codes beside a per-rank ",rank,pass" suffix; a list of
+dicts is formatted cell by cell.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 RECORD_ELIDE_THRESHOLD = 4096
 CSV_CHUNK_ROWS = 2**16
-_NUMBERS = tuple(map(str, range(128)))  # the text of every int8 rank
 
 
 class RecordTable(Sequence):
@@ -44,12 +47,25 @@ class RecordTable(Sequence):
         r = int(self.ranks[i])
         return {"code": self.lo + i, "rank": r, "pass": r >= self.need}
 
-    def cells(self, a: int, b: int) -> list:
-        """The CSV cells of rows a..b-1, one iterator per column."""
-        ranks = self.ranks[a:b].tolist()
-        passes = ("false",) * self.need + ("true",) * (len(_NUMBERS) - self.need)
-        return [map(str, range(self.lo + a, self.lo + a + len(ranks))),
-                map(_NUMBERS.__getitem__, ranks), map(passes.__getitem__, ranks)]
+    def csv_rows(self, a: int, b: int) -> str:
+        """The CSV lines "code,rank,pass" of rows a..b-1, built as one (rows,
+        bytes) uint8 array: the codes' decimal digits, with leading zeros NUL,
+        beside each rank's NUL-padded ",rank,pass\\n" suffix; dropping the NULs
+        leaves the text."""
+        ranks = self.ranks[a:b]
+        first = self.lo + a
+        width = len(str(first + len(ranks) - 1))  # codes < 2**63, so int64 holds them
+        q = np.arange(first, first + len(ranks), dtype=np.int64)
+        digits = np.empty((len(ranks), width), dtype=np.uint8)
+        for j in reversed(range(width)):
+            q, digits[:, j] = np.divmod(q, 10)
+        digits += ord("0")
+        for j in range(width - 1):  # the codes are ascending, so a leading zero is a prefix
+            digits[:max(0, 10 ** (width - 1 - j) - first), j] = 0
+        suffixes = np.array([f",{r},{'true' if r >= self.need else 'false'}\n"
+                             for r in range(128)], dtype="S11")  # every int8 rank
+        rows = np.concatenate([digits, suffixes.view(np.uint8).reshape(128, 11)[ranks]], axis=1)
+        return rows[rows != 0].tobytes().decode("ascii")
 
 
 @dataclass
@@ -78,7 +94,7 @@ class Report:
 
     def csv_chunks(self):
         """The CSV text in pieces: the header line, then the rows in chunks of
-        CSV_CHUNK_ROWS, each built column by column."""
+        CSV_CHUNK_ROWS."""
         if not self.records:
             yield "# no records\n"
             return
@@ -87,10 +103,10 @@ class Report:
         for a in range(0, len(self.records), CSV_CHUNK_ROWS):
             b = a + CSV_CHUNK_ROWS
             if isinstance(self.records, RecordTable):
-                columns = self.records.cells(a, b)
+                yield self.records.csv_rows(a, b)
             else:
                 columns = [[_cell(rec.get(k)) for rec in self.records[a:b]] for k in header]
-            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+                yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())

@@ -368,6 +368,26 @@ def test_record_table_csv_and_json_match_dict_records(monkeypatch):
         assert json.loads(as_table.to_json())["records_elided"] == 8
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, report_mod.CSV_CHUNK_ROWS])
+def test_record_table_csv_matches_the_cell_path(monkeypatch, chunk_rows):
+    """Derandomized: the table's numpy-built CSV is the text the dict path
+    formats cell by cell, for codes that cross powers of ten up to n=9-sized
+    codes, one-row tables, rank-0 rows, every int8 rank, and need 0, inside
+    and above every rank; every chunk is a str."""
+    monkeypatch.setattr(report_mod, "CSV_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(18)
+    for lo in (0, 1, 9, 95, 999_990, 2**28 - 3, 2**36 - 5):
+        for rows in (1, 23):
+            ranks = rng.integers(0, 128, rows).astype(np.int8)
+            ranks[::4] = 0
+            for need in (0, 5, int(ranks.max()) + 1):
+                table = RecordTable(lo, ranks, need)
+                chunks = list(Report("minrank-exhaustive", {}, table).csv_chunks())
+                assert all(type(c) is str for c in chunks)
+                assert len(chunks) == 1 + -(-rows // chunk_rows)
+                assert "".join(chunks) == Report("minrank-exhaustive", {}, list(table)).to_csv()
+
+
 def test_minrank_holds_its_records_as_columns():
     """An exhaustive sweep keeps one int8 rank per code and reduces it to the
     summary: min, argmin count, the first 16 argmins and the histogram."""
@@ -382,6 +402,21 @@ def test_minrank_holds_its_records_as_columns():
     assert rep.summary["argmin_codes"] == argmin[:ex.ARGMIN_CODES_KEPT]
     assert rep.summary["rank_histogram"] == {str(r): ranks.count(r) for r in set(ranks)}
     assert [rec["rank"] for rec in rep.records] == ranks
+
+
+@pytest.mark.parametrize("n, field, shard", [(5, GF(5), (0, 30)), (6, GF(3), None)])
+def test_minrank_argmins_scan_in_slices(monkeypatch, n, field, shard):
+    """The argmins are found slice by slice: with 5-entry slices the summary is
+    the same, whether the argmins are fewer than 16 or the scan stops early,
+    and the kept codes come from several slices."""
+    w = ex.cycling_weights(field, n)
+    whole = ex.minrank_exhaustive(n, field, w, shard=shard)
+    monkeypatch.setattr(ex, "_BATCH_ENTRIES", 5)
+    sliced = ex.minrank_exhaustive(n, field, w, shard=shard)
+    assert sliced.summary == whole.summary
+    kept = sliced.summary["argmin_codes"]
+    assert len({c // 5 for c in kept}) > 1
+    assert len(kept) == min(sliced.summary["argmin_count"], ex.ARGMIN_CODES_KEPT)
 
 
 def test_wall_time_not_serialized():
