@@ -32,14 +32,14 @@ for field in (QQ, GF(3), GF(2)):
     show(verify_transitive(range(3, 13), field, trials=10, seed=7))
 
 print("\nreversal: M + M_reversed is the pair-sum matrix; rank bounds follow")
-show(verify_reversal(5, QQ, counting_weights(QQ, 5)))
-show(verify_reversal(5, GF(3), counting_weights(GF(3), 5)))
+show(verify_reversal(counting_weights(QQ, 5)))
+show(verify_reversal(counting_weights(GF(3), 5)))
 # in characteristic 2 the identity still holds but rank checks are refused
-rep = verify_reversal(4, GF(2), cycling_weights(GF(2), 4))
+rep = verify_reversal(cycling_weights(GF(2), 4))
 print(f"  GF(2): identity checked, rank checks {rep.parameters['rank_checks']!r}")
 
 print("\nsingle-edge flips and single-weight swaps move the rank by at most 2")
-show(verify_lipschitz(8, GF(5), cycling_weights(GF(5), 8), flips=2000, seed=7))
+show(verify_lipschitz(cycling_weights(GF(5), 8), flips=2000, seed=7))
 
 print("\nwith s+1 equal leading weights, a leading s or s+1 minor is nonzero")
 show(verify_certifiability(5, [GF(3), GF(5), QQ]))
@@ -51,4 +51,4 @@ print("\nover GF(p) every weight sequence obeys rank >= n/(p-1) - 1")
 show(verify_finite_field_bound(5, 3))
 
 print("\nlinear mixes f(x, y) = ax + by keep the reversal rank-sum bound when a + b != 0")
-show(verify_f_ensemble(4, QQ, counting_weights(QQ, 4), 2, 3))
+show(verify_f_ensemble(counting_weights(QQ, 4), 2, 3))

@@ -60,21 +60,22 @@ def _read_maybe_file(text: str) -> str:
     return text
 
 
-def _parse_seq(field: Field, text: str, n: int) -> WeightSeq:
+def _parse_seq(field: Field, text: str, n: int | None = None) -> WeightSeq:
+    """The weights in `text` (or in the file it names), n of them unless n is None."""
     raw = _read_maybe_file(text)
     tokens = [tok for chunk in raw.split(",") for tok in chunk.split()]
     if not tokens:
         raise UsageError(f"no weights in {text!r}")
     values = [parse_scalar(field, tok) for tok in tokens]
-    if len(values) != n:
+    if n is not None and len(values) != n:
         raise UsageError(f"need {n} weights, got {len(values)}")
     return WeightSeq(field, tuple(values))
 
 
-def _n_and_weights(args, field: Field, n_default: int, default_weights):
-    """--n (else n_default) and the weights from --seq, or else default_weights(field, n)."""
+def _weights(args, field: Field, n_default: int, default_weights) -> WeightSeq:
+    """The weights from --seq, or else default_weights(field, n), for n = --n or n_default."""
     n = n_default if args.n is None else args.n
-    return n, (_parse_seq(field, args.seq, n) if args.seq else default_weights(field, n))
+    return _parse_seq(field, args.seq, n) if args.seq else default_weights(field, n)
 
 
 def _count_after(prefix: str, text: str, what: str) -> int:
@@ -164,7 +165,7 @@ def _cmd_minrank(args) -> int:
         shard = (lo, hi)
     _echo_config(args, {"n": args.n, "shard": args.shard})
     report = experiments.minrank_exhaustive(
-        args.n, field, weights, shard=shard, workers=args.workers,
+        weights, shard=shard, workers=args.workers,
         conjecture_c=Fraction(args.conjecture_c) if args.conjecture_c else None)
     return _emit_report(report, args)
 
@@ -173,8 +174,8 @@ def _cmd_montecarlo(args) -> int:
     field = parse_field(args.field)
     weights = _parse_seq(field, args.seq, args.n)
     _echo_config(args, {"n": args.n, "samples": args.samples})
-    report = experiments.montecarlo_rank(args.n, field, weights, args.samples,
-                                         args.seed, workers=args.workers)
+    report = experiments.montecarlo_rank(weights, args.samples, args.seed,
+                                         workers=args.workers)
     return _emit_report(report, args)
 
 
@@ -184,17 +185,16 @@ def _cmd_verify(args) -> int:
     _echo_config(args, {"theorem": theorem})
     if theorem == "transitive":
         n_range = _parse_n_range(args.n_range or "3..12")
+        fixed = _parse_seq(field, args.seq) if args.seq else None
         report = experiments.verify_transitive(n_range, field, trials=args.trials,
-                                               seed=args.seed)
+                                               seed=args.seed, sequence_source=fixed)
     elif theorem == "reversal":
-        n, weights = _n_and_weights(args, field, 4, experiments.counting_weights)
+        weights = _weights(args, field, 4, experiments.counting_weights)
         source = "exhaustive" if args.sample is None else args.sample
-        report = experiments.verify_reversal(n, field, weights, tournaments=source,
-                                             seed=args.seed)
+        report = experiments.verify_reversal(weights, tournaments=source, seed=args.seed)
     elif theorem == "lipschitz":
-        n, weights = _n_and_weights(args, field, 8, experiments.cycling_weights)
-        report = experiments.verify_lipschitz(n, field, weights, flips=args.flips,
-                                              seed=args.seed)
+        weights = _weights(args, field, 8, experiments.cycling_weights)
+        report = experiments.verify_lipschitz(weights, flips=args.flips, seed=args.seed)
     elif theorem == "certify":
         report = experiments.verify_certifiability(args.n_max, [field],
                                                    z_values=(args.z,))
@@ -208,11 +208,11 @@ def _cmd_verify(args) -> int:
     elif theorem == "f-ensemble":
         if args.alpha is None or args.beta is None:
             raise UsageError("f-ensemble needs --alpha and --beta")
-        n, weights = _n_and_weights(args, field, 4, experiments.counting_weights)
+        weights = _weights(args, field, 4, experiments.counting_weights)
         source = "exhaustive" if args.sample is None else args.sample
         report = experiments.verify_f_ensemble(
-            n, field, weights, parse_scalar(field, args.alpha),
-            parse_scalar(field, args.beta), tournaments=source, seed=args.seed)
+            weights, parse_scalar(field, args.alpha), parse_scalar(field, args.beta),
+            tournaments=source, seed=args.seed)
     else:  # unreachable; argparse restricts choices
         raise UsageError(f"unknown theorem {theorem!r}")
     return _emit_report(report, args)
@@ -249,8 +249,7 @@ def _cmd_perm_scan(args) -> int:
     else:
         raise UsageError(f"bad mode {args.mode!r}, want all or sample:<k>")
     _echo_config(args, {"tournament": args.tournament, "mode": args.mode})
-    report = experiments.perm_scan(t, field, weights, mode=mode, sample=sample,
-                                   seed=args.seed)
+    report = experiments.perm_scan(t, weights, mode=mode, sample=sample, seed=args.seed)
     return _emit_report(report, args)
 
 
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

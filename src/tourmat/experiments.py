@@ -7,18 +7,12 @@ worker parallelism only splits contiguous index ranges and merges with
 order-independent reductions.  Checks against conjectured (unproven) values
 are reported as information, never as violations.
 
-The exhaustive min-rank search and the GF(p) floor rank a code range
-through `_code_ranks`, one int8 rank per code in code order.  It borders:
-the 2**(n-1) codes of each aligned run share the block on vertices 2..n,
-so `rank.bordered_ranks` eliminates each block once and ranks all its
-children from one product; a run only partly inside a range is ranked
-whole and cut to it, and worker chunks are cut at run boundaries.  The
-GF(p) floor reduces the ranks of _SWEEP_CODES codes at a time to a running
-min and violation count.  `minrank_exhaustive` reduces the rank array to
-its summary with numpy (histogram, min, argmin count and the first
-argmins) and keeps it as a `report.RecordTable`, with no dict per code.
-Certifiability, Monte Carlo and the per-matrix verifiers rank
-`tournament_stack` batches with `stack_ranks`.
+The exhaustive min-rank search and the GF(p) floor rank code ranges by
+bordering (`_code_ranks`, one int8 rank per code); every other sweep ranks
+`tournament_stack` batches with `stack_ranks`.  Each entry point reads n
+and the field from its weights and clears them to one integer row
+(`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that row's
+columns, and the verifiers that vary the weights pass one row per matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +32,8 @@ import numpy as np
 
 from . import bounds
 from .fields import Field, Scalar
-from .matrices import LinearMix, WeightSeq, ZeroWeightError, tournament_stack
+from .matrices import (LengthMismatchError, LinearMix, WeightSeq, ZeroWeightError, cleared,
+                       tournament_stack)
 from .rank import bordered_ranks, stack_ranks
 from .report import RecordTable, Report
 from .rng import ByteStream
@@ -106,10 +101,6 @@ def _nonzero_filler(field: Field, k: int) -> int:
     return 1 + k % (field.char - 1) if field.char else k + 1
 
 
-def _rank_histogram(ranks) -> dict:
-    return dict(Counter(map(str, ranks)))
-
-
 def _require_n(n: int, least: int, what: str):
     if n < least:
         raise BadRangeError(f"{what} needs n >= {least}, got {n}")
@@ -140,7 +131,9 @@ def _resolve_tournaments(n: int, tournaments, seed: int):
     if isinstance(tournaments, int):
         _refuse_empty(tournaments, f"{tournaments} sampled tournaments")
         return (random_tournament(n, seed, i) for i in range(tournaments))
-    return iter(tournaments)
+    tournaments = list(tournaments)
+    _refuse_empty(len(tournaments), "an empty tournament list")
+    return tournaments
 
 
 def _batches(items, n: int):
@@ -152,11 +145,12 @@ def _batches(items, n: int):
 
 
 def _ranked(items, n: int, p: int):
-    """(key, rank) for each (key, tournament, weights) item on n vertices, in order,
-    ranked as `tournament_stack` batches mod p, or with p = 0 over Q."""
+    """(key, rank) for each (key, tournament, weight row) item on n vertices, in
+    order, ranked as `tournament_stack` batches mod p, or with p = 0 over Q."""
     for batch in _batches(items, n):
-        keys, ts, ws = zip(*batch)
-        yield from zip(keys, stack_ranks(tournament_stack(bit_rows(ts), list(ws)), p).tolist())
+        keys, ts, rows = zip(*batch)
+        stack = tournament_stack(bit_rows(ts), np.concatenate(rows))
+        yield from zip(keys, stack_ranks(stack, p).tolist())
 
 
 def _reduce(stack, p: int):
@@ -164,17 +158,17 @@ def _reduce(stack, p: int):
     return stack % p if p else stack
 
 
-def _with_reversals(bits, weights: WeightSeq):
+def _with_reversals(bits, row, p: int):
     """The stacks of the bit rows and of their reversals (every bit flipped):
-    residues, or over Q Python ints that no mix of them can overflow."""
-    stacks = [tournament_stack(b, weights) for b in (bits, 1 - bits)]
-    return stacks if weights.field.char else [s.astype(object) for s in stacks]
+    residues, or over Q (p = 0) Python ints that no mix of them can overflow."""
+    stacks = [tournament_stack(b, row) for b in (bits, 1 - bits)]
+    return stacks if p else [s.astype(object) for s in stacks]
 
 
-def _pair_sums(weights: WeightSeq):
+def _pair_sums(row, p: int):
     """The pair sums a_i + a_j (i != j) as one stack: code 0's matrix plus its reversal's."""
-    base, rev = _with_reversals(np.zeros((1, n_pairs(len(weights))), np.uint8), weights)
-    return _reduce(base + rev, weights.field.char)
+    base, rev = _with_reversals(np.zeros((1, n_pairs(row.shape[1])), np.uint8), row, p)
+    return _reduce(base + rev, p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +202,11 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
                 weights = WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
             else:
                 weights = random_weights(field, n, seed, "transitive", n, k)
+            row = weights.int_row()
             order = ByteStream(seed, "transitive-order", n, k).shuffled(range(1, n + 1))
             # code 0 is the reverse-ranked transitive tournament: j beats i for i < j
-            items += [((k, "reverse_ranked"), Tournament(n, 0), weights),
-                      ((k, "random_order"), transitive(n, order), weights)]
+            items += [((k, "reverse_ranked"), Tournament(n, 0), row),
+                      ((k, "random_order"), transitive(n, order), row)]
         for (k, kind), r in _ranked(items, n, field.char):
             records.append({"n": n, "trial": k, "kind": kind,
                             "rank": r, "bound": bound, "pass": r >= bound})
@@ -226,8 +221,7 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     return _finish(t0, "transitive-floor", parameters, records, summary)
 
 
-def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix,
-                        tournaments, seed: int, more_ok):
+def _mix_reversal_sweep(weights: WeightSeq, mix: LinearMix, tournaments, seed: int, more_ok):
     """Records, one per tournament t, for the linear-mix matrices M(t) and
     M(rev t), plus the report parameters that describe the sweep.
 
@@ -235,17 +229,18 @@ def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix
     entrywise; in characteristic != 2 also rank M(t) + rank M(rev t) >= n - 2
     and more_ok(rank M(t), rank M(rev t)).
     """
+    n, field = len(weights), weights.field
     _require_n(n, 2, "reversal check")
     p = field.char
+    row = weights.int_row()
     # M(t) = a W + b L, M(rev t) = a L + b W (L: the reversals' stacks); a and b
-    # are integers over Q, and `reduce` refuses a mix from another field
-    den = math.lcm(mix.alpha.value.denominator, mix.beta.value.denominator)
-    a, b = (int(weights.field.reduce(c) * den) for c in (mix.alpha, mix.beta))
-    expected = _reduce((a + b) * _pair_sums(weights), p)
+    # are the mix's cleared row: residues, or integers over Q
+    (a, b), = cleared([[mix.alpha.value, mix.beta.value]])[0].tolist()
+    expected = _reduce((a + b) * _pair_sums(row, p), p)
     low = bounds.reversal_sum_bound(n)
     records = []
     for batch in _batches(_resolve_tournaments(n, tournaments, seed), n):
-        w, rev = _with_reversals(bit_rows(batch), weights)
+        w, rev = _with_reversals(bit_rows(batch), row, p)
         mt, mr = _reduce(a * w + b * rev, p), _reduce(a * rev + b * w, p)
         identity = (_reduce(mt + mr, p) == expected).all(axis=(1, 2)).tolist()
         if p == 2:
@@ -264,8 +259,7 @@ def _mix_reversal_sweep(n: int, field: Field, weights: WeightSeq, mix: LinearMix
     return records, parameters
 
 
-def verify_reversal(n: int, field: Field, weights: WeightSeq,
-                    tournaments="exhaustive", seed: int = 0) -> Report:
+def verify_reversal(weights: WeightSeq, tournaments="exhaustive", seed: int = 0) -> Report:
     """Check the reversal identity and its rank consequences per tournament.
 
     (i) matrix + reversed-tournament matrix = pair-sum matrix, entrywise and
@@ -275,23 +269,25 @@ def verify_reversal(n: int, field: Field, weights: WeightSeq,
     linear mix with alpha = 1, beta = 0.
     """
     t0 = time.perf_counter()
-    rank_sum = None if field.char == 2 else int(stack_ranks(_pair_sums(weights), field.char)[0])
-    low = bounds.reversal_sum_bound(n)
+    p = weights.field.char
+    rank_sum = None if p == 2 else int(stack_ranks(_pair_sums(weights.int_row(), p), p)[0])
+    low = bounds.reversal_sum_bound(len(weights))
     half = -(-low // 2)  # ceil((n - 2) / 2)
     records, parameters = _mix_reversal_sweep(
-        n, field, weights, LinearMix(field.one, field.zero), tournaments, seed,
+        weights, LinearMix(weights.field.one, weights.field.zero), tournaments, seed,
         lambda rt, rr: rank_sum >= low and max(rt, rr) >= half)
     summary = {"checks": len(records), "rank_sum_matrix": rank_sum}
     return _finish(t0, "reversal-identity", parameters, records, summary)
 
 
-def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
-                     flips: int = 1000, seed: int = 0) -> Report:
+def verify_lipschitz(weights: WeightSeq, flips: int = 1000, seed: int = 0) -> Report:
     """Check the two perturbation bounds: |rank change| <= 2 per single edge
     flip and per single weight replacement, over random instances."""
     t0 = time.perf_counter()
+    n, field = len(weights), weights.field
     _require_n(n, 2, "edge-flip check")
     _refuse_empty(flips, f"flips={flips}")
+    row = weights.int_row()
     items = []
     for i in range(flips):
         t = random_tournament(n, seed, i)
@@ -301,10 +297,10 @@ def verify_lipschitz(n: int, field: Field, weights: WeightSeq,
         v = 1 + (u - 1 + offset) % n
         pos = stream.randrange(n)
         z = _random_nonzero(field, stream)
-        items += [(i, t, weights), (i, t.flip_edge(u, v), weights),
-                  (i, t, weights.replace(pos, z))]
+        items += [(i, t, row), (i, t.flip_edge(u, v), row),
+                  (i, t, weights.replace(pos, z).int_row())]
     records = []
-    ranked = _ranked(items, n, weights.field.char)
+    ranked = _ranked(items, n, field.char)
     # three consecutive ranks per trial: as drawn, flipped, weight replaced
     for (i, base), (_, flipped), (_, replaced) in zip(ranked, ranked, ranked):
         ok = abs(flipped - base) <= 2 and abs(replaced - base) <= 2
@@ -351,7 +347,7 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
                     bad = 0
                     first_bad = None
                     base = lo  # code of the batch's first tournament
-                    for batch in _code_batches(n, _certify_weights(field, n, s, z), lo, hi):
+                    for batch in _code_batches(_certify_weights(field, n, s, z).int_row(), lo, hi):
                         short = np.flatnonzero(stack_ranks(batch[:, :s, :s], p) < s)
                         failed = short[stack_ranks(batch[short, :s + 1, :s + 1], p) < s + 1]
                         if first_bad is None and failed.size:
@@ -385,7 +381,7 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
             raise ZeroWeightError(f"constant {value} vanishes in {field}")
         for n in n_list:
             built = tournament_stack(bit_rows([transitive(n), random_tournament(n, 1, n)]),
-                                     WeightSeq(field, (a,) * n))
+                                     WeightSeq(field, (a,) * n).int_row())
             # the constant matrix a(J - I), built directly (a is an integer over Q)
             const = (1 - np.eye(n, dtype=built.dtype)) * int(a.value)
             collapse_ok = bool((built == const).all())
@@ -402,7 +398,7 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
                    records, {"checks": len(records)})
 
 
-def verify_f_ensemble(n: int, field: Field, weights: WeightSeq, alpha, beta,
+def verify_f_ensemble(weights: WeightSeq, alpha, beta,
                       tournaments="exhaustive", seed: int = 0) -> Report:
     """Check the linear-mix reversal law and rank-sum bound per tournament.
 
@@ -411,13 +407,14 @@ def verify_f_ensemble(n: int, field: Field, weights: WeightSeq, alpha, beta,
     to >= n - 2.  alpha + beta = 0 is refused outright.
     """
     t0 = time.perf_counter()
+    field = weights.field
     mix = LinearMix(field.scalar(alpha), field.scalar(beta))
     if mix.degenerate():
         raise DegenerateMixError(
             f"alpha + beta = 0 in {field}: the pair-sum matrix vanishes and the"
             " rank-sum bound says nothing; refusing to report a vacuous pass"
         )
-    records, parameters = _mix_reversal_sweep(n, field, weights, mix, tournaments, seed,
+    records, parameters = _mix_reversal_sweep(weights, mix, tournaments, seed,
                                               lambda rt, rr: True)
     parameters.update(alpha=str(mix.alpha), beta=str(mix.beta))
     return _finish(t0, "linear-mix-reversal", parameters, records, {"checks": len(records)})
@@ -431,14 +428,14 @@ def verify_finite_field_bound(n_max: int, p: int) -> Report:
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
-        weights = cycling_weights(field, n)
+        row = cycling_weights(field, n).int_row()
         low = bounds.finite_field_bound(n, p)
         need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
         lo, hi = code_range(n)
         step = max(_SWEEP_CODES, 1 << (n - 1))  # whole runs of codes per call
         min_rank, bad = n, 0
         for a in range(lo, hi, step):
-            ranks = _code_ranks((n, weights, a, min(a + step, hi)))
+            ranks = _code_ranks((row, p, a, min(a + step, hi)))
             min_rank = min(min_rank, int(ranks.min()))
             bad += int(np.count_nonzero(ranks < need))
         records.append({
@@ -465,29 +462,31 @@ def _split_range(start: int, end: int, parts: int, align: int = 1):
     return list(zip(cuts, cuts[1:]))
 
 
-def _code_batches(n: int, weights: WeightSeq, lo: int, hi: int, seed: int | None = None):
-    """The tournaments with codes in [lo, hi), in code order, or with a seed the
-    sampled tournaments `random_tournament(n, seed, i)` for i in [lo, hi), in
-    index order, as `tournament_stack` batches of about _BATCH_ENTRIES matrix
-    entries: residues over GF(p) and integers over Q alike, ranked by
-    `stack_ranks(batch, field.char)`."""
+def _code_batches(row, lo: int, hi: int, seed: int | None = None):
+    """The tournaments on n = row.shape[1] vertices with codes in [lo, hi), in
+    code order, or with a seed the sampled tournaments `random_tournament(n,
+    seed, i)` for i in [lo, hi), in index order, as `tournament_stack`
+    batches of the weight row, of about _BATCH_ENTRIES matrix entries each."""
+    n = row.shape[1]
     step = max(1, _BATCH_ENTRIES // (n * n))
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         bits = pair_bits(n, a, b) if seed is None else random_pair_bits(n, seed, a, b)
-        yield tournament_stack(bits, weights)
+        yield tournament_stack(bits, row)
 
 
 def _ranks_chunk(args):
-    """Ranks of the matrices `_code_batches(*args)` yields, in order."""
-    weights = args[1]
-    return [r for batch in _code_batches(*args)
-            for r in stack_ranks(batch, weights.field.char).tolist()]
+    """For args = (row, p, lo, hi, seed), the ranks mod p (over Q with p = 0)
+    of the matrices `_code_batches(row, lo, hi, seed)` yields, in order."""
+    row, p, lo, hi, seed = args
+    return [r for batch in _code_batches(row, lo, hi, seed)
+            for r in stack_ranks(batch, p).tolist()]
 
 
 def _code_ranks(args) -> np.ndarray:
-    """The ranks of the tournaments with codes in [lo, hi), for args = (n,
-    weights, lo, hi), as an int8 array in code order.
+    """The ranks mod p (over Q with p = 0) of the tournaments on n =
+    row.shape[1] vertices with codes in [lo, hi), for args = (row, p, lo, hi),
+    as an int8 array in code order.
 
     Vertex 1's n - 1 pairs are a code's low bits, so each aligned run of
     2**(n-1) codes, k * 2**(n-1) + border bits, shares the block on vertices
@@ -497,17 +496,18 @@ def _code_ranks(args) -> np.ndarray:
     rows of the first run; a run only partly inside the range is ranked
     whole and cut to it.
     """
-    n, weights, lo, hi = args
+    row, p, lo, hi = args
+    n = row.shape[1]
     run = 1 << (n - 1)
     ranks = np.empty(hi - lo, dtype=np.int8)
-    borders = tournament_stack(pair_bits(n, 0, run), weights)[:, 0, 1:]
+    borders = tournament_stack(pair_bits(n, 0, run), row)[:, 0, 1:]
     step = max(1, _BATCH_ENTRIES // (run * n))  # blocks per batch
     end = -(-hi // run)
     for k in range(lo // run, end, step):
         bits = np.zeros((min(step, end - k), n_pairs(n)), dtype=np.uint8)
         bits[:, n - 1:] = pair_bits(n - 1, k, k + len(bits))
-        blocks = tournament_stack(bits, weights)[:, 1:, 1:]
-        batch = bordered_ranks(blocks, borders, weights.field.char).ravel()
+        blocks = tournament_stack(bits, row)[:, 1:, 1:]
+        batch = bordered_ranks(blocks, borders, p).ravel()
         a, b = max(lo, k * run), min(hi, (k + len(bits)) * run)
         ranks[a - lo:b - lo] = batch[a - k * run:b - k * run]
     return ranks
@@ -541,8 +541,7 @@ def _run_chunks(fn, jobs, workers):
         return list(pool.map(fn, jobs))
 
 
-def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
-                       shard=None, workers: int = 1,
+def minrank_exhaustive(weights: WeightSeq, shard=None, workers: int = 1,
                        conjecture_c=None) -> Report:
     """Rank every tournament on n vertices (codes in `shard`, default all).
 
@@ -552,10 +551,12 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
     informational "min_rank >= c*n" flag, never a violation.
     """
     t0 = time.perf_counter()
+    n, field = len(weights), weights.field
     _require_n(n, 1, "exhaustive min-rank")
     lo, hi = code_range(n, *shard) if shard is not None else code_range(n)
     _refuse_empty(hi - lo, f"shard [{lo}, {hi})")
-    jobs = [(n, weights, a, b) for a, b in _split_range(lo, hi, workers, 1 << (n - 1))]
+    row = weights.int_row()
+    jobs = [(row, field.char, a, b) for a, b in _split_range(lo, hi, workers, 1 << (n - 1))]
     parts = _run_chunks(_code_ranks, jobs, workers)
     ranks = parts[0] if len(parts) == 1 else np.concatenate(parts)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
@@ -585,23 +586,23 @@ def minrank_exhaustive(n: int, field: Field, weights: WeightSeq,
                    violations=int(counts[:need].sum()))
 
 
-def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
-                    seed: int, workers: int = 1) -> Report:
+def montecarlo_rank(weights: WeightSeq, samples: int, seed: int, workers: int = 1) -> Report:
     """Sample uniform tournaments by (seed, index) and record every rank.
 
     In characteristic != 2 each rank is asserted against the certified floor
     of n/2 - 21*sqrt(n*ln n); when that floor is <= 0 the check is vacuous
-    and flagged as such.  The report depends only on (n, field, weights,
-    samples, seed) - never on the worker count.
+    and flagged as such.  The report depends only on (weights, samples, seed),
+    which fix n and the field - never on the worker count.
     """
     t0 = time.perf_counter()
+    n, field = len(weights), weights.field
     _refuse_empty(samples, f"samples={samples}")
     char2 = field.char == 2
     low = bounds.half_minus_tail_floor(n)
     vacuous = bounds.half_minus_tail_vacuous(n)
-    ranks = list(itertools.chain.from_iterable(_run_chunks(
-        _ranks_chunk, [(n, weights, a, b, seed) for a, b in _split_range(0, samples, workers)],
-        workers)))
+    row = weights.int_row()
+    jobs = [(row, field.char, a, b, seed) for a, b in _split_range(0, samples, workers)]
+    ranks = list(itertools.chain.from_iterable(_run_chunks(_ranks_chunk, jobs, workers)))
     records = [{"index": i, "rank": r, "bound": low, "pass": True if char2 else r >= low}
                for i, r in enumerate(ranks)]
     parameters = {
@@ -612,14 +613,14 @@ def montecarlo_rank(n: int, field: Field, weights: WeightSeq, samples: int,
     summary = {
         "min_rank": min(ranks),
         "median_rank": statistics.median(ranks),
-        "rank_histogram": _rank_histogram(ranks),
+        "rank_histogram": dict(Counter(map(str, ranks))),
         "bound_floor": low,
         "bound_vacuous": vacuous,
     }
     return _finish(t0, "montecarlo-rank", parameters, records, summary)
 
 
-def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
+def perm_scan(t: Tournament, weights: WeightSeq,
               mode: str = "all", sample: int = 1000, seed: int = 0) -> Report:
     """Scan ranks of the fixed tournament's matrix over permuted weights.
 
@@ -631,7 +632,7 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
     t0 = time.perf_counter()
     n = t.n
     if len(weights) != n:
-        raise ValueError(f"{len(weights)} weights for n={n}")
+        raise LengthMismatchError(f"{len(weights)} weights for n={n}")
     if mode == "all":
         if n > MAX_PERM_N:
             raise TooManyPermutationsError(f"n={n} has n! > {MAX_PERM_N}! permutations")
@@ -645,7 +646,9 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
     witness: dict = {}
     counts: dict = {}
     scanned = 0
-    items = ((perm, t, weights.permuted(perm)) for perm in perms)
+    row = weights.int_row()
+    # the permuted weights' value k is value perm[k] - 1 of the row
+    items = ((perm, t, row.take(np.subtract(perm, 1), axis=1)) for perm in perms)
     for perm, r in _ranked(items, n, weights.field.char):
         scanned += 1
         counts[r] = counts.get(r, 0) + 1
@@ -653,7 +656,7 @@ def perm_scan(t: Tournament, field: Field, weights: WeightSeq,
             witness[r] = perm
     records = [{"rank": r, "count": counts[r], "witness_perm": list(witness[r])}
                for r in sorted(witness)]
-    parameters = {"n": n, "field": str(field), "weights": str(weights),
+    parameters = {"n": n, "field": str(weights.field), "weights": str(weights),
                   "tournament_code": t.code, "mode": mode,
                   "sample": sample if mode == "sample" else None, "seed": seed}
     summary = {"scanned": scanned, "distinct_ranks": sorted(witness), "exploratory": True}

@@ -11,9 +11,10 @@ and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
 matrix plus its reversal's.  The builder walks the tournament's pair-bit text
 (`Tournament.bits()`), so the bit layout lives in one place.  For exhaustive
 sweeps, `tournament_stack` builds the base matrices of a whole code range at
-once from the pair-bit array `pair_bits`, as a (B, n, n) array: residues over
-GF(p), integers over Q (the weights cleared of their common denominator),
-in the dtype `int_array` picks: int64, or Python ints past 2**63.
+once from the pair-bit array `pair_bits` and integer weight rows, as a
+(B, n, n) array.  `cleared` turns rational rows into such integer rows, each
+times the lcm of its denominators, in the dtype `int_array` picks (int64, or
+Python ints past 2**63); `WeightSeq.int_row` applies it to the weights.
 
 A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
 GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
@@ -84,9 +85,10 @@ class WeightSeq:
         vals[k] = self.field.scalar(value)
         return WeightSeq(self.field, tuple(vals))
 
-    def permuted(self, perm) -> "WeightSeq":
-        """Reorder by perm: new values[k] = values[perm[k] - 1], perm over 1..n."""
-        return WeightSeq(self.field, tuple(self.values[p - 1] for p in perm))
+    def int_row(self) -> np.ndarray:
+        """The weights as a (1, n) integer row, by `cleared`: the residues over
+        GF(p), over Q the values times the lcm of their denominators."""
+        return cleared([[v.value for v in self.values]])[0]
 
     def __str__(self):
         return ",".join(format_scalar(v) for v in self.values)
@@ -224,26 +226,32 @@ def int_array(rows) -> np.ndarray:
     return np.array(rows, dtype=object if big else np.int64)
 
 
-def tournament_stack(bits: np.ndarray, weights) -> np.ndarray:
-    """The tournament matrices of B pair-bit rows, as a (B, n, n) array of
-    residues over GF(p), and over Q of the integer matrices times the weights'
-    common denominator, which keeps every rank, in the dtype of the weights'
-    `int_array`.
+def cleared(rows):
+    """The `int_array` of rows of ints or Fractions, each row scaled by the
+    lcm of its denominators, and the product of those multipliers."""
+    int_rows, scale = [], 1
+    for row in rows:
+        ratios = [v.as_integer_ratio() for v in row]
+        mult = lcm(*(d for _, d in ratios))
+        int_rows.append([a * (mult // d) for a, d in ratios])
+        scale *= mult
+    return int_array(int_rows), scale
+
+
+def tournament_stack(bits: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The tournament matrices of B pair-bit rows, as a (B, n, n) array in the
+    dtype of `vals`: a (1, n) integer weight row for every matrix, or a (B,
+    n) array of one row per matrix, as `WeightSeq.int_row` gives them.
 
     `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
     [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
-    np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit is
-    1 (i beats j) and a_j where it is 0; the diagonal is zero.  `weights` is
-    one WeightSeq for every row, or a list of them, one per row; over Q every
-    row is then cleared by the one common denominator of them all.
+    np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit
+    is 1 (i beats j) and a_j where it is 0; the diagonal is zero.
     """
-    seqs = [weights] if isinstance(weights, WeightSeq) else weights
-    n = len(seqs[0])
-    if (bits.ndim != 2 or bits.shape[1] != n_pairs(n) or any(len(w) != n for w in seqs)
-            or len(seqs) not in (1, len(bits))):
-        raise LengthMismatchError(f"{len(seqs)} x {n} weights for pair bits of shape {bits.shape}")
-    den = lcm(*(v.value.denominator for w in seqs for v in w.values))  # 1 over GF(p)
-    vals = int_array([[int(v.value * den) for v in w.values] for w in seqs])
+    n = vals.shape[-1]
+    if (bits.ndim != 2 or vals.ndim != 2 or bits.shape[1] != n_pairs(n)
+            or len(vals) not in (1, len(bits))):
+        raise LengthMismatchError(f"weights of shape {vals.shape} for pair bits of {bits.shape}")
     rows, cols = np.triu_indices(n, 1)
     winners = np.where(bits != 0, vals[:, rows], vals[:, cols])
     stack = np.zeros((bits.shape[0], n, n), dtype=vals.dtype)

@@ -26,15 +26,15 @@ up to 64 columns, one at a time by the panel routine above that.  Every
 elimination takes an integer array, of int64 or past 2**63 of Python ints
 (as `matrices.int_array` decides), and reduces it mod p while it makes its
 one int64 copy.  Over Q, `rank()` and `determinant()` first clear rational
-rows to such an array row by row.  The matrix, or each matrix of a stack,
-is eliminated mod `_prime(0)` = 2**31 - 1 first.  Rank mod p never exceeds
-rank over Q, column prefix by column prefix, so a rank of min(rows, cols)
-there, with pivot columns 0..r-1 for `rank()`, is the rank over Q.
-Otherwise, and always for a determinant, `_prime(1)`, ... run until their
-product passes Hadamard's bound H = (E * sqrt(c))**m on every minor, or 2H
-for a determinant: `_hadamard_primes` reads E (the largest entry in size)
-and c (the most nonzeros in a row) from the array itself, and m = min(rows,
-cols).  A nonzero integer minor below that product is nonzero mod one of
+rows to such an array row by row, by `matrices.cleared`.  The matrix, or
+each matrix of a stack, is eliminated mod `_prime(0)` = 2**31 - 1 first.
+Rank mod p never exceeds rank over Q, column prefix by column prefix, so a
+rank of min(rows, cols) there, with pivot columns 0..r-1 for `rank()`, is
+the rank over Q.  Otherwise, and always for a determinant, `_prime(1)`,
+... run until their product passes Hadamard's bound H = (E * sqrt(c))**m on
+every minor, or 2H for a determinant: `_hadamard_primes` reads E (the
+largest entry in size) and c (the most nonzeros in a row) from the array
+itself, and m = min(rows, cols).  A nonzero integer minor below that product is nonzero mod one of
 the primes, so the max of the ranks mod them is the rank over Q, and the
 determinant is the symmetric residue of the Chinese remainder of its
 residues.  Pivot selection is always leftmost nonzero column, lowest row
@@ -58,12 +58,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
 from .fields import Field, Scalar, is_prime
-from .matrices import DenseMatrix, int_array
+from .matrices import DenseMatrix, cleared
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
@@ -372,19 +372,6 @@ def _update_trailing(R, pr0, pr, cols, c1, p, lazy):
         np.remainder(tail, p, out=tail)
 
 
-def _cleared(raw):
-    """The `int_array` of rational rows, each scaled by the lcm of its
-    denominators, and the product of those multipliers."""
-    int_rows = []
-    scale = 1
-    for row in raw:
-        ratios = [v.as_integer_ratio() for v in row]
-        mult = lcm(*(d for _, d in ratios))
-        int_rows.append([a * (mult // d) for a, d in ratios])
-        scale *= mult
-    return int_array(int_rows), scale
-
-
 def _eliminate_q(a, det=False):
     """Rank, pivot columns and, with `det`, the determinant over Q of a nonempty
     integer matrix, from its eliminations mod _prime(0), _prime(1), ...
@@ -417,7 +404,7 @@ def rank(m: DenseMatrix) -> RankProfile:
     elif m.field.is_prime_field:
         r, pivots, _ = _eliminate_mod_p(m.raw_rows(), m.field.char)
     else:
-        r, pivots, _ = _eliminate_q(_cleared(m.raw_rows())[0])
+        r, pivots, _ = _eliminate_q(cleared(m.raw_rows())[0])
     return RankProfile(r, pivots, m.field)
 
 
@@ -429,6 +416,6 @@ def determinant(m: DenseMatrix) -> Scalar:
         return Scalar(m.field, 1)
     if m.field.is_prime_field:
         return Scalar(m.field, _eliminate_mod_p(m.raw_rows(), m.field.char)[2])
-    a, scale = _cleared(m.raw_rows())  # det over Q = integer det / scale
+    a, scale = cleared(m.raw_rows())  # det over Q = integer det / scale
     return Scalar(m.field, Fraction(_eliminate_q(a, det=True)[2], scale))
 

@@ -56,7 +56,7 @@ def test_criterion_02_reversal_identity_and_bounds():
             half = -(-low // 2)
             for field in (QQ, GF(3)):
                 weights = ex.counting_weights(field, n)
-                rep = ex.verify_reversal(n, field, weights)
+                rep = ex.verify_reversal(weights)
                 assert rep.summary["checks"] == 2 ** (n * (n - 1) // 2)
                 assert rep.summary["violations"] == 0
                 assert rep.summary["rank_sum_matrix"] >= low
@@ -68,10 +68,10 @@ def test_criterion_02_reversal_identity_and_bounds():
 
 def test_criterion_03_lipschitz_trials():
     with criterion(3, "|rank change| <= 2 per flip and per weight swap, 10k GF(5) + 1k Q"):
-        rep5 = ex.verify_lipschitz(8, GF(5), ex.cycling_weights(GF(5), 8),
+        rep5 = ex.verify_lipschitz(ex.cycling_weights(GF(5), 8),
                                    flips=10000, seed=SEED)
         assert rep5.summary["violations"] == 0
-        repq = ex.verify_lipschitz(8, QQ, ex.cycling_weights(QQ, 8),
+        repq = ex.verify_lipschitz(ex.cycling_weights(QQ, 8),
                                    flips=1000, seed=SEED)
         assert repq.summary["violations"] == 0
         for rep in (rep5, repq):
@@ -111,14 +111,14 @@ def test_criterion_07_linear_mix_reversal():
     with criterion(7, "linear-mix entry law + rank sum >= n-2, n=4 exhaustive over Q"):
         for alpha, beta in ((2, 3), (1, 1), (5, -4)):
             weights = ex.counting_weights(QQ, 4)
-            rep = ex.verify_f_ensemble(4, QQ, weights, alpha, beta)
+            rep = ex.verify_f_ensemble(weights, alpha, beta)
             assert rep.summary["checks"] == 64
             assert rep.summary["violations"] == 0, f"mix ({alpha},{beta})"
             for rec in rep.records:
                 assert rec["identity_ok"]
                 assert rec["rank_t"] + rec["rank_rev"] >= 2
         with pytest.raises(ex.DegenerateMixError):
-            ex.verify_f_ensemble(4, QQ, ex.counting_weights(QQ, 4), 1, -1)
+            ex.verify_f_ensemble(ex.counting_weights(QQ, 4), 1, -1)
 
 
 def test_criterion_08_bisect_chain():
@@ -167,20 +167,20 @@ def test_criterion_10_montecarlo_determinism_and_bound():
     with criterion(10, "montecarlo n=50 x500, GF(3) and Q: bound, vacuity flag, bytes"):
         for field in (GF(3), QQ):
             weights = ex.cycling_weights(field, 50)
-            base = ex.montecarlo_rank(50, field, weights, 500, seed=SEED)
+            base = ex.montecarlo_rank(weights, 500, seed=SEED)
             assert base.summary["violations"] == 0
             assert base.summary["bound_vacuous"] is True  # flagged, not silent
             assert base.summary["bound_floor"] <= 0
-            repeat = ex.montecarlo_rank(50, field, weights, 500, seed=SEED)
+            repeat = ex.montecarlo_rank(weights, 500, seed=SEED)
             assert base.to_json(full_records=True) == repeat.to_json(full_records=True)
-            wide = ex.montecarlo_rank(50, field, weights, 500, seed=SEED, workers=8)
+            wide = ex.montecarlo_rank(weights, 500, seed=SEED, workers=8)
             assert base.to_json(full_records=True) == wide.to_json(full_records=True)
 
 
 def test_criterion_11_minrank_regression_vs_oracle():
     with criterion(11, "min rank over all n=3 tournaments, a=(1,2,3) over Q, equals 3"):
         weights = WeightSeq.of(QQ, [1, 2, 3])
-        rep = ex.minrank_exhaustive(3, QQ, weights)
+        rep = ex.minrank_exhaustive(weights)
         oracle_min = min(
             minor_scan_rank(tournament_matrix(t, weights).raw_rows())
             for t in enumerate_all(3)

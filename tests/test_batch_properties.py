@@ -4,7 +4,7 @@
 the stack alone over GF(p), and against `rank()` of each matrix over Q, and
 `tournament_stack(pair_bits(...))` against `tournament_matrix` of the same
 codes, entry for entry: exhaustively for n <= 5 and on random codes at
-n = 11, and with one weight sequence per row.  Stacks wider than two panels
+n = 11, and with one weight row per matrix.  Stacks wider than two panels
 are ranked one matrix at a time.  Over Q a `mock` count pins how many primes the stacks are ranked
 mod: `_prime(0)` for every matrix, the rest only for those short of full
 rank there, and stacks that mix both kinds are checked against `rank()` and
@@ -100,7 +100,8 @@ def test_wide_stacks_are_ranked_one_matrix_at_a_time():
     it runs none."""
     n = 2 * rank_mod._PANEL + 2
     weights = WeightSeq.of(GF(3), [1 + k % 2 for k in range(n)])
-    stack = tournament_stack(bit_rows([random_tournament(n, 4, i) for i in range(3)]), weights)
+    stack = tournament_stack(bit_rows([random_tournament(n, 4, i) for i in range(3)]),
+                             weights.int_row())
     stack = np.concatenate([stack, stack[:1]])
     stack[3, n // 2:] = stack[3, : n - n // 2]  # a repeated half: rank at most n // 2 + 1
     with mock.patch.object(rank_mod, "_eliminate_mod_p", wraps=rank_mod._eliminate_mod_p) as spy:
@@ -132,7 +133,7 @@ def test_stack_matches_tournament_matrix_for_every_code(n, p):
     field = GF(p)
     weights = _weights(field, n, n + p)
     total = 1 << n_pairs(n)
-    stack = tournament_stack(pair_bits(n, 0, total), weights)
+    stack = tournament_stack(pair_bits(n, 0, total), weights.int_row())
     assert stack.shape == (total, n, n) and stack.dtype == np.int64
     for code in range(total):
         m = tournament_matrix(Tournament(n, code), weights)
@@ -146,7 +147,7 @@ def test_stack_matches_tournament_matrix_at_n11(codes, p, seed):
     field = GF(p)
     weights = _weights(field, 11, seed)
     bits = np.concatenate([pair_bits(11, code, code + 1) for code in codes])
-    stack = tournament_stack(bits, weights)
+    stack = tournament_stack(bits, weights.int_row())
     for code, built in zip(codes, stack):
         assert built.ravel().tolist() == list(tournament_matrix(Tournament(11, code), weights).entries)
 
@@ -169,16 +170,16 @@ def test_pair_bits_follow_bits_text():
     (QQ, lambda b, k: Fraction((-1) ** k * (k + 1), b + 2)),
 ], ids=["GF5", "word-prime", "Q-fractions"])
 def test_per_row_weights_match_tournament_matrix(field, values):
-    """One weight sequence per row: each matrix is `tournament_matrix` of its
-    own tournament and weights, times the one common denominator over Q."""
+    """One weight row per matrix: each matrix is `tournament_matrix` of its own
+    tournament and weights, times its own row's denominator lcm over Q."""
     n, count = 6, 7
     tournaments = [random_tournament(n, 5, b) for b in range(count)]
     weights = [WeightSeq.of(field, [values(b, k) for k in range(n)]) for b in range(count)]
-    den = math.lcm(*(v.value.denominator for w in weights for v in w.values))
-    assert den == (1 if field.char else 840)  # lcm(2..8): no one row's denominator
-    stack = tournament_stack(bit_rows(tournaments), weights)
+    dens = [math.lcm(*(v.value.denominator for v in w.values)) for w in weights]
+    assert dens == ([1] * count if field.char else list(range(2, 9)))
+    stack = tournament_stack(bit_rows(tournaments), np.concatenate([w.int_row() for w in weights]))
     assert stack.shape == (count, n, n) and stack.dtype == np.int64
-    for t, w, built in zip(tournaments, weights, stack):
+    for t, w, den, built in zip(tournaments, weights, dens, stack):
         assert built.ravel().tolist() == [v * den for v in tournament_matrix(t, w).entries]
 
 
@@ -192,12 +193,12 @@ def test_pair_bits_refuse_what_enumerate_all_refuses():
 def test_tournament_stack_refuses_wrong_lengths():
     for field in (GF(3), QQ):
         with pytest.raises(LengthMismatchError):
-            tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(field, [1, 2, 1, 2]))
-        three = WeightSeq.of(field, [1, 2, 1])
+            tournament_stack(pair_bits(3, 0, 8), WeightSeq.of(field, [1, 2, 1, 2]).int_row())
+        three = WeightSeq.of(field, [1, 2, 1]).int_row()
         with pytest.raises(LengthMismatchError):
-            tournament_stack(pair_bits(3, 0, 8), [three] * 7)
-        with pytest.raises(LengthMismatchError):
-            tournament_stack(pair_bits(3, 0, 2), [three, WeightSeq.of(field, [1, 2])])
+            tournament_stack(pair_bits(3, 0, 8), np.repeat(three, 7, axis=0))
+        with pytest.raises(LengthMismatchError):  # a flat row, not a (1, n) array
+            tournament_stack(pair_bits(3, 0, 2), three[0])
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,8 @@ def test_q_tournament_stack_block_ranks_match_rank(case):
     values, codes, k = case
     n = len(values)
     weights = WeightSeq.of(QQ, values)
-    stack = tournament_stack(np.concatenate([pair_bits(n, c, c + 1) for c in codes]), weights)
+    bits = np.concatenate([pair_bits(n, c, c + 1) for c in codes])
+    stack = tournament_stack(bits, weights.int_row())
     blocks = [tournament_matrix(Tournament(n, c), weights).principal_submatrix(k) for c in codes]
     expected = [rank_mod.rank(m).rank for m in blocks]
     assert rank_mod.stack_ranks(stack[:, :k, :k], 0).tolist() == expected
@@ -350,7 +352,7 @@ def test_q_tournament_stack_block_ranks_match_rank(case):
 def test_q_stack_is_the_matrix_times_the_common_denominator(values):
     weights = WeightSeq.of(QQ, values)
     den = math.lcm(*(Fraction(v).denominator for v in values))
-    stack = tournament_stack(pair_bits(5, 0, 1 << 10), weights)
+    stack = tournament_stack(pair_bits(5, 0, 1 << 10), weights.int_row())
     assert stack.dtype == (object if max(abs(v) * den for v in values) >= BIG else np.int64)
     for code in range(1 << 10):
         m = tournament_matrix(Tournament(5, code), weights)
@@ -425,9 +427,9 @@ def test_q_certify_ranks_one_prime_for_the_benchmark_weights():
 @pytest.mark.parametrize("run, settles, goes_on", [
     (lambda: ex.verify_certifiability(5, [QQ], z_values=(2**31 - 1,)), False, True),
     (lambda: ex.minrank_exhaustive(
-        5, QQ, WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])), True, False),
+        WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])), True, False),
     (lambda: ex.minrank_exhaustive(
-        5, QQ, WeightSeq.of(QQ, [k * (2**40 + 1) for k in range(1, 6)])), True, True),
+        WeightSeq.of(QQ, [k * (2**40 + 1) for k in range(1, 6)])), True, True),
 ], ids=["certify-z-word-prime", "minrank-past-63-bits", "minrank-scaled-mixed"])
 def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run, settles, goes_on):
     """Every matrix is ranked mod _prime(0) once, and only the matrices short
@@ -523,8 +525,9 @@ def test_bordered_sweeps_match_stack_ranks(field, n, data):
     else:
         lo = data.draw(st.integers(0, total - 1))
         hi = lo + 1 if kind == "single" else data.draw(st.integers(lo + 1, min(total, lo + 8 * run)))
-    ranks = ex._code_ranks((n, weights, lo, hi))
-    expected = rank_mod.stack_ranks(tournament_stack(pair_bits(n, lo, hi), weights), field.char)
+    ranks = ex._code_ranks((weights.int_row(), field.char, lo, hi))
+    expected = rank_mod.stack_ranks(tournament_stack(pair_bits(n, lo, hi), weights.int_row()),
+                                    field.char)
     assert ranks.dtype == np.int8 and ranks.tolist() == expected.tolist()
 
 

@@ -208,12 +208,30 @@ def test_csv_report_format(capsys):
      "error: ShardRangeError: bad shard [5, 9) for 8 codes"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--shard", "6:2"],
      "error: ShardRangeError: bad shard [6, 2) for 8 codes"),
+    (["minrank", "--n", "3", "--seq", "1/0,2,3"], "error: ZeroDivisionError"),
+    (["verify", "--theorem", "f-ensemble", "--n", "3", "--alpha", "1/0", "--beta", "1"],
+     "error: ZeroDivisionError"),
+    (["minrank", "--n", "3", "--seq", "1,2,3", "--conjecture-c", "1/0"],
+     "error: ZeroDivisionError"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")
     assert code == 2
     assert error in err
     assert stdout == ""
+
+
+def test_verify_transitive_reads_seq(capsys):
+    """--seq is the fixed weight sequence, cycled to each n, so one trial per
+    n runs; a zero weight in it is refused before any check."""
+    argv = ["verify", "--theorem", "transitive", "--n-range", "3..4", "--trials", "2",
+            "--field", "GF(3)", "--seed", "1", "--seq"]
+    code, stdout, _ = run(capsys, *argv, "1,2")
+    doc = json.loads(stdout)
+    assert code == 0 and doc["parameters"]["sequence_source"] == "fixed"
+    assert doc["summary"]["checks"] == 4  # 2 sizes x 1 trial x 2 kinds
+    code, stdout, err = run(capsys, *argv, "1,0")
+    assert code == 2 and "ZeroWeightError" in err and stdout == ""
 
 
 def test_empty_n_range_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import itertools
 from fractions import Fraction
 import json
 import os
@@ -12,6 +13,7 @@ from tourmat import experiments as ex
 from tourmat import report as report_mod
 from tourmat.fields import GF, QQ, FieldMismatchError
 from tourmat.matrices import (
+    LengthMismatchError,
     LinearMix,
     WeightSeq,
     linear_mix_matrix,
@@ -57,14 +59,14 @@ def test_verify_transitive_fixed_sequence():
 
 
 def test_verify_reversal_exhaustive_n4():
-    rep = ex.verify_reversal(4, QQ, WeightSeq.of(QQ, [1, 2, 3, 4]))
+    rep = ex.verify_reversal(WeightSeq.of(QQ, [1, 2, 3, 4]))
     assert rep.passed
     assert rep.summary["checks"] == 64
     assert rep.summary["rank_sum_matrix"] >= 2
 
 
 def test_verify_reversal_char2_refuses_rank_checks():
-    rep = ex.verify_reversal(3, GF(2), WeightSeq.of(GF(2), [1, 1, 1]))
+    rep = ex.verify_reversal(WeightSeq.of(GF(2), [1, 1, 1]))
     assert rep.parameters["rank_checks"].startswith("refused")
     assert rep.passed  # identity still holds entrywise
     assert all(rec["rank_t"] is None for rec in rep.records)
@@ -72,14 +74,14 @@ def test_verify_reversal_char2_refuses_rank_checks():
 
 def test_verify_reversal_explicit_and_sampled_sources():
     w = WeightSeq.of(QQ, [1, 2, 3, 4, 5])
-    explicit = ex.verify_reversal(5, QQ, w, tournaments=[random_tournament(5, 9, 0)])
+    explicit = ex.verify_reversal(w, tournaments=[random_tournament(5, 9, 0)])
     assert explicit.summary["checks"] == 1 and explicit.passed
-    sampled = ex.verify_reversal(5, QQ, w, tournaments=10, seed=9)
+    sampled = ex.verify_reversal(w, tournaments=10, seed=9)
     assert sampled.summary["checks"] == 10 and sampled.passed
 
 
 def test_verify_lipschitz():
-    rep = ex.verify_lipschitz(6, GF(5), ex.cycling_weights(GF(5), 6), flips=100, seed=3)
+    rep = ex.verify_lipschitz(ex.cycling_weights(GF(5), 6), flips=100, seed=3)
     assert rep.passed
 
 
@@ -133,8 +135,8 @@ def test_verify_constant_seq():
 
 def test_verify_f_ensemble_matches_reversal_for_identity_mix():
     w = WeightSeq.of(QQ, [1, 2, 3, 4])
-    mix_rep = ex.verify_f_ensemble(4, QQ, w, 1, 0)
-    rev_rep = ex.verify_reversal(4, QQ, w)
+    mix_rep = ex.verify_f_ensemble(w, 1, 0)
+    rev_rep = ex.verify_reversal(w)
     assert mix_rep.passed and rev_rep.passed
     mix_ranks = [(rec["rank_t"], rec["rank_rev"]) for rec in mix_rep.records]
     rev_ranks = [(rec["rank_t"], rec["rank_rev"]) for rec in rev_rep.records]
@@ -144,7 +146,7 @@ def test_verify_f_ensemble_matches_reversal_for_identity_mix():
 def test_verify_f_ensemble_degenerate_refused():
     w = WeightSeq.of(QQ, [1, 2, 3, 4])
     with pytest.raises(ex.DegenerateMixError):
-        ex.verify_f_ensemble(4, QQ, w, 1, -1)
+        ex.verify_f_ensemble(w, 1, -1)
 
 
 def test_verify_finite_field_bound():
@@ -164,28 +166,29 @@ def test_finite_field_bound_reduces_the_code_space_in_chunks(p, monkeypatch):
         chunked = ex.verify_finite_field_bound(6, p)
     assert list(chunked.records) == list(whole.records)
     assert chunked.summary == whole.summary
-    spans = [(n, hi - lo) for (n, _, lo, hi), in (c.args for c in ranked.call_args_list)]
+    spans = [(row.shape[1], hi - lo)
+             for (row, _, lo, hi), in (c.args for c in ranked.call_args_list)]
     assert all(size <= max(4, 1 << (n - 1)) for n, size in spans)
     assert [n for n, _ in spans].count(6) == 2**15 // 32
 
 
 def test_minrank_pinned_regression():
-    rep = ex.minrank_exhaustive(3, QQ, WeightSeq.of(QQ, [1, 2, 3]))
+    rep = ex.minrank_exhaustive(WeightSeq.of(QQ, [1, 2, 3]))
     assert rep.summary["min_rank"] == 3  # det = 2*a1*a2*a3 != 0 for every orientation
     assert rep.summary["rank_histogram"] == {"3": 8}
 
 
 def test_minrank_constant_weights_single_matrix():
-    rep = ex.minrank_exhaustive(3, QQ, WeightSeq.of(QQ, [2, 2, 2]))
+    rep = ex.minrank_exhaustive(WeightSeq.of(QQ, [2, 2, 2]))
     assert rep.summary["min_rank"] == 3
     assert rep.summary["argmin_count"] == 8
 
 
 def test_minrank_shard_invariance():
     w = ex.cycling_weights(GF(3), 4)
-    full = ex.minrank_exhaustive(4, GF(3), w)
-    left = ex.minrank_exhaustive(4, GF(3), w, shard=(0, 40))
-    right = ex.minrank_exhaustive(4, GF(3), w, shard=(40, 64))
+    full = ex.minrank_exhaustive(w)
+    left = ex.minrank_exhaustive(w, shard=(0, 40))
+    right = ex.minrank_exhaustive(w, shard=(40, 64))
     merged_hist: dict = {}
     for rep in (left, right):
         for k, v in rep.summary["rank_histogram"].items():
@@ -196,14 +199,14 @@ def test_minrank_shard_invariance():
 
 def test_minrank_workers_do_not_change_bytes():
     w = ex.cycling_weights(GF(3), 4)
-    one = ex.minrank_exhaustive(4, GF(3), w, workers=1)
-    four = ex.minrank_exhaustive(4, GF(3), w, workers=4)
+    one = ex.minrank_exhaustive(w, workers=1)
+    four = ex.minrank_exhaustive(w, workers=4)
     assert one.to_json(full_records=True) == four.to_json(full_records=True)
 
 
 def test_montecarlo_pinned_pilot():
     # pinned from a pre-registered pilot run of this exact configuration
-    rep = ex.montecarlo_rank(10, GF(3), ex.cycling_weights(GF(3), 10), 100, seed=7)
+    rep = ex.montecarlo_rank(ex.cycling_weights(GF(3), 10), 100, seed=7)
     assert rep.summary["min_rank"] == 8
     assert rep.summary["rank_histogram"] == {"8": 2, "9": 36, "10": 62}
     assert rep.summary["bound_vacuous"] is True
@@ -212,17 +215,17 @@ def test_montecarlo_pinned_pilot():
 
 def test_montecarlo_repeat_run_byte_identical():
     w = ex.cycling_weights(GF(3), 8)
-    a = ex.montecarlo_rank(8, GF(3), w, 40, seed=5)
-    b = ex.montecarlo_rank(8, GF(3), w, 40, seed=5)
+    a = ex.montecarlo_rank(w, 40, seed=5)
+    b = ex.montecarlo_rank(w, 40, seed=5)
     assert a.to_json(full_records=True) == b.to_json(full_records=True)
-    c = ex.montecarlo_rank(8, GF(3), w, 40, seed=6)
+    c = ex.montecarlo_rank(w, 40, seed=6)
     assert a.to_json() != c.to_json()
 
 
 def test_montecarlo_worker_invariance():
     w = ex.cycling_weights(GF(3), 8)
-    one = ex.montecarlo_rank(8, GF(3), w, 30, seed=5, workers=1)
-    four = ex.montecarlo_rank(8, GF(3), w, 30, seed=5, workers=4)
+    one = ex.montecarlo_rank(w, 30, seed=5, workers=1)
+    four = ex.montecarlo_rank(w, 30, seed=5, workers=4)
     assert one.to_json(full_records=True) == four.to_json(full_records=True)
 
 
@@ -238,7 +241,7 @@ def test_montecarlo_ranks_stacks_and_builds_no_matrix_one_by_one(field):
                               wraps=matrices_mod._pair_matrix) as pair_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
                               wraps=rank_mod._eliminate_mod_p) as eliminations:
-        rep = ex.montecarlo_rank(50, field, w, 30, seed=4)
+        rep = ex.montecarlo_rank(w, 30, seed=4)
         counts = (rank_calls.call_count, builds.call_count, draws.call_count,
                   pair_builds.call_count, eliminations.call_count)
     assert counts == (0, 0, 0, 0, 0)
@@ -252,8 +255,8 @@ def test_montecarlo_bytes_do_not_depend_on_batches_or_workers(field):
     them at 30, inside the second stack."""
     assert ex._BATCH_ENTRIES // 50**2 == 26
     w = ex.cycling_weights(field, 50)
-    one = ex.montecarlo_rank(50, field, w, 61, seed=8, workers=1)
-    two = ex.montecarlo_rank(50, field, w, 61, seed=8, workers=2)
+    one = ex.montecarlo_rank(w, 61, seed=8, workers=1)
+    two = ex.montecarlo_rank(w, 61, seed=8, workers=2)
     assert one.to_json(full_records=True) == two.to_json(full_records=True)
     assert [rec["rank"] for rec in one.records] == [
         rank(tournament_matrix(random_tournament(50, 8, i), w)).rank for i in range(61)]
@@ -267,7 +270,7 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
     w = ex.cycling_weights(field, n)
     with mock.patch.object(rank_mod, "_eliminate_mod_p",
                            wraps=rank_mod._eliminate_mod_p) as eliminations:
-        rep = ex.montecarlo_rank(n, field, w, 5, seed=2)
+        rep = ex.montecarlo_rank(w, 5, seed=2)
     ranks = [rank(tournament_matrix(random_tournament(n, 2, i), w)).rank for i in range(5)]
     assert [rec["rank"] for rec in rep.records] == ranks
     if field.char == 0:
@@ -276,7 +279,7 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
 
 
 def test_montecarlo_char2_refusal():
-    rep = ex.montecarlo_rank(6, GF(2), ex.cycling_weights(GF(2), 6), 10, seed=1)
+    rep = ex.montecarlo_rank(ex.cycling_weights(GF(2), 6), 10, seed=1)
     assert rep.parameters["theorem_check"].startswith("refused")
     assert rep.summary["rank_histogram"]  # histogram still produced
     assert rep.passed
@@ -284,7 +287,7 @@ def test_montecarlo_char2_refusal():
 
 def test_perm_scan_constant_weights_single_rank():
     w = WeightSeq.of(QQ, [3, 3, 3, 3])
-    rep = ex.perm_scan(random_tournament(4, 2, 0), QQ, w, mode="all")
+    rep = ex.perm_scan(random_tournament(4, 2, 0), w, mode="all")
     assert len(rep.summary["distinct_ranks"]) == 1
     assert rep.summary["scanned"] == 24
     assert rep.summary["exploratory"] is True
@@ -296,15 +299,37 @@ def test_perm_scan_contains_reversal_rank():
     w = WeightSeq.of(QQ, [1, 2, 3, 4, 7])
     t = random_tournament(5, 3, 1)
     rev_rank = rank(tournament_matrix(t.reverse(), w)).rank
-    rep = ex.perm_scan(t, QQ, w, mode="all")
+    rep = ex.perm_scan(t, w, mode="all")
     assert rev_rank in rep.summary["distinct_ranks"]
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSeq.of(GF(5), [1, 2, 3, 4, 2, 1]),
+    WeightSeq.of(QQ, [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 2,
+                      Fraction(2, 3)]),
+], ids=["GF5", "Q-fractions"])
+def test_perm_scan_matches_each_permuted_matrix(weights):
+    """Every rank count and first witness of a full scan, against `rank()` of
+    `tournament_matrix` with value k of the weights set to value perm[k] - 1.
+    Some witnesses are not involutions, so the inverse permutation fails."""
+    t = random_tournament(6, 1, 0)
+    rep = ex.perm_scan(t, weights, mode="all")
+    perms_by_rank = {}
+    for perm in itertools.permutations(range(1, 7)):
+        permuted = WeightSeq(weights.field, tuple(weights[p - 1] for p in perm))
+        perms_by_rank.setdefault(rank(tournament_matrix(t, permuted)).rank, []).append(list(perm))
+    assert len(perms_by_rank) > 1
+    assert rep.records == [{"rank": r, "count": len(perms), "witness_perm": perms[0]}
+                           for r, perms in sorted(perms_by_rank.items())]
+    with pytest.raises(LengthMismatchError):
+        ex.perm_scan(random_tournament(5, 7, 0), weights)
 
 
 def test_perm_scan_limits_and_sampling():
     w = ex.cycling_weights(QQ, 10)
     with pytest.raises(ex.TooManyPermutationsError):
-        ex.perm_scan(random_tournament(10, 1, 0), QQ, w, mode="all")
-    rep = ex.perm_scan(random_tournament(10, 1, 0), QQ, w, mode="sample",
+        ex.perm_scan(random_tournament(10, 1, 0), w, mode="all")
+    rep = ex.perm_scan(random_tournament(10, 1, 0), w, mode="sample",
                        sample=5, seed=2)
     assert rep.summary["scanned"] == 5
 
@@ -393,7 +418,7 @@ def test_minrank_holds_its_records_as_columns():
     summary: min, argmin count, the first 16 argmins and the histogram."""
     field = GF(3)
     w = ex.cycling_weights(field, 5)
-    rep = ex.minrank_exhaustive(5, field, w, shard=(3, 1000))
+    rep = ex.minrank_exhaustive(w, shard=(3, 1000))
     assert isinstance(rep.records, RecordTable) and rep.records.ranks.dtype == np.int8
     ranks = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(5, 3, 1000)]
     low = min(ranks)
@@ -410,9 +435,9 @@ def test_minrank_argmins_scan_in_slices(monkeypatch, n, field, shard):
     the same, whether the argmins are fewer than 16 or the scan stops early,
     and the kept codes come from several slices."""
     w = ex.cycling_weights(field, n)
-    whole = ex.minrank_exhaustive(n, field, w, shard=shard)
+    whole = ex.minrank_exhaustive(w, shard=shard)
     monkeypatch.setattr(ex, "_BATCH_ENTRIES", 5)
-    sliced = ex.minrank_exhaustive(n, field, w, shard=shard)
+    sliced = ex.minrank_exhaustive(w, shard=shard)
     assert sliced.summary == whole.summary
     kept = sliced.summary["argmin_codes"]
     assert len({c // 5 for c in kept}) > 1
@@ -420,7 +445,7 @@ def test_minrank_argmins_scan_in_slices(monkeypatch, n, field, shard):
 
 
 def test_wall_time_not_serialized():
-    rep = ex.verify_reversal(3, QQ, WeightSeq.of(QQ, [1, 2, 3]))
+    rep = ex.verify_reversal(WeightSeq.of(QQ, [1, 2, 3]))
     assert rep.wall_time_s > 0
     assert "wall_time" not in rep.to_json()
 
@@ -439,6 +464,14 @@ def test_transitive_matrix_under_any_order_obeys_floor():
     assert rep.passed
 
 
+def test_explicit_empty_tournament_lists_are_refused():
+    w = ex.counting_weights(QQ, 4)
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_reversal(w, tournaments=[])
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_f_ensemble(w, 2, 3, tournaments=iter([]))
+
+
 def test_degenerate_runs_raise_named_errors():
     w = ex.cycling_weights(QQ, 4)
     with pytest.raises(ex.EmptyRunError):
@@ -446,18 +479,16 @@ def test_degenerate_runs_raise_named_errors():
     with pytest.raises(ex.EmptyRunError):
         ex.verify_transitive(range(3, 6), QQ, sequence_source=[])
     with pytest.raises(ex.EmptyRunError):
-        ex.montecarlo_rank(4, QQ, w, 0, seed=1)
+        ex.montecarlo_rank(w, 0, seed=1)
     with pytest.raises(ex.EmptyRunError):
         ex.verify_certifiability(1, [QQ])
     with pytest.raises(ex.BadRangeError):
-        ex.verify_lipschitz(1, QQ, ex.cycling_weights(QQ, 1))
+        ex.verify_lipschitz(ex.cycling_weights(QQ, 1))
     for field in (GF(3), QQ):
         with pytest.raises(ex.BadRangeError):
-            ex.minrank_exhaustive(0, field, WeightSeq(field, ()))
-    with pytest.raises(FieldMismatchError):
-        ex.verify_reversal(4, GF(3), w)
-    with pytest.raises(FieldMismatchError):
-        ex.verify_f_ensemble(4, QQ, ex.cycling_weights(GF(5), 4), 1, 2)
+            ex.minrank_exhaustive(WeightSeq(field, ()))
+    with pytest.raises(FieldMismatchError):  # the mix must come from the weights' field
+        ex.verify_f_ensemble(w, GF(5).one, 2)
 
 
 class _RecordingPool:
@@ -488,9 +519,9 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(ex, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
     w = ex.cycling_weights(GF(3), 6)
-    rep = ex.montecarlo_rank(6, GF(3), w, 20, seed=3, workers=workers)
+    rep = ex.montecarlo_rank(w, 20, seed=3, workers=workers)
     assert _RecordingPool.requested == [expected]
-    serial = ex.montecarlo_rank(6, GF(3), w, 20, seed=3, workers=1)
+    serial = ex.montecarlo_rank(w, 20, seed=3, workers=1)
     assert rep.to_json(full_records=True) == serial.to_json(full_records=True)
 
 
@@ -531,21 +562,21 @@ def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
                               wraps=matrices_mod._pair_matrix) as pair_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
                               wraps=rank_mod._eliminate_mod_p) as eliminations:
-        ex.minrank_exhaustive(5, GF(3), ex.cycling_weights(GF(3), 5))
+        ex.minrank_exhaustive(ex.cycling_weights(GF(3), 5))
         ex.verify_finite_field_bound(5, 3)
         assert rank_calls.call_count == 0
         assert builds.call_count == 0
-        ex.minrank_exhaustive(4, QQ, ex.counting_weights(QQ, 4))
+        ex.minrank_exhaustive(ex.counting_weights(QQ, 4))
         assert rank_calls.call_count == 0
         assert builds.call_count == 0
         for field in (GF(3), QQ):
             weights = ex.counting_weights(field, 5)
             assert ex.verify_transitive(range(3, 7), field, trials=3, seed=1).passed
-            assert ex.verify_reversal(5, field, weights).passed
-            assert ex.verify_f_ensemble(5, field, weights, 4, 1, tournaments=20, seed=1).passed
-            assert ex.verify_lipschitz(5, field, weights, flips=20, seed=1).passed
+            assert ex.verify_reversal(weights).passed
+            assert ex.verify_f_ensemble(weights, 4, 1, tournaments=20, seed=1).passed
+            assert ex.verify_lipschitz(weights, flips=20, seed=1).passed
             assert ex.verify_constant_seq(range(2, 8), [field]).passed
-            ex.perm_scan(Tournament(5, 300), field, weights, mode="sample", sample=30, seed=1)
+            ex.perm_scan(Tournament(5, 300), weights, mode="sample", sample=30, seed=1)
         counts = (rank_calls.call_count, builds.call_count, pair_builds.call_count,
                   eliminations.call_count)
         assert counts == (0, 0, 0, 0)
@@ -562,14 +593,14 @@ def test_mix_sweep_matches_matrices_built_one_by_one(field, values, alpha, beta)
     coefficients near p or past 2**63 over Q."""
     weights = WeightSeq.of(field, values)
     mix = LinearMix(field.scalar(alpha), field.scalar(beta))
-    rep = ex.verify_f_ensemble(5, field, weights, alpha, beta, tournaments=40, seed=2)
+    rep = ex.verify_f_ensemble(weights, alpha, beta, tournaments=40, seed=2)
     assert rep.passed and len(rep.records) == 40
     for i, rec in enumerate(rep.records):
         t = random_tournament(5, 2, i)
         assert rec["code"] == t.code and rec["identity_ok"] is True
         assert rec["rank_t"] == rank(linear_mix_matrix(t, weights, mix)).rank
         assert rec["rank_rev"] == rank(linear_mix_matrix(t.reverse(), weights, mix)).rank
-    assert ex.verify_reversal(5, field, weights).summary["rank_sum_matrix"] == rank(
+    assert ex.verify_reversal(weights).summary["rank_sum_matrix"] == rank(
         reversal_sum_matrix(weights)).rank
 
 
@@ -579,7 +610,7 @@ def test_batched_sweep_matches_per_matrix_ranks_across_batches():
     w = ex.counting_weights(field, 6)
     step = ex._BATCH_ENTRIES // 36  # codes per batch at n = 6
     lo, hi = 3 * step - 7, 5 * step + 11
-    rep = ex.minrank_exhaustive(6, field, w, shard=(lo, hi))
+    rep = ex.minrank_exhaustive(w, shard=(lo, hi))
     expected = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(6, lo, hi)]
     assert [rec["rank"] for rec in rep.records] == expected
     assert [rec["code"] for rec in rep.records] == list(range(lo, hi))
