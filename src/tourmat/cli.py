@@ -73,9 +73,11 @@ def _parse_seq(field: Field, text: str, n: int | None = None) -> WeightSeq:
 
 
 def _weights(args, field: Field, n_default: int, default_weights) -> WeightSeq:
-    """The weights from --seq, or else default_weights(field, n), for n = --n or n_default."""
-    n = n_default if args.n is None else args.n
-    return _parse_seq(field, args.seq, n) if args.seq else default_weights(field, n)
+    """The weights from --seq, as many as --n if given; else default_weights(field,
+    n) for n = --n or n_default."""
+    if args.seq is not None:
+        return _parse_seq(field, args.seq, args.n)
+    return default_weights(field, n_default if args.n is None else args.n)
 
 
 def _count_after(prefix: str, text: str, what: str) -> int:
@@ -179,43 +181,73 @@ def _cmd_montecarlo(args) -> int:
     return _emit_report(report, args)
 
 
+def _verify_transitive(args, field):
+    fixed = None if args.seq is None else _parse_seq(field, args.seq)
+    return experiments.verify_transitive(_parse_n_range(args.n_range), field, trials=args.trials,
+                                         seed=args.seed, sequence_source=fixed)
+
+
+def _verify_reversal(args, field):
+    return experiments.verify_reversal(_weights(args, field, 4, experiments.counting_weights),
+                                       tournaments=args.sample, seed=args.seed)
+
+
+def _verify_lipschitz(args, field):
+    return experiments.verify_lipschitz(_weights(args, field, 8, experiments.cycling_weights),
+                                        flips=args.flips, seed=args.seed)
+
+
+def _verify_certify(args, field):
+    return experiments.verify_certifiability(args.n_max, [field], z_values=(args.z,))
+
+
+def _verify_constant(args, field):
+    return experiments.verify_constant_seq(_parse_n_range(args.n_range), [field],
+                                           value=args.value)
+
+
+def _verify_ffbound(args, field):
+    if not field.is_prime_field:
+        raise UsageError("ffbound needs a prime field, e.g. --field 'GF(3)'")
+    return experiments.verify_finite_field_bound(args.n_max, field.char)
+
+
+def _verify_f_ensemble(args, field):
+    if args.alpha is None or args.beta is None:
+        raise UsageError("f-ensemble needs --alpha and --beta")
+    return experiments.verify_f_ensemble(
+        _weights(args, field, 4, experiments.counting_weights),
+        parse_scalar(field, args.alpha), parse_scalar(field, args.beta),
+        tournaments=args.sample, seed=args.seed)
+
+
+# each theorem: the theorem flags it reads, with the value of each one left
+# out (the flags it does not read must be left out), and its run
+_THEOREMS = {
+    "transitive": ({"n_range": "3..12", "seq": None, "trials": 50}, _verify_transitive),
+    "reversal": ({"n": None, "seq": None, "sample": "exhaustive"}, _verify_reversal),
+    "lipschitz": ({"n": None, "seq": None, "flips": 1000}, _verify_lipschitz),
+    "certify": ({"n_max": 5, "z": 1}, _verify_certify),
+    "constant": ({"n_range": "2..20", "value": 1}, _verify_constant),
+    "ffbound": ({"n_max": 5}, _verify_ffbound),
+    "f-ensemble": ({"n": None, "seq": None, "sample": "exhaustive", "alpha": None, "beta": None},
+                   _verify_f_ensemble),
+}
+_THEOREM_FLAGS = sorted({flag for defaults, _ in _THEOREMS.values() for flag in defaults})
+
+
 def _cmd_verify(args) -> int:
     field = parse_field(args.field)
-    theorem = args.theorem
-    _echo_config(args, {"theorem": theorem})
-    if theorem == "transitive":
-        n_range = _parse_n_range(args.n_range or "3..12")
-        fixed = _parse_seq(field, args.seq) if args.seq else None
-        report = experiments.verify_transitive(n_range, field, trials=args.trials,
-                                               seed=args.seed, sequence_source=fixed)
-    elif theorem == "reversal":
-        weights = _weights(args, field, 4, experiments.counting_weights)
-        source = "exhaustive" if args.sample is None else args.sample
-        report = experiments.verify_reversal(weights, tournaments=source, seed=args.seed)
-    elif theorem == "lipschitz":
-        weights = _weights(args, field, 8, experiments.cycling_weights)
-        report = experiments.verify_lipschitz(weights, flips=args.flips, seed=args.seed)
-    elif theorem == "certify":
-        report = experiments.verify_certifiability(args.n_max, [field],
-                                                   z_values=(args.z,))
-    elif theorem == "constant":
-        n_range = _parse_n_range(args.n_range or "2..20")
-        report = experiments.verify_constant_seq(n_range, [field], value=args.value)
-    elif theorem == "ffbound":
-        if not field.is_prime_field:
-            raise UsageError("ffbound needs a prime field, e.g. --field 'GF(3)'")
-        report = experiments.verify_finite_field_bound(args.n_max, field.char)
-    elif theorem == "f-ensemble":
-        if args.alpha is None or args.beta is None:
-            raise UsageError("f-ensemble needs --alpha and --beta")
-        weights = _weights(args, field, 4, experiments.counting_weights)
-        source = "exhaustive" if args.sample is None else args.sample
-        report = experiments.verify_f_ensemble(
-            weights, parse_scalar(field, args.alpha), parse_scalar(field, args.beta),
-            tournaments=source, seed=args.seed)
-    else:  # unreachable; argparse restricts choices
-        raise UsageError(f"unknown theorem {theorem!r}")
-    return _emit_report(report, args)
+    defaults, run = _THEOREMS[args.theorem]
+    unread = ["--" + flag.replace("_", "-") for flag in _THEOREM_FLAGS
+              if flag not in defaults and getattr(args, flag) is not None]
+    if unread:
+        raise UsageError(f"--theorem {args.theorem} does not read {', '.join(unread)}")
+    for flag, default in defaults.items():
+        if getattr(args, flag) is None:  # not `or`: --trials 0 must stay 0
+            setattr(args, flag, default)
+    _echo_config(args, {"theorem": args.theorem})
+    return _emit_report(run(args, field), args)
 
 
 def _cmd_bisect(args) -> int:
@@ -300,21 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a bound/identity verifier")
     _add_common(p)
-    p.add_argument("--theorem", required=True,
-                   choices=("transitive", "reversal", "lipschitz", "certify",
-                            "constant", "ffbound", "f-ensemble"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-range", default=None, help="inclusive range a..b")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--seq", default=None)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--flips", type=int, default=1000)
-    p.add_argument("--sample", type=int, default=None,
-                   help="sample k tournaments instead of exhausting")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--z", type=int, default=1)
-    p.add_argument("--value", type=int, default=1)
+    # the theorem flags default to None; _THEOREMS gives each theorem's defaults
+    p.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--n-range", help="inclusive range a..b")
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--seq")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--flips", type=int)
+    p.add_argument("--sample", type=int, help="sample k tournaments instead of exhausting")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--z", type=int)
+    p.add_argument("--value", type=int)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bisect", help="self-bisecting family checks and reduction")

@@ -7,6 +7,7 @@ worker parallelism only splits contiguous index ranges and merges with
 order-independent reductions.  Checks against conjectured (unproven) values
 are reported as information, never as violations.
 
+Every sweep reads its tournaments as pair-bit arrays, not `Tournament`s.
 The exhaustive min-rank search and the GF(p) floor rank code ranges by
 bordering (`_code_ranks`, one int8 rank per code); every other sweep ranks
 `tournament_stack` batches with `stack_ranks`.  Each entry point reads n
@@ -41,19 +42,17 @@ from .tournaments import (
     Tournament,
     bit_rows,
     code_range,
-    enumerate_all,
     format_tournament,
     n_pairs,
     pair_bits,
+    pair_index,
     random_pair_bits,
-    random_tournament,
-    transitive,
 )
 
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
 _BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
-_SWEEP_CODES = 2**16  # codes the GF(p) floor ranks and reduces at a time
+_SWEEP_CODES = 2**16  # codes per chunk the GF(p) floor ranks and min-rank reduces
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -71,6 +70,10 @@ class DegenerateMixError(ValueError):
 
 class TooManyPermutationsError(ValueError):
     """Full permutation scan requested beyond n = 9."""
+
+
+class TournamentSourceError(ValueError):
+    """A tournament source other than "exhaustive" or a sample count."""
 
 
 def _random_nonzero(field: Field, stream: ByteStream) -> Scalar:
@@ -124,18 +127,6 @@ def _finish(t0: float, experiment_id: str, parameters: dict, records: list,
     return report
 
 
-def _resolve_tournaments(n: int, tournaments, seed: int):
-    """Normalize the tournament source: "exhaustive", a sample count, or a list."""
-    if tournaments == "exhaustive":
-        return enumerate_all(n)
-    if isinstance(tournaments, int):
-        _refuse_empty(tournaments, f"{tournaments} sampled tournaments")
-        return (random_tournament(n, seed, i) for i in range(tournaments))
-    tournaments = list(tournaments)
-    _refuse_empty(len(tournaments), "an empty tournament list")
-    return tournaments
-
-
 def _batches(items, n: int):
     """Lists of consecutive items, one per n x n matrix of a batch of about
     _BATCH_ENTRIES entries."""
@@ -144,13 +135,28 @@ def _batches(items, n: int):
         yield batch
 
 
-def _ranked(items, n: int, p: int):
-    """(key, rank) for each (key, tournament, weight row) item on n vertices, in
-    order, ranked as `tournament_stack` batches mod p, or with p = 0 over Q."""
-    for batch in _batches(items, n):
-        keys, ts, rows = zip(*batch)
-        stack = tournament_stack(bit_rows(ts), np.concatenate(rows))
-        yield from zip(keys, stack_ranks(stack, p).tolist())
+def _bit_batches(n: int, lo: int, hi: int, seed: int | None = None):
+    """(first code, pair bits) of the codes on n vertices in [lo, hi), or with a
+    seed of the samples `random_tournament(n, seed, i)` for i in [lo, hi), in
+    order, in batches of about _BATCH_ENTRIES matrix entries."""
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        yield a, pair_bits(n, a, b) if seed is None else random_pair_bits(n, seed, a, b)
+
+
+def _codes(bits) -> list:
+    """The code of each pair-bit row, pair k being bit k, as a Python int."""
+    pad = -bits.shape[1] % 8  # the zero bits packbits appends to the lowest byte
+    return [int.from_bytes(row.tobytes(), "big") >> pad
+            for row in np.packbits(bits[:, ::-1], axis=1)]
+
+
+def _ranks_side_by_side(stacks, p: int) -> list:
+    """[rank of stacks[0][b], rank of stacks[1][b], ...] for each b, ranked as one
+    stack with b's matrices adjacent (matrices short of full rank slow their stack)."""
+    stack = np.stack(stacks, axis=1)
+    return stack_ranks(stack.reshape(-1, *stack.shape[2:]), p).reshape(len(stack), -1).tolist()
 
 
 def _reduce(stack, p: int):
@@ -196,20 +202,24 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     records = []
     for n in n_list:
         bound = bounds.transitive_floor_bound(n)
-        items = []
-        for k in range(trials):
-            if fixed is not None:
-                weights = WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
-            else:
-                weights = random_weights(field, n, seed, "transitive", n, k)
-            row = weights.int_row()
-            order = ByteStream(seed, "transitive-order", n, k).shuffled(range(1, n + 1))
+        rows, cols = np.triu_indices(n, 1)
+        for ks in _batches(range(trials), n):
+            if fixed is None:
+                seqs = [random_weights(field, n, seed, "transitive", n, k) for k in ks]
+            else:  # one trial, fixed weights cycled to length n
+                seqs = [WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])]
+            vals = np.concatenate([w.int_row() for w in seqs])
+            # place[b, v] is vertex v + 1's place in trial b's order; earlier beats later
+            place = np.argsort([ByteStream(seed, "transitive-order", n, k).shuffled(range(n))
+                                for k in ks], axis=1)
             # code 0 is the reverse-ranked transitive tournament: j beats i for i < j
-            items += [((k, "reverse_ranked"), Tournament(n, 0), row),
-                      ((k, "random_order"), transitive(n, order), row)]
-        for (k, kind), r in _ranked(items, n, field.char):
-            records.append({"n": n, "trial": k, "kind": kind,
-                            "rank": r, "bound": bound, "pass": r >= bound})
+            ranks = _ranks_side_by_side([tournament_stack(bits, vals) for bits in (
+                np.zeros((1, len(rows)), np.uint8), np.less(place[:, rows], place[:, cols]))],
+                field.char)
+            for k, pair in zip(ks, ranks):
+                records += [{"n": n, "trial": k, "kind": kind, "rank": r, "bound": bound,
+                             "pass": r >= bound}
+                            for kind, r in zip(("reverse_ranked", "random_order"), pair)]
     parameters = {
         "n_range": [min(n_list), max(n_list)],
         "field": str(field),
@@ -231,6 +241,13 @@ def _mix_reversal_sweep(weights: WeightSeq, mix: LinearMix, tournaments, seed: i
     """
     n, field = len(weights), weights.field
     _require_n(n, 2, "reversal check")
+    if tournaments == "exhaustive":
+        lo, hi, sample_seed = *code_range(n), None
+    elif isinstance(tournaments, int):
+        _refuse_empty(tournaments, f"{tournaments} sampled tournaments")
+        lo, hi, sample_seed = 0, tournaments, seed
+    else:
+        raise TournamentSourceError(f'want "exhaustive" or a sample count, got {tournaments!r}')
     p = field.char
     row = weights.int_row()
     # M(t) = a W + b L, M(rev t) = a L + b W (L: the reversals' stacks); a and b
@@ -239,21 +256,21 @@ def _mix_reversal_sweep(weights: WeightSeq, mix: LinearMix, tournaments, seed: i
     expected = _reduce((a + b) * _pair_sums(row, p), p)
     low = bounds.reversal_sum_bound(n)
     records = []
-    for batch in _batches(_resolve_tournaments(n, tournaments, seed), n):
-        w, rev = _with_reversals(bit_rows(batch), row, p)
+    for _, bits in _bit_batches(n, lo, hi, sample_seed):
+        w, rev = _with_reversals(bits, row, p)
         mt, mr = _reduce(a * w + b * rev, p), _reduce(a * rev + b * w, p)
         identity = (_reduce(mt + mr, p) == expected).all(axis=(1, 2)).tolist()
         if p == 2:
-            ranks_t = ranks_r = [None] * len(batch)
+            ranks_t = ranks_r = [None] * len(bits)
         else:
             ranks_t, ranks_r = stack_ranks(mt, p).tolist(), stack_ranks(mr, p).tolist()
-        for t, identity_ok, rt, rr in zip(batch, identity, ranks_t, ranks_r):
+        for code, identity_ok, rt, rr in zip(_codes(bits), identity, ranks_t, ranks_r):
             ok = identity_ok and (p == 2 or rt + rr >= low and more_ok(rt, rr))
-            records.append({"code": t.code, "identity_ok": identity_ok,
+            records.append({"code": code, "identity_ok": identity_ok,
                             "rank_t": rt, "rank_rev": rr, "pass": ok})
     parameters = {
         "n": n, "field": str(field), "weights": str(weights), "seed": seed,
-        "tournaments": tournaments if isinstance(tournaments, (str, int)) else "explicit",
+        "tournaments": tournaments,
         "rank_checks": "refused: characteristic 2" if p == 2 else "enabled",
     }
     return records, parameters
@@ -288,26 +305,23 @@ def verify_lipschitz(weights: WeightSeq, flips: int = 1000, seed: int = 0) -> Re
     _require_n(n, 2, "edge-flip check")
     _refuse_empty(flips, f"flips={flips}")
     row = weights.int_row()
-    items = []
-    for i in range(flips):
-        t = random_tournament(n, seed, i)
-        stream = ByteStream(seed, "lipschitz", i)
-        u = 1 + stream.randrange(n)
-        offset = 1 + stream.randrange(n - 1)  # keeps v distinct from u
-        v = 1 + (u - 1 + offset) % n
-        pos = stream.randrange(n)
-        z = _random_nonzero(field, stream)
-        items += [(i, t, row), (i, t.flip_edge(u, v), row),
-                  (i, t, weights.replace(pos, z).int_row())]
     records = []
-    ranked = _ranked(items, n, field.char)
-    # three consecutive ranks per trial: as drawn, flipped, weight replaced
-    for (i, base), (_, flipped), (_, replaced) in zip(ranked, ranked, ranked):
-        ok = abs(flipped - base) <= 2 and abs(replaced - base) <= 2
-        records.append({
-            "trial": i, "rank": base, "rank_flipped": flipped,
-            "rank_replaced": replaced, "pass": ok,
-        })
+    for first, bits in _bit_batches(n, 0, flips, seed):
+        flipped, replaced = bits.copy(), []
+        for b in range(len(bits)):
+            stream = ByteStream(seed, "lipschitz", first + b)
+            u = stream.randrange(n)  # the flipped edge's vertices u + 1 and v + 1
+            v = (u + 1 + stream.randrange(n - 1)) % n  # an offset of 1..n-1 keeps v != u
+            flipped[b, pair_index(n, 1 + min(u, v), 1 + max(u, v))] ^= 1
+            pos = stream.randrange(n)
+            replaced.append(weights.replace(pos, _random_nonzero(field, stream)).int_row())
+        # each trial's rank as drawn, with one edge flipped, and with one weight replaced
+        ranks = _ranks_side_by_side([tournament_stack(b, vals) for b, vals in (
+            (bits, row), (flipped, row), (bits, np.concatenate(replaced)))], field.char)
+        for i, (r, r_flip, r_replace) in enumerate(ranks, first):
+            records.append({"trial": i, "rank": r, "rank_flipped": r_flip,
+                            "rank_replaced": r_replace,
+                            "pass": abs(r_flip - r) <= 2 and abs(r_replace - r) <= 2})
     parameters = {"n": n, "field": str(field), "weights": str(weights),
                   "flips": flips, "seed": seed}
     return _finish(t0, "edge-flip-lipschitz", parameters, records, {"checks": len(records)})
@@ -346,14 +360,14 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
                 for s in range(1, n):
                     bad = 0
                     first_bad = None
-                    base = lo  # code of the batch's first tournament
-                    for batch in _code_batches(_certify_weights(field, n, s, z).int_row(), lo, hi):
+                    row = _certify_weights(field, n, s, z).int_row()
+                    for first, bits in _bit_batches(n, lo, hi):
+                        batch = tournament_stack(bits, row)
                         short = np.flatnonzero(stack_ranks(batch[:, :s, :s], p) < s)
                         failed = short[stack_ranks(batch[short, :s + 1, :s + 1], p) < s + 1]
                         if first_bad is None and failed.size:
-                            first_bad = base + int(failed[0])
+                            first_bad = first + int(failed[0])
                         bad += failed.size
-                        base += len(batch)
                     records.append({
                         "n": n, "s": s, "field": str(field), "z": str(z),
                         "tournaments": hi - lo, "violations": bad,
@@ -380,8 +394,10 @@ def verify_constant_seq(n_range, fields, value: int = 1) -> Report:
         if a.is_zero():
             raise ZeroWeightError(f"constant {value} vanishes in {field}")
         for n in n_list:
-            built = tournament_stack(bit_rows([transitive(n), random_tournament(n, 1, n)]),
-                                     WeightSeq(field, (a,) * n).int_row())
+            # code 2**m - 1 (every bit set) is the transitive tournament 1 -> 2 -> ... -> n
+            bits = np.concatenate([np.ones((1, n_pairs(n)), dtype=np.uint8),
+                                   random_pair_bits(n, 1, n, n + 1)])
+            built = tournament_stack(bits, WeightSeq(field, (a,) * n).int_row())
             # the constant matrix a(J - I), built directly (a is an integer over Q)
             const = (1 - np.eye(n, dtype=built.dtype)) * int(a.value)
             collapse_ok = bool((built == const).all())
@@ -462,25 +478,12 @@ def _split_range(start: int, end: int, parts: int, align: int = 1):
     return list(zip(cuts, cuts[1:]))
 
 
-def _code_batches(row, lo: int, hi: int, seed: int | None = None):
-    """The tournaments on n = row.shape[1] vertices with codes in [lo, hi), in
-    code order, or with a seed the sampled tournaments `random_tournament(n,
-    seed, i)` for i in [lo, hi), in index order, as `tournament_stack`
-    batches of the weight row, of about _BATCH_ENTRIES matrix entries each."""
-    n = row.shape[1]
-    step = max(1, _BATCH_ENTRIES // (n * n))
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        bits = pair_bits(n, a, b) if seed is None else random_pair_bits(n, seed, a, b)
-        yield tournament_stack(bits, row)
-
-
 def _ranks_chunk(args):
     """For args = (row, p, lo, hi, seed), the ranks mod p (over Q with p = 0)
-    of the matrices `_code_batches(row, lo, hi, seed)` yields, in order."""
+    of `_bit_batches(row.shape[1], lo, hi, seed)` under the row, in order."""
     row, p, lo, hi, seed = args
-    return [r for batch in _code_batches(row, lo, hi, seed)
-            for r in stack_ranks(batch, p).tolist()]
+    return [r for _, bits in _bit_batches(row.shape[1], lo, hi, seed)
+            for r in stack_ranks(tournament_stack(bits, row), p).tolist()]
 
 
 def _code_ranks(args) -> np.ndarray:
@@ -563,11 +566,11 @@ def minrank_exhaustive(weights: WeightSeq, shard=None, workers: int = 1,
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
     # bincount copies its input to intp, and a comparison makes a bool array as
     # long as its input, so both run over slices of the int8 ranks
-    starts = range(0, len(ranks), _BATCH_ENTRIES)
-    counts = sum(np.bincount(ranks[i:i + _BATCH_ENTRIES], minlength=n + 1) for i in starts)
+    starts = range(0, len(ranks), _SWEEP_CODES)
+    counts = sum(np.bincount(ranks[i:i + _SWEEP_CODES], minlength=n + 1) for i in starts)
     min_rank = int(np.flatnonzero(counts)[0])
     argmins = (lo + i + j for i in starts
-               for j in np.flatnonzero(ranks[i:i + _BATCH_ENTRIES] == min_rank).tolist())
+               for j in np.flatnonzero(ranks[i:i + _SWEEP_CODES] == min_rank).tolist())
     kept = list(itertools.islice(argmins, ARGMIN_CODES_KEPT))
     summary = {
         "min_rank": min_rank,
@@ -643,21 +646,18 @@ def perm_scan(t: Tournament, weights: WeightSeq,
                  for i in range(sample))
     else:
         raise ValueError(f'mode must be "all" or "sample", got {mode!r}')
-    witness: dict = {}
-    counts: dict = {}
-    scanned = 0
-    row = weights.int_row()
-    # the permuted weights' value k is value perm[k] - 1 of the row
-    items = ((perm, t, row.take(np.subtract(perm, 1), axis=1)) for perm in perms)
-    for perm, r in _ranked(items, n, weights.field.char):
-        scanned += 1
-        counts[r] = counts.get(r, 0) + 1
-        if r not in witness:
-            witness[r] = perm
+    witness, counts = {}, Counter()
+    bits, row = bit_rows([t]), weights.int_row()[0]
+    for batch in _batches(perms, n):
+        # the permuted weights' value k is value perm[k] - 1 of the row
+        stack = tournament_stack(bits, row[np.subtract(batch, 1)])
+        for perm, r in zip(batch, stack_ranks(stack, weights.field.char).tolist()):
+            counts[r] += 1
+            witness.setdefault(r, perm)
     records = [{"rank": r, "count": counts[r], "witness_perm": list(witness[r])}
                for r in sorted(witness)]
     parameters = {"n": n, "field": str(weights.field), "weights": str(weights),
                   "tournament_code": t.code, "mode": mode,
                   "sample": sample if mode == "sample" else None, "seed": seed}
-    summary = {"scanned": scanned, "distinct_ranks": sorted(witness), "exploratory": True}
+    summary = {"scanned": counts.total(), "distinct_ranks": sorted(witness), "exploratory": True}
     return _finish(t0, "perm-scan", parameters, records, summary, violations=0)

@@ -9,12 +9,12 @@ base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
 (alpha*winner + beta*loser), the ratio matrix (winner's weight over loser's),
 and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
 matrix plus its reversal's.  The builder walks the tournament's pair-bit text
-(`Tournament.bits()`), so the bit layout lives in one place.  For exhaustive
-sweeps, `tournament_stack` builds the base matrices of a whole code range at
-once from the pair-bit array `pair_bits` and integer weight rows, as a
-(B, n, n) array.  `cleared` turns rational rows into such integer rows, each
-times the lcm of its denominators, in the dtype `int_array` picks (int64, or
-Python ints past 2**63); `WeightSeq.int_row` applies it to the weights.
+(`Tournament.bits()`), so the bit layout lives in one place.  Sweeps build
+(B, n, n) stacks with `tournament_stack`: B pair-bit rows (`pair_bits`)
+under one integer weight row or B of them, or one bit row under B.
+`cleared` turns rational rows into such integer rows, each times the lcm of
+its denominators, in the dtype `int_array` picks (int64, or Python ints past
+2**63); `WeightSeq.int_row` applies it to the weights.
 
 A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
 GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
@@ -239,22 +239,22 @@ def cleared(rows):
 
 
 def tournament_stack(bits: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The tournament matrices of B pair-bit rows, as a (B, n, n) array in the
-    dtype of `vals`: a (1, n) integer weight row for every matrix, or a (B,
-    n) array of one row per matrix, as `WeightSeq.int_row` gives them.
+    """The tournament matrices of pair-bit rows under integer weight rows (as
+    `WeightSeq.int_row` gives them), as a (B, n, n) array in the dtype of
+    `vals`: (B, m) bits under (1, n) or (B, n) weights, or (1, m) under (B, n).
 
-    `bits` is a (B, n(n-1)/2) array laid out as `pair_bits` lays it out: entry
-    [b, k] is pair k's bit in matrix b, pair k the k-th pair (i, j) of
-    np.triu_indices(n, 1).  Entries (i, j) and (j, i) get a_i where the bit
-    is 1 (i beats j) and a_j where it is 0; the diagonal is zero.
+    `bits` is laid out as `pair_bits` lays it out: entry [b, k] is pair k's
+    bit in matrix b, pair k the k-th pair (i, j) of np.triu_indices(n, 1).
+    Entries (i, j) and (j, i) get a_i where the bit is 1 (i beats j) and a_j
+    where it is 0; the diagonal is zero.
     """
     n = vals.shape[-1]
     if (bits.ndim != 2 or vals.ndim != 2 or bits.shape[1] != n_pairs(n)
-            or len(vals) not in (1, len(bits))):
+            or 1 not in (len(bits), len(vals)) and len(bits) != len(vals)):
         raise LengthMismatchError(f"weights of shape {vals.shape} for pair bits of {bits.shape}")
     rows, cols = np.triu_indices(n, 1)
     winners = np.where(bits != 0, vals[:, rows], vals[:, cols])
-    stack = np.zeros((bits.shape[0], n, n), dtype=vals.dtype)
+    stack = np.zeros((len(winners), n, n), dtype=vals.dtype)
     stack[:, rows, cols] = winners
     stack[:, cols, rows] = winners
     return stack

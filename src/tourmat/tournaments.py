@@ -11,7 +11,8 @@ constructions, the text grammar, the matrix builders) reads or writes that
 text instead of shifting the code once per pair.  Sweeps take the same bits
 as one array, one row per tournament: `pair_bits` for a code range and
 `random_pair_bits` for a range of sample indices, both without per-code
-objects, and `bit_rows` for a list of tournaments.
+objects.  `bit_rows` converts only named tournaments, such as the one a
+permutation scan ranks against every batch of permuted weights.
 """
 
 from __future__ import annotations

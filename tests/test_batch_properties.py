@@ -171,16 +171,23 @@ def test_pair_bits_follow_bits_text():
 ], ids=["GF5", "word-prime", "Q-fractions"])
 def test_per_row_weights_match_tournament_matrix(field, values):
     """One weight row per matrix: each matrix is `tournament_matrix` of its own
-    tournament and weights, times its own row's denominator lcm over Q."""
+    tournament and weights, times its own row's denominator lcm over Q; one
+    bit row against every weight row is the first tournament under each."""
     n, count = 6, 7
     tournaments = [random_tournament(n, 5, b) for b in range(count)]
     weights = [WeightSeq.of(field, [values(b, k) for k in range(n)]) for b in range(count)]
     dens = [math.lcm(*(v.value.denominator for v in w.values)) for w in weights]
     assert dens == ([1] * count if field.char else list(range(2, 9)))
-    stack = tournament_stack(bit_rows(tournaments), np.concatenate([w.int_row() for w in weights]))
+    rows = np.concatenate([w.int_row() for w in weights])
+    stack = tournament_stack(bit_rows(tournaments), rows)
     assert stack.shape == (count, n, n) and stack.dtype == np.int64
     for t, w, den, built in zip(tournaments, weights, dens, stack):
         assert built.ravel().tolist() == [v * den for v in tournament_matrix(t, w).entries]
+    broadcast = tournament_stack(bit_rows(tournaments[:1]), rows)
+    assert broadcast.shape == (count, n, n) and broadcast.dtype == np.int64
+    for w, den, built in zip(weights, dens, broadcast):
+        assert built.ravel().tolist() == [v * den for v in
+                                          tournament_matrix(tournaments[0], w).entries]
 
 
 def test_pair_bits_refuse_what_enumerate_all_refuses():
@@ -197,6 +204,8 @@ def test_tournament_stack_refuses_wrong_lengths():
         three = WeightSeq.of(field, [1, 2, 1]).int_row()
         with pytest.raises(LengthMismatchError):
             tournament_stack(pair_bits(3, 0, 8), np.repeat(three, 7, axis=0))
+        with pytest.raises(LengthMismatchError):  # two bit rows, three weight rows
+            tournament_stack(pair_bits(3, 0, 2), np.repeat(three, 3, axis=0))
         with pytest.raises(LengthMismatchError):  # a flat row, not a (1, n) array
             tournament_stack(pair_bits(3, 0, 2), three[0])
 

@@ -234,6 +234,33 @@ def test_verify_transitive_reads_seq(capsys):
     assert code == 2 and "ZeroWeightError" in err and stdout == ""
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["--theorem", "lipschitz", "--seq", "1,2,3"], 3),
+    (["--theorem", "f-ensemble", "--alpha", "2", "--beta", "1", "--seq", "1,2,3,4,5"], 5),
+    (["--theorem", "reversal", "--seq", "1,2,3"], 3),
+])
+def test_verify_seq_sets_n_when_n_is_absent(capsys, argv, n):
+    """Without --n the weights of --seq fix n; with it they must agree."""
+    code, stdout, _ = run(capsys, "verify", *argv, "--seed", "1")
+    assert code == 0 and json.loads(stdout)["parameters"]["n"] == n
+    code, stdout, err = run(capsys, "verify", *argv, "--n", str(n + 1), "--seed", "1")
+    assert code == 2 and f"need {n + 1} weights, got {n}" in err and stdout == ""
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--theorem", "transitive", "--n", "5"], "--n"),
+    (["--theorem", "certify", "--n", "5"], "--n"),
+    (["--theorem", "reversal", "--trials", "3"], "--trials"),
+    (["--theorem", "constant", "--seq", "1,2"], "--seq"),
+    (["--theorem", "ffbound", "--field", "GF(3)", "--z", "2"], "--z"),
+    (["--theorem", "lipschitz", "--sample", "3", "--value", "2"], "--sample, --value"),
+])
+def test_verify_refuses_flags_its_theorem_does_not_read(capsys, argv, flags):
+    code, stdout, err = run(capsys, "verify", *argv, "--seed", "1")
+    assert code == 2 and stdout == ""
+    assert f"usage error: --theorem {argv[1]} does not read {flags}" in err
+
+
 def test_empty_n_range_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "transitive", "--n-range", "5..4",
                        "--seed", "1")

@@ -74,8 +74,6 @@ def test_verify_reversal_char2_refuses_rank_checks():
 
 def test_verify_reversal_explicit_and_sampled_sources():
     w = WeightSeq.of(QQ, [1, 2, 3, 4, 5])
-    explicit = ex.verify_reversal(w, tournaments=[random_tournament(5, 9, 0)])
-    assert explicit.summary["checks"] == 1 and explicit.passed
     sampled = ex.verify_reversal(w, tournaments=10, seed=9)
     assert sampled.summary["checks"] == 10 and sampled.passed
 
@@ -236,7 +234,8 @@ def test_montecarlo_ranks_stacks_and_builds_no_matrix_one_by_one(field):
     elimination at n = 50, and the ranks of the per-matrix path."""
     w = ex.cycling_weights(field, 50)
     with _no_per_matrix_names() as (rank_calls, builds), \
-            mock.patch.object(ex, "random_tournament", wraps=random_tournament) as draws, \
+            mock.patch.object(ex, "random_tournament", wraps=random_tournament,
+                              create=True) as draws, \
             mock.patch.object(matrices_mod, "_pair_matrix",
                               wraps=matrices_mod._pair_matrix) as pair_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
@@ -436,7 +435,7 @@ def test_minrank_argmins_scan_in_slices(monkeypatch, n, field, shard):
     and the kept codes come from several slices."""
     w = ex.cycling_weights(field, n)
     whole = ex.minrank_exhaustive(w, shard=shard)
-    monkeypatch.setattr(ex, "_BATCH_ENTRIES", 5)
+    monkeypatch.setattr(ex, "_SWEEP_CODES", 5)
     sliced = ex.minrank_exhaustive(w, shard=shard)
     assert sliced.summary == whole.summary
     kept = sliced.summary["argmin_codes"]
@@ -465,11 +464,42 @@ def test_transitive_matrix_under_any_order_obeys_floor():
 
 
 def test_explicit_empty_tournament_lists_are_refused():
+    """A tournament list is no source; a count of none is an empty run."""
     w = ex.counting_weights(QQ, 4)
-    with pytest.raises(ex.EmptyRunError):
-        ex.verify_reversal(w, tournaments=[])
-    with pytest.raises(ex.EmptyRunError):
+    with pytest.raises(ex.TournamentSourceError):
+        ex.verify_reversal(w, tournaments=[Tournament(4, 3)])
+    with pytest.raises(ex.TournamentSourceError):
         ex.verify_f_ensemble(w, 2, 3, tournaments=iter([]))
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_reversal(w, tournaments=0)
+    with pytest.raises(ex.EmptyRunError):
+        ex.verify_f_ensemble(w, 2, 3, tournaments=-1)
+
+
+# Sweeps whose multi-batch paths no golden case reaches; each case fits one default batch
+_BATCHED_SWEEPS = {
+    "transitive": lambda: ex.verify_transitive(range(3, 8), GF(5), trials=7, seed=3),
+    "lipschitz": lambda: ex.verify_lipschitz(ex.cycling_weights(GF(3), 7), flips=30, seed=2),
+    "reversal-exhaustive": lambda: ex.verify_reversal(ex.counting_weights(GF(5), 5)),
+    "reversal-sampled": lambda: ex.verify_reversal(ex.counting_weights(QQ, 7), tournaments=25,
+                                                   seed=4),
+    "f-ensemble": lambda: ex.verify_f_ensemble(ex.counting_weights(QQ, 5), 2, Fraction(1, 3)),
+    "perm-scan": lambda: ex.perm_scan(Tournament(5, 300), ex.counting_weights(GF(7), 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED_SWEEPS))
+def test_report_bytes_do_not_depend_on_batch_size(monkeypatch, name):
+    """Batches of 100 entries (two to eleven tournaments or trials) give the
+    report bytes of the default batches, in more stacks."""
+    calls = []
+    for entries in (ex._BATCH_ENTRIES, 100):
+        monkeypatch.setattr(ex, "_BATCH_ENTRIES", entries)
+        with mock.patch.object(ex, "stack_ranks", wraps=ex.stack_ranks) as ranked:
+            calls.append((_BATCHED_SWEEPS[name]().to_json(full_records=True), ranked.call_count))
+    (whole, whole_calls), (small, small_calls) = calls
+    same = small == whole  # a bool, so that a failure prints no diff of two long reports
+    assert same and small_calls > whole_calls
 
 
 def test_degenerate_runs_raise_named_errors():
