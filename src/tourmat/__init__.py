@@ -21,7 +21,6 @@ from .fields import (
 )
 from .tournaments import (
     Tournament,
-    enumerate_all,
     format_tournament,
     paley,
     parse_tournament,
@@ -30,14 +29,11 @@ from .tournaments import (
 )
 from .matrices import (
     DenseMatrix,
-    LinearMix,
     WeightSeq,
     in_matrix_family,
-    linear_mix_matrix,
     matrix_from_csv,
     matrix_to_csv,
     ratio_matrix,
-    reversal_sum_matrix,
     tournament_matrix,
     transitive_matrix,
 )

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import bounds
 from .fields import Field, Scalar
-from .matrices import (LengthMismatchError, LinearMix, WeightSeq, ZeroWeightError, cleared,
-                       tournament_stack)
+from .matrices import DenseMatrix, LengthMismatchError, WeightSeq, ZeroWeightError, tournament_stack
 from .rank import bordered_ranks, stack_ranks
 from .report import RecordTable, Report
 from .rng import ByteStream
@@ -197,17 +196,15 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     if sequence_source is not None:
         fixed = list(sequence_source)
         _refuse_empty(len(fixed), "an empty weight sequence")
-        trials = 1
     _refuse_empty(len(n_list) * trials, f"{len(n_list)} sizes x {trials} trials")
     records = []
     for n in n_list:
         bound = bounds.transitive_floor_bound(n)
         rows, cols = np.triu_indices(n, 1)
         for ks in _batches(range(trials), n):
-            if fixed is None:
-                seqs = [random_weights(field, n, seed, "transitive", n, k) for k in ks]
-            else:  # one trial, fixed weights cycled to length n
-                seqs = [WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])]
+            seqs = [random_weights(field, n, seed, "transitive", n, k) if fixed is None
+                    else WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
+                    for k in ks]
             vals = np.concatenate([w.int_row() for w in seqs])
             # place[b, v] is vertex v + 1's place in trial b's order; earlier beats later
             place = np.argsort([ByteStream(seed, "transitive-order", n, k).shuffled(range(n))
@@ -231,9 +228,9 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     return _finish(t0, "transitive-floor", parameters, records, summary)
 
 
-def _mix_reversal_sweep(weights: WeightSeq, mix: LinearMix, tournaments, seed: int, more_ok):
+def _mix_reversal_sweep(weights: WeightSeq, alpha, beta, tournaments, seed: int, more_ok):
     """Records, one per tournament t, for the linear-mix matrices M(t) and
-    M(rev t), plus the report parameters that describe the sweep.
+    M(rev t) of Scalars alpha and beta, plus the report parameters of the sweep.
 
     Checks M(t) + M(rev t) = (alpha + beta) times the pair-sum matrix
     entrywise; in characteristic != 2 also rank M(t) + rank M(rev t) >= n - 2
@@ -252,7 +249,7 @@ def _mix_reversal_sweep(weights: WeightSeq, mix: LinearMix, tournaments, seed: i
     row = weights.int_row()
     # M(t) = a W + b L, M(rev t) = a L + b W (L: the reversals' stacks); a and b
     # are the mix's cleared row: residues, or integers over Q
-    (a, b), = cleared([[mix.alpha.value, mix.beta.value]])[0].tolist()
+    (a, b), = DenseMatrix.from_rows(field, [[alpha, beta]]).ints.tolist()
     expected = _reduce((a + b) * _pair_sums(row, p), p)
     low = bounds.reversal_sum_bound(n)
     records = []
@@ -291,7 +288,7 @@ def verify_reversal(weights: WeightSeq, tournaments="exhaustive", seed: int = 0)
     low = bounds.reversal_sum_bound(len(weights))
     half = -(-low // 2)  # ceil((n - 2) / 2)
     records, parameters = _mix_reversal_sweep(
-        weights, LinearMix(weights.field.one, weights.field.zero), tournaments, seed,
+        weights, weights.field.one, weights.field.zero, tournaments, seed,
         lambda rt, rr: rank_sum >= low and max(rt, rr) >= half)
     summary = {"checks": len(records), "rank_sum_matrix": rank_sum}
     return _finish(t0, "reversal-identity", parameters, records, summary)
@@ -424,15 +421,14 @@ def verify_f_ensemble(weights: WeightSeq, alpha, beta,
     """
     t0 = time.perf_counter()
     field = weights.field
-    mix = LinearMix(field.scalar(alpha), field.scalar(beta))
-    if mix.degenerate():
+    alpha, beta = field.scalar(alpha), field.scalar(beta)
+    if (alpha + beta).is_zero():
         raise DegenerateMixError(
             f"alpha + beta = 0 in {field}: the pair-sum matrix vanishes and the"
-            " rank-sum bound says nothing; refusing to report a vacuous pass"
-        )
-    records, parameters = _mix_reversal_sweep(weights, mix, tournaments, seed,
+            " rank-sum bound says nothing; refusing to report a vacuous pass")
+    records, parameters = _mix_reversal_sweep(weights, alpha, beta, tournaments, seed,
                                               lambda rt, rr: True)
-    parameters.update(alpha=str(mix.alpha), beta=str(mix.beta))
+    parameters.update(alpha=str(alpha), beta=str(beta))
     return _finish(t0, "linear-mix-reversal", parameters, records, {"checks": len(records)})
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .matrices import DenseMatrix, WeightSeq, in_matrix_family
 from .fields import QQ
 from .rank import rank
@@ -89,14 +91,8 @@ def tau(a: frozenset, b: frozenset) -> frozenset:
 
 def incidence_pm1(family: SetFamily) -> DenseMatrix:
     """m x n matrix over Q: +1 where the element belongs to the set, -1 otherwise."""
-    one = Fraction(1)
-    neg = -one
-    ent = tuple(
-        one if x in s else neg
-        for s in family.sets
-        for x in range(1, family.ground_n + 1)
-    )
-    return DenseMatrix(QQ, len(family.sets), family.ground_n, ent)
+    inside = [[x in s for x in range(1, family.ground_n + 1)] for s in family.sets]
+    return DenseMatrix(QQ, 2 * np.array(inside, np.int64).reshape(len(inside), family.ground_n) - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +129,7 @@ def gram_check(family: SetFamily, gram: DenseMatrix | None = None) -> GramVerdic
                 expected = Fraction(n - 2 * (len(a) + len(b)) + 4 * len(a & b))
                 if expected != n - 2 * len(tau(a, b)):
                     return GramVerdict(False, (r, c, str(expected), "tau-size mismatch"))
-            actual = gram.entries[r * gram.n_cols + c]
+            actual = gram.at(r, c).value
             if actual != expected:
                 return GramVerdict(False, (r, c, str(expected), str(actual)))
     return GramVerdict(True, None)
@@ -151,9 +147,7 @@ def family_to_matrix(family: SetFamily):
         raise NotBisectingError(f"family is not self-bisecting, witness pair {verdict.witness}")
     x = incidence_pm1(family)
     gram = x @ x.transpose()
-    n = family.ground_n
-    m = len(family.sets)
-    matrix = DenseMatrix(QQ, m, m, tuple((n - v) / 2 for v in gram.entries))
+    matrix = DenseMatrix(QQ, family.ground_n - gram.ints, 2)  # the +-1 Gram matrix is integer
     weights = WeightSeq.of(QQ, [len(s) for s in family.sets])
     if not in_matrix_family(matrix, weights):
         raise NotBisectingError("reduced matrix fails the family membership check")
@@ -170,7 +164,7 @@ def size_bound_report(family: SetFamily, c: Fraction) -> dict:
     m = len(family.sets)
     n = family.ground_n
     # family_to_matrix verified matrix = (nJ - G)/2, so G = nJ - 2 matrix
-    gram = DenseMatrix(QQ, m, m, tuple(n - 2 * v for v in matrix.entries))
+    gram = DenseMatrix(QQ, n * matrix.den - 2 * matrix.ints, matrix.den)
     rank_gram = rank(gram).rank
     rank_matrix = rank(matrix).rank
     c = Fraction(c)

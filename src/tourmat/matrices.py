@@ -2,37 +2,40 @@
 
 Given nonzero vertex weights (a_1, ..., a_n) and a tournament, the base
 matrix is symmetric with zero diagonal and, for i < j, entry (i, j) equal to
-the winner's weight: a_i if i -> j, else a_j.  Every builder here fills the
-same grid from one pair law, entry(winner's weight, loser's weight): the
-base matrix (the winner's weight), the reverse-ranked transitive matrix (the
-base matrix of code 0, entry a_max(i,j)), the linear-mix matrix
-(alpha*winner + beta*loser), the ratio matrix (winner's weight over loser's),
-and the pair-sum matrix (a_i + a_j off the diagonal), which equals any base
-matrix plus its reversal's.  The builder walks the tournament's pair-bit text
-(`Tournament.bits()`), so the bit layout lives in one place.  Sweeps build
-(B, n, n) stacks with `tournament_stack`: B pair-bit rows (`pair_bits`)
-under one integer weight row or B of them, or one bit row under B.
-`cleared` turns rational rows into such integer rows, each times the lcm of
-its denominators, in the dtype `int_array` picks (int64, or Python ints past
-2**63); `WeightSeq.int_row` applies it to the weights.
+the winner's weight: a_i if i -> j, else a_j.  `tournament_stack` builds
+such matrices from pair bits (`pair_bits`) as one (B, n, n) integer array:
+B bit rows under one integer weight row or B of them, or one bit row under
+B.  Sweeps rank those stacks, and each per-matrix builder takes one matrix
+of a stack: `tournament_matrix`, `transitive_matrix` (code 0, the
+reverse-ranked transitive tournament, entry a_max(i,j)) and `ratio_matrix`
+(the winners' stack times the losers' stack of the inverse weights).
 
-A `DenseMatrix` stores raw canonical values (`Field.reduce`): int residues for
-GF(p), Fractions for Q.  Elimination, comparison and CSV output work on those
-values directly; `Scalar` appears only at the API edge (`at`, `row`, weights).
+A `DenseMatrix` is a field plus one read-only 2-D integer array `ints`, in
+the dtype `int_array` picks (int64, or Python ints past 2**63): the residues
+over GF(p), and over Q the entries times one positive `den`, the lcm of
+their denominators.  `DenseMatrix.from_rows` is the one clearing rule for
+rows of ints, Fractions or Scalars; `WeightSeq.int_row` applies it to the
+weights.  Canonical values (`Field.reduce`) and `Scalar`s appear only at the
+API edge: `entries`, `at`, `row`, `raw_rows` and CSV.
 
 Matrix rows/columns are 0-indexed; row r corresponds to vertex r + 1.
 """
 
 from __future__ import annotations
 
-import operator
+import re
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
-from .tournaments import Tournament, n_pairs
+from .tournaments import Tournament, bit_rows, n_pairs
+
+
+# a CSV row of parse_scalar's integers, which needs no Scalar per entry
+_INT_ROW = re.compile(r"\s*[+-]?\d+\s*(?:,\s*[+-]?\d+\s*)*")
 
 
 class LengthMismatchError(ValueError):
@@ -81,108 +84,123 @@ class WeightSeq:
 
     def replace(self, k: int, value) -> "WeightSeq":
         """A copy with values[k] swapped for `value` (still nonzero)."""
-        vals = list(self.values)
-        vals[k] = self.field.scalar(value)
-        return WeightSeq(self.field, tuple(vals))
+        vals = self.values[:k] + (self.field.scalar(value),) + self.values[k + 1:]
+        return WeightSeq(self.field, vals)
 
     def int_row(self) -> np.ndarray:
-        """The weights as a (1, n) integer row, by `cleared`: the residues over
-        GF(p), over Q the values times the lcm of their denominators."""
-        return cleared([[v.value for v in self.values]])[0]
+        """The weights as a (1, n) integer row, by `DenseMatrix.from_rows`: the
+        residues over GF(p), over Q the values times the lcm of their denominators."""
+        return DenseMatrix.from_rows(self.field, [[v.value for v in self.values]]).ints
 
     def __str__(self):
         return ",".join(format_scalar(v) for v in self.values)
 
 
-@dataclass(frozen=True, slots=True)
+def int_array(rows) -> np.ndarray:
+    """Integers as an int64 array, or, once one is 2**63 or more in size, as an
+    object array of Python ints."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    big = a.dtype == object and a.size and np.abs(a).max() >= 2**63
+    return a if big else a.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class DenseMatrix:
-    """Dense matrix over one field, row-major, immutable, of raw canonical values
-    (`Field.reduce`); `from_rows` canonicalizes, the constructor only checks them."""
+    """Dense matrix over one field: a read-only 2-D `int_array` `ints`, which
+    holds the residues over GF(p) and the entries times `den` over Q, `den`
+    the least positive such multiplier.  The constructor canonicalizes `den`
+    and refuses residues outside [0, p); `from_rows` clears any rows."""
 
     field: Field
-    n_rows: int
-    n_cols: int
-    entries: tuple
+    ints: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.entries) != self.n_rows * self.n_cols:
-            raise MatrixShapeError(
-                f"{self.n_rows}x{self.n_cols} needs {self.n_rows * self.n_cols} entries,"
-                f" got {len(self.entries)}"
-            )
-        p = self.field.char  # the eliminations trust residues; a stray 5 in GF(5) would pivot
-        if p and self.entries and not 0 <= min(self.entries) <= max(self.entries) < p:
+        a, den, p = int_array(self.ints), int(self.den), self.field.char
+        if a.ndim != 2:
+            raise MatrixShapeError(f"a matrix needs a 2-D array, got shape {a.shape}")
+        if p and den != 1 or den < 1:
+            raise ValueError(f"a {self.field} matrix cannot have denominator {den}")
+        # the eliminations trust residues; a stray 5 in GF(5) would pivot
+        if p and a.size and not 0 <= a.min() <= a.max() < p:
             raise ValueError(f"GF({p}) entries must be residues in [0, {p}); from_rows reduces")
+        if den > 1 and (g := gcd(den, int(np.gcd.reduce(a, axis=None)))) > 1:
+            # g is den when every entry is 0, and else at most the largest entry
+            a, den = int_array(a // g) if a.any() else a, den // g
+        a = a.copy() if a.flags.writeable else a  # the caller may still hold it
+        a.flags.writeable = False
+        object.__setattr__(self, "ints", a)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "DenseMatrix":
-        """Rows of ints, Fractions or Scalars of `field`, canonicalized."""
-        rows = [tuple(map(field.reduce, row)) for row in rows]
-        n_rows = len(rows)
+        """Rows of ints, Fractions or Scalars of `field`; over Q each entry times
+        the lcm of all their denominators."""
+        rows = [[v if not field.char and type(v) in (int, Fraction) else field.reduce(v)
+                 for v in row] for row in rows]  # over Q ints clear as they are
         n_cols = len(rows[0]) if rows else 0
         if any(len(r) != n_cols for r in rows):
             raise MatrixShapeError("ragged rows")
-        return cls(field, n_rows, n_cols, tuple(v for row in rows for v in row))
+        den = 1
+        if not field.char:
+            den = lcm(*(v.denominator for row in rows for v in row))
+            rows = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+        ints = np.array(rows, dtype=np.int64 if field.char else object)
+        return cls(field, ints.reshape(len(rows), n_cols), den)
+
+    @property
+    def n_rows(self) -> int:
+        return self.ints.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.ints.shape[1]
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.field == other.field
+                and self.den == other.den and bool(np.array_equal(self.ints, other.ints)))
 
     def at(self, r: int, c: int) -> Scalar:
-        return Scalar(self.field, self.entries[r * self.n_cols + c])
+        return Scalar(self.field, Fraction(int(self.ints[r, c]), self.den))
 
     def row(self, r: int) -> tuple:
         return tuple(self.at(r, c) for c in range(self.n_cols))
 
     def raw_rows(self) -> list:
         """Rows of raw values (ints for GF(p), Fractions for Q), as tuples."""
-        ent, nc = self.entries, self.n_cols
-        return [ent[r * nc : (r + 1) * nc] for r in range(self.n_rows)]
+        rows, den = self.ints.tolist(), self.den
+        if self.field.char:
+            return list(map(tuple, rows))
+        return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+    @property
+    def entries(self) -> tuple:
+        """The raw values, row-major."""
+        return tuple(v for row in self.raw_rows() for v in row)
 
     def transpose(self) -> "DenseMatrix":
-        ent, nc = self.entries, self.n_cols
-        return DenseMatrix(self.field, nc, self.n_rows,
-                           tuple(v for c in range(nc) for v in ent[c::nc]))
+        return DenseMatrix(self.field, self.ints.T, self.den)
 
     def principal_submatrix(self, s: int) -> "DenseMatrix":
         """Top-left s x s block."""
         if not 0 <= s <= min(self.n_rows, self.n_cols):
             raise MatrixShapeError(f"principal size {s} out of range")
-        ent = tuple(v for row in self.raw_rows()[:s] for v in row[:s])
-        return DenseMatrix(self.field, s, s, ent)
+        return DenseMatrix(self.field, self.ints[:s, :s], self.den)
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.n_cols != other.n_rows:
             raise MatrixShapeError("shape mismatch in matmul")
-        reduce = self.field.reduce
-        cols = other.transpose().raw_rows()
-        out = tuple(reduce(sum(a * b for a, b in zip(row, col)))
-                    for row in self.raw_rows() for col in cols)
-        return DenseMatrix(self.field, self.n_rows, other.n_cols, out)
+        p = self.field.char
+        out = self.ints.astype(object) @ other.ints.astype(object)  # Python ints: no wrap
+        return DenseMatrix(self.field, out % p if p else out, self.den * other.den)
 
     def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and self == self.transpose()
+        return self.n_rows == self.n_cols and bool(np.array_equal(self.ints, self.ints.T))
 
     def has_zero_diagonal(self) -> bool:
-        return not any(row[r] for r, row in enumerate(self.raw_rows()[:self.n_cols]))
-
-
-@dataclass(frozen=True, slots=True)
-class LinearMix:
-    """The two-coefficient mix f(x, y) = alpha*x + beta*y applied to weights."""
-
-    alpha: Scalar
-    beta: Scalar
-
-    def __post_init__(self):
-        if self.alpha.field != self.beta.field:
-            raise FieldMismatchError("alpha and beta from different fields")
-
-    @property
-    def field(self) -> Field:
-        return self.alpha.field
-
-    def degenerate(self) -> bool:
-        """True when alpha + beta = 0, which kills the pair-sum rank bound."""
-        return (self.alpha + self.beta).is_zero()
+        return not np.diagonal(self.ints).any()
 
 
 def _check_weights(t: Tournament, weights: WeightSeq):
@@ -190,52 +208,11 @@ def _check_weights(t: Tournament, weights: WeightSeq):
         raise LengthMismatchError(f"{len(weights)} weights for n={t.n}")
 
 
-def _pair_matrix(bits: str, weights: WeightSeq, entry) -> DenseMatrix:
-    """Symmetric zero-diagonal matrix with entry (i, j) = entry(winner, loser).
-
-    Character k of `bits` orders the k-th pair i < j (in row-major order, as
-    `Tournament.bits()` lays it out): "1" means i beats j, so the entry is
-    entry(a_i, a_j); "0" means entry(a_j, a_i).  `entry` maps raw weight
-    values to a raw canonical value.
-    """
-    n = len(weights)
-    vals = [v.value for v in weights.values]
-    zero = weights.field.reduce(0)
-    grid = [[zero] * n for _ in range(n)]
-    bit = iter(bits)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            e = entry(vals[i], vals[j]) if next(bit) == "1" else entry(vals[j], vals[i])
-            grid[i][j] = grid[j][i] = e
-    return DenseMatrix(weights.field, n, n, tuple(v for row in grid for v in row))
-
-
-def _winner(x, y):
-    return x
-
-
 def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
     _check_weights(t, weights)
-    return _pair_matrix(t.bits(), weights, _winner)
-
-
-def int_array(rows) -> np.ndarray:
-    """Rows of ints as an int64 array, or past 2**63 an object array of ints."""
-    big = any(abs(v) >= 2**63 for row in rows for v in row)
-    return np.array(rows, dtype=object if big else np.int64)
-
-
-def cleared(rows):
-    """The `int_array` of rows of ints or Fractions, each row scaled by the
-    lcm of its denominators, and the product of those multipliers."""
-    int_rows, scale = [], 1
-    for row in rows:
-        ratios = [v.as_integer_ratio() for v in row]
-        mult = lcm(*(d for _, d in ratios))
-        int_rows.append([a * (mult // d) for a, d in ratios])
-        scale *= mult
-    return int_array(int_rows), scale
+    w = DenseMatrix.from_rows(weights.field, [weights.values])
+    return DenseMatrix(weights.field, tournament_stack(bit_rows([t]), w.ints)[0], w.den)
 
 
 def tournament_stack(bits: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -262,57 +239,47 @@ def tournament_stack(bits: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def transitive_matrix(weights: WeightSeq) -> DenseMatrix:
     """The reverse-ranked transitive tournament's matrix: entry (i, j) = a_max(i,j)."""
-    return _pair_matrix("0" * n_pairs(len(weights)), weights, _winner)
-
-
-def linear_mix_matrix(t: Tournament, weights: WeightSeq, mix: LinearMix) -> DenseMatrix:
-    """Entry (i, j) = alpha*winner + beta*loser weights; zero diagonal, symmetric."""
-    _check_weights(t, weights)
-    if mix.field != weights.field:
-        raise FieldMismatchError("mix coefficients from a different field")
-    alpha, beta, reduce = mix.alpha.value, mix.beta.value, weights.field.reduce
-    return _pair_matrix(t.bits(), weights, lambda x, y: reduce(alpha * x + beta * y))
+    return tournament_matrix(Tournament(len(weights), 0), weights)
 
 
 def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
-    """Entry (i, j) = winner's weight divided by loser's; zero diagonal, symmetric."""
-    _check_weights(t, weights)
-    p = weights.field.char
-    if not p:
-        return _pair_matrix(t.bits(), weights, operator.truediv)
-    inverse = {v.value: pow(v.value, -1, p) for v in weights.values}  # one per weight
-    return _pair_matrix(t.bits(), weights, lambda x, y: x * inverse[y] % p)
+    """Entry (i, j) = winner's weight divided by loser's; zero diagonal, symmetric.
 
-
-def reversal_sum_matrix(weights: WeightSeq) -> DenseMatrix:
-    """Entry (i, j) = a_i + a_j off the diagonal, zero on it.
-
-    Equals tournament_matrix(t, w) + tournament_matrix(t.reverse(), w) for
-    every tournament t, and also diag(a)J + Jdiag(a) - 2diag(a).
+    The winners' stack of the cleared weights a times the losers' stack (the
+    reversal's winners) of their inverses: the inverse residues over GF(p),
+    over Q lcm(a) / a_j over the denominator lcm(a).
     """
-    reduce = weights.field.reduce
-    return _pair_matrix("0" * n_pairs(len(weights)), weights, lambda x, y: reduce(x + y))
+    _check_weights(t, weights)
+    p, bits = weights.field.char, bit_rows([t])
+    a = weights.int_row()[0].tolist()
+    den = 1 if p else lcm(*a)
+    inv = [pow(v, -1, p) for v in a] if p else [den // v for v in a]
+    big = max(map(abs, a)) * max(map(abs, inv)) >= 2**63  # then multiply Python ints
+    rows = np.array([a, inv], dtype=object if big else np.int64)
+    out = tournament_stack(bits, rows[:1])[0] * tournament_stack(1 - bits, rows[1:])[0]
+    return DenseMatrix(weights.field, out % p if p else out, den)
 
 
 def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:
     """True iff m is symmetric, zero-diagonal, with entry (i,j) in {a_i, a_j}."""
     n = len(weights)
-    if m.n_rows != n or m.n_cols != n:
+    if (m.field != weights.field or m.ints.shape != (n, n) or not m.is_symmetric()
+            or not m.has_zero_diagonal()):
         return False
-    if not m.has_zero_diagonal() or not m.is_symmetric():
-        return False
-    vals = [v.value for v in weights.values]
-    return all(
-        row[c] in (vals[r], vals[c])
-        for r, row in enumerate(m.raw_rows())
-        for c in range(r + 1, n)
-    )
+    w = DenseMatrix.from_rows(weights.field, [weights.values])
+    x, a = m.ints.astype(object) * w.den, w.ints.astype(object) * m.den  # on one scale
+    return bool(((x == a) | (x == a.T) | np.eye(n, dtype=bool)).all())
 
 
 def matrix_to_csv(m: DenseMatrix) -> str:
     """Serialize: header "field=<spec>,rows=<r>,cols=<c>", then entry rows."""
     lines = [f"field={format_field(m.field)},rows={m.n_rows},cols={m.n_cols}"]
-    lines += [",".join(map(str, row)) for row in m.raw_rows()]
+    rows, den = m.ints.tolist(), m.den
+    if den == 1:  # a row of ints prints as its list's str less the brackets and spaces
+        lines += [str(row)[1:-1].replace(" ", "") for row in rows]
+    else:  # each distinct entry's Fraction is made and printed once
+        text = {v: str(Fraction(v, den)) for v in np.unique(m.ints).tolist()}
+        lines += [",".join(map(text.__getitem__, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -337,7 +304,8 @@ def matrix_from_csv(text: str, field: Field | None = None) -> DenseMatrix:
         cells = ln.split(",")
         if len(cells) != n_cols:
             raise MatrixParseError(f"expected {n_cols} cols in {ln!r}")
-        rows.append([parse_scalar(field, c) for c in cells])
+        rows.append(list(map(int, cells)) if _INT_ROW.fullmatch(ln)
+                    else [parse_scalar(field, c) for c in cells])
     if n_rows == 0:
-        return DenseMatrix(field, 0, n_cols, ())
+        return DenseMatrix(field, np.zeros((0, n_cols), np.int64))
     return DenseMatrix.from_rows(field, rows)

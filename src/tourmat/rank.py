@@ -1,44 +1,46 @@
 """Exact rank and determinant by elimination.
 
-One routine eliminates mod a prime and yields the rank, the pivot columns
-and the determinant at once.  It eliminates `_PANEL` = 32 columns at a time
-in int64, each panel over its own columns only, keeping the multipliers
-below the pivots.  The panel's pivot rows are then forward-substituted in
-int64 and the rows below get one float64 (BLAS) product of the multipliers
-with the pivot rows, reduced mod p.  That product is exact because every
-partial sum stays below 2**53: directly while 32 * (p - 1)**2 < 2**53 (p <=
-16,777,213), and above that by splitting the right factor into 16-bit
-halves.  A matrix at most 64 columns wide is one panel and runs no product,
-so blocking reorders exact updates only.  For small p the reductions wait
-(delayed reduction, as in FFLAS-FFPACK): entries start in [0, p), and each
-pivot subtracts at most (p - 1)**2 from an entry, in the panel or as one
-term of the unsplit product, so after its at most min(rows, cols) pivots
-every entry stays below 2**53 in size while max(min(rows, cols), _PANEL) *
-(p - 1)**2 + p < 2**53.  Then int64 and the float64 subtract of the product
-stay exact with no `% p` on the updated blocks, and only what must be a
-residue is reduced in place: a column before its pivot search, the pivot
-row's panel segment before it is used, and the first pivot row before
-forward substitution (the multipliers and the substituted rows are reduced
-anyway).  Word-size primes such as 2**31 - 1 fail the bound at every shape,
-since a single (p - 1)**2 is past 2**53, so they reduce after every step as
-before.  `stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once
-up to 64 columns, one at a time by the panel routine above that.  Every
-elimination takes an integer array, of int64 or past 2**63 of Python ints
-(as `matrices.int_array` decides), and reduces it mod p while it makes its
-one int64 copy.  Over Q, `rank()` and `determinant()` first clear rational
-rows to such an array row by row, by `matrices.cleared`.  The matrix, or
-each matrix of a stack, is eliminated mod `_prime(0)` = 2**31 - 1 first.
-Rank mod p never exceeds rank over Q, column prefix by column prefix, so a
-rank of min(rows, cols) there, with pivot columns 0..r-1 for `rank()`, is
-the rank over Q.  Otherwise, and always for a determinant, `_prime(1)`,
-... run until their product passes Hadamard's bound H = (E * sqrt(c))**m on
-every minor, or 2H for a determinant: `_hadamard_primes` reads E (the
-largest entry in size) and c (the most nonzeros in a row) from the array
-itself, and m = min(rows, cols).  A nonzero integer minor below that product is nonzero mod one of
-the primes, so the max of the ranks mod them is the rank over Q, and the
-determinant is the symmetric residue of the Chinese remainder of its
-residues.  Pivot selection is always leftmost nonzero column, lowest row
-index, which makes the pivot column list deterministic across platforms.
+Every elimination takes an integer array, int64 or past 2**63 Python ints
+(as `matrices.int_array` decides), and reduces it mod p into its one int64
+copy.  `rank()` and `determinant()` eliminate a `DenseMatrix`'s `ints`
+directly: the residues over GF(p), and over Q the entries times `den`, each
+row divided by gcd(den, row) when den > 1, which clears the row by the lcm
+of its own denominators.  Pivot selection is always leftmost nonzero
+column, lowest row index, which makes the pivot columns deterministic.
+
+One routine, `_eliminate_mod_p`, yields the rank, the pivot columns and the
+determinant mod a prime at once.  It eliminates `_PANEL` = 32 columns at a
+time in int64, each panel over its own columns only, keeping the
+multipliers below the pivots.  The panel's pivot rows are then
+forward-substituted in int64 and the rows below get one float64 (BLAS)
+product of the multipliers with the pivot rows, reduced mod p.  That product
+is exact because every partial sum stays below 2**53: directly while 32 *
+(p - 1)**2 < 2**53 (p <= 16,777,213), and above that by splitting the right
+factor into 16-bit halves.  A matrix at most 64 columns wide is one panel
+and runs no product, so blocking reorders exact updates only.  For small p
+the reductions wait (delayed reduction, as in FFLAS-FFPACK): entries start
+in [0, p), and each pivot subtracts at most (p - 1)**2 from an entry, in the
+panel or as one term of the unsplit product, so every entry stays below
+2**53 in size while max(min(rows, cols), _PANEL) * (p - 1)**2 + p < 2**53.
+Then no `% p` runs on the updated blocks, and only what must be a residue is
+reduced in place: a column before its pivot search, the pivot row's panel
+segment before it is used, and the first pivot row before forward
+substitution.  Word-size primes such as 2**31 - 1 fail the bound at every
+shape, so they reduce after every step.  `stack_ranks` ranks whole
+(B, n, n) stacks: all B matrices at once up to 64 columns, one at a time by
+`_eliminate_mod_p` above that.
+
+Over Q the matrix, or each matrix of a stack, is eliminated mod `_prime(0)`
+= 2**31 - 1 first.  Rank mod p never exceeds rank over Q, column prefix by
+column prefix, so a rank of min(rows, cols) there, with pivot columns
+0..r-1 for `rank()`, is the rank over Q.  Otherwise, and always for a
+determinant, `_prime(1)`, ... run until their product passes Hadamard's
+bound H = (E * sqrt(c))**m on every minor, or 2H for a determinant:
+`_hadamard_primes` reads E (the largest entry in size) and c (the most
+nonzeros in a row) from the array, and m = min(rows, cols).  A nonzero
+integer minor below that product is nonzero mod one of the primes, so the
+max of the ranks mod them is the rank over Q, and the determinant is the
+symmetric residue of the Chinese remainder of its residues.
 
 `bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
 B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
@@ -48,9 +50,8 @@ form, r = rank B and the pivot columns P; a border then costs two exact
 products (`_dot_mod`) shared by all borders and blocks: rows r.. of T u,
 which are zero exactly when u is in col(B) (else the rank is r + 2), and
 the form u^T x of a solution of B x = u, which adds 1 to r when nonzero.
-Over Q every bordered matrix is ranked mod `_prime(0)` first, and only the
-matrices short of full rank there are built and ranked mod the further
-Hadamard primes, as `stack_ranks` does.
+Over Q only the bordered matrices short of full rank mod `_prime(0)` are
+built and ranked mod the further Hadamard primes, as `stack_ranks` does.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
 from .fields import Field, Scalar, is_prime
-from .matrices import DenseMatrix, cleared
+from .matrices import DenseMatrix, int_array
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
@@ -397,14 +398,26 @@ def _eliminate_q(a, det=False):
     return len(pivots), tuple(pivots), value - modulus if 2 * value > modulus else value
 
 
+def _row_cleared(m: DenseMatrix):
+    """The integer array an elimination of m takes, and its determinant over
+    m's (the product of the row multipliers): m.ints, or over Q with den > 1
+    each row divided by gcd(den, row), the row times its denominators' lcm."""
+    if m.den == 1:
+        return m.ints, 1
+    rows = m.ints.tolist()
+    gcds = [gcd(m.den, *row) for row in rows]
+    return (int_array([[v // g for v in row] for row, g in zip(rows, gcds)]),
+            prod(m.den // g for g in gcds))
+
+
 def rank(m: DenseMatrix) -> RankProfile:
     """Exact rank over the matrix's field, with deterministic pivot columns."""
     if m.n_rows == 0 or m.n_cols == 0:
         r, pivots = 0, ()
     elif m.field.is_prime_field:
-        r, pivots, _ = _eliminate_mod_p(m.raw_rows(), m.field.char)
+        r, pivots, _ = _eliminate_mod_p(m.ints, m.field.char)
     else:
-        r, pivots, _ = _eliminate_q(cleared(m.raw_rows())[0])
+        r, pivots, _ = _eliminate_q(_row_cleared(m)[0])
     return RankProfile(r, pivots, m.field)
 
 
@@ -415,7 +428,6 @@ def determinant(m: DenseMatrix) -> Scalar:
     if m.n_rows == 0:
         return Scalar(m.field, 1)
     if m.field.is_prime_field:
-        return Scalar(m.field, _eliminate_mod_p(m.raw_rows(), m.field.char)[2])
-    a, scale = cleared(m.raw_rows())  # det over Q = integer det / scale
+        return Scalar(m.field, _eliminate_mod_p(m.ints, m.field.char)[2])
+    a, scale = _row_cleared(m)
     return Scalar(m.field, Fraction(_eliminate_q(a, det=True)[2], scale))
-

@@ -5,14 +5,14 @@ edge is directed i -> j, 0 means j -> i.  Pair bits are laid out in
 lexicographic pair order (1,2), (1,3), ..., (1,n), (2,3), ..., so a
 tournament is just n plus an integer code in [0, 2**(n(n-1)/2)).  The code
 doubles as the enumeration counter, which makes exhaustive-search sharding a
-plain range split.  `Tournament.bits()` and `from_bits` own that layout: the
-bit text's character k is pair k's bit, and every per-pair walk (edges, the
-constructions, the text grammar, the matrix builders) reads or writes that
-text instead of shifting the code once per pair.  Sweeps take the same bits
-as one array, one row per tournament: `pair_bits` for a code range and
-`random_pair_bits` for a range of sample indices, both without per-code
-objects.  `bit_rows` converts only named tournaments, such as the one a
-permutation scan ranks against every batch of permuted weights.
+plain range split of `code_range`.  `Tournament.bits()` and `from_bits` own
+that layout: the bit text's character k is pair k's bit, and every per-pair
+walk (edges, out-degrees, the constructions, the text grammar) reads or
+writes that text instead of shifting the code once per pair.  The matrix
+builders and the sweeps take the same bits as one array, one row per
+tournament: `pair_bits` for a code range and `random_pair_bits` for a range
+of sample indices, both without per-code objects, and `bit_rows` for named
+tournaments, such as the one a matrix is built from.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ class VertexCountError(ValueError):
 
 class InvalidPermutationError(ValueError):
     """Order argument is not a permutation of 1..n."""
-
-
-class SelfLoopError(ValueError):
-    """Edge endpoints coincide."""
 
 
 class VertexRangeError(ValueError):
@@ -86,34 +82,15 @@ class Tournament:
         if not 0 <= self.code < (1 << n_pairs(self.n)):
             raise CodeRangeError(f"code {self.code} out of range for n={self.n}")
 
-    def _check_vertex(self, v: int):
-        if not 1 <= v <= self.n:
-            raise VertexRangeError(f"vertex {v} outside 1..{self.n}")
-
-    def _pair_bit(self, i: int, j: int) -> int:
-        """Bit position of the pair {i, j}, after checking both vertices."""
-        if i == j:
-            raise SelfLoopError(f"no edge from {i} to itself")
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return pair_index(self.n, min(i, j), max(i, j))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        """True iff the edge between i and j is directed i -> j."""
-        return (self.code >> self._pair_bit(i, j)) & 1 == (i < j)
-
     def reverse(self) -> "Tournament":
         """Flip every edge; an involution."""
         mask = (1 << n_pairs(self.n)) - 1
         return Tournament(self.n, self.code ^ mask)
 
-    def flip_edge(self, i: int, j: int) -> "Tournament":
-        """Flip the single edge between i and j; an involution."""
-        return Tournament(self.n, self.code ^ 1 << self._pair_bit(i, j))
-
     def out_degree(self, v: int) -> int:
         """Number of vertices v beats, counted in one pass over bits()."""
-        self._check_vertex(v)
+        if not 1 <= v <= self.n:
+            raise VertexRangeError(f"vertex {v} outside 1..{self.n}")
         n, bits = self.n, self.bits()
         start = pair_index(n, v, v + 1)  # v's own row: pairs (v, j), j > v; "1" is a win
         return (bits.count("1", start, start + n - v)
@@ -208,24 +185,13 @@ def code_range(n: int, start: int | None = None, end: int | None = None) -> tupl
     return start, end
 
 
-def enumerate_all(n: int, start: int | None = None, end: int | None = None):
-    """Yield all tournaments with code in [start, end), in increasing code order.
-
-    The full range covers every tournament on n vertices exactly once.
-    Requires n(n-1)/2 <= 63 so codes fit one machine word.
-    """
-    start, end = code_range(n, start, end)
-    for code in range(start, end):
-        yield Tournament(n, code)
-
-
 def pair_bits(n: int, start: int, end: int) -> np.ndarray:
     """The pair bits of codes start..end-1 as a uint8 array of shape
     (end - start, n(n-1)/2).
 
     Entry [b, k] is (code >> k) & 1 for code start + b, the k-th character of
     bits(); pair k is the k-th pair of np.triu_indices(n, 1), vertices
-    counted from 0.  Requires n(n-1)/2 <= 63, as enumerate_all does.
+    counted from 0.  Requires n(n-1)/2 <= 63, as `code_range` checks.
     """
     start, end = code_range(n, start, end)
     codes = np.arange(start, end, dtype=np.uint64)

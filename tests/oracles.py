@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for cross-checking the elimination engine.
+"""Independent brute-force oracles for cross-checking the package.
 
 Determinants here come from Laplace cofactor expansion and rank from scanning
 all k x k minors for the largest k with a nonzero one.  `bareiss` is
@@ -6,8 +6,12 @@ fraction-free (Bareiss one-step) elimination of integer rows, the reference
 for rank, pivot columns and determinant over Q at sizes where the scans are
 too slow.  `eliminate_mod_p` is textbook Gaussian elimination mod p that
 reduces every entry after every step, the reference for the modular kernel
-at sizes past the scans.  Nothing in this file touches the package's
-elimination code, so agreement is meaningful.
+at sizes past the scans.  `pair_law_rows` walks a tournament's pair-bit text
+pair by pair, the reference for the array builders, and `linear_mix_rows`
+and `pair_sum_rows` are its laws that only tests need.  `has_edge`,
+`flip_edge` and `enumerate_all` read, change and count tournament codes by
+shifting bits.  Nothing in this file imports the package, so agreement is
+meaningful.
 """
 
 from itertools import combinations
@@ -123,3 +127,57 @@ def eliminate_mod_p(rows, p):
         if pr == nr:
             break
     return pr, tuple(pivots), det if pr == nr == nc else 0
+
+
+def pair_law_rows(bits, values, entry):
+    """Rows of the symmetric zero-diagonal matrix with entry (i, j) =
+    entry(winner's value, loser's value).
+
+    Character k of the text `bits` orders the k-th pair i < j in row-major
+    order: "1" means i beats j, so the entry is entry(values[i], values[j]);
+    "0" means entry(values[j], values[i]).
+    """
+    n = len(values)
+    grid = [[0] * n for _ in range(n)]
+    bit = iter(bits)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            e = entry(values[i], values[j]) if next(bit) == "1" else entry(values[j], values[i])
+            grid[i][j] = grid[j][i] = e
+    return grid
+
+
+def linear_mix_rows(bits, values, alpha, beta):
+    """Entry (i, j) = alpha * winner's value + beta * loser's value."""
+    return pair_law_rows(bits, values, lambda x, y: alpha * x + beta * y)
+
+
+def pair_sum_rows(values):
+    """Entry (i, j) = a_i + a_j off the diagonal: any tournament's matrix plus
+    its reversal's."""
+    n = len(values)
+    return pair_law_rows("0" * (n * (n - 1) // 2), values, lambda x, y: x + y)
+
+
+def _pair_shift(n, i, j):
+    """Bit position of the pair {i, j} of vertices in 1..n: lexicographic order."""
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"no edge between {i} and {j} on {n} vertices")
+    i, j = min(i, j), max(i, j)
+    return sum(n - k for k in range(1, i)) + j - i - 1
+
+
+def has_edge(n, code, i, j):
+    """True iff the edge between i and j of the tournament `code` on n vertices
+    is directed i -> j."""
+    return (code >> _pair_shift(n, i, j)) & 1 == (i < j)
+
+
+def flip_edge(n, code, i, j):
+    """The code with the single edge between i and j flipped."""
+    return code ^ 1 << _pair_shift(n, i, j)
+
+
+def enumerate_all(n, start=0, end=None):
+    """The codes start..end-1 of tournaments on n vertices, default every code."""
+    return range(start, 1 << n * (n - 1) // 2 if end is None else end)

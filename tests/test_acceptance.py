@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import minor_scan_rank
+from oracles import enumerate_all, minor_scan_rank
 from tourmat import experiments as ex
 from tourmat.families import (
     NotBisectingError,
@@ -24,7 +24,7 @@ from tourmat.fields import GF, QQ
 from tourmat.matrices import DenseMatrix, WeightSeq, in_matrix_family, tournament_matrix
 from tourmat.rank import rank
 from tourmat.rng import ByteStream
-from tourmat.tournaments import enumerate_all
+from tourmat.tournaments import Tournament
 
 SEED = 20240
 
@@ -182,7 +182,7 @@ def test_criterion_11_minrank_regression_vs_oracle():
         weights = WeightSeq.of(QQ, [1, 2, 3])
         rep = ex.minrank_exhaustive(weights)
         oracle_min = min(
-            minor_scan_rank(tournament_matrix(t, weights).raw_rows())
-            for t in enumerate_all(3)
+            minor_scan_rank(tournament_matrix(Tournament(3, code), weights).raw_rows())
+            for code in enumerate_all(3)
         )
         assert rep.summary["min_rank"] == oracle_min == 3  # pinned after oracle run

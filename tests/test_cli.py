@@ -222,14 +222,14 @@ def test_degenerate_runs_refused(capsys, argv, error):
 
 
 def test_verify_transitive_reads_seq(capsys):
-    """--seq is the fixed weight sequence, cycled to each n, so one trial per
-    n runs; a zero weight in it is refused before any check."""
+    """--seq is the fixed weight sequence, cycled to each n, under every
+    trial's vertex order; a zero weight in it is refused before any check."""
     argv = ["verify", "--theorem", "transitive", "--n-range", "3..4", "--trials", "2",
             "--field", "GF(3)", "--seed", "1", "--seq"]
     code, stdout, _ = run(capsys, *argv, "1,2")
     doc = json.loads(stdout)
     assert code == 0 and doc["parameters"]["sequence_source"] == "fixed"
-    assert doc["summary"]["checks"] == 4  # 2 sizes x 1 trial x 2 kinds
+    assert doc["summary"]["checks"] == 8  # 2 sizes x 2 trials x 2 kinds
     code, stdout, err = run(capsys, *argv, "1,0")
     assert code == 2 and "ZeroWeightError" in err and stdout == ""
 

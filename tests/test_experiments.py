@@ -9,21 +9,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import enumerate_all, flip_edge, linear_mix_rows, pair_sum_rows
 from tourmat import experiments as ex
 from tourmat import report as report_mod
 from tourmat.fields import GF, QQ, FieldMismatchError
 from tourmat.matrices import (
+    DenseMatrix,
     LengthMismatchError,
-    LinearMix,
     WeightSeq,
-    linear_mix_matrix,
-    reversal_sum_matrix,
     tournament_matrix,
     transitive_matrix,
 )
 from tourmat.rank import determinant, rank
 from tourmat.report import RecordTable, Report
-from tourmat.tournaments import Tournament, enumerate_all, random_tournament
+from tourmat.rng import ByteStream
+from tourmat.tournaments import Tournament, random_tournament, transitive
 
 # the package re-exports the function `rank`, which shadows the module attribute
 rank_mod = importlib.import_module("tourmat.rank")
@@ -58,6 +58,23 @@ def test_verify_transitive_fixed_sequence():
     assert rep.parameters["sequence_source"] == "fixed"
 
 
+def test_verify_transitive_fixed_sequence_runs_every_trial():
+    """Fixed weights, cycled to each n, run under every trial's seeded vertex
+    order: the requested trials are reported and checked."""
+    seq = [5, 1, 2]
+    rep = ex.verify_transitive(range(3, 5), QQ, trials=5, seed=2, sequence_source=seq)
+    assert rep.parameters["trials"] == 5 and rep.summary["checks"] == 2 * 5 * 2
+    assert sorted({(rec["n"], rec["trial"]) for rec in rep.records}) == [
+        (n, k) for n in (3, 4) for k in range(5)]
+    for rec in rep.records:
+        n = rec["n"]
+        w = WeightSeq.of(QQ, [seq[i % len(seq)] for i in range(n)])
+        shuffled = ByteStream(2, "transitive-order", n, rec["trial"]).shuffled(range(n))
+        order = [1 + v for v in shuffled]
+        t = transitive(n, order if rec["kind"] == "random_order" else range(n, 0, -1))
+        assert rec["rank"] == rank(tournament_matrix(t, w)).rank
+
+
 def test_verify_reversal_exhaustive_n4():
     rep = ex.verify_reversal(WeightSeq.of(QQ, [1, 2, 3, 4]))
     assert rep.passed
@@ -87,7 +104,8 @@ def test_flip_back_restores_rank():
     w = ex.cycling_weights(GF(5), 6)
     t = random_tournament(6, 44, 0)
     base = rank(tournament_matrix(t, w)).rank
-    again = rank(tournament_matrix(t.flip_edge(2, 5).flip_edge(2, 5), w)).rank
+    twice = flip_edge(6, flip_edge(6, t.code, 2, 5), 2, 5)
+    again = rank(tournament_matrix(Tournament(6, twice), w)).rank
     assert base == again
 
 
@@ -96,8 +114,8 @@ def test_certifiability_gf3_s4_needs_bigger_minor():
     # (its det is -3 z^4) but the 5x5 one is 4 z^5 != 0
     field = GF(3)
     w = ex._certify_weights(field, 5, 4, field.one)
-    for t in enumerate_all(5, 0, 32):
-        m = tournament_matrix(t, w)
+    for code in enumerate_all(5, 0, 32):
+        m = tournament_matrix(Tournament(5, code), w)
         assert determinant(m.principal_submatrix(4)).is_zero()
         assert not determinant(m.principal_submatrix(5)).is_zero()
 
@@ -236,13 +254,13 @@ def test_montecarlo_ranks_stacks_and_builds_no_matrix_one_by_one(field):
     with _no_per_matrix_names() as (rank_calls, builds), \
             mock.patch.object(ex, "random_tournament", wraps=random_tournament,
                               create=True) as draws, \
-            mock.patch.object(matrices_mod, "_pair_matrix",
-                              wraps=matrices_mod._pair_matrix) as pair_builds, \
+            mock.patch.object(matrices_mod, "DenseMatrix",
+                              wraps=matrices_mod.DenseMatrix) as dense_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
                               wraps=rank_mod._eliminate_mod_p) as eliminations:
         rep = ex.montecarlo_rank(w, 30, seed=4)
         counts = (rank_calls.call_count, builds.call_count, draws.call_count,
-                  pair_builds.call_count, eliminations.call_count)
+                  dense_builds.call_count, eliminations.call_count)
     assert counts == (0, 0, 0, 0, 0)
     assert [rec["rank"] for rec in rep.records] == [
         rank(tournament_matrix(random_tournament(50, 4, i), w)).rank for i in range(30)]
@@ -419,7 +437,7 @@ def test_minrank_holds_its_records_as_columns():
     w = ex.cycling_weights(field, 5)
     rep = ex.minrank_exhaustive(w, shard=(3, 1000))
     assert isinstance(rep.records, RecordTable) and rep.records.ranks.dtype == np.int8
-    ranks = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(5, 3, 1000)]
+    ranks = [rank(tournament_matrix(Tournament(5, c), w)).rank for c in enumerate_all(5, 3, 1000)]
     low = min(ranks)
     argmin = [3 + i for i, r in enumerate(ranks) if r == low]
     assert rep.summary["min_rank"] == low and rep.summary["argmin_count"] == len(argmin)
@@ -584,12 +602,14 @@ def _no_per_matrix_names():
 def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
     """Exhaustive sweeps and the five stack verifiers rank stacks over GF(p)
     and over Q alike.  Every per-matrix builder (`tournament_matrix`,
-    `linear_mix_matrix`, `transitive_matrix`, `reversal_sum_matrix`) builds
-    through `matrices._pair_matrix`, so its count covers them all; no matrix
-    here is wider than one panel, so none is eliminated on its own."""
+    `transitive_matrix`, `ratio_matrix`) constructs its matrix by the name
+    `DenseMatrix` in `matrices`, so a spy on that name counts them all; a
+    sweep's weight row, cleared by the classmethod `DenseMatrix.from_rows`, is
+    not counted.  No matrix here is wider than one panel, so none is
+    eliminated on its own."""
     with _no_per_matrix_names() as (rank_calls, builds), \
-            mock.patch.object(matrices_mod, "_pair_matrix",
-                              wraps=matrices_mod._pair_matrix) as pair_builds, \
+            mock.patch.object(matrices_mod, "DenseMatrix",
+                              wraps=matrices_mod.DenseMatrix) as dense_builds, \
             mock.patch.object(rank_mod, "_eliminate_mod_p",
                               wraps=rank_mod._eliminate_mod_p) as eliminations:
         ex.minrank_exhaustive(ex.cycling_weights(GF(3), 5))
@@ -607,7 +627,7 @@ def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
             assert ex.verify_lipschitz(weights, flips=20, seed=1).passed
             assert ex.verify_constant_seq(range(2, 8), [field]).passed
             ex.perm_scan(Tournament(5, 300), weights, mode="sample", sample=30, seed=1)
-        counts = (rank_calls.call_count, builds.call_count, pair_builds.call_count,
+        counts = (rank_calls.call_count, builds.call_count, dense_builds.call_count,
                   eliminations.call_count)
         assert counts == (0, 0, 0, 0)
 
@@ -619,19 +639,24 @@ def test_prime_field_sweeps_build_and_rank_no_matrix_one_by_one():
 ], ids=["word-prime", "q-past-int64", "q-fractional-mix"])
 def test_mix_sweep_matches_matrices_built_one_by_one(field, values, alpha, beta):
     """The stacked mix a W + b L, its reversal a L + b W and the pair-sum law,
-    against `linear_mix_matrix` and `rank()` per tournament, with entries and
-    coefficients near p or past 2**63 over Q."""
+    against the oracle's linear-mix rows and `rank()` per tournament, with
+    entries and coefficients near p or past 2**63 over Q."""
     weights = WeightSeq.of(field, values)
-    mix = LinearMix(field.scalar(alpha), field.scalar(beta))
+    vals = [v.value for v in weights.values]
+    a, b = field.scalar(alpha).value, field.scalar(beta).value
+
+    def mix_rank(t):
+        return rank(DenseMatrix.from_rows(field, linear_mix_rows(t.bits(), vals, a, b))).rank
+
     rep = ex.verify_f_ensemble(weights, alpha, beta, tournaments=40, seed=2)
     assert rep.passed and len(rep.records) == 40
     for i, rec in enumerate(rep.records):
         t = random_tournament(5, 2, i)
         assert rec["code"] == t.code and rec["identity_ok"] is True
-        assert rec["rank_t"] == rank(linear_mix_matrix(t, weights, mix)).rank
-        assert rec["rank_rev"] == rank(linear_mix_matrix(t.reverse(), weights, mix)).rank
+        assert rec["rank_t"] == mix_rank(t)
+        assert rec["rank_rev"] == mix_rank(t.reverse())
     assert ex.verify_reversal(weights).summary["rank_sum_matrix"] == rank(
-        reversal_sum_matrix(weights)).rank
+        DenseMatrix.from_rows(field, pair_sum_rows(vals))).rank
 
 
 def test_batched_sweep_matches_per_matrix_ranks_across_batches():
@@ -641,7 +666,7 @@ def test_batched_sweep_matches_per_matrix_ranks_across_batches():
     step = ex._BATCH_ENTRIES // 36  # codes per batch at n = 6
     lo, hi = 3 * step - 7, 5 * step + 11
     rep = ex.minrank_exhaustive(w, shard=(lo, hi))
-    expected = [rank(tournament_matrix(t, w)).rank for t in enumerate_all(6, lo, hi)]
+    expected = [rank(tournament_matrix(Tournament(6, c), w)).rank for c in enumerate_all(6, lo, hi)]
     assert [rec["rank"] for rec in rep.records] == expected
     assert [rec["code"] for rec in rep.records] == list(range(lo, hi))
 
@@ -676,9 +701,9 @@ def test_certify_failures_match_per_code_determinants(monkeypatch):
         for n in range(2, 6):
             w = WeightSeq.of(field, values[:n])
             for s in range(1, n):
-                bad = [t.code for t in enumerate_all(n)
-                       if all(determinant(tournament_matrix(t, w).principal_submatrix(k)).is_zero()
-                              for k in (s, s + 1))]
+                bad = [c for c in enumerate_all(n) if all(determinant(
+                    tournament_matrix(Tournament(n, c), w).principal_submatrix(k)).is_zero()
+                    for k in (s, s + 1))]
                 expected.append((str(field), n, s, len(bad), bad[0] if bad else None))
     got = [(rec["field"], rec["n"], rec["s"], rec["violations"], rec["first_bad_code"])
            for rec in rep.records]

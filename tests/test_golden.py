@@ -11,15 +11,14 @@ import hashlib
 
 import pytest
 
+from oracles import linear_mix_rows, pair_sum_rows
 from tourmat.cli import main
 from tourmat.fields import GF, QQ
 from tourmat.matrices import (
-    LinearMix,
+    DenseMatrix,
     WeightSeq,
-    linear_mix_matrix,
     matrix_to_csv,
     ratio_matrix,
-    reversal_sum_matrix,
     tournament_matrix,
     transitive_matrix,
 )
@@ -54,14 +53,15 @@ def _tournament_codes():
 
 def _builder_csv(field):
     w = WeightSeq.of(field, [1, 2, 3, 4, 6, 7])
-    mix = LinearMix(field.scalar(2), field.scalar(3))
+    vals = [v.value for v in w.values]
     parts = []
     for t in (random_tournament(6, 11, 0), random_tournament(6, 11, 1)):
         parts.append(matrix_to_csv(tournament_matrix(t, w)))
-        parts.append(matrix_to_csv(linear_mix_matrix(t, w, mix)))
+        mix = DenseMatrix.from_rows(field, linear_mix_rows(t.bits(), vals, 2, 3))
+        parts.append(matrix_to_csv(mix))
         parts.append(matrix_to_csv(ratio_matrix(t, w)))
     parts.append(matrix_to_csv(transitive_matrix(w)))
-    parts.append(matrix_to_csv(reversal_sum_matrix(w)))
+    parts.append(matrix_to_csv(DenseMatrix.from_rows(field, pair_sum_rows(vals))))
     w7 = WeightSeq.of(field, [1, 2, 3, 4, 6, 7, 8])
     parts.append(matrix_to_csv(tournament_matrix(paley(7), w7)))
     return "".join(parts)

@@ -2,7 +2,7 @@
 
 `Tournament.bits()` and `from_bits` own the pair-bit layout; the shift
 `(code >> k) & 1` is kept here only as the oracle they are checked against,
-and `has_edge` is the oracle of the one-pass `out_degree`.
+and the oracles' `has_edge` is the oracle of the one-pass `out_degree`.
 The matrix CSV round trip is checked over Q with fractional entries and over
 prime fields.
 """
@@ -10,6 +10,7 @@ prime fields.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import has_edge
 from tourmat.fields import GF, QQ
 from tourmat.matrices import WeightSeq, matrix_from_csv, matrix_to_csv, ratio_matrix
 from tourmat.tournaments import (
@@ -56,7 +57,8 @@ def test_parse_inverts_format(t):
 def test_out_degree_counts_wins(t):
     vertices = range(1, t.n + 1)
     degrees = [t.out_degree(v) for v in vertices]
-    assert degrees == [sum(t.has_edge(v, u) for u in vertices if u != v) for v in vertices]
+    assert degrees == [sum(has_edge(t.n, t.code, v, u) for u in vertices if u != v)
+                       for v in vertices]
     assert sum(degrees) == n_pairs(t.n)
 
 

@@ -1,27 +1,32 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import enumerate_all, has_edge, linear_mix_rows, pair_law_rows, pair_sum_rows
+from tourmat import experiments as ex
 from tourmat.fields import GF, QQ, Scalar
 from tourmat.matrices import (
     DenseMatrix,
     LengthMismatchError,
-    LinearMix,
     MatrixParseError,
     WeightSeq,
     ZeroWeightError,
     in_matrix_family,
-    linear_mix_matrix,
     matrix_from_csv,
     matrix_to_csv,
     ratio_matrix,
-    reversal_sum_matrix,
     tournament_matrix,
     transitive_matrix,
 )
 from tourmat.rank import rank
-from tourmat.tournaments import enumerate_all, parse_tournament, random_tournament, transitive
+from tourmat.tournaments import Tournament, parse_tournament, random_tournament, transitive
 
 
 def grid(m):
@@ -64,8 +69,8 @@ def test_tournament_matrix_explicit():
 def test_constant_weights_collapse():
     w = WeightSeq.of(QQ, [4, 4, 4, 4])
     expected = [[0 if r == c else 4 for c in range(4)] for r in range(4)]
-    for t in enumerate_all(4):
-        assert grid(tournament_matrix(t, w)) == expected
+    for code in enumerate_all(4):
+        assert grid(tournament_matrix(Tournament(4, code), w)) == expected
 
 
 def test_matrix_family_membership():
@@ -85,20 +90,25 @@ def test_length_mismatch():
 
 def test_reversal_identity_exhaustive_n4():
     w = WeightSeq.of(QQ, [1, 2, 3, 4])
-    target = reversal_sum_matrix(w)
-    for t in enumerate_all(4):
+    target = DenseMatrix.from_rows(QQ, pair_sum_rows([1, 2, 3, 4]))
+    for code in enumerate_all(4):
+        t = Tournament(4, code)
         m, r = tournament_matrix(t, w), tournament_matrix(t.reverse(), w)
         assert [a + b for a, b in zip(m.entries, r.entries)] == list(target.entries)
 
 
 def test_reversal_sum_entries():
     w = WeightSeq.of(QQ, [1, 2, 3])
-    assert grid(reversal_sum_matrix(w)) == [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
+    t = parse_tournament("n=3:101")
+    total = tournament_matrix(t, w).ints + tournament_matrix(t.reverse(), w).ints
+    assert total.tolist() == [[0, 3, 4], [3, 0, 5], [4, 5, 0]] == pair_sum_rows([1, 2, 3])
 
 
 def test_reversal_sum_char2_constant_vanishes():
     w = WeightSeq.of(GF(2), [1, 1, 1])
-    assert all(v == 0 for v in reversal_sum_matrix(w).entries)
+    t = parse_tournament("n=3:110")
+    total = tournament_matrix(t, w).ints + tournament_matrix(t.reverse(), w).ints
+    assert not (total % 2).any()
 
 
 def test_single_weight_change_touches_one_row_col():
@@ -114,29 +124,31 @@ def test_single_weight_change_touches_one_row_col():
 
 def test_linear_mix_reduces_to_base():
     w = WeightSeq.of(QQ, [1, 2, 3, 4])
-    mix = LinearMix(QQ.one, QQ.zero)
-    for t in enumerate_all(4, 0, 16):
-        assert linear_mix_matrix(t, w, mix) == tournament_matrix(t, w)
+    for code in enumerate_all(4, 0, 16):
+        t = Tournament(4, code)
+        mix = DenseMatrix.from_rows(QQ, linear_mix_rows(t.bits(), [1, 2, 3, 4], 1, 0))
+        assert mix == tournament_matrix(t, w)
 
 
 def test_linear_mix_symmetric_coeffs_ignore_orientation():
     w = WeightSeq.of(QQ, [1, 2, 3])
-    mix = LinearMix(QQ.one, QQ.one)
-    ms = {grid(linear_mix_matrix(t, w, mix)) == grid(reversal_sum_matrix(w))
-          for t in enumerate_all(3)}
-    assert ms == {True}
+    sums = {str((tournament_matrix(t, w).ints + tournament_matrix(t.reverse(), w).ints).tolist())
+            for t in map(Tournament, [3] * 8, enumerate_all(3))}
+    assert sums == {str(linear_mix_rows("000", [1, 2, 3], 1, 1))}
 
 
 def test_linear_mix_explicit_value():
     t = parse_tournament("n=2:1")
     w = WeightSeq.of(QQ, [1, 2])
-    mix = LinearMix(QQ.scalar(2), QQ.scalar(3))
-    assert grid(linear_mix_matrix(t, w, mix)) == [[0, 8], [8, 0]]
+    mix = 2 * tournament_matrix(t, w).ints + 3 * tournament_matrix(t.reverse(), w).ints
+    assert mix.tolist() == [[0, 8], [8, 0]] == linear_mix_rows("1", [1, 2], 2, 3)
 
 
 def test_linear_mix_degenerate_flag():
-    assert LinearMix(QQ.one, -QQ.one).degenerate()
-    assert not LinearMix(QQ.one, QQ.one).degenerate()
+    w = WeightSeq.of(QQ, [1, 2, 3])
+    with pytest.raises(ex.DegenerateMixError):
+        ex.verify_f_ensemble(w, 1, -1)
+    assert ex.verify_f_ensemble(w, 1, 1).passed
 
 
 def test_ratio_matrix():
@@ -156,7 +168,7 @@ def test_ratio_matrix_over_word_size_prime():
     m = ratio_matrix(t, WeightSeq.of(GF(p), values))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            win, lose = (i, j) if t.has_edge(i, j) else (j, i)
+            win, lose = (i, j) if has_edge(n, t.code, i, j) else (j, i)
             assert m.entries[(i - 1) * n + j - 1] * values[lose - 1] % p == values[win - 1]
 
 
@@ -193,9 +205,10 @@ def test_matmul_and_transpose():
 def _built_matrices(field):
     w = WeightSeq.of(field, [1, 2, 3, 4, 6])
     t = random_tournament(5, 4, 0)
-    mix = LinearMix(field.scalar(2), field.scalar(3))
-    return [tournament_matrix(t, w), transitive_matrix(w), linear_mix_matrix(t, w, mix),
-            ratio_matrix(t, w), reversal_sum_matrix(w)]
+    vals = [v.value for v in w.values]
+    return [tournament_matrix(t, w), transitive_matrix(w),
+            DenseMatrix.from_rows(field, linear_mix_rows(t.bits(), vals, 2, 3)),
+            ratio_matrix(t, w), DenseMatrix.from_rows(field, pair_sum_rows(vals))]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -212,7 +225,7 @@ def test_entries_are_raw_canonical_values(field):
 def test_constructor_refuses_unreduced_residues():
     for bad in ((5,), (-1,)):
         with pytest.raises(ValueError):
-            DenseMatrix(GF(5), 1, 1, bad)
+            DenseMatrix(GF(5), np.array([bad]))
     assert DenseMatrix.from_rows(GF(5), [[5]]).entries == (0,)
 
 
@@ -240,3 +253,90 @@ def test_build_and_rank_construct_no_scalar_per_entry(field):
     with mock.patch.object(Scalar, "__post_init__", counting):
         rank(tournament_matrix(t, w))
     assert len(made) <= 2
+
+
+def _ratio_law(field):
+    p = field.char
+    return (lambda x, y: x * pow(y, -1, p)) if p else (lambda x, y: x / y)
+
+
+@pytest.mark.parametrize("field, values, wide", [
+    (GF(2), [1] * 7, False),
+    (GF(5), [1, 2, 3, 4, 4, 2, 1], False),
+    (GF(2**31 - 1), [2**31 - 2, 5, 2**30, 7, 1, 2**31 - 3, 3], False),
+    (QQ, [Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4), -1, 3, Fraction(1, 6)], False),
+    (QQ, [-3, -1, 2, -7, 4, 4, -5], False),
+    (QQ, [2**70, Fraction(2**64 + 1, 3), -5, Fraction(1, 7), 2**63, 9, -(2**65)], True),
+], ids=["GF2", "GF5", "word-prime", "Q-rational", "Q-negative", "Q-past-int64"])
+def test_array_builders_match_the_pair_law_oracle(field, values, wide):
+    """Every builder equals the oracle's pair-by-pair walk of the bit text,
+    stored by `from_rows`; past 2**63 the arrays hold Python ints."""
+    w = WeightSeq.of(field, values)
+    vals = [v.value for v in w.values]
+    n = len(vals)
+    laws = ((tournament_matrix, lambda x, y: x), (ratio_matrix, _ratio_law(field)))
+    for t in [random_tournament(n, 6, i) for i in range(6)] + [Tournament(n, 0)]:
+        for build, law in laws:
+            m = build(t, w)
+            oracle = DenseMatrix.from_rows(field, pair_law_rows(t.bits(), vals, law))
+            assert m == oracle and m.raw_rows() == oracle.raw_rows()
+            assert m.ints.dtype == (object if wide else np.int64)
+    assert transitive_matrix(w) == tournament_matrix(Tournament(n, 0), w)
+
+
+def test_matmul_over_a_word_prime_does_not_wrap():
+    p = 2**31 - 1
+    stream = np.random.default_rng(3)
+    a = [[p - 1 - int(v) for v in row] for row in stream.integers(0, 5, (6, 9))]
+    b = [[p - 2 - int(v) for v in row] for row in stream.integers(0, 5, (9, 4))]
+    product = DenseMatrix.from_rows(GF(p), a) @ DenseMatrix.from_rows(GF(p), b)
+    assert product.raw_rows() == [tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b))
+                                  for row in a]
+
+
+def test_ints_are_read_only_and_not_shared():
+    source = np.array([[0, 1], [1, 0]])
+    m = DenseMatrix(GF(5), source)
+    source[0, 1] = 2
+    assert m.at(0, 1) == Scalar(GF(5), 1)
+    for built in (m, transitive_matrix(WeightSeq.of(QQ, [1, 2, 3])), m.transpose()):
+        with pytest.raises(ValueError):
+            built.ints[0, 0] = 1
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not any(name.split(".")[0] == "tourmat" for name in imported)
+
+
+LEMMA_FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
+
+
+@st.composite
+def _lemma_case(draw):
+    field = draw(st.sampled_from(LEMMA_FIELDS))
+    n = draw(st.integers(2, 14))
+    p = field.char
+    value = (st.integers(1, p - 1) if p else
+             st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)))
+    weights = WeightSeq.of(field, draw(st.lists(value, min_size=n, max_size=n)))
+    return weights, draw(st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_lemma_case())
+def test_transitive_rows_differ_in_echelon_form(case):
+    """The transitive lemma: row i + 1 minus row i of `transitive_matrix(w)` is
+    w_{i+1} - w_i left of column i, w_{i+1} at i, -w_{i+1} at i + 1 and zero
+    after it, so the n - 1 differences are independent and every vertex order
+    of the transitive tournament has rank >= n - 1."""
+    w, order = case
+    n, p = len(w), w.field.char
+    diffs = np.diff(transitive_matrix(w).ints, axis=0)
+    for i, d in enumerate(diffs % p if p else diffs):
+        assert np.flatnonzero(d)[-1] == i + 1
+    assert rank(transitive_matrix(w)).rank >= n - 1
+    assert rank(tournament_matrix(transitive(n, order), w)).rank >= n - 1

@@ -2,6 +2,7 @@ import importlib
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from oracles import det_cofactor, minor_scan_rank
@@ -33,7 +34,7 @@ def all_ones_off_diag(field, c, s):
 def test_rank_simple():
     assert rank(qmat([[0, 1], [1, 0]])).rank == 2
     assert rank(qmat([[0, 0], [0, 0]])).rank == 0
-    assert rank(DenseMatrix(QQ, 0, 0, ())).rank == 0
+    assert rank(DenseMatrix(QQ, np.zeros((0, 0), np.int64))).rank == 0
 
 
 def test_rank_d3_ones_both_fields():

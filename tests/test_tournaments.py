@@ -4,22 +4,22 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import enumerate_all, flip_edge, has_edge
 from tourmat.fields import NotPrimeError
 from tourmat.rng import ByteStream
 from tourmat.tournaments import (
     BadCongruenceError,
     CodeRangeError,
     InvalidPermutationError,
-    SelfLoopError,
     ShardRangeError,
     Tournament,
     TooLargeError,
     TournamentParseError,
     bit_rows,
     code_range,
-    enumerate_all,
     format_tournament,
     n_pairs,
+    pair_bits,
     paley,
     parse_tournament,
     random_pair_bits,
@@ -54,10 +54,10 @@ def test_transitive_rejects_non_permutation():
 
 
 def test_every_pair_oriented_exactly_once():
-    for t in enumerate_all(4):
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                assert t.has_edge(i, j) != t.has_edge(j, i)
+    for code in enumerate_all(4):
+        edges = list(Tournament(4, code).edges())
+        assert len({frozenset(e) for e in edges}) == len(edges) == n_pairs(4)
+        assert all(has_edge(4, code, i, j) and not has_edge(4, code, j, i) for i, j in edges)
 
 
 def test_reverse_involution_and_order_reversal():
@@ -70,26 +70,28 @@ def test_reverse_involution_and_order_reversal():
 
 def test_flip_edge():
     t = parse_tournament("n=3:000")
-    assert format_tournament(t.flip_edge(1, 2)) == "n=3:100"
-    assert t.flip_edge(1, 2).flip_edge(2, 1) == t
-    flipped = t.flip_edge(2, 3)
-    assert bin(t.code ^ flipped.code).count("1") == 1
-    with pytest.raises(SelfLoopError):
-        t.flip_edge(2, 2)
+    assert format_tournament(Tournament(3, flip_edge(3, t.code, 1, 2))) == "n=3:100"
+    assert flip_edge(3, flip_edge(3, t.code, 1, 2), 2, 1) == t.code
+    flipped = flip_edge(3, t.code, 2, 3)
+    assert bin(t.code ^ flipped).count("1") == 1
+    with pytest.raises(ValueError):
+        flip_edge(3, t.code, 2, 2)
 
 
 def test_reverse_commutes_with_flip():
     t = random_tournament(6, 4, 0)
-    assert t.flip_edge(2, 5).reverse() == t.reverse().flip_edge(2, 5)
+    assert Tournament(6, flip_edge(6, t.code, 2, 5)).reverse().code == \
+        flip_edge(6, t.reverse().code, 2, 5)
 
 
 def test_transitive_has_no_directed_triangle():
     for n in range(3, 7):
         for order in itertools.permutations(range(1, n + 1)):
-            t = transitive(n, order)
+            code = transitive(n, order).code
+            edge = lambda i, j: has_edge(n, code, i, j)  # noqa: E731
             for a, b, c in itertools.combinations(range(1, n + 1), 3):
-                cycle = (t.has_edge(a, b) and t.has_edge(b, c) and t.has_edge(c, a)) or (
-                    t.has_edge(a, c) and t.has_edge(c, b) and t.has_edge(b, a))
+                cycle = (edge(a, b) and edge(b, c) and edge(c, a)) or (
+                    edge(a, c) and edge(c, b) and edge(b, a))
                 assert not cycle
 
 
@@ -146,22 +148,20 @@ def test_paley_rejections():
 
 
 def test_enumerate_counts():
-    assert sum(1 for _ in enumerate_all(3)) == 8
-    assert sum(1 for _ in enumerate_all(4)) == 64
+    assert len(pair_bits(3, *code_range(3))) == 8
+    assert len(pair_bits(4, *code_range(4))) == 64
 
 
 def test_enumerate_shards_partition():
-    full = [t.code for t in enumerate_all(4)]
-    sharded = [t.code for t in enumerate_all(4, 0, 20)]
-    sharded += [t.code for t in enumerate_all(4, 20, 50)]
-    sharded += [t.code for t in enumerate_all(4, 50, 64)]
-    assert sharded == full
-    assert len(set(sharded)) == 64
+    full = pair_bits(4, *code_range(4))
+    sharded = np.concatenate([pair_bits(4, a, b) for a, b in ((0, 20), (20, 50), (50, 64))])
+    assert (sharded == full).all()
+    assert len({row.tobytes() for row in sharded}) == 64
 
 
 def test_enumerate_too_large():
     with pytest.raises(TooLargeError):
-        next(enumerate_all(13))
+        code_range(13)
 
 
 def test_parse_format():
