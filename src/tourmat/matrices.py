@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import numpy as np
@@ -300,12 +301,12 @@ def matrix_from_csv(text: str, field: Field | None = None) -> DenseMatrix:
     if len(lines) - 1 != n_rows:
         raise MatrixParseError(f"expected {n_rows} rows, got {len(lines) - 1}")
     rows = []
+    value = cache(lambda c: parse_scalar(field, c).value)  # each distinct cell text once
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != n_cols:
             raise MatrixParseError(f"expected {n_cols} cols in {ln!r}")
-        rows.append(list(map(int, cells)) if _INT_ROW.fullmatch(ln)
-                    else [parse_scalar(field, c) for c in cells])
+        rows.append(list(map(int if _INT_ROW.fullmatch(ln) else value, cells)))
     if n_rows == 0:
         return DenseMatrix(field, np.zeros((0, n_cols), np.int64))
     return DenseMatrix.from_rows(field, rows)

@@ -27,8 +27,8 @@ reduced in place: a column before its pivot search, the pivot row's panel
 segment before it is used, and the first pivot row before forward
 substitution.  Word-size primes such as 2**31 - 1 fail the bound at every
 shape, so they reduce after every step.  `stack_ranks` ranks whole
-(B, n, n) stacks: all B matrices at once up to 64 columns, one at a time by
-`_eliminate_mod_p` above that.
+(B, n, n) stacks: all B matrices at once up to 64 columns by the one batched
+loop, `_stack_echelon`, one at a time by `_eliminate_mod_p` above that.
 
 Over Q the matrix, or each matrix of a stack, is eliminated mod `_prime(0)`
 = 2**31 - 1 first.  Rank mod p never exceeds rank over Q, column prefix by
@@ -44,12 +44,12 @@ symmetric residue of the Chinese remainder of its residues.
 
 `bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
 B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
-batched Gauss-Jordan elimination per block, `_gauss_jordan`, with the pivot
-rule and row update of `stack_ranks`, gives T with T B in reduced echelon
-form, r = rank B and the pivot columns P; a border then costs two exact
-products (`_dot_mod`) shared by all borders and blocks: rows r.. of T u,
-which are zero exactly when u is in col(B) (else the rank is r + 2), and
-the form u^T x of a solution of B x = u, which adds 1 to r when nonzero.
+batched Gauss-Jordan elimination per block, `_gauss_jordan` on
+`_stack_echelon`, gives T with T B in reduced echelon form, r = rank B and
+the pivot columns P; a border then costs two exact products (`_dot_mod`)
+shared by all borders and blocks: rows r.. of T u, which are zero exactly
+when u is in col(B) (else the rank is r + 2), and the form u^T x of a
+solution of B x = u, which adds 1 to r when nonzero.
 Over Q only the bordered matrices short of full rank mod `_prime(0)` are
 built and ranked mod the further Hadamard primes, as `stack_ranks` does.
 """
@@ -176,48 +176,62 @@ def stack_ranks(stack, p) -> np.ndarray:
     matrices that fall short get the max of their ranks mod
     `_hadamard_primes` of their own entries.  Mod p, matrices past 2 * _PANEL
     columns go one at a time to the faster `_eliminate_mod_p`; narrower ones
-    are eliminated together, column by column, each with its own pivot row,
-    on one copy reduced mod p and laid out (n_rows, n_cols, B) so that every
-    array operation runs along the batch.  A mask picks each matrix's first
-    nonzero row at or below its pivot row, fancy indexing swaps it into
-    place, and every row below becomes (piv * row - row[c] * pivot_row) mod p
-    in place, _ROWS rows at a time through one scratch buffer of _ROWS rows,
-    with no inverse.  Both products are below 2**62 because p < 2**31, so
-    int64 holds them exactly.  Scaling a row by a nonzero pivot keeps the row
-    space, so the ranks are `_eliminate_mod_p`'s although the eliminated
-    entries are not.
+    are eliminated together by `_stack_echelon`, whose ranks are
+    `_eliminate_mod_p`'s although its eliminated entries are not.
     """
     if not p:
         return _over_q(stack, stack_ranks(stack, _prime(0)))
-    n_mat, nr, nc = np.shape(stack)
-    if nc > 2 * _PANEL:
+    n_cols = np.shape(stack)[2]
+    if n_cols > 2 * _PANEL:
         return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
-    R = _residues(np.moveaxis(stack, 0, -1), p)
-    scratch = np.empty((min(nr, _ROWS), nc, n_mat), dtype=np.int64)
+    return _stack_echelon(_residues(np.moveaxis(stack, 0, -1), p), p, n_cols)[0]
+
+
+def _stack_echelon(A, p, n_piv, reduced=False):
+    """Eliminate columns 0..n_piv-1 of the (n_rows, n_cols, B) residue stack A
+    mod p in place, all B matrices at once (the batch axis last, so every
+    array operation runs along it), and return the B ranks and the (n_rows, B)
+    pivot columns, padded past each rank with n_piv.
+
+    Column by column, a mask picks each matrix's first nonzero row at or below
+    its pivot row, and fancy indexing swaps it into place (from column c on:
+    those rows are zero left of c).  Every row below the pivot row, or with
+    `reduced` (Gauss-Jordan) every other row, becomes (piv * row - row[c] *
+    pivot_row) mod p, with no inverse: from column c on, or with `reduced`
+    whole rows, as the rows above are not zero left of c.  Both products are
+    below 2**62 because p < 2**31, so int64 holds them exactly.  Scaling by a
+    nonzero pivot keeps the row space, so the ranks and pivot columns are
+    those of any elimination mod p.  The update runs _ROWS rows at a time
+    through one scratch buffer of _ROWS rows.
+    """
+    n_rows, n_cols, n_mat = A.shape
+    scratch = np.empty((min(n_rows, _ROWS), n_cols, n_mat), dtype=np.int64)
     ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row
-    mats, row_ids = np.arange(n_mat), np.arange(nr)[:, None]
-    for c in range(nc):
-        cand = (R[:, c] != 0) & (row_ids >= ranks)
+    pivots = np.full((n_rows, n_mat), n_piv)
+    mats, row_ids = np.arange(n_mat), np.arange(n_rows)[:, None]
+    for c in range(n_piv):
+        cand = (A[:, c] != 0) & (row_ids >= ranks)
         found = cand.any(axis=0)
         if not found.any():
             continue
         # a matrix without a pivot here swaps a row with itself and keeps its rows
-        pr = np.minimum(ranks, nr - 1)
+        pr = np.minimum(ranks, n_rows - 1)
         r0 = np.where(found, cand.argmax(axis=0), pr)
-        # rows at or below a pivot row are zero left of c, so only columns c on move
-        R[pr, c:, mats], R[r0, c:, mats] = R[r0, c:, mats], R[pr, c:, mats]
-        prow = R[pr, c:, mats].T
-        lo = int(pr[found].min()) + 1  # no matrix updates a row above lo
-        below = found & (row_ids[lo:] > pr)
-        scale, factor = np.where(below, prow[0], 1), np.where(below, R[lo:, c], 0)
-        for r in range(0, nr - lo, _ROWS):
-            tail = R[lo + r:lo + r + _ROWS, c:]
+        A[pr, c:, mats], A[r0, c:, mats] = A[r0, c:, mats], A[pr, c:, mats]
+        c_lo = 0 if reduced else c
+        prow = A[pr, c_lo:, mats].T
+        lo = 0 if reduced else int(pr[found].min()) + 1  # no row above lo updates
+        update = found & ((row_ids != pr) if reduced else (row_ids[lo:] > pr))
+        scale, factor = np.where(update, prow[c - c_lo], 1), np.where(update, A[lo:, c], 0)
+        for r in range(0, n_rows - lo, _ROWS):
+            tail = A[lo + r:lo + r + _ROWS, c_lo:]
             tail *= scale[r:r + _ROWS, None]
             tail -= np.multiply(factor[r:r + _ROWS, None], prow,
-                                out=scratch[:len(tail), :nc - c])
+                                out=scratch[:len(tail), :n_cols - c_lo])
             np.remainder(tail, p, out=tail)
+        pivots[pr[found], mats[found]] = c
         ranks += found
-    return ranks
+    return ranks, pivots
 
 
 def _over_q(stack, ranks):
@@ -238,34 +252,16 @@ def _gauss_jordan(blocks, p):
     with T[k] @ blocks[k] in reduced row echelon form mod p, pivots 1; r (K,)
     the ranks; P (K, m) the pivot columns, padded past r[k] with m.
 
-    [B | I] is eliminated column by column with `stack_ranks`' pivot rule and
-    its row update without inverses, applied above the pivot row as well as
-    below it; each pivot row is scaled by its pivot's inverse at the end.
+    [B | I] is eliminated by `_stack_echelon` in `reduced` mode over B's
+    columns, and each pivot row is then scaled by its pivot's inverse.
     """
     n_mat, m, _ = np.shape(blocks)
-    A = np.zeros((m, 2 * m, n_mat), dtype=np.int64)  # laid out as in stack_ranks
+    A = np.zeros((m, 2 * m, n_mat), dtype=np.int64)  # the layout of _stack_echelon
     A[:, :m] = _residues(np.moveaxis(blocks, 0, -1), p)
     A[:, m:] = np.eye(m, dtype=np.int64)[:, :, None]
-    ranks = np.zeros(n_mat, dtype=np.int64)
-    pivots = np.full((m, n_mat), m)
-    mats, row_ids = np.arange(n_mat), np.arange(m)[:, None]
-    for c in range(m):
-        cand = (A[:, c] != 0) & (row_ids >= ranks)
-        found = cand.any(axis=0)
-        if not found.any():
-            continue
-        pr = np.minimum(ranks, m - 1)
-        r0 = np.where(found, cand.argmax(axis=0), pr)
-        A[pr, :, mats], A[r0, :, mats] = A[r0, :, mats], A[pr, :, mats]
-        prow = A[pr, :, mats].T
-        other = found & (row_ids != pr)
-        factor = np.where(other, A[:, c], 0)[:, None]
-        A *= np.where(other, prow[c], 1)[:, None]
-        A -= factor * prow  # products below 2**62
-        A %= p
-        pivots[pr[found], mats[found]] = c
-        ranks += found
-    piv = np.where(row_ids < ranks, np.take_along_axis(A, pivots[:, None], axis=1)[:, 0], 1)
+    ranks, pivots = _stack_echelon(A, p, m, reduced=True)
+    piv = np.where(np.arange(m)[:, None] < ranks,
+                   np.take_along_axis(A, pivots[:, None], axis=1)[:, 0], 1)
     inv, base, e = np.ones_like(piv), piv, p - 2  # piv**(p - 2) = 1 / piv mod p
     while e:
         if e & 1:

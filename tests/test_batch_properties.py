@@ -11,6 +11,8 @@ rank there, and stacks that mix both kinds are checked against `rank()` and
 the Bareiss oracle.  `bordered_ranks` is checked against `stack_ranks` of
 the bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks` against `stack_ranks` of the same codes.
+`_gauss_jordan`, which `bordered_ranks` is built on, is checked against its
+contract: T B in reduced row echelon form for an invertible T.
 """
 
 import importlib
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import bareiss
+from oracles import bareiss, eliminate_mod_p
 
 from tourmat import experiments as ex
 from tourmat.fields import GF, QQ
@@ -508,6 +510,59 @@ def test_bordered_ranks_match_stack_ranks_of_the_bordered_matrices(case):
     assert ranks.shape == (len(blocks), len(borders))
     expected = rank_mod.stack_ranks(_bordered_children(blocks, borders), p)
     assert ranks.ravel().tolist() == expected.tolist()
+
+
+@st.composite
+def gauss_jordan_cases(draw):
+    """(blocks, p): 1..4 m x m blocks (m in 0..9) mod p, each zero, of full
+    random entries, or X Y for m x k and k x m factors, so of rank at most k;
+    entries small or within 4 of p."""
+    p = draw(st.sampled_from((2, 3, 7, 2**31 - 1)))
+    m = draw(st.integers(0, 9))
+    entry = st.one_of(st.integers(0, 3), st.integers(p - 4, p - 1)).map(lambda v: v % p)
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=object).reshape(rows, cols)
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("zero", "full", "deficient")))
+        if kind == "zero":
+            blocks.append(np.zeros((m, m), dtype=object))
+        elif kind == "full":
+            blocks.append(matrix(m, m))
+        else:
+            k = draw(st.integers(0, max(m - 1, 0)))
+            blocks.append(matrix(m, k) @ matrix(k, m) % p if k else np.zeros((m, m), dtype=object))
+    return np.array(blocks, dtype=object).astype(np.int64), p
+
+
+@SETTINGS
+@given(gauss_jordan_cases())
+def test_gauss_jordan_gives_an_invertible_t_and_the_reduced_echelon_form(case):
+    """T[k] @ B[k] mod p is in reduced row echelon form with pivots 1 at
+    P[k][:r[k]] and zero rows past r[k], P is padded with m, and T[k] is
+    invertible mod p; the same with the row update cut into steps of 1 or 2
+    rows, which runs the chunked update above the pivot rows too."""
+    blocks, p = case
+    m = blocks.shape[1]
+    T, r, P = rank_mod._gauss_jordan(blocks, p)
+    assert T.shape == blocks.shape and r.shape == (len(blocks),) and P.shape == r.shape + (m,)
+    assert ((0 <= T) & (T < p)).all()
+    for t, b, rk, piv in zip(T, blocks, r.tolist(), P.tolist()):
+        e = t.astype(object) @ b.astype(object) % p  # exact past 2**63
+        cols = piv[:rk]
+        assert cols == sorted(set(cols)) and piv[rk:] == [m] * (m - rk)
+        for i, c in enumerate(cols):
+            assert e[i, c] == 1 and not e[i, :c].any()
+            assert not np.delete(e[:, c], i).any()
+        assert not e[rk:].any()
+        assert m == 0 or eliminate_mod_p(t.tolist(), p)[0] == m
+    for rows_per_step in (1, 2):
+        with mock.patch.object(rank_mod, "_ROWS", rows_per_step):
+            again = rank_mod._gauss_jordan(blocks, p)
+        assert all(np.array_equal(a, b) for a, b in zip(again, (T, r, P)))
 
 
 def _sweep_weights(field, n):

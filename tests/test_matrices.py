@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import enumerate_all, has_edge, linear_mix_rows, pair_law_rows, pair_sum_rows
 from tourmat import experiments as ex
-from tourmat.fields import GF, QQ, Scalar
+from tourmat.fields import GF, QQ, Scalar, ScalarParseError, parse_scalar
 from tourmat.matrices import (
     DenseMatrix,
     LengthMismatchError,
@@ -194,6 +194,24 @@ def test_csv_rejects_garbage():
         matrix_from_csv("rows=2,cols=2\n0,1\n1,0")
     with pytest.raises(MatrixParseError):
         matrix_from_csv("field=Q,rows=2,cols=2\n0,1\n1,0,0")
+
+
+def test_csv_parses_each_distinct_rational_cell_once():
+    """Rows with a fraction parse each distinct cell text once per call; a bad
+    cell still raises ScalarParseError and a zero denominator
+    ZeroDivisionError, on every call."""
+    rows = [[Fraction(1, 2), 0, Fraction(-3, 4)],
+            [Fraction(-3, 4), Fraction(1, 2), 5],
+            [0, Fraction(1, 2), Fraction(1, 2)]]
+    text = "field=Q,rows=3,cols=3\n" + "\n".join(",".join(map(str, row)) for row in rows)
+    with mock.patch("tourmat.matrices.parse_scalar", wraps=parse_scalar) as spy:
+        assert matrix_from_csv(text) == DenseMatrix.from_rows(QQ, rows)
+        assert sorted(c.args[1] for c in spy.call_args_list) == ["-3/4", "0", "1/2", "5"]
+    for _ in range(2):
+        with pytest.raises(ScalarParseError):
+            matrix_from_csv("field=Q,rows=2,cols=2\n1/2,x\n1/2,x")
+        with pytest.raises(ZeroDivisionError):
+            matrix_from_csv("field=Q,rows=2,cols=2\n1/2,1/0\n1/0,1/2")
 
 
 def test_matmul_and_transpose():

@@ -15,6 +15,7 @@ from tourmat.tournaments import (
     Tournament,
     TooLargeError,
     TournamentParseError,
+    VertexRangeError,
     bit_rows,
     code_range,
     format_tournament,
@@ -138,6 +139,12 @@ def test_paley_three_cycle():
 def test_paley_seven_regular():
     t = paley(7)
     assert [t.out_degree(v) for v in range(1, 8)] == [3] * 7
+
+
+@pytest.mark.parametrize("v", (0, 6))
+def test_out_degree_refuses_a_vertex_outside_1_to_n(v):
+    with pytest.raises(VertexRangeError):
+        Tournament(5, 0).out_degree(v)
 
 
 def test_paley_rejections():
