@@ -8,12 +8,13 @@ order-independent reductions.  Checks against conjectured (unproven) values
 are reported as information, never as violations.
 
 Every sweep reads its tournaments as pair-bit arrays, not `Tournament`s.
-The exhaustive min-rank search and the GF(p) floor rank code ranges by
-bordering (`_code_ranks`, one int8 rank per code); every other sweep ranks
-`tournament_stack` batches with `stack_ranks`.  Each entry point reads n
-and the field from its weights and clears them to one integer row
-(`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that row's
-columns, and the verifiers that vary the weights pass one row per matrix.
+The exhaustive min-rank search ranks code ranges by bordering (`_code_ranks`,
+one int8 rank per code); the GF(p) floor reads its summaries shard by shard,
+so the floor's violation rule and bound live only in `minrank_exhaustive`.
+Every other sweep ranks `tournament_stack` batches with `stack_ranks`.  Each
+entry point reads n and the field from its weights and clears them to one
+integer row (`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that
+row's columns, and the verifiers that vary the weights pass one row per matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .tournaments import (
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
 _BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
-_SWEEP_CODES = 2**16  # codes per chunk the GF(p) floor ranks and min-rank reduces
+_SWEEP_CODES = 2**16  # codes per GF(p) floor shard and per slice min-rank reduces
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -433,26 +434,23 @@ def verify_f_ensemble(weights: WeightSeq, alpha, beta,
 
 
 def verify_finite_field_bound(n_max: int, p: int) -> Report:
-    """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights."""
+    """Exhaustively check rank >= n/(p - 1) - 1 over GF(p) for cycling weights,
+    merging the summaries of `minrank_exhaustive` run shard by shard."""
     t0 = time.perf_counter()
     _refuse_empty(n_max, f"n_max={n_max}")
     code_range(n_max)  # refuse codes that overflow one word before any work
     field = Field(p)
     records = []
     for n in range(1, n_max + 1):
-        row = cycling_weights(field, n).int_row()
-        low = bounds.finite_field_bound(n, p)
-        need = math.ceil(low)  # an integer rank r satisfies r >= low iff r >= need
+        weights = cycling_weights(field, n)
         lo, hi = code_range(n)
-        step = max(_SWEEP_CODES, 1 << (n - 1))  # whole runs of codes per call
-        min_rank, bad = n, 0
-        for a in range(lo, hi, step):
-            ranks = _code_ranks((row, p, a, min(a + step, hi)))
-            min_rank = min(min_rank, int(ranks.min()))
-            bad += int(np.count_nonzero(ranks < need))
+        step = max(_SWEEP_CODES, 1 << (n - 1))  # whole runs of codes per shard
+        shards = [minrank_exhaustive(weights, shard=(a, min(a + step, hi))).summary
+                  for a in range(lo, hi, step)]
+        bad = sum(s["violations"] for s in shards)
         records.append({
-            "n": n, "tournaments": hi - lo, "min_rank": min_rank,
-            "bound": str(low), "violations": bad, "pass": bad == 0,
+            "n": n, "tournaments": hi - lo, "min_rank": min(s["min_rank"] for s in shards),
+            "bound": shards[0]["ff_bound"], "violations": bad, "pass": bad == 0,
         })
     parameters = {"n_max": n_max, "field": str(field), "weights": "cycling"}
     return _finish(t0, "finite-field-floor", parameters, records,

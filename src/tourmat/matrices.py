@@ -23,7 +23,6 @@ Matrix rows/columns are 0-indexed; row r corresponds to vertex r + 1.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -33,10 +32,6 @@ import numpy as np
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
 from .tournaments import Tournament, bit_rows, n_pairs
-
-
-# a CSV row of parse_scalar's integers, which needs no Scalar per entry
-_INT_ROW = re.compile(r"\s*[+-]?\d+\s*(?:,\s*[+-]?\d+\s*)*")
 
 
 class LengthMismatchError(ValueError):
@@ -306,7 +301,7 @@ def matrix_from_csv(text: str, field: Field | None = None) -> DenseMatrix:
         cells = ln.split(",")
         if len(cells) != n_cols:
             raise MatrixParseError(f"expected {n_cols} cols in {ln!r}")
-        rows.append(list(map(int if _INT_ROW.fullmatch(ln) else value, cells)))
+        rows.append(list(map(value, cells)))
     if n_rows == 0:
         return DenseMatrix(field, np.zeros((0, n_cols), np.int64))
     return DenseMatrix.from_rows(field, rows)

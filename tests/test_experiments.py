@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -186,6 +187,33 @@ def test_finite_field_bound_reduces_the_code_space_in_chunks(p, monkeypatch):
              for (row, _, lo, hi), in (c.args for c in ranked.call_args_list)]
     assert all(size <= max(4, 1 << (n - 1)) for n, size in spans)
     assert [n for n, _ in spans].count(6) == 2**15 // 32
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_finite_field_bound_records_are_the_minrank_summaries(p):
+    """Each n's floor record carries the min rank, violation count and bound
+    of the exhaustive min-rank search over the same cycling weights."""
+    rep = ex.verify_finite_field_bound(6, p)
+    assert [rec["n"] for rec in rep.records] == list(range(1, 7))
+    for rec in rep.records:
+        summary = ex.minrank_exhaustive(ex.cycling_weights(GF(p), rec["n"])).summary
+        assert rec["min_rank"] == summary["min_rank"]
+        assert rec["violations"] == summary["violations"]
+        assert rec["bound"] == summary["ff_bound"]
+
+
+def test_finite_field_bound_memory_does_not_grow_with_the_code_space():
+    """n = 7 has 64 times the codes of n = 6, but the floor holds at most one
+    chunk of ranks at a time, so its peak allocation barely moves."""
+    def peak(n_max):
+        tracemalloc.start()
+        try:
+            ex.verify_finite_field_bound(n_max, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(7) <= 1.5 * peak(6)
 
 
 def test_minrank_pinned_regression():

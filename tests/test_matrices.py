@@ -197,16 +197,23 @@ def test_csv_rejects_garbage():
 
 
 def test_csv_parses_each_distinct_rational_cell_once():
-    """Rows with a fraction parse each distinct cell text once per call; a bad
-    cell still raises ScalarParseError and a zero denominator
+    """Every row, integer rows included, parses each distinct cell text once
+    per call; a bad cell still raises ScalarParseError and a zero denominator
     ZeroDivisionError, on every call."""
     rows = [[Fraction(1, 2), 0, Fraction(-3, 4)],
             [Fraction(-3, 4), Fraction(1, 2), 5],
             [0, Fraction(1, 2), Fraction(1, 2)]]
-    text = "field=Q,rows=3,cols=3\n" + "\n".join(",".join(map(str, row)) for row in rows)
+    text = "field=Q,rows=4,cols=3\n" + "\n".join(",".join(map(str, row)) for row in rows)
+    text += "\n-5, 7 ,0"  # an all-integer row with a signed and a space-padded cell
     with mock.patch("tourmat.matrices.parse_scalar", wraps=parse_scalar) as spy:
-        assert matrix_from_csv(text) == DenseMatrix.from_rows(QQ, rows)
-        assert sorted(c.args[1] for c in spy.call_args_list) == ["-3/4", "0", "1/2", "5"]
+        assert matrix_from_csv(text) == DenseMatrix.from_rows(QQ, rows + [[-5, 7, 0]])
+        assert sorted(c.args[1] for c in spy.call_args_list) == [
+            " 7 ", "-3/4", "-5", "0", "1/2", "5"]
+    with mock.patch("tourmat.matrices.parse_scalar", wraps=parse_scalar) as spy:
+        # GF(7) reads an entry >= p and a negative entry as their residues
+        assert (matrix_from_csv("field=GF(7),rows=2,cols=2\n0,9\n-1,0")
+                == DenseMatrix.from_rows(GF(7), [[0, 2], [6, 0]]))
+        assert sorted(c.args[1] for c in spy.call_args_list) == ["-1", "0", "9"]
     for _ in range(2):
         with pytest.raises(ScalarParseError):
             matrix_from_csv("field=Q,rows=2,cols=2\n1/2,x\n1/2,x")
