@@ -40,7 +40,8 @@ from .report import RecordTable, Report
 from .rng import ByteStream
 from .tournaments import (
     Tournament,
-    bit_rows,
+    bit_codes,
+    code_bits,
     code_range,
     format_tournament,
     n_pairs,
@@ -127,29 +128,19 @@ def _finish(t0: float, experiment_id: str, parameters: dict, records: list,
     return report
 
 
-def _batches(items, n: int):
-    """Lists of consecutive items, one per n x n matrix of a batch of about
-    _BATCH_ENTRIES entries."""
-    it = iter(items)
-    while batch := list(itertools.islice(it, max(1, _BATCH_ENTRIES // (n * n)))):
-        yield batch
+def _batch_size(n: int) -> int:
+    """Matrices per stack a sweep builds and ranks: about _BATCH_ENTRIES entries."""
+    return max(1, _BATCH_ENTRIES // (n * n))
 
 
 def _bit_batches(n: int, lo: int, hi: int, seed: int | None = None):
     """(first code, pair bits) of the codes on n vertices in [lo, hi), or with a
     seed of the samples `random_tournament(n, seed, i)` for i in [lo, hi), in
-    order, in batches of about _BATCH_ENTRIES matrix entries."""
-    step = max(1, _BATCH_ENTRIES // (n * n))
+    order, in batches of `_batch_size(n)` matrices."""
+    step = _batch_size(n)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         yield a, pair_bits(n, a, b) if seed is None else random_pair_bits(n, seed, a, b)
-
-
-def _codes(bits) -> list:
-    """The code of each pair-bit row, pair k being bit k, as a Python int."""
-    pad = -bits.shape[1] % 8  # the zero bits packbits appends to the lowest byte
-    return [int.from_bytes(row.tobytes(), "big") >> pad
-            for row in np.packbits(bits[:, ::-1], axis=1)]
 
 
 def _ranks_side_by_side(stacks, p: int) -> list:
@@ -202,7 +193,8 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
     for n in n_list:
         bound = bounds.transitive_floor_bound(n)
         rows, cols = np.triu_indices(n, 1)
-        for ks in _batches(range(trials), n):
+        step = _batch_size(n)
+        for ks in (range(a, min(a + step, trials)) for a in range(0, trials, step)):
             seqs = [random_weights(field, n, seed, "transitive", n, k) if fixed is None
                     else WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
                     for k in ks]
@@ -262,7 +254,7 @@ def _mix_reversal_sweep(weights: WeightSeq, alpha, beta, tournaments, seed: int,
             ranks_t = ranks_r = [None] * len(bits)
         else:
             ranks_t, ranks_r = stack_ranks(mt, p).tolist(), stack_ranks(mr, p).tolist()
-        for code, identity_ok, rt, rr in zip(_codes(bits), identity, ranks_t, ranks_r):
+        for code, identity_ok, rt, rr in zip(bit_codes(bits), identity, ranks_t, ranks_r):
             ok = identity_ok and (p == 2 or rt + rr >= low and more_ok(rt, rr))
             records.append({"code": code, "identity_ok": identity_ok,
                             "rank_t": rt, "rank_rev": rr, "pass": ok})
@@ -489,9 +481,9 @@ def _code_ranks(args) -> np.ndarray:
     2**(n-1) codes, k * 2**(n-1) + border bits, shares the block on vertices
     2..n (the tournament with code k there) and differs only in vertex 1's
     row.  `bordered_ranks` ranks every run that meets [lo, hi) in batches of
-    blocks, cut from the first tournament of each run, against the 2**(n-1)
-    rows of the first run; a run only partly inside the range is ranked
-    whole and cut to it.
+    blocks, built from the codes k on n - 1 vertices under the weights of
+    vertices 2..n, against the 2**(n-1) rows of the first run; a run only
+    partly inside the range is ranked whole and cut to it.
     """
     row, p, lo, hi = args
     n = row.shape[1]
@@ -501,11 +493,10 @@ def _code_ranks(args) -> np.ndarray:
     step = max(1, _BATCH_ENTRIES // (run * n))  # blocks per batch
     end = -(-hi // run)
     for k in range(lo // run, end, step):
-        bits = np.zeros((min(step, end - k), n_pairs(n)), dtype=np.uint8)
-        bits[:, n - 1:] = pair_bits(n - 1, k, k + len(bits))
-        blocks = tournament_stack(bits, row)[:, 1:, 1:]
+        count = min(step, end - k)
+        blocks = tournament_stack(pair_bits(n - 1, k, k + count), row[:, 1:])
         batch = bordered_ranks(blocks, borders, p).ravel()
-        a, b = max(lo, k * run), min(hi, (k + len(bits)) * run)
+        a, b = max(lo, k * run), min(hi, (k + count) * run)
         ranks[a - lo:b - lo] = batch[a - k * run:b - k * run]
     return ranks
 
@@ -641,8 +632,8 @@ def perm_scan(t: Tournament, weights: WeightSeq,
     else:
         raise ValueError(f'mode must be "all" or "sample", got {mode!r}')
     witness, counts = {}, Counter()
-    bits, row = bit_rows([t]), weights.int_row()[0]
-    for batch in _batches(perms, n):
+    bits, row = code_bits(n, [t.code]), weights.int_row()[0]
+    while batch := list(itertools.islice(perms, _batch_size(n))):
         # the permuted weights' value k is value perm[k] - 1 of the row
         stack = tournament_stack(bits, row[np.subtract(batch, 1)])
         for perm, r in zip(batch, stack_ranks(stack, weights.field.char).tolist()):

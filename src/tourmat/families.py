@@ -180,10 +180,11 @@ def size_bound_report(family: SetFamily, c: Fraction) -> dict:
 
 
 def parse_family(text: str) -> SetFamily:
-    """Parse a family file: "n=<n>" then one set per line, strictly increasing ints."""
+    """Parse a family file: "n=<n>" then one set per line, strictly increasing ints.
+    A file with no set line is refused: it would pass every check vacuously."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise FamilyParseError('family text must start with "n=<n>"')
+    if len(lines) < 2 or not lines[0].startswith("n="):
+        raise FamilyParseError('family text must be "n=<n>" followed by at least one set line')
     try:
         ground_n = int(lines[0][2:])
     except ValueError as exc:

@@ -31,7 +31,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .fields import Field, FieldMismatchError, Scalar, format_field, format_scalar, parse_field, parse_scalar
-from .tournaments import Tournament, bit_rows, n_pairs
+from .tournaments import Tournament, code_bits, n_pairs
 
 
 class LengthMismatchError(ValueError):
@@ -208,7 +208,7 @@ def tournament_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     """Symmetric zero-diagonal matrix with entry (i, j) = the winner's weight."""
     _check_weights(t, weights)
     w = DenseMatrix.from_rows(weights.field, [weights.values])
-    return DenseMatrix(weights.field, tournament_stack(bit_rows([t]), w.ints)[0], w.den)
+    return DenseMatrix(weights.field, tournament_stack(code_bits(t.n, [t.code]), w.ints)[0], w.den)
 
 
 def tournament_stack(bits: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
     over Q lcm(a) / a_j over the denominator lcm(a).
     """
     _check_weights(t, weights)
-    p, bits = weights.field.char, bit_rows([t])
+    p, bits = weights.field.char, code_bits(t.n, [t.code])
     a = weights.int_row()[0].tolist()
     den = 1 if p else lcm(*a)
     inv = [pow(v, -1, p) for v in a] if p else [den // v for v in a]

@@ -1,18 +1,15 @@
 """Bit-packed tournaments on the vertex set {1, ..., n}.
 
 Every unordered pair {i, j} with i < j gets one bit: bit value 1 means the
-edge is directed i -> j, 0 means j -> i.  Pair bits are laid out in
-lexicographic pair order (1,2), (1,3), ..., (1,n), (2,3), ..., so a
-tournament is just n plus an integer code in [0, 2**(n(n-1)/2)).  The code
-doubles as the enumeration counter, which makes exhaustive-search sharding a
-plain range split of `code_range`.  `Tournament.bits()` and `from_bits` own
-that layout: the bit text's character k is pair k's bit, and every per-pair
-walk (edges, out-degrees, the constructions, the text grammar) reads or
-writes that text instead of shifting the code once per pair.  The matrix
-builders and the sweeps take the same bits as one array, one row per
-tournament: `pair_bits` for a code range and `random_pair_bits` for a range
-of sample indices, both without per-code objects, and `bit_rows` for named
-tournaments, such as the one a matrix is built from.
+edge is directed i -> j, 0 means j -> i.  Pair k is the k-th pair in
+lexicographic order (1,2), (1,3), ..., (1,n), (2,3), ..., and a tournament is
+n plus the integer code in [0, 2**(n(n-1)/2)) whose bit k is pair k's bit.
+The code doubles as the enumeration counter, so exhaustive-search sharding is
+a plain range split of `code_range`.  The codec `code_bits` / `bit_codes` owns
+the layout: it turns codes of any size into pair-bit arrays, one uint8 row per
+tournament, and back, for the builders, the sweeps, the constructions and
+`random_pair_bits`; `pair_bits` is its vectorized twin for a code range.
+`Tournament.bits()` and `from_bits` are the text grammar only.
 """
 
 from __future__ import annotations
@@ -116,25 +113,21 @@ def from_bits(n: int, bits: str) -> Tournament:
     return Tournament(n, int(bits[::-1] or "0", 2))
 
 
-def _from_law(n: int, beats) -> Tournament:
-    """The tournament where i -> j, for i < j, exactly when beats(i, j)."""
-    return from_bits(n, "".join("1" if beats(i, j) else "0"
-                                for i in range(1, n) for j in range(i + 1, n + 1)))
-
-
 def transitive(n: int, order=None) -> Tournament:
     """The transitive tournament where earlier entries of `order` beat later ones.
 
     `order` is a permutation of 1..n (default natural order).  i -> j iff i
     appears before j in `order`.
     """
+    _check_n(n)
     if order is None:
         order = range(1, n + 1)
     order = tuple(order)
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidPermutationError(f"{order!r} is not a permutation of 1..{n}")
-    pos = {v: r for r, v in enumerate(order)}
-    return _from_law(n, lambda i, j: pos[i] < pos[j])
+    place = np.argsort(order)  # place[v - 1] is vertex v's index in order
+    rows, cols = np.triu_indices(n, 1)
+    return Tournament(n, bit_codes(place[None, rows] < place[None, cols])[0])
 
 
 def random_tournament(n: int, seed: int, index: int) -> Tournament:
@@ -165,8 +158,10 @@ def paley(q: int) -> Tournament:
         raise NotPrimeError(f"{q} is not prime")
     if q % 4 != 3:
         raise BadCongruenceError(f"need q = 3 (mod 4), got q = {q}")
-    squares = {pow(x, 2, q) for x in range(1, q)}
-    return _from_law(q, lambda i, j: (j - i) % q in squares)
+    _check_n(q)
+    rows, cols = np.triu_indices(q, 1)
+    # i -> j iff j - i, which is cols - rows in 1..q-1, is a square mod q
+    return Tournament(q, bit_codes(np.isin(cols - rows, np.arange(1, q) ** 2 % q)[None])[0])
 
 
 def code_range(n: int, start: int | None = None, end: int | None = None) -> tuple:
@@ -200,29 +195,25 @@ def pair_bits(n: int, start: int, end: int) -> np.ndarray:
 
 
 def random_pair_bits(n: int, seed: int, start: int, end: int) -> np.ndarray:
-    """The pair bits of random_tournament(n, seed, i) for i in [start, end), laid
-    out as `pair_bits` lays out codes, read from the same stream bytes.
-
-    A code is its stream's first n(n-1)/2 bits read big-endian, so pair k is
-    unpacked bit n(n-1)/2 - 1 - k.
-    """
+    """The pair bits of random_tournament(n, seed, i) for i in [start, end),
+    laid out as `pair_bits` lays out codes."""
     _check_n(n)
-    m = n_pairs(n)
-    size = -(-m // 8)
-    indices = range(start, end)
-    raw = b"".join(ByteStream(seed, "tournament", i).take_bytes(size) for i in indices)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(indices), size), axis=1, count=m)
-    return bits[:, ::-1]
+    return code_bits(n, [random_tournament(n, seed, i).code for i in range(start, end)])
 
 
-def bit_rows(tournaments) -> np.ndarray:
-    """The pair bits of tournaments on one vertex count, laid out as `pair_bits`
-    lays out codes: entry [b, k] is the k-th character of tournament b's bits()."""
-    ts = list(tournaments)
-    if len({t.n for t in ts}) != 1:
-        raise ValueError("bit rows need a nonempty list of tournaments on one vertex count")
-    text = "".join(t.bits() for t in ts).encode("ascii")
-    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(ts), n_pairs(ts[0].n))
+def code_bits(n: int, codes) -> np.ndarray:
+    """The pair bits of a list of codes of any size on n vertices: entry [b, k]
+    of the (len(codes), n(n-1)/2) uint8 array is bit k of codes[b]."""
+    size = -(-n_pairs(n) // 8)
+    raw = b"".join(code.to_bytes(size, "little") for code in codes)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(codes), size), axis=1,
+                         count=n_pairs(n), bitorder="little")
+
+
+def bit_codes(bits) -> list:
+    """The code of each pair-bit row as a Python int; inverts `code_bits`."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 _TOUR_RE = re.compile(r"n=(\d+):([01]*)")

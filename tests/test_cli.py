@@ -104,6 +104,16 @@ def test_bisect_check_and_matrix(tmp_path, capsys):
     assert "witness" in stdout
 
 
+@pytest.mark.parametrize("action", ["check", "matrix"])
+@pytest.mark.parametrize("text", ["n=3\n", "n=0\n"])
+def test_bisect_refuses_a_family_without_sets(tmp_path, capsys, action, text):
+    fam = tmp_path / "empty.txt"
+    fam.write_text(text)
+    code, stdout, err = run(capsys, "bisect", action, "--family", str(fam))
+    assert code == 2 and stdout == ""
+    assert "FamilyParseError" in err and "at least one set line" in err
+
+
 def test_minrank_and_montecarlo(tmp_path, capsys):
     code, stdout, _ = run(capsys, "minrank", "--n", "3", "--seq", "1,2,3",
                           "--seed", "1")

@@ -175,8 +175,9 @@ def test_verify_finite_field_bound():
 @pytest.mark.parametrize("p", [2, 3])
 def test_finite_field_bound_reduces_the_code_space_in_chunks(p, monkeypatch):
     """The GF(p) floor ranks each n's codes a few whole runs at a time and
-    keeps only a running min and violation count, which add up to the
-    records of one call over the whole code space."""
+    merges the `minrank_exhaustive` summaries of those shards (min of the
+    minima, sum of the violations), which add up to the records of one call
+    over the whole code space."""
     whole = ex.verify_finite_field_bound(6, p)
     monkeypatch.setattr(ex, "_SWEEP_CODES", 4)
     with mock.patch.object(ex, "_code_ranks", wraps=ex._code_ranks) as ranked:

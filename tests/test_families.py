@@ -178,3 +178,11 @@ def test_family_file_round_trip():
         parse_family("n=3\n1 2\n1 2")  # duplicate
     with pytest.raises(FamilyParseError):
         parse_family("3\n1 2")
+
+
+@pytest.mark.parametrize("text", ["n=3\n", "n=0\n", "n=3", "n=4\n\n  \n", ""])
+def test_family_file_without_sets_is_refused(text):
+    """No set line would make every check pass vacuously; one set stays accepted."""
+    with pytest.raises(FamilyParseError):
+        parse_family(text)
+    assert parse_family("n=4\n1 2\n").sets == (frozenset({1, 2}),)

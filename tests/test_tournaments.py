@@ -1,13 +1,19 @@
 import hashlib
 import itertools
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from oracles import enumerate_all, flip_edge, has_edge
-from tourmat.fields import NotPrimeError
+from tourmat import tournaments
+from tourmat.experiments import perm_scan
+from tourmat.fields import GF, NotPrimeError, QQ
+from tourmat.matrices import WeightSeq, ratio_matrix, tournament_matrix
 from tourmat.rng import ByteStream
 from tourmat.tournaments import (
+    MAX_N,
     BadCongruenceError,
     CodeRangeError,
     InvalidPermutationError,
@@ -15,8 +21,10 @@ from tourmat.tournaments import (
     Tournament,
     TooLargeError,
     TournamentParseError,
+    VertexCountError,
     VertexRangeError,
-    bit_rows,
+    bit_codes,
+    code_bits,
     code_range,
     format_tournament,
     n_pairs,
@@ -125,11 +133,57 @@ def test_random_pair_bits_are_the_sampled_tournaments_bits(n):
     for start, end in ((0, 3), (5, 7 if n == 400 else 12), (4, 4)):
         bits = random_pair_bits(n, 17, start, end)
         assert bits.dtype == np.uint8 and bits.shape == (end - start, n_pairs(n))
-        if end > start:
-            assert np.array_equal(
-                bits, bit_rows([random_tournament(n, 17, i) for i in range(start, end)]))
-    with pytest.raises(ValueError):
-        random_pair_bits(0, 17, 0, 1)
+        assert ["".join(map(str, row)) for row in bits] == [
+            random_tournament(n, 17, i).bits() for i in range(start, end)]
+    for end in (0, 1):
+        with pytest.raises(VertexCountError):
+            random_pair_bits(0, 17, 0, end)
+
+
+@pytest.mark.parametrize("n", (1, 2, 11, 12, 50, 400))
+def test_codec_round_trips_against_the_bits_text(n):
+    """`code_bits` and `bit_codes` against the text `bin()` builds: codes 0 and
+    2**m - 1 and random codes, with pair counts on and off a multiple of 8
+    (n = 11: 55, n = 12: 66, n = 400: 79,800)."""
+    m = n_pairs(n)
+    draw = random.Random(n)
+    codes = [0, (1 << m) - 1] + [draw.getrandbits(m) for _ in range(4)]
+    text = [Tournament(n, code).bits() for code in codes]
+    bits = code_bits(n, codes)
+    assert bits.dtype == np.uint8 and bits.shape == (len(codes), m)
+    assert ["".join(map(str, row)) for row in bits] == text
+    assert bit_codes(bits) == codes
+    from_text = np.array([[int(c) for c in t] for t in text], dtype=np.uint8).reshape(len(codes), m)
+    assert bit_codes(from_text) == codes
+    assert code_bits(n, []).shape == (0, m) and bit_codes(bits[:0]) == []
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_code_bits_of_a_code_range_are_pair_bits(n):
+    total = 1 << n_pairs(n)
+    for lo, hi in ((0, min(total, 300)), (total - min(total, 70), total),
+                   (total // 3, min(total, total // 3 + 50))):
+        assert np.array_equal(code_bits(n, range(lo, hi)), pair_bits(n, lo, hi))
+
+
+def test_constructions_and_builders_do_not_read_the_bits_text():
+    """With `Tournament.bits` and `from_bits` raising, the constructions, the
+    per-matrix builders and `perm_scan` give what they give unpatched."""
+    t = random_tournament(6, 3, 0)
+    gf5, q = WeightSeq.of(GF(5), [1, 2, 3, 4, 1, 2]), WeightSeq.of(QQ, [1, 2, 3, 4, 5, 6])
+
+    def outputs():
+        scan = perm_scan(t, gf5, mode="sample", sample=30, seed=2)
+        return ([transitive(5, (3, 1, 5, 2, 4)), transitive(7), paley(7), paley(11)],
+                [f(t, w) for f in (tournament_matrix, ratio_matrix) for w in (gf5, q)],
+                scan.records, scan.summary, perm_scan(t, q).records)
+
+    expected = outputs()
+    refuse = mock.Mock(side_effect=AssertionError("bit text read"))
+    with mock.patch.object(Tournament, "bits", refuse), \
+            mock.patch.object(tournaments, "from_bits", refuse):
+        assert outputs() == expected
+    assert not refuse.called
 
 
 def test_paley_three_cycle():
@@ -145,6 +199,14 @@ def test_paley_seven_regular():
 def test_out_degree_refuses_a_vertex_outside_1_to_n(v):
     with pytest.raises(VertexRangeError):
         Tournament(5, 0).out_degree(v)
+
+
+@pytest.mark.parametrize("build, n", [(transitive, 0), (transitive, MAX_N + 1),
+                                      (paley, 4099), (paley, 100003)])
+def test_constructions_check_the_vertex_count_before_laying_out_pairs(build, n):
+    with mock.patch.object(np, "triu_indices", side_effect=AssertionError("pairs laid out")):
+        with pytest.raises(VertexCountError):
+            build(n)
 
 
 def test_paley_rejections():
