@@ -26,21 +26,35 @@ Then no `% p` runs on the updated blocks, and only what must be a residue is
 reduced in place: a column before its pivot search, the pivot row's panel
 segment before it is used, and the first pivot row before forward
 substitution.  Word-size primes such as 2**31 - 1 fail the bound at every
-shape, so they reduce after every step.  `stack_ranks` ranks whole
-(B, n, n) stacks: all B matrices at once up to 64 columns by the one batched
-loop, `_stack_echelon`, one at a time by `_eliminate_mod_p` above that.
+shape, so they reduce after every step.
+
+`stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once up to
+64 columns by the one batched loop, `_stack_echelon`, one at a time by
+`_eliminate_mod_p` above that.  The batched loop delays its reductions too
+while p <= `_TABLE_P` = 8191: it reduces column c before the nonzero test
+and the pivot row before its use, scales the pivot row to pivot 1 by a
+cached table of inverses (`_inverses`: 64 KiB at 8191, built once per
+prime), and subtracts row[c] times it from every other row with no `% p`.
+Each pivot then adds at most (p - 1)**2 to an entry, so at the widest stack
+it serves, 2 * _PANEL = 64 columns, entries stay below 64 * 8190**2 + 8191
+(about 2**32), far under 2**63.  Above 8191 it keeps the eager update,
+(piv * row - row[c] * pivot_row) mod p, which needs no inverse.
 
 Over Q the matrix, or each matrix of a stack, is eliminated mod `_prime(0)`
-= 2**31 - 1 first.  Rank mod p never exceeds rank over Q, column prefix by
-column prefix, so a rank of min(rows, cols) there, with pivot columns
-0..r-1 for `rank()`, is the rank over Q.  Otherwise, and always for a
-determinant, `_prime(1)`, ... run until their product passes Hadamard's
-bound H = (E * sqrt(c))**m on every minor, or 2H for a determinant:
-`_hadamard_primes` reads E (the largest entry in size) and c (the most
-nonzeros in a row) from the array, and m = min(rows, cols).  A nonzero
-integer minor below that product is nonzero mod one of the primes, so the
-max of the ranks mod them is the rank over Q, and the determinant is the
-symmetric residue of the Chinese remainder of its residues.
+= `_TABLE_P` = 8191 first, so a stack's screen is lazy.  Rank mod p never
+exceeds rank over Q, column prefix by column prefix, so a rank of
+min(rows, cols) there, with pivot columns 0..r-1 for `rank()`, is the rank
+over Q.  Otherwise, and always for a determinant, `_prime(1)` = 2**31 - 1,
+`_prime(2)`, ... (counting down) run until the product of all the primes,
+8191 included, passes Hadamard's bound H on every minor, or 2H for a
+determinant.  `_hadamard_primes` takes H as the product of the
+m = min(rows, cols) largest row 2-norms, a zero row counted as 1, in exact
+integer squares; over a stack the i-th largest norm is taken at its largest
+over the matrices.  A nonzero integer minor below that product is nonzero
+mod one of the primes, so the max of the ranks mod them is the rank over
+Q, and the determinant is the symmetric residue of the Chinese remainder of
+its residues.  A matrix of full rank over Q that is singular mod 8191
+(about one random matrix in 8191) just goes on to the further primes.
 
 `bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
 B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
@@ -58,6 +72,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd, prod
 
@@ -68,7 +83,10 @@ from .matrices import DenseMatrix, int_array
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
-_PRIMES = [2**31 - 1]  # descending primes below 2**31 (int64-safe products), extended by _prime
+_TABLE_P = 8191  # the largest prime whose stack eliminations delay reduction, by table inverses
+# the Q primes: the table prime, then descending primes below 2**31 (int64-safe
+# products), extended by _prime
+_PRIMES = [_TABLE_P, 2**31 - 1]
 
 
 class NotSquareError(ValueError):
@@ -145,21 +163,24 @@ def _residues(a, p):
 
 
 def _prime(i):
-    """The i-th prime below 2**31 from 2**31 - 1 down, found once."""
+    """The i-th Q prime, found once: _TABLE_P, then for i >= 1 the (i-1)-th
+    prime below 2**31 from 2**31 - 1 down."""
     while len(_PRIMES) <= i:
         _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2) if is_prime(q)))
     return _PRIMES[i]
 
 
 def _hadamard_primes(a, m, factor=1):
-    """The fewest primes from _prime(0) down, at least one, whose product
-    exceeds factor * (E * sqrt(c))**m: factor times Hadamard's bound on every
-    minor of at most m rows of the integer matrix `a`, or of every matrix of
-    the stack `a`, whose entries are at most E in absolute value with at most
-    c of them nonzero per row."""
+    """The fewest primes from _prime(0) on, at least one, whose product exceeds
+    factor times Hadamard's bound on every minor of at most m rows of the
+    integer matrix `a`, or of every matrix of the stack `a`: the product of
+    the m largest row 2-norms, each taken as at least 1, and over a stack the
+    i-th largest at its largest over the matrices.  It is computed exactly,
+    as squares."""
     size = max(int(a.max()), -int(a.min()))
-    width = int(np.count_nonzero(a, axis=-1).max())
-    bound_sq = factor**2 * (size**2 * width) ** m  # exact, as is the test below
+    a = a if size**2 * a.shape[-1] < 2**63 else a.astype(object)  # exact sums of squares
+    norms_sq = np.sort(np.maximum((a * a).sum(axis=-1), 1), axis=-1).reshape(-1, a.shape[-2])
+    bound_sq = factor**2 * prod(norms_sq.max(axis=0)[::-1][:m].tolist())
     primes = [_prime(0)]
     while prod(primes) ** 2 <= bound_sq:
         primes.append(_prime(len(primes)))
@@ -171,13 +192,14 @@ def stack_ranks(stack, p) -> np.ndarray:
     or Python ints in an object array), as an int64 array of B ranks: mod p,
     or with p = 0 over Q.
 
-    Over Q a matrix is done when its rank mod `_prime(0)` is min(n_rows,
-    n_cols), since rank mod p <= rank over Q <= min(n_rows, n_cols).  The
-    matrices that fall short get the max of their ranks mod
-    `_hadamard_primes` of their own entries.  Mod p, matrices past 2 * _PANEL
-    columns go one at a time to the faster `_eliminate_mod_p`; narrower ones
-    are eliminated together by `_stack_echelon`, whose ranks are
-    `_eliminate_mod_p`'s although its eliminated entries are not.
+    Over Q a matrix is done when its rank mod `_prime(0)` = 8191 is
+    min(n_rows, n_cols), since rank mod p <= rank over Q <= min(n_rows,
+    n_cols).  The matrices that fall short get the max of their ranks mod
+    `_hadamard_primes` of their own entries, the first of which is 8191.
+    Mod p, matrices past 2 * _PANEL columns go one at a time to the faster
+    `_eliminate_mod_p`; narrower ones are eliminated together by
+    `_stack_echelon` (with delayed reduction for p <= _TABLE_P), whose ranks
+    are `_eliminate_mod_p`'s although its eliminated entries are not.
     """
     if not p:
         return _over_q(stack, stack_ranks(stack, _prime(0)))
@@ -196,20 +218,34 @@ def _stack_echelon(A, p, n_piv, reduced=False):
     Column by column, a mask picks each matrix's first nonzero row at or below
     its pivot row, and fancy indexing swaps it into place (from column c on:
     those rows are zero left of c).  Every row below the pivot row, or with
-    `reduced` (Gauss-Jordan) every other row, becomes (piv * row - row[c] *
-    pivot_row) mod p, with no inverse: from column c on, or with `reduced`
-    whole rows, as the rows above are not zero left of c.  Both products are
-    below 2**62 because p < 2**31, so int64 holds them exactly.  Scaling by a
-    nonzero pivot keeps the row space, so the ranks and pivot columns are
-    those of any elimination mod p.  The update runs _ROWS rows at a time
-    through one scratch buffer of _ROWS rows.
+    `reduced` (Gauss-Jordan) every other row, is updated from column c on, or
+    with `reduced` whole rows, as the rows above are not zero left of c.
+
+    For p <= _TABLE_P the update is lazy (delayed reduction): column c is
+    reduced before the nonzero test (from the highest pivot row down, or
+    whole with `reduced`), a copy of the pivot row is reduced and scaled to
+    pivot 1 by the `_inverses` table, and each row becomes
+    row - row[c] * pivot_row, the multiplier row[c] / piv, with no `% p`.
+    Entries start in [0, p) and each pivot subtracts at most (p - 1)**2, so
+    while pivots * (p - 1)**2 + p < 2**63, as for the at most 2 * _PANEL
+    pivots of `stack_ranks` (any p below 2**28 would do; the table caps p),
+    int64 holds them exactly.  Above _TABLE_P the update is
+    (piv * row - row[c] * pivot_row) mod p, with no inverse; both products
+    are below 2**62 as p < 2**31.  Either way the ranks and pivot columns
+    are those of any elimination mod p, and the pivots left in A are
+    residues, though the pivot rows are not scaled and, when lazy, the other
+    entries not reduced.  The update runs _ROWS rows at a time through one
+    scratch buffer of _ROWS rows.
     """
     n_rows, n_cols, n_mat = A.shape
+    lazy = p <= _TABLE_P
     scratch = np.empty((min(n_rows, _ROWS), n_cols, n_mat), dtype=np.int64)
     ranks = np.zeros(n_mat, dtype=np.int64)  # also each matrix's pivot row
     pivots = np.full((n_rows, n_mat), n_piv)
     mats, row_ids = np.arange(n_mat), np.arange(n_rows)[:, None]
     for c in range(n_piv):
+        if lazy and c:  # column 0 comes in reduced; only `reduced` reads rows above every pivot row
+            A[0 if reduced else ranks.min(initial=n_rows):, c] %= p
         cand = (A[:, c] != 0) & (row_ids >= ranks)
         found = cand.any(axis=0)
         if not found.any():
@@ -217,27 +253,54 @@ def _stack_echelon(A, p, n_piv, reduced=False):
         # a matrix without a pivot here swaps a row with itself and keeps its rows
         pr = np.minimum(ranks, n_rows - 1)
         r0 = np.where(found, cand.argmax(axis=0), pr)
-        A[pr, c:, mats], A[r0, c:, mats] = A[r0, c:, mats], A[pr, c:, mats]
         c_lo = 0 if reduced else c
-        prow = A[pr, c_lo:, mats].T
+        prow = A[r0, c_lo:, mats].T  # the new pivot row; 0 mod p left of c, as is row pr
+        A[r0, c:, mats] = A[pr, c:, mats]
+        A[pr, c:, mats] = prow[c - c_lo:].T
         lo = 0 if reduced else int(pr[found].min()) + 1  # no row above lo updates
         update = found & ((row_ids != pr) if reduced else (row_ids[lo:] > pr))
-        scale, factor = np.where(update, prow[c - c_lo], 1), np.where(update, A[lo:, c], 0)
+        factor = np.where(update, A[lo:, c], 0)
+        if not lazy:
+            scale = np.where(update, prow[c - c_lo], 1)
+        elif lo < n_rows:  # the pivot row reduced and scaled to pivot 1
+            prow = prow * _inverses(p)[prow[c - c_lo]] % p
         for r in range(0, n_rows - lo, _ROWS):
             tail = A[lo + r:lo + r + _ROWS, c_lo:]
-            tail *= scale[r:r + _ROWS, None]
+            if not lazy:
+                tail *= scale[r:r + _ROWS, None]
             tail -= np.multiply(factor[r:r + _ROWS, None], prow,
                                 out=scratch[:len(tail), :n_cols - c_lo])
-            np.remainder(tail, p, out=tail)
+            if not lazy:
+                np.remainder(tail, p, out=tail)
         pivots[pr[found], mats[found]] = c
         ranks += found
     return ranks, pivots
 
 
+@cache
+def _inverses(p):
+    """The read-only table of 1 / x mod p for x in [0, p) (0 for x = 0), built
+    once per prime; only primes up to _TABLE_P ask for one."""
+    table = _inverse(np.arange(p, dtype=np.int64), p)
+    table.flags.writeable = False
+    return table
+
+
+def _inverse(x, p):
+    """x**(p - 2) mod p elementwise, the inverse of every nonzero residue of x."""
+    inv, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            inv = inv * x % p
+        x, e = x * x % p, e >> 1
+    return inv
+
+
 def _over_q(stack, ranks):
     """The ranks over Q of an integer stack, from `ranks`, its ranks mod
     `_prime(0)`: each matrix short of min(n_rows, n_cols) there gets the max
-    of its ranks mod `_hadamard_primes` of the short matrices' entries."""
+    of its ranks mod the rest of `_hadamard_primes` of the short matrices'
+    entries (none when 8191 alone passes their bound)."""
     full = min(stack.shape[1:])
     short = np.flatnonzero(ranks < full)
     if short.size:
@@ -253,7 +316,10 @@ def _gauss_jordan(blocks, p):
     the ranks; P (K, m) the pivot columns, padded past r[k] with m.
 
     [B | I] is eliminated by `_stack_echelon` in `reduced` mode over B's
-    columns, and each pivot row is then scaled by its pivot's inverse.
+    columns, and each row of the I side is then scaled by its pivot's
+    inverse and reduced (a lazy run leaves that side unreduced, below
+    m * p**2 in size, so the product stays in int64).  A row past the rank
+    has no pivot and is not scaled.
     """
     n_mat, m, _ = np.shape(blocks)
     A = np.zeros((m, 2 * m, n_mat), dtype=np.int64)  # the layout of _stack_echelon
@@ -262,12 +328,7 @@ def _gauss_jordan(blocks, p):
     ranks, pivots = _stack_echelon(A, p, m, reduced=True)
     piv = np.where(np.arange(m)[:, None] < ranks,
                    np.take_along_axis(A, pivots[:, None], axis=1)[:, 0], 1)
-    inv, base, e = np.ones_like(piv), piv, p - 2  # piv**(p - 2) = 1 / piv mod p
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base, e = base * base % p, e >> 1
-    T = np.moveaxis(A[:, m:] * inv[:, None] % p, -1, 0)
+    T = np.moveaxis(A[:, m:] * _inverse(piv, p)[:, None] % p, -1, 0)
     return T, ranks, pivots.T
 
 

@@ -138,8 +138,12 @@ def random_tournament(n: int, seed: int, index: int) -> Tournament:
     the same triple are bit-identical regardless of worker scheduling.
     """
     _check_n(n)
-    stream = ByteStream(seed, "tournament", index)
-    return Tournament(n, stream.bits(n_pairs(n)))
+    return Tournament(n, _sample_code(n, seed, index))
+
+
+def _sample_code(n: int, seed: int, index: int) -> int:
+    """The code of random_tournament(n, seed, index), read from its stream."""
+    return ByteStream(seed, "tournament", index).bits(n_pairs(n))
 
 
 def _check_n(n: int):
@@ -198,7 +202,7 @@ def random_pair_bits(n: int, seed: int, start: int, end: int) -> np.ndarray:
     """The pair bits of random_tournament(n, seed, i) for i in [start, end),
     laid out as `pair_bits` lays out codes."""
     _check_n(n)
-    return code_bits(n, [random_tournament(n, seed, i).code for i in range(start, end)])
+    return code_bits(n, [_sample_code(n, seed, i) for i in range(start, end)])
 
 
 def code_bits(n: int, codes) -> np.ndarray:

@@ -214,8 +214,9 @@ def test_tournament_stack_refuses_wrong_lengths():
 # Integer stacks over Q
 # ---------------------------------------------------------------------------
 
-# the largest primes below 2**31, found independently by Miller-Rabin
-FIRST_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+# the Mersenne prime 2**13 - 1, then the largest primes below 2**31, found
+# independently by Miller-Rabin
+FIRST_PRIMES = (8191, 2147483647, 2147483629, 2147483587, 2147483579,
                 2147483563, 2147483549, 2147483543, 2147483497)
 P0, P1, P2 = FIRST_PRIMES[:3]
 BIG = 2**63
@@ -369,12 +370,13 @@ def test_q_stack_is_the_matrix_times_the_common_denominator(values):
 
 
 def _fewest_primes(stack):
-    """How many of the primes from 2**31 - 1 down a stack of k x k tournament
-    blocks needs: the fewest whose product exceeds (E * sqrt(k - 1))**k, E
-    the largest entry in size, and at least one."""
-    k = stack.shape[-1]
-    size = max((abs(int(v)) for v in stack.ravel()), default=0)
-    bound_sq = size ** (2 * k) * (k - 1) ** k
+    """How many of the Q primes a stack of k x k blocks needs: the fewest whose
+    product exceeds the product of the k largest row 2-norms, a zero norm
+    counted as 1, with the i-th largest norm taken at its largest over the
+    stack; and at least one."""
+    norms_sq = [sorted((max(sum(int(v) ** 2 for v in row), 1) for row in m), reverse=True)
+                for m in stack]
+    bound_sq = math.prod(max(col) for col in zip(*norms_sq))
     count, prod = 1, P0
     while prod * prod <= bound_sq:
         prod *= rank_mod._prime(count)
@@ -426,7 +428,10 @@ def _primes_per_sweep_call(run):
 
 
 def test_q_certify_ranks_one_prime_for_the_benchmark_weights():
-    """z <= 9 and n <= 5 keep every minor below 2**31 - 1: one prime each."""
+    """No minor (k - 1) * z**k of z(J - I) with z <= 9 and k <= 5 is divisible
+    by the first prime, so only the 1 x 1 zero blocks fall short there, and
+    it alone passes their bound: one prime each."""
+    assert all((k - 1) * z**k % P0 for z in range(1, 10) for k in range(2, 6))
     calls = _primes_per_sweep_call(
         lambda: ex.verify_certifiability(5, [QQ], z_values=range(1, 10)))
     assert len(calls) > 9 * sum(n - 1 for n in range(2, 6))
@@ -434,7 +439,8 @@ def test_q_certify_ranks_one_prime_for_the_benchmark_weights():
 
 
 @pytest.mark.parametrize("run, settles, goes_on", [
-    (lambda: ex.verify_certifiability(5, [QQ], z_values=(2**31 - 1,)), False, True),
+    # every block of z(J - I) is singular mod z = P0, so every matrix goes on
+    (lambda: ex.verify_certifiability(5, [QQ], z_values=(P0,)), False, True),
     (lambda: ex.minrank_exhaustive(
         WeightSeq.of(QQ, [123456789012345678901, -3, Fraction(7, 5), 2, 1])), True, False),
     (lambda: ex.minrank_exhaustive(

@@ -311,7 +311,7 @@ def test_montecarlo_bytes_do_not_depend_on_batches_or_workers(field):
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
     """Past 2 * _PANEL columns each sample is one `_eliminate_mod_p` call mod
-    3, or mod 2**31 - 1 for the full-rank samples over Q."""
+    3, or mod the first Q prime for the full-rank samples over Q."""
     n = 2 * rank_mod._PANEL + 2
     w = ex.cycling_weights(field, n)
     with mock.patch.object(rank_mod, "_eliminate_mod_p",
@@ -321,7 +321,7 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
     assert [rec["rank"] for rec in rep.records] == ranks
     if field.char == 0:
         assert ranks == [n] * 5
-    assert [c.args[1] for c in eliminations.call_args_list] == [field.char or 2**31 - 1] * 5
+    assert [c.args[1] for c in eliminations.call_args_list] == [field.char or rank_mod._prime(0)] * 5
 
 
 def test_montecarlo_char2_refusal():

@@ -9,7 +9,10 @@ below which it delays its reductions, it is compared with textbook
 elimination that reduces after every step; large modular determinants are
 compared with the exact rational determinant reduced mod p;
 and the rational rank, pivot columns and determinant are compared with
-fraction-free (Bareiss) elimination.
+fraction-free (Bareiss) elimination.  The batched stack kernel, through
+`stack_ranks` and `_gauss_jordan`, is compared with `_eliminate_mod_p` of
+each matrix on both sides of the prime below which it delays its
+reductions, and with Bareiss over Q, at widths up to 64.
 """
 
 import importlib
@@ -141,6 +144,7 @@ def test_large_modular_determinant_matches_rational(rows, p):
 
 
 P, P1, P2 = (rank_mod._prime(i) for i in range(3))
+ROOT = math.isqrt(P * P2) + 1
 # multiples of P and near-multiples vanish or shrink mod P, so the certificate fails
 cert_entries = st.one_of(small_fractions, st.integers(-4, 4),
                          st.sampled_from((P, -P, 2 * P, P + 1)))
@@ -258,7 +262,7 @@ def oracle_cases(draw):
 @example([[P, 0], [0, P1]])  # singular mod P and mod P1, regular mod the third prime
 # the leading 2 x 2 block has determinant P * P2, the first and the last of the
 # three primes the bound needs: mod both the pivots are 0 and 2, over Q 0 and 1
-@example([[math.isqrt(P * P2) + 1, 1, 1], [900, math.isqrt(P * P2) + 1, 0]])
+@example([[ROOT, 1, 1], [ROOT**2 - P * P2, ROOT, 0]])
 # rows that clear past 2**63 go in as Python ints: full and deficient, square or not
 @example([[Fraction(1, 2**64 + 1), 1]])
 @example([[Fraction(1, 2**64 + 1), 1], [0, 1]])
@@ -315,11 +319,11 @@ def _near_top(n_rows, n_cols, p, seed):
 
 
 @pytest.mark.parametrize("rows, p", [
-    ([[P - 1] * 100 for _ in range(100)], P),
-    (_near_top(100, 100, P, 1), P),
+    ([[P1 - 1] * 100 for _ in range(100)], P1),
+    (_near_top(100, 100, P1, 1), P1),
     (_near_top(100, 100, 16_777_259, 2), 16_777_259),
     (_near_top(100, 100, 16_777_213, 3), 16_777_213),
-    (_near_top(70, 130, P, 4), P),
+    (_near_top(70, 130, P1, 4), P1),
 ], ids=["all-p-1", "word-p", "above-threshold", "below-threshold", "wide"])
 def test_full_size_panels_match_plain_body(rows, p):
     """At the real panel width, matrices of three or more panels against one
@@ -369,7 +373,7 @@ EAGER_LOW = 9_490_631  # the next prime, which reduces after every step there
     (_near_top(20, 130, 16_777_259, 10), 16_777_259, False, 0),
     (_steepest(100, LAZY_TOP), LAZY_TOP, True, 0),
     (_steepest(100, 16_777_213), 16_777_213, False, 0),
-    (_near_top(100, 100, P, 11), P, False, 0),
+    (_near_top(100, 100, P1, 11), P1, False, 0),
 ], ids=["gf2", "gf3", "gf7-wide", "gf3-tall", "gf3-repeated", "lazy-top", "lazy-top-repeated",
         "eager-low", "short-unsplit", "short-split", "steepest-lazy", "steepest-eager", "word-p"])
 def test_full_width_elimination_matches_eager_oracle(rows, p, lazy, repeat):
@@ -388,11 +392,13 @@ def test_full_width_elimination_matches_eager_oracle(rows, p, lazy, repeat):
 def test_full_width_modular_determinant_matches_rational(n, seed):
     """The determinants over GF(3) and GF(7) of an n x n integer matrix, which
     delay their reductions, against its determinant over Q reduced mod p,
-    whose primes near 2**31 reduce after every step."""
+    whose primes after the first (the lazy table prime) are near 2**31 and
+    reduce after every step."""
     rnd = random.Random(seed)
     rows = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-    assert _lazy(n, n, 7) and not any(_lazy(n, n, q) for q in rank_mod._hadamard_primes(
-        np.array(rows), n, 2))
+    primes = rank_mod._hadamard_primes(np.array(rows), n, 2)
+    assert _lazy(n, n, 7) and primes[0] == rank_mod._TABLE_P and _lazy(n, n, primes[0])
+    assert len(primes) > 2 and not any(_lazy(n, n, q) for q in primes[1:])
     exact = determinant(DenseMatrix.from_rows(QQ, rows)).value
     assert exact.denominator == 1
     for p in (3, 7):
@@ -421,3 +427,124 @@ def test_panel_product_is_exact_at_the_largest_residues(p, dtype):
     exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
     got = rank_mod._dot_mod(a.astype(dtype), b, p)
     assert [[int(v) % p for v in row] for row in got.tolist()] == exact
+
+
+# ---------------------------------------------------------------------------
+# The batched stack kernel, `_stack_echelon`, behind `stack_ranks` and
+# `_gauss_jordan`
+# ---------------------------------------------------------------------------
+
+# 2, 3, the largest prime whose stack eliminations delay reduction, the
+# smallest prime above it (which reduces after every step), 2**31 - 1, and Q
+STACK_PRIMES = (2, 3, 8191, 8209, 2**31 - 1, 0)
+STACK_KINDS = ("random", "top", "steepest", "repeated", "zero-columns", "zero")
+
+
+def test_stack_kernel_constants_keep_int64_exact():
+    """Lazy stack eliminations run up to _TABLE_P; 8209 is the next prime.  At
+    most 2 * _PANEL pivots of at most (_TABLE_P - 1)**2 each stay in int64."""
+    assert rank_mod._TABLE_P == 8191
+    assert [q for q in range(8191, 8210) if all(q % d for d in range(2, 91))] == [8191, 8209]
+    assert 2 * rank_mod._PANEL * (rank_mod._TABLE_P - 1) ** 2 + rank_mod._TABLE_P < 2**63
+
+
+def _stack_matrix(kind, n_rows, n_cols, p, rnd):
+    """One n_rows x n_cols matrix of a kernel test stack: residues mod p, or
+    over Q (p = 0) integers in -3..3.  `random`; `top`, every entry p - 1 (the
+    largest pivot rows and multipliers), over Q a random matrix whose first
+    row is times P, singular mod P more often than not; `steepest`, a block of
+    `_steepest`, whose every pivot subtracts (p - 1)**2 from the entries below
+    it; `repeated`, rows copying earlier rows; `zero-columns`, columns zeroed,
+    the first among them half the time, so a stack mixes matrices with and
+    without a pivot in one column; `zero`."""
+    rows = [[rnd.randrange(p) if p else rnd.randint(-3, 3) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    if kind == "top":
+        rows = [[p - 1] * n_cols for _ in range(n_rows)] if p else [
+            [v * P for v in rows[0]]] + rows[1:]
+    elif kind == "steepest":
+        side = max(n_rows, n_cols)
+        rows = [row[:n_cols] for row in _steepest(side, p or P)[:n_rows]]
+    elif kind == "repeated":
+        for r in range(1, n_rows):
+            if rnd.randrange(2):
+                rows[r] = list(rows[rnd.randrange(r)])
+    elif kind == "zero-columns":
+        zeroed = {0} if rnd.randrange(2) else set()
+        zeroed |= {rnd.randrange(n_cols) for _ in range(rnd.randint(1, n_cols))}
+        rows = [[0 if c in zeroed else v for c, v in enumerate(row)] for row in rows]
+    elif kind == "zero":
+        rows = [[0] * n_cols for _ in range(n_rows)]
+    return rows
+
+
+@st.composite
+def kernel_stacks(draw, square=False, primes=STACK_PRIMES):
+    """(stack, p): 1..4 matrices of 1..64 rows and columns (square with
+    `square`), small sides as often as any, each of a kind in STACK_KINDS."""
+    p = draw(st.sampled_from(primes))
+    side = st.one_of(st.integers(1, 8), st.integers(1, 64))
+    n_rows = draw(side)
+    n_cols = n_rows if square else draw(side)
+    kinds = draw(st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=4))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return np.array([_stack_matrix(k, n_rows, n_cols, p, rnd) for k in kinds], dtype=np.int64), p
+
+
+# in one column, a matrix without a pivot beside one with it
+MIXED = np.array([[[0, 1], [0, 2]], [[1, 0], [0, 1]]], dtype=np.int64)
+
+
+@SETTINGS
+@given(kernel_stacks())
+@example((MIXED, 8191))
+@example((MIXED, 8209))
+def test_stack_ranks_match_per_matrix_elimination_and_bareiss(case):
+    """Mod p against `_eliminate_mod_p` of each matrix, over Q against Bareiss."""
+    stack, p = case
+    ranks = rank_mod.stack_ranks(stack, p).tolist()
+    if p:
+        assert ranks == [rank_mod._eliminate_mod_p(m, p)[0] for m in stack]
+    else:
+        assert ranks == [bareiss(m.tolist())[0] for m in stack]
+
+
+@SETTINGS
+@given(kernel_stacks(square=True, primes=STACK_PRIMES[:-1]))
+@example((MIXED, 8191))
+@example((MIXED, 8209))
+def test_gauss_jordan_matches_per_matrix_elimination(case):
+    """The ranks and pivot columns of `_eliminate_mod_p`, and T B in reduced
+    row echelon form mod p: the pivot columns are the first unit vectors, no
+    row has a nonzero left of its pivot, the rows past the rank are zero, and
+    T is invertible.  A matrix without a pivot in a column that another has
+    one in keeps its rows unscaled there."""
+    blocks, p = case
+    m = blocks.shape[1]
+    T, r, P_cols = rank_mod._gauss_jordan(blocks, p)
+    exact = object if m * (p - 1) ** 2 >= 2**63 else np.int64
+    for t, b, rk, piv in zip(T, blocks, r.tolist(), P_cols.tolist()):
+        rank_p, pivots, _ = rank_mod._eliminate_mod_p(b, p)
+        assert (rk, tuple(piv[:rk])) == (rank_p, pivots) and piv[rk:] == [m] * (m - rk)
+        e = t.astype(exact) @ b.astype(exact) % p
+        assert (e[:, piv[:rk]] == np.eye(m, rk, dtype=np.int64)).all()
+        assert not any(e[i, :c].any() for i, c in enumerate(piv[:rk])) and not e[rk:].any()
+        assert ((0 <= t) & (t < p)).all() and rank_mod._eliminate_mod_p(t, p)[0] == m
+
+
+@pytest.mark.parametrize("p", (8191, 8209))
+@pytest.mark.parametrize("reduced", (False, True), ids=("echelon", "gauss-jordan"))
+def test_lazy_stack_entries_stay_within_the_bound(reduced, p):
+    """At the widest stack the kernel serves, `_steepest` mod p, whose every
+    pivot subtracts (p - 1)**2, beside an all-(p - 1) matrix.  Mod _TABLE_P
+    a column is reduced only when its turn comes, so the last, left out
+    here, keeps the sum of n - 1 pivots' updates, far below 0 and within the
+    bound; mod the next prime every update is reduced."""
+    n = 2 * rank_mod._PANEL
+    A = np.stack([np.array(_steepest(n, p)), np.full((n, n), p - 1)], axis=-1)
+    ranks, _ = rank_mod._stack_echelon(A, p, n - 1, reduced)
+    assert ranks.tolist() == [n - 1, 1]
+    if p <= rank_mod._TABLE_P:
+        assert A.max() < p and -(n - 1) * (p - 1) ** 2 <= A.min() < -(n // 2) * (p - 1) ** 2
+    else:
+        assert A.max() < p and A.min() >= 0

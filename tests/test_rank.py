@@ -173,19 +173,22 @@ def elimination_spy():
 
 # Eliminations a rational rank takes: one when the first prime gives a full
 # rank with pivots 0..r-1, else as many primes as it takes for their product
-# to pass Hadamard's bound H = (E * sqrt(c))**m, E the largest cleared entry
-# in size, c the most nonzero entries in a row, m = min(rows, cols).
+# to pass Hadamard's bound H, the product of the m = min(rows, cols) largest
+# 2-norms of the cleared rows, a zero row counted as 1.
 @pytest.mark.parametrize("rows, expected, eliminations", [
-    # full rank over Q, singular mod P; H = P**2 needs P * P1 * P2
-    ([[P, 0], [0, 1]], (2, (0, 1)), 3),
-    # the mod-P pivot column is 1; H = sqrt(2) * P needs P * P1
+    # full rank over Q, singular mod P; H = P needs P * P1: the large row
+    # does not raise the bound of the small one
+    ([[P, 0], [0, 1]], (2, (0, 1)), 2),
+    # the mod-P pivot column is 1; H = sqrt(P**2 + 1) needs P * P1
     ([[P, 1]], (1, (0,)), 2),
-    # rank-deficient over Q; H = (6 * sqrt(3))**3 is below P
+    # rank-deficient over Q; H = sqrt(14 * 56 * 2) is below P
     ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], (2, (0, 1)), 1),
-    # both rows clear to [1, P]; H = 2 * P**2 needs three primes
-    ([[Fraction(1, P), 1], [1, P]], (1, (0,)), 3),
+    # both rows clear to [1, P]; H = P**2 + 1 needs P * P1
+    ([[Fraction(1, P), 1], [1, P]], (1, (0,)), 2),
     # clears to [1, P], [0, 1]: full with pivots 0, 1 mod P
     ([[Fraction(1, P), 1], [0, 1]], (2, (0, 1)), 1),
+    # rank 0 mod P, 1 over Q: the zero row counts as 1, so H = P needs P * P1
+    ([[P, 0], [0, 0]], (1, (0,)), 2),
 ])
 def test_rank_eliminations_follow_the_bound(rows, expected, eliminations):
     with elimination_spy() as spy:
@@ -197,13 +200,16 @@ def test_rank_eliminations_follow_the_bound(rows, expected, eliminations):
 
 # A determinant has no early exit and takes primes until their product passes 2H.
 @pytest.mark.parametrize("rows, expected, eliminations", [
-    ([[1, 2], [3, 4]], -2, 1),  # 2H = 64
-    ([[P, 0], [0, 1]], P, 3),  # 2H = 2 * P**2
-    # 2H = 2**31 passes P, though H does not: one prime would read the
-    # symmetric residue 2**30 - P
-    ([[2**30]], 2**30, 2),
+    ([[1, 2], [3, 4]], -2, 1),  # 2H = 2 * sqrt(5 * 25)
+    ([[P, 0], [0, 1]], P, 2),  # 2H = 2 * P
+    ([[2**30]], 2**30, 2),  # 2H = 2**31 is past P
     ([[-(2**30)]], -(2**30), 2),
-    ([[Fraction(1, P), 1], [0, 1]], Fraction(1, P), 3),  # clears to [1, P], [0, 1]; 2H = 4 * P**2
+    # clears to [1, P], [0, 1]; 2H = 2 * sqrt(P**2 + 1)
+    ([[Fraction(1, P), 1], [0, 1]], Fraction(1, P), 2),
+    # 2H = P + 1 passes P, though H does not: one prime would read the
+    # symmetric residue (P + 1) / 2 - P
+    ([[(P + 1) // 2]], (P + 1) // 2, 2),
+    ([[-((P + 1) // 2)]], -((P + 1) // 2), 2),
 ])
 def test_determinant_eliminations_pass_twice_the_bound(rows, expected, eliminations):
     with elimination_spy() as spy:

@@ -140,6 +140,14 @@ def test_random_pair_bits_are_the_sampled_tournaments_bits(n):
             random_pair_bits(0, 17, 0, end)
 
 
+def test_random_pair_bits_check_n_once_and_build_no_tournament():
+    with mock.patch.object(tournaments, "_check_n", wraps=tournaments._check_n) as check, \
+            mock.patch.object(tournaments, "Tournament", wraps=tournaments.Tournament) as built:
+        bits = random_pair_bits(50, 17, 0, 20)
+    assert check.call_count == 1 and built.call_count == 0
+    assert (bits == random_pair_bits(50, 17, 0, 20)).all()
+
+
 @pytest.mark.parametrize("n", (1, 2, 11, 12, 50, 400))
 def test_codec_round_trips_against_the_bits_text(n):
     """`code_bits` and `bit_codes` against the text `bin()` builds: codes 0 and
