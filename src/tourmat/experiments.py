@@ -9,8 +9,9 @@ are reported as information, never as violations.
 
 Every sweep reads its tournaments as pair-bit arrays, not `Tournament`s.
 The exhaustive min-rank search ranks code ranges by bordering (`_code_ranks`,
-one int8 rank per code); the GF(p) floor reads its summaries shard by shard,
-so the floor's violation rule and bound live only in `minrank_exhaustive`.
+one int8 rank per code), and ranks each distinct matrix once by the
+free-pair rule stated there.  The GF(p) floor reads its summaries shard by
+shard, so the floor's violation rule and bound live only in `minrank_exhaustive`.
 Every other sweep ranks `tournament_stack` batches with `stack_ranks`.  Each
 entry point reads n and the field from its weights and clears them to one
 integer row (`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that
@@ -53,7 +54,7 @@ from .tournaments import (
 MAX_PERM_N = 9
 ARGMIN_CODES_KEPT = 16
 _BATCH_ENTRIES = 2**16  # matrix entries per stack a sweep builds and ranks
-_SWEEP_CODES = 2**16  # codes per GF(p) floor shard and per slice min-rank reduces
+_SWEEP_CODES = 2**16  # codes per GF(p) floor shard and per slice min-rank keys or reduces
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -329,7 +330,8 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
     Runs every tournament on n <= n_max vertices, every s in 1..n-1, every
     field, every z.  A minor is nonzero exactly when its block has full
     rank, so each batch ranks its s-blocks, then its (s+1)-blocks only where
-    the s-block falls short.  Records are aggregated per (n, s, field, z).
+    the s-block falls short, and none when no s-block does.  Records are
+    aggregated per (n, s, field, z).
 
     With these weights the check cannot fail: the leading (s+1)-block is
     z(J - I) for every tournament, whose k x k minor is (-1)^(k-1) (k-1) z^k,
@@ -354,7 +356,8 @@ def verify_certifiability(n_max: int, fields, z_values=(1,)) -> Report:
                     for first, bits in _bit_batches(n, lo, hi):
                         batch = tournament_stack(bits, row)
                         short = np.flatnonzero(stack_ranks(batch[:, :s, :s], p) < s)
-                        failed = short[stack_ranks(batch[short, :s + 1, :s + 1], p) < s + 1]
+                        failed = (short[stack_ranks(batch[short, :s + 1, :s + 1], p) < s + 1]
+                                  if short.size else short)
                         if first_bad is None and failed.size:
                             first_bad = first + int(failed[0])
                         bad += failed.size
@@ -472,6 +475,23 @@ def _ranks_chunk(args):
             for r in stack_ranks(tournament_stack(bits, row), p).tolist()]
 
 
+def _first_with_key(ks, mask, k0):
+    """The least x >= k0 with x & mask == k & mask, for each k of the int64
+    array ks: the first run at or after k0 with k's block key (`_code_ranks`).
+
+    x = key + s for key = k & mask and the least s >= t = k0 - key with no
+    bit in mask: t itself when t has none, else t's bits above the lowest
+    bit c that lies above t's highest bit in mask and is clear in t and in
+    mask, plus bit c.
+    """
+    key = ks & mask
+    t = np.maximum(k0 - key, 0)
+    low = t & mask
+    for shift in (1, 2, 4, 8, 16, 32):
+        low |= low >> shift  # every bit up to t's highest bit in mask
+    return key + np.where(low, ((t | mask | low) + 1) & ~mask, t)
+
+
 def _code_ranks(args) -> np.ndarray:
     """The ranks mod p (over Q with p = 0) of the tournaments on n =
     row.shape[1] vertices with codes in [lo, hi), for args = (row, p, lo, hi),
@@ -480,25 +500,49 @@ def _code_ranks(args) -> np.ndarray:
     Vertex 1's n - 1 pairs are a code's low bits, so each aligned run of
     2**(n-1) codes, k * 2**(n-1) + border bits, shares the block on vertices
     2..n (the tournament with code k there) and differs only in vertex 1's
-    row.  `bordered_ranks` ranks every run that meets [lo, hi) in batches of
-    blocks, built from the codes k on n - 1 vertices under the weights of
-    vertices 2..n, against the 2**(n-1) rows of the first run; a run only
-    partly inside the range is ranked whole and cut to it.
+    row: the matrices [[0, u^T], [u, B]] that `bordered_ranks` ranks.
+
+    Free pairs: entry (i, j) of a tournament matrix is a_i or a_j, so a pair
+    whose two weights are equal in the cleared row (residues over GF(p),
+    integers over Q) gives the same matrix either way.  Only the bits of the
+    free pairs, those whose weights differ, change the matrix, so a code
+    masked to its free pairs is a key of its matrix: the border key of the
+    border bits, and the block key of k.  Each distinct border and each
+    distinct block of the runs that meet [lo, hi) is built once, from the
+    first code with its key, and ranked once, in batches of blocks.  A
+    block's fanned-out run of ranks is written at its first run, and every
+    later run with its key copies that one, so the distinct ranks take no
+    table beside the rank array.  With every weight distinct each key is its
+    code and each run is ranked, as without keys.  A run only partly inside
+    the range is ranked whole and cut to it.
     """
     row, p, lo, hi = args
     n = row.shape[1]
     run = 1 << (n - 1)
-    ranks = np.empty(hi - lo, dtype=np.int8)
-    borders = tournament_stack(pair_bits(n, 0, run), row)[:, 0, 1:]
-    step = max(1, _BATCH_ENTRIES // (run * n))  # blocks per batch
-    end = -(-hi // run)
-    for k in range(lo // run, end, step):
-        count = min(step, end - k)
-        blocks = tournament_stack(pair_bits(n - 1, k, k + count), row[:, 1:])
-        batch = bordered_ranks(blocks, borders, p).ravel()
-        a, b = max(lo, k * run), min(hi, (k + count) * run)
-        ranks[a - lo:b - lo] = batch[a - k * run:b - k * run]
-    return ranks
+    rows, cols = np.triu_indices(n, 1)
+    free = sum(1 << int(k) for k in np.flatnonzero(row[0, rows] != row[0, cols]))
+    codes = np.arange(run)
+    own = (codes & free) == codes  # the first border with a key is the key itself
+    borders = tournament_stack(pair_bits(n, 0, run)[own], row)[:, 0, 1:]
+    border_of = (np.cumsum(own) - 1)[codes & free]
+    mask, k0, k1 = free >> (n - 1), lo // run, -(-hi // run)
+    ranks = np.empty((k1 - k0, run), dtype=np.int8)
+    # a batch holds each block's Gauss-Jordan [B | I] and its bordered children
+    step = max(1, _BATCH_ENTRIES // (len(borders) * n + 2 * (n - 1) ** 2))
+    span = max(1, _SWEEP_CODES // run)  # runs per slice
+    distinct = 0
+    for a in range(k0, k1, span):
+        ks = np.arange(a, min(a + span, k1))
+        at = ks[_first_with_key(ks, mask, k0) == ks] - k0  # the first runs with their keys
+        for i in range(0, len(at), step):
+            blocks = tournament_stack(code_bits(n - 1, (k0 + at[i:i + step]).tolist()), row[:, 1:])
+            ranks[at[i:i + step]] = bordered_ranks(blocks, borders, p)[:, border_of]
+        distinct += len(at)
+    if distinct < k1 - k0:
+        for a in range(k0, k1, span):
+            ks = np.arange(a, min(a + span, k1))
+            ranks[a - k0:a - k0 + len(ks)] = ranks[_first_with_key(ks, mask, k0) - k0]
+    return ranks.reshape(-1)[lo - k0 * run:hi - k0 * run]
 
 
 @contextlib.contextmanager
@@ -549,10 +593,12 @@ def minrank_exhaustive(weights: WeightSeq, shard=None, workers: int = 1,
     ranks = parts[0] if len(parts) == 1 else np.concatenate(parts)
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
-    # bincount copies its input to intp, and a comparison makes a bool array as
-    # long as its input, so both run over slices of the int8 ranks
+    # a comparison makes a bool array as long as its input, so the counts and
+    # the argmins run over slices of the int8 ranks (bincount would copy each
+    # slice to intp, eight times its size)
     starts = range(0, len(ranks), _SWEEP_CODES)
-    counts = sum(np.bincount(ranks[i:i + _SWEEP_CODES], minlength=n + 1) for i in starts)
+    counts = sum(np.array([np.count_nonzero(ranks[i:i + _SWEEP_CODES] == r) for r in range(n + 1)])
+                 for i in starts)
     min_rank = int(np.flatnonzero(counts)[0])
     argmins = (lo + i + j for i in starts
                for j in np.flatnonzero(ranks[i:i + _SWEEP_CODES] == min_rank).tolist())

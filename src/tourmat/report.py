@@ -51,21 +51,25 @@ class RecordTable(Sequence):
         """The CSV lines "code,rank,pass" of rows a..b-1, built as one (rows,
         bytes) uint8 array: the codes' decimal digits, with leading zeros NUL,
         beside each rank's NUL-padded ",rank,pass\\n" suffix; dropping the NULs
-        leaves the text."""
+        leaves the text.  Digit j of a code is q_j - 10 q_(j-1) for the floor
+        quotients q_j of the code by powers of ten (numpy's floor division runs
+        far faster than its remainder)."""
         ranks = self.ranks[a:b]
         first = self.lo + a
         width = len(str(first + len(ranks) - 1))  # codes < 2**63, so int64 holds them
-        q = np.arange(first, first + len(ranks), dtype=np.int64)
-        digits = np.empty((len(ranks), width), dtype=np.uint8)
-        for j in reversed(range(width)):
-            q, digits[:, j] = np.divmod(q, 10)
-        digits += ord("0")
+        text = bytearray(len(ranks) * (width + 11))
+        rows = np.frombuffer(text, dtype=np.uint8).reshape(len(ranks), width + 11)
+        digit, high = np.empty(len(ranks), dtype=np.uint8), 0
+        for j in range(width):
+            q = np.arange(first, first + len(ranks), dtype=np.int64) // 10 ** (width - 1 - j)
+            rows[:, j] = np.subtract(q, 10 * high - ord("0"), out=digit, casting="unsafe")
+            high = q
         for j in range(width - 1):  # the codes are ascending, so a leading zero is a prefix
-            digits[:max(0, 10 ** (width - 1 - j) - first), j] = 0
+            rows[:max(0, 10 ** (width - 1 - j) - first), j] = 0
         suffixes = np.array([f",{r},{'true' if r >= self.need else 'false'}\n"
                              for r in range(128)], dtype="S11")  # every int8 rank
-        rows = np.concatenate([digits, suffixes.view(np.uint8).reshape(128, 11)[ranks]], axis=1)
-        return rows[rows != 0].tobytes().decode("ascii")
+        rows[:, width:].view("S11")[:, 0] = suffixes[ranks]
+        return text.translate(None, b"\0").decode("ascii")
 
 
 @dataclass

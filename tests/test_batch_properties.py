@@ -10,7 +10,8 @@ mod: `_prime(0)` for every matrix, the rest only for those short of full
 rank there, and stacks that mix both kinds are checked against `rank()` and
 the Bareiss oracle.  `bordered_ranks` is checked against `stack_ranks` of
 the bordered matrices it ranks, on symmetric blocks of any rank, and the
-bordered sweep `_code_ranks` against `stack_ranks` of the same codes.
+bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
+`stack_ranks` of the same codes, in one process and in two workers.
 `_gauss_jordan`, which `bordered_ranks` is built on, is checked against its
 contract: T B in reduced row echelon form for an invertible T.
 """
@@ -569,21 +570,34 @@ def test_gauss_jordan_gives_an_invertible_t_and_the_reduced_echelon_form(case):
         assert all(np.array_equal(a, b) for a, b in zip(again, (T, r, P)))
 
 
+_SIGNED = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3))
+
+
 def _sweep_weights(field, n):
+    """Weights on n vertices, all equal, all distinct (as far as the field has
+    nonzero values, then cycled), equal but for vertex 1, or drawn with
+    repeats: residues over GF(p), signed and fractional values over Q."""
     p = field.char
-    if p:
-        return st.lists(st.integers(1, p - 1), min_size=n, max_size=n)
-    signed = st.sampled_from((1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)))
-    return st.lists(signed, min_size=n, max_size=n)
+    one = st.integers(1, p - 1) if p else st.sampled_from(_SIGNED)
+    few = min(n, p - 1 if p else len(_SIGNED))
+    return st.one_of(
+        one.map(lambda v: [v] * n),
+        st.lists(one, min_size=few, max_size=few, unique=True).map(
+            lambda vs: [vs[i % len(vs)] for i in range(n)]),
+        st.tuples(one, one).map(lambda ab: [ab[0]] + [ab[1]] * (n - 1)),
+        st.lists(one, min_size=n, max_size=n),
+    )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from((GF(2), GF(3), GF(2**31 - 1), QQ)), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((GF(2), GF(3), GF(5), GF(2**31 - 1), QQ)), st.integers(1, 6), st.data())
 def test_bordered_sweeps_match_stack_ranks(field, n, data):
-    """`_code_ranks` over GF(2), GF(3), GF(2**31 - 1) and Q (signed weights)
-    for n = 1..6, on shards of whole runs of 2**(n-1) codes, shards that
-    start or end inside a run, and single codes: the ranks of
-    `tournament_stack` batches, as int8."""
+    """`_code_ranks`, which ranks each distinct matrix once, over GF(2),
+    GF(3), GF(5), GF(2**31 - 1) and Q (signed and fractional weights) for
+    n = 1..6, with weights all equal, all distinct, equal but for vertex 1 or
+    with random repeats, on shards of whole runs of 2**(n-1) codes, shards
+    that start or end inside a run, and single codes: the ranks of each
+    code's own matrix in `tournament_stack` batches, as int8."""
     weights = WeightSeq.of(field, data.draw(_sweep_weights(field, n)))
     total, run = 1 << n_pairs(n), 1 << (n - 1)
     kind = data.draw(st.sampled_from(("aligned", "unaligned", "single")))
@@ -597,6 +611,29 @@ def test_bordered_sweeps_match_stack_ranks(field, n, data):
     expected = rank_mod.stack_ranks(tournament_stack(pair_bits(n, lo, hi), weights.int_row()),
                                     field.char)
     assert ranks.dtype == np.int8 and ranks.tolist() == expected.tolist()
+
+
+@SETTINGS
+@given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.integers(1, 300))
+def test_first_with_key_is_the_first_code_with_the_key(mask, k0, length):
+    """For each k in [k0, k1), the least x >= k0 with x & mask == k & mask."""
+    ks = np.arange(k0, k0 + length)
+    expected = [next(x for x in range(k0, k + 1) if x & mask == k & mask) for k in ks.tolist()]
+    assert ex._first_with_key(ks, mask, k0).tolist() == expected
+
+
+@pytest.mark.parametrize("field, values, shard", [
+    (GF(5), [3, 1, 1, 1, 1, 1], (37, 20011)),
+    (QQ, [Fraction(1, 2), 3, Fraction(1, 2), 3, 3, -1], (1000, 32768)),
+], ids=["gf5-equal-but-vertex-1", "q-fractional-repeats"])
+def test_two_workers_rank_each_code_as_its_own_matrix(field, values, shard):
+    """Two spawned workers, each ranking its own chunk's distinct matrices,
+    give every code of an unaligned shard the rank of its own matrix."""
+    weights = WeightSeq.of(field, values)
+    rep = ex.minrank_exhaustive(weights, shard=shard, workers=2)
+    expected = rank_mod.stack_ranks(tournament_stack(pair_bits(6, *shard), weights.int_row()),
+                                    field.char)
+    assert rep.records.ranks.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("argv", [

@@ -713,6 +713,14 @@ def test_certify_ranks_blocks_and_takes_no_determinant():
         assert (rank_calls.call_count, builds.call_count, eliminations.call_count) == (0, 0, 0)
 
 
+def test_certify_ranks_no_empty_stack():
+    """The (s+1)-blocks of a batch are ranked only when some s-block falls
+    short, so no stack the sweep ranks is empty."""
+    with mock.patch.object(ex, "stack_ranks", wraps=ex.stack_ranks) as ranked:
+        assert ex.verify_certifiability(5, [QQ, GF(3)]).passed
+    assert all(len(c.args[0]) for c in ranked.call_args_list)
+
+
 # Weights per field under which some leading minors vanish together; with
 # the real certify weights no tournament fails.
 _FAILING_WEIGHTS = {GF(3): [1, 2, 1, 2, 1], GF(5): [1, 2, 3, 4, 1], QQ: [1, 2, 3, 4, 5]}
