@@ -622,6 +622,27 @@ def test_first_with_key_is_the_first_code_with_the_key(mask, k0, length):
     assert ex._first_with_key(ks, mask, k0).tolist() == expected
 
 
+@pytest.mark.parametrize("field, values", [
+    (GF(3), [1, 2]), (QQ, [Fraction(1, 2), -3]),
+], ids=["gf3-cycling", "q-signed-fractional-cycling"])
+@pytest.mark.parametrize("n, shard", [(5, None), (6, None), (7, (1000, 1000 + 2**14))])
+def test_code_ranks_copy_runs_across_slices(monkeypatch, field, values, n, shard):
+    """With slices of 3 runs of 2**(n-1) codes, `_code_ranks` spans many
+    slices and most runs take their ranks from a first run with their block
+    key in an earlier slice: every code still gets its own matrix's rank."""
+    weights = WeightSeq.of(field, [values[i % 2] for i in range(n)])
+    row, run = weights.int_row(), 1 << (n - 1)
+    lo, hi = shard or (0, 1 << n_pairs(n))
+    monkeypatch.setattr(ex, "_SWEEP_CODES", 3 * run)
+    ks = np.arange(lo // run, -(-hi // run))
+    rows, cols = np.triu_indices(n, 1)
+    free = sum(1 << int(k) for k in np.flatnonzero(row[0, rows] != row[0, cols]))
+    first = ex._first_with_key(ks, free >> (n - 1), ks[0])
+    assert ((first - ks[0]) // 3 < (ks - ks[0]) // 3).mean() > 0.5
+    expected = rank_mod.stack_ranks(tournament_stack(pair_bits(n, lo, hi), row), field.char)
+    assert ex._code_ranks((row, field.char, lo, hi)).tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("field, values, shard", [
     (GF(5), [3, 1, 1, 1, 1, 1], (37, 20011)),
     (QQ, [Fraction(1, 2), 3, Fraction(1, 2), 3, 3, -1], (1000, 32768)),

@@ -148,6 +148,10 @@ CLI_CASES = {
     # 2**21 codes whose cycling weights repeat: 2**12 distinct matrices, min rank 4
     "minrank-GF3-n7-cycling": ["minrank", "--field", "GF(3)", "--n", "7",
                                "--seq", "1,2,1,2,1,2,1", "--seed", "0"],
+    # 2**28 codes in 4,096 slices: 2**16 distinct matrices, most runs copying
+    # their ranks from a first run in an earlier slice
+    "minrank-GF3-n8-cycling": ["minrank", "--field", "GF(3)", "--n", "8",
+                               "--seq", "1,2,1,2,1,2,1,2", "--seed", "0"],
 }
 
 PINNED = {
@@ -160,6 +164,7 @@ PINNED = {
     "minrank-GF3-n1": "80f9217142fe413b0f7ee216def88053200a1ae6d72e8563fe342c8141477b5d",
     "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
     "minrank-GF3-n7-cycling": "4c820ef50f8d932a2a97e6a6ccb223adda848da95419f819e8a1f35999dd9867",
+    "minrank-GF3-n8-cycling": "0be9cd5be526ae3c66defdfba7988ebb45c0d9bd6ef989befa709fbbb7ee026f",
     "minrank-Q-past-63-bits": "b97d1f502791df04c1a730773f31c63eb56af21fe68d81fb963ec3f746588453",
     "minrank-Q-n6-rank5-768": "6f8c1ada93a7190b7be3ecbd19b30ed535bfae02a9ef568f1bca3e37f890fc37",
     "minrank-Q-n6-signed-rank5-96": "1a40139dc148a10726fed9a3df416b7655e1f511e54bd3eb2110e054d578db73",
