@@ -78,15 +78,16 @@ class TournamentSourceError(ValueError):
     """A tournament source other than "exhaustive" or a sample count."""
 
 
-def _random_nonzero(field: Field, stream: ByteStream) -> Scalar:
-    """Uniform nonzero element for GF(p); uniform integer in 1..100 for Q."""
-    return Scalar(field, 1 + stream.randrange(field.char - 1 if field.char else 100))
+def _random_nonzero(field: Field, stream: ByteStream) -> int:
+    """Uniform nonzero residue for GF(p); uniform integer in 1..100 for Q."""
+    return 1 + stream.randrange(field.char - 1 if field.char else 100)
 
 
-def random_weights(field: Field, n: int, seed: int, *labels) -> WeightSeq:
-    """n independent nonzero weights from the stream keyed by (seed, labels)."""
+def _random_row(field: Field, n: int, seed: int, *labels) -> np.ndarray:
+    """n independent nonzero weights from the stream keyed by (seed, labels),
+    as a (1, n) int64 row (already cleared: residues, or integers over Q)."""
     stream = ByteStream(seed, "weights", *labels)
-    return WeightSeq(field, tuple(_random_nonzero(field, stream) for _ in range(n)))
+    return np.array([[_random_nonzero(field, stream) for _ in range(n)]], dtype=np.int64)
 
 
 def cycling_weights(field: Field, n: int) -> WeightSeq:
@@ -195,11 +196,11 @@ def verify_transitive(n_range, field: Field, trials: int = 50, seed: int = 0,
         bound = bounds.transitive_floor_bound(n)
         rows, cols = np.triu_indices(n, 1)
         step = _batch_size(n)
+        if fixed is not None:
+            row = WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)]).int_row()
         for ks in (range(a, min(a + step, trials)) for a in range(0, trials, step)):
-            seqs = [random_weights(field, n, seed, "transitive", n, k) if fixed is None
-                    else WeightSeq.of(field, [fixed[i % len(fixed)] for i in range(n)])
-                    for k in ks]
-            vals = np.concatenate([w.int_row() for w in seqs])
+            vals = np.concatenate([_random_row(field, n, seed, "transitive", n, k) if fixed is None
+                                   else row for k in ks])
             # place[b, v] is vertex v + 1's place in trial b's order; earlier beats later
             place = np.argsort([ByteStream(seed, "transitive-order", n, k).shuffled(range(n))
                                 for k in ks], axis=1)
@@ -418,7 +419,7 @@ def verify_f_ensemble(weights: WeightSeq, alpha, beta,
     t0 = time.perf_counter()
     field = weights.field
     alpha, beta = field.scalar(alpha), field.scalar(beta)
-    if (alpha + beta).is_zero():
+    if field.scalar(alpha.value + beta.value).is_zero():
         raise DegenerateMixError(
             f"alpha + beta = 0 in {field}: the pair-sum matrix vanishes and the"
             " rank-sum bound says nothing; refusing to report a vacuous pass")
@@ -509,12 +510,13 @@ def _code_ranks(args) -> np.ndarray:
     masked to its free pairs is a key of its matrix: the border key of the
     border bits, and the block key of k.  Each distinct border and each
     distinct block of the runs that meet [lo, hi) is built once, from the
-    first code with its key, and ranked once, in batches of blocks.  A
-    block's fanned-out run of ranks is written at its first run, and every
-    later run with its key copies that one, so the distinct ranks take no
-    table beside the rank array.  With every weight distinct each key is its
-    code and each run is ranked, as without keys.  A run only partly inside
-    the range is ranked whole and cut to it.
+    first code with its key, and ranked once, in batches of blocks.  Each
+    slice of runs writes the fanned-out ranks of its first runs, then copies
+    every run from its first run, which lies at or before it and so is ranked
+    already: the distinct ranks take no table beside the rank array.  With
+    every weight distinct each key is its code and each run is ranked, as
+    without keys.  A run only partly inside the range is ranked whole and
+    cut to it.
     """
     row, p, lo, hi = args
     n = row.shape[1]
@@ -530,18 +532,14 @@ def _code_ranks(args) -> np.ndarray:
     # a batch holds each block's Gauss-Jordan [B | I] and its bordered children
     step = max(1, _BATCH_ENTRIES // (len(borders) * n + 2 * (n - 1) ** 2))
     span = max(1, _SWEEP_CODES // run)  # runs per slice
-    distinct = 0
     for a in range(k0, k1, span):
         ks = np.arange(a, min(a + span, k1))
-        at = ks[_first_with_key(ks, mask, k0) == ks] - k0  # the first runs with their keys
+        first = _first_with_key(ks, mask, k0) - k0
+        at = first[first == ks - k0]  # the first runs with their keys
         for i in range(0, len(at), step):
             blocks = tournament_stack(code_bits(n - 1, (k0 + at[i:i + step]).tolist()), row[:, 1:])
             ranks[at[i:i + step]] = bordered_ranks(blocks, borders, p)[:, border_of]
-        distinct += len(at)
-    if distinct < k1 - k0:
-        for a in range(k0, k1, span):
-            ks = np.arange(a, min(a + span, k1))
-            ranks[a - k0:a - k0 + len(ks)] = ranks[_first_with_key(ks, mask, k0) - k0]
+        ranks[a - k0:a - k0 + len(ks)] = ranks[first]
     return ranks.reshape(-1)[lo - k0 * run:hi - k0 * run]
 
 

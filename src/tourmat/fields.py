@@ -6,8 +6,8 @@ rule: a residue in [0, p) for prime fields, a fully reduced
 `fractions.Fraction` (positive denominator) for the rationals.  Matrices store
 these raw canonical values directly; a :class:`Scalar` wraps one of them with
 its field and is the element type of the public API (weights, single entries,
-determinants).  All operations are pure; values are safe to share across
-workers.
+determinants).  A Scalar is a frozen canonical value with no arithmetic: the
+code that computes works on the raw values.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class UnsupportedModulusError(ValueError):
 
 
 class FieldMismatchError(ValueError):
-    """Binary operation on scalars from different fields."""
+    """A scalar of one field used where another field is expected."""
 
 
 class ScalarParseError(ValueError):
@@ -148,37 +148,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def _check(self, other: "Scalar"):
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.value * other.value)
-
-    def __neg__(self):
-        return Scalar(self.field, -self.value)
-
-    def inv(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        p = self.field.char
-        return Scalar(self.field, pow(self.value, p - 2, p) if p else 1 / self.value)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
 
     def __str__(self):
         return format_scalar(self)

@@ -2,70 +2,19 @@
 
 Every elimination takes an integer array, int64 or past 2**63 Python ints
 (as `matrices.int_array` decides), and reduces it mod p into its one int64
-copy.  `rank()` and `determinant()` eliminate a `DenseMatrix`'s `ints`
-directly: the residues over GF(p), and over Q the entries times `den`, each
-row divided by gcd(den, row) when den > 1, which clears the row by the lcm
-of its own denominators.  Pivot selection is always leftmost nonzero
-column, lowest row index, which makes the pivot columns deterministic.
+copy (`_residues`).  Pivots are the leftmost nonzero column, lowest row, so
+pivot columns are deterministic.  The map:
 
-One routine, `_eliminate_mod_p`, yields the rank, the pivot columns and the
-determinant mod a prime at once.  It eliminates `_PANEL` = 32 columns at a
-time in int64, each panel over its own columns only, keeping the
-multipliers below the pivots.  The panel's pivot rows are then
-forward-substituted in int64 and the rows below get one float64 (BLAS)
-product of the multipliers with the pivot rows, reduced mod p.  That product
-is exact because every partial sum stays below 2**53: directly while 32 *
-(p - 1)**2 < 2**53 (p <= 16,777,213), and above that by splitting the right
-factor into 16-bit halves.  A matrix at most 64 columns wide is one panel
-and runs no product, so blocking reorders exact updates only.  For small p
-the reductions wait (delayed reduction, as in FFLAS-FFPACK): entries start
-in [0, p), and each pivot subtracts at most (p - 1)**2 from an entry, in the
-panel or as one term of the unsplit product, so every entry stays below
-2**53 in size while max(min(rows, cols), _PANEL) * (p - 1)**2 + p < 2**53.
-Then no `% p` runs on the updated blocks, and only what must be a residue is
-reduced in place: a column before its pivot search, the pivot row's panel
-segment before it is used, and the first pivot row before forward
-substitution.  Word-size primes such as 2**31 - 1 fail the bound at every
-shape, so they reduce after every step.
+- `rank()` and `determinant()` eliminate one `DenseMatrix` by the panel
+  kernel `_eliminate_mod_p` (with `_update_trailing` and `_dot_mod`), and
+  over Q by `_eliminate_q` on the `_row_cleared` integers;
+- `stack_ranks` ranks a (B, n, n) stack, up to 2 * _PANEL columns wide all
+  at once by the batched loop `_stack_echelon`;
+- `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
+- over Q every path ranks mod `_prime(0)` = 8191 first, and what falls short
+  there mod the rest of `_hadamard_primes` (`_over_q`, `_eliminate_q`).
 
-`stack_ranks` ranks whole (B, n, n) stacks: all B matrices at once up to
-64 columns by the one batched loop, `_stack_echelon`, one at a time by
-`_eliminate_mod_p` above that.  The batched loop delays its reductions too
-while p <= `_TABLE_P` = 8191: it reduces column c before the nonzero test
-and the pivot row before its use, scales the pivot row to pivot 1 by a
-cached table of inverses (`_inverses`: 64 KiB at 8191, built once per
-prime), and subtracts row[c] times it from every other row with no `% p`.
-Each pivot then adds at most (p - 1)**2 to an entry, so at the widest stack
-it serves, 2 * _PANEL = 64 columns, entries stay below 64 * 8190**2 + 8191
-(about 2**32), far under 2**63.  Above 8191 it keeps the eager update,
-(piv * row - row[c] * pivot_row) mod p, which needs no inverse.
-
-Over Q the matrix, or each matrix of a stack, is eliminated mod `_prime(0)`
-= `_TABLE_P` = 8191 first, so a stack's screen is lazy.  Rank mod p never
-exceeds rank over Q, column prefix by column prefix, so a rank of
-min(rows, cols) there, with pivot columns 0..r-1 for `rank()`, is the rank
-over Q.  Otherwise, and always for a determinant, `_prime(1)` = 2**31 - 1,
-`_prime(2)`, ... (counting down) run until the product of all the primes,
-8191 included, passes Hadamard's bound H on every minor, or 2H for a
-determinant.  `_hadamard_primes` takes H as the product of the
-m = min(rows, cols) largest row 2-norms, a zero row counted as 1, in exact
-integer squares; over a stack the i-th largest norm is taken at its largest
-over the matrices.  A nonzero integer minor below that product is nonzero
-mod one of the primes, so the max of the ranks mod them is the rank over
-Q, and the determinant is the symmetric residue of the Chinese remainder of
-its residues.  A matrix of full rank over Q that is singular mod 8191
-(about one random matrix in 8191) just goes on to the further primes.
-
-`bordered_ranks` ranks the matrices [[0, u^T], [u, B]] of symmetric blocks
-B and borders u by the bordering method (Faddeev and Faddeeva, 1963): one
-batched Gauss-Jordan elimination per block, `_gauss_jordan` on
-`_stack_echelon`, gives T with T B in reduced echelon form, r = rank B and
-the pivot columns P; a border then costs two exact products (`_dot_mod`)
-shared by all borders and blocks: rows r.. of T u, which are zero exactly
-when u is in col(B) (else the rank is r + 2), and the form u^T x of a
-solution of B x = u, which adds 1 to r when nonzero.
-Over Q only the bordered matrices short of full rank mod `_prime(0)` are
-built and ranked mod the further Hadamard primes, as `stack_ranks` does.
+Each bound a kernel relies on is stated once, where it is enforced.
 """
 
 from __future__ import annotations
@@ -107,11 +56,23 @@ def _eliminate_mod_p(rows, p):
     mod p into its one int64 copy.
 
     The determinant is meaningful for square input only, and is 0 when the
-    rank falls short.  Past 2 * _PANEL columns it runs in _PANEL-column panels.
+    rank falls short.  Past 2 * _PANEL columns it runs in _PANEL-column
+    panels: each is eliminated over its own columns only, keeping the
+    multipliers below the pivots, and `_update_trailing` applies it to the
+    columns right of it.  A matrix at most 2 * _PANEL wide is one panel.
+
+    Delayed reduction (as in FFLAS-FFPACK): entries start in [0, p), and each
+    pivot subtracts at most (p - 1)**2 from an entry, in the panel or as one
+    term of the trailing product, so every entry stays below 2**53 in size
+    while max(min(rows, cols), _PANEL) * (p - 1)**2 + p < 2**53.  Then no
+    `% p` runs on the updated blocks: only a column before its pivot search
+    and the pivot row's panel segment before its use are reduced.
+    Word-size primes such as 2**31 - 1 fail the bound at every shape, so
+    they reduce after every step.
     """
     R = _residues(rows, p)
     nr, nc = R.shape
-    lazy = max(min(nr, nc), _PANEL) * (p - 1) ** 2 + p < 2**53  # see the module docstring
+    lazy = max(min(nr, nc), _PANEL) * (p - 1) ** 2 + p < 2**53
     pr = 0
     det = 1
     pivots = []
@@ -176,7 +137,7 @@ def _hadamard_primes(a, m, factor=1):
     integer matrix `a`, or of every matrix of the stack `a`: the product of
     the m largest row 2-norms, each taken as at least 1, and over a stack the
     i-th largest at its largest over the matrices.  It is computed exactly,
-    as squares."""
+    as squares.  A nonzero minor is then nonzero mod one of the primes."""
     size = max(int(a.max()), -int(a.min()))
     a = a if size**2 * a.shape[-1] < 2**63 else a.astype(object)  # exact sums of squares
     norms_sq = np.sort(np.maximum((a * a).sum(axis=-1), 1), axis=-1).reshape(-1, a.shape[-2])
@@ -192,14 +153,9 @@ def stack_ranks(stack, p) -> np.ndarray:
     or Python ints in an object array), as an int64 array of B ranks: mod p,
     or with p = 0 over Q.
 
-    Over Q a matrix is done when its rank mod `_prime(0)` = 8191 is
-    min(n_rows, n_cols), since rank mod p <= rank over Q <= min(n_rows,
-    n_cols).  The matrices that fall short get the max of their ranks mod
-    `_hadamard_primes` of their own entries, the first of which is 8191.
-    Mod p, matrices past 2 * _PANEL columns go one at a time to the faster
-    `_eliminate_mod_p`; narrower ones are eliminated together by
-    `_stack_echelon` (with delayed reduction for p <= _TABLE_P), whose ranks
-    are `_eliminate_mod_p`'s although its eliminated entries are not.
+    Over Q the ranks mod `_prime(0)` go to `_over_q`.  Mod p, matrices past
+    2 * _PANEL columns go one at a time to the faster `_eliminate_mod_p`;
+    narrower ones are eliminated together by `_stack_echelon`.
     """
     if not p:
         return _over_q(stack, stack_ranks(stack, _prime(0)))
@@ -298,9 +254,10 @@ def _inverse(x, p):
 
 def _over_q(stack, ranks):
     """The ranks over Q of an integer stack, from `ranks`, its ranks mod
-    `_prime(0)`: each matrix short of min(n_rows, n_cols) there gets the max
-    of its ranks mod the rest of `_hadamard_primes` of the short matrices'
-    entries (none when 8191 alone passes their bound)."""
+    `_prime(0)`.  Rank mod p never exceeds rank over Q, so a matrix of rank
+    min(n_rows, n_cols) there is done; each other matrix gets the max of its
+    ranks mod the rest of `_hadamard_primes` of the short matrices' entries
+    (none when 8191 alone passes their bound)."""
     full = min(stack.shape[1:])
     short = np.flatnonzero(ranks < full)
     if short.size:
@@ -338,7 +295,8 @@ def bordered_ranks(blocks, borders, p) -> np.ndarray:
     integer array `borders`, as a (K, L) int64 array: mod p, or with p = 0
     over Q.  Integers are taken as `stack_ranks` takes them.
 
-    This is the bordering method.  With T, r and P from `_gauss_jordan(B)`
+    This is the bordering method (Faddeev and Faddeeva, 1963).  With T, r
+    and P from `_gauss_jordan(B)`
     and v = T u, u lies in col(B) exactly when v is zero past row r, and
     then u = B x for the x with x[P_i] = v_i and zeros elsewhere.  For
     symmetric B the rank is r + 2 when u is outside col(B), and otherwise
@@ -412,11 +370,11 @@ def _update_trailing(R, pr0, pr, cols, c1, p, lazy):
 
     The pivot rows are forward-substituted one at a time in int64; the rows
     below get one float64 (BLAS) product of their multipliers with the pivot
-    rows.  `_dot_mod` keeps both exact.  With `lazy` (the bound of the module
-    docstring holds) the first pivot row is reduced before it is used and the
-    rows below are left unreduced: every entry stays below 2**53, so the
-    float64 subtract is still exact.  Without it, as for word-size primes,
-    whose (p - 1)**2 alone is past 2**53, the rows below are reduced here.
+    rows.  `_dot_mod` keeps both exact.  With `lazy`, set by the delayed
+    reduction bound of `_eliminate_mod_p`, the first pivot row is reduced
+    before it is used and the rows below are left unreduced: every entry
+    stays below 2**53, so the float64 subtract is still exact.  Without it,
+    as for word-size primes, the rows below are reduced here.
     """
     U = R[pr0:pr, c1:]
     if lazy:
@@ -434,11 +392,12 @@ def _eliminate_q(a, det=False):
     """Rank, pivot columns and, with `det`, the determinant over Q of a nonempty
     integer matrix, from its eliminations mod _prime(0), _prime(1), ...
 
-    A rank ends at the first prime when it is full with pivots 0..r-1.  Else
-    the primes are `_hadamard_primes` (with factor 2 for a determinant); each
-    column prefix's rank is the max of its ranks mod them, so the pivot
-    columns are where that max grows.  The determinant is the symmetric
-    residue of the Chinese remainder of its residues.
+    A rank ends at the first prime when it is full with pivots 0..r-1, as
+    rank mod p never exceeds rank over Q.  Else the primes are
+    `_hadamard_primes`, and each column prefix's rank is the max of its ranks
+    mod them, so the pivot columns are where that max grows.  The
+    determinant, below half their product in size (factor 2), is the
+    symmetric residue of the Chinese remainder of its residues.
     """
     first = _eliminate_mod_p(a, _prime(0))
     if not det and first[0] == min(a.shape) and first[1] == tuple(range(first[0])):

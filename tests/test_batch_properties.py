@@ -11,7 +11,8 @@ rank there, and stacks that mix both kinds are checked against `rank()` and
 the Bareiss oracle.  `bordered_ranks` is checked against `stack_ranks` of
 the bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
-`stack_ranks` of the same codes, in one process and in two workers.
+`stack_ranks` of the same codes, in one process, in two workers, and in
+slices of 3 runs, where most runs copy a first run of an earlier slice.
 `_gauss_jordan`, which `bordered_ranks` is built on, is checked against its
 contract: T B in reduced row echelon form for an invertible T.
 """
