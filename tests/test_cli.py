@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import tourmat
+from tourmat import experiments as ex
 from tourmat.cli import build_parser, main
+from tourmat.matrices import WeightSeq
 
 
 def run(capsys, *argv):
@@ -171,6 +174,30 @@ def test_seq_file_input(tmp_path, capsys):
                      "--seq", str(seq), "--out", str(out), "--seed", "1")
     assert code == 0
     assert "rows=3" in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_verify_exits_one_and_still_writes_its_report(tmp_path, capsys, monkeypatch, fmt):
+    """Weights 1, 2, 1, 2, 1 over GF(3) break certifiability at n = 5, s = 4:
+    exit 1, a FAIL line naming the first failing record, and the report on disk."""
+    monkeypatch.setattr(ex, "_certify_weights",
+                        lambda field, n, s, z: WeightSeq.of(field, [1, 2, 1, 2, 1][:n]))
+    out = tmp_path / f"report.{fmt}"
+    code, stdout, err = run(capsys, "verify", "--theorem", "certify", "--field", "GF(3)",
+                            "--n-max", "5", "--format", fmt, "--out", str(out))
+    assert code == 1 and stdout == ""
+    fail = [ln for ln in err.splitlines() if ln.startswith("FAIL: ")]
+    assert len(fail) == 1 and not any(ln.startswith("ok: ") for ln in err.splitlines())
+    count, witness = fail[0].removeprefix("FAIL: ").split(" violation(s); first witness: ")
+    witness = ast.literal_eval(witness)
+    assert witness == {"n": 5, "s": 4, "field": "GF(3)", "z": "1", "tournaments": 1024,
+                       "violations": 96, "first_bad_code": 65, "pass": False}
+    if fmt == "json":
+        report = json.loads(out.read_text())
+        assert report["summary"]["violations"] == int(count) == 96
+        assert next(rec for rec in report["records"] if not rec["pass"]) == witness
+    else:
+        assert "5,4,GF(3),1,1024,96,65,false" in out.read_text().splitlines()
 
 
 def test_csv_report_format(capsys):

@@ -81,10 +81,17 @@ CLI_CASES = {
                         "--n", "5", "--seed", "1"],
     "verify-lipschitz": ["verify", "--theorem", "lipschitz", "--field", "Q",
                          "--n", "7", "--flips", "25", "--seed", "3"],
+    # pins the stream order (flipped edge, then the replaced position, then its
+    # weight), which the Q case above with weights 1 and 2 does not
+    "verify-lipschitz-GF5": ["verify", "--theorem", "lipschitz", "--field", "GF(5)",
+                             "--seq", "1,2,3,4,1", "--flips", "300", "--seed", "5"],
     "verify-certify-Q": ["verify", "--theorem", "certify", "--field", "Q",
                          "--n-max", "4", "--z", "2"],
     "verify-certify-GF3": ["verify", "--theorem", "certify", "--field", "GF(3)",
                            "--n-max", "5"],
+    # CSV cells: None as an empty cell (first_bad_code), a list joined by ";"
+    "verify-certify-GF3-csv": ["verify", "--theorem", "certify", "--field", "GF(3)",
+                               "--n-max", "4", "--format", "csv"],
     "verify-constant": ["verify", "--theorem", "constant", "--field", "GF(3)",
                         "--n-range", "2..11", "--value", "2"],
     "verify-ffbound": ["verify", "--theorem", "ffbound", "--field", "GF(3)",
@@ -105,6 +112,8 @@ CLI_CASES = {
                        "--seq", ",".join("1212121212121"), "--seed", "9", "--format", "csv"],
     "perm-scan": ["perm-scan", "--field", "Q", "--tournament", "random:5",
                   "--seq", "1,2,3,4,5", "--seed", "4"],
+    "perm-scan-csv": ["perm-scan", "--field", "Q", "--tournament", "random:5",
+                      "--seq", "1,2,3,4,5", "--seed", "4", "--format", "csv"],
     # exhaustive prime-field sweeps: a shard that starts and ends off any
     # batch boundary, weights near a word-size p, and the one- and two-vertex
     # edge cases
@@ -155,19 +164,21 @@ CLI_CASES = {
 }
 
 PINNED = {
+    "bisect-matrix-sizes-2-4-2": "43219019f689047c9ebf154b475edc760de5611ab32606788da2685f3d4fdbce",
+    "bisect-matrix-star5": "e5e67eec39eeb79dbacd0fb388852891e48e7ac6d276c200714427801b32a3a8",
     "build": "b4080daa154c339c7d7051d4988cebd8e8f9e539752620897c8a82a0f666a145",
     "builders-GF5": "3afaac0607327e1f3fcbde775eee7037fb251a99602ffb474eb2245737e7ec1d",
     "builders-Q": "ad16bd6afea9d8218632bde99affb849ea8a766439b2da846e0c05f9bcb3f0dc",
     "bytestream": "97df01570eae3efa18c62587ff9d4993aa02b029aee545febae9d0dcaacdb85e",
     "minrank-GF2-shard": "d68b192154747df607c6fff3ca5cf5b4c330768c9688240c9352e155034513cc",
-    "minrank-GF3-shard-off-blocks": "d80d82b319bf481a58a9aea0da5015c35c9e0917da140036bcbfcacd39c79411",
     "minrank-GF3-n1": "80f9217142fe413b0f7ee216def88053200a1ae6d72e8563fe342c8141477b5d",
     "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
     "minrank-GF3-n7-cycling": "4c820ef50f8d932a2a97e6a6ccb223adda848da95419f819e8a1f35999dd9867",
     "minrank-GF3-n8-cycling": "0be9cd5be526ae3c66defdfba7988ebb45c0d9bd6ef989befa709fbbb7ee026f",
-    "minrank-Q-past-63-bits": "b97d1f502791df04c1a730773f31c63eb56af21fe68d81fb963ec3f746588453",
+    "minrank-GF3-shard-off-blocks": "d80d82b319bf481a58a9aea0da5015c35c9e0917da140036bcbfcacd39c79411",
     "minrank-Q-n6-rank5-768": "6f8c1ada93a7190b7be3ecbd19b30ed535bfae02a9ef568f1bca3e37f890fc37",
     "minrank-Q-n6-signed-rank5-96": "1a40139dc148a10726fed9a3df416b7655e1f511e54bd3eb2110e054d578db73",
+    "minrank-Q-past-63-bits": "b97d1f502791df04c1a730773f31c63eb56af21fe68d81fb963ec3f746588453",
     "minrank-Q-word-size": "9811b30dc5a5776dc3ddf7b1e8823c7e40ce95ae6d10b6d353ce7513aad1e982",
     "minrank-csv": "4b0e36afa2674a367e682f83144cb9ba003f4c463b7a82c577f947f2b2ebca03",
     "minrank-word-prime": "aee44a471e9914a8a2d4193f0ac9dfb973993dde6658e4d3ce20f8e28c0f650b",
@@ -176,10 +187,12 @@ PINNED = {
     "montecarlo-GF3": "7c56bacb85e8d30e91572de3462136a53a5f97f24c52f2b8ad2e92f9fef42728",
     "montecarlo-Q": "d8c98cfacdd54d2038feb56aef13afbb738e9a0280204e58e52fed96fc321f29",
     "perm-scan": "989fb7df3f8372c8ed60047140c210ba059d0ea70f5412d46d858161bf822211",
+    "perm-scan-csv": "2262a0e9f2aaea2199c1ea8492db4a30a352f0971774d313c595197a4ad2b5a7",
     "rank": "760a6a3de4873e4d40bd9f584ff5a839da6739d466b2573254b64203a27c0231",
     "tournament-codes": "355fc987e6350fc523591970f191e4151fb3bcf609b85d2c10e4db37e85d58e5",
     "verify-certify-GF2": "daab1251119581643678ac7346e8558cbed61809e9fca8d842ca81d773ab9164",
     "verify-certify-GF3": "be89c65f199c1d044f8ec59e2717805594ff83b27dc6fb930430f6ebd2dd9ee5",
+    "verify-certify-GF3-csv": "8569d069789ce71242e598576aae530a48b5d48768c2c14c9019163b311ece58",
     "verify-certify-GF5-z3": "3ec3e02b3c5f56908f63465ba71ca4a4ec3220f06898de887071c251dbc017db",
     "verify-certify-Q": "8e679eb0398abd735f535c9dc12be48ce24c5dc70aa954ae3c8e03203ef82f34",
     "verify-certify-Q-word-prime": "8bdc810537177067ca295593eec39f21a9c12895d749c19193b420418aae308e",
@@ -189,6 +202,7 @@ PINNED = {
     "verify-ffbound": "42d736ffc2f2a54a1cd036fd020448a0a491172b051492067241a36cfdefb2e5",
     "verify-ffbound-GF5": "4893c914fb0bda85c8cca8c065e77508c0c27c31d8cb76c02658112b5d09fb40",
     "verify-lipschitz": "f91eea99f1ac3585638044c485f51b923d27f69fb12455514dc6ec9b1746934b",
+    "verify-lipschitz-GF5": "a63071523c11d2baa9e50ef210e87227ef5e5c4556cf2213693e520bfda99729",
     "verify-reversal": "3c25fd28dd2436008549253af448e17ec09dce5c156c4fdbcb4ae985a7533827",
     "verify-transitive": "b53d4ce2f72d3d29c72d8d4ec9b5ba41e3cb65f6d77f9f031b920121b173cf93",
 }
@@ -228,6 +242,23 @@ def test_cli_report_digest(name, tmp_path):
 
 def test_rank_digest(tmp_path):
     assert sha(_rank_outputs(tmp_path)) == PINNED["rank"]
+
+
+FAMILIES = {
+    "bisect-matrix-star5": "n=5\n1 2\n1 3\n1 4\n1 5\n",
+    # weights 2, 4, 2: the 4-set is tau of both its pairs, so entries 2 and 4 occur
+    "bisect-matrix-sizes-2-4-2": "n=5\n1 2\n1 3 4 5\n2 3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_bisect_matrix_digest(name, tmp_path, capsys):
+    """A bisecting family's reduced matrix CSV and its weights line."""
+    fam = tmp_path / "family.txt"
+    fam.write_text(FAMILIES[name])
+    csv = _run_cli(["bisect", "matrix", "--family", str(fam)], tmp_path / "m.csv")
+    weights = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("weights:")]
+    assert sha(csv + "\n".join(weights).encode()) == PINNED[name]
 
 
 def test_minrank_worker_count_does_not_move_bytes():
