@@ -35,7 +35,8 @@ import numpy as np
 
 from . import bounds
 from .fields import Field, Scalar
-from .matrices import DenseMatrix, LengthMismatchError, WeightSeq, ZeroWeightError, tournament_stack
+from .matrices import (DenseMatrix, LengthMismatchError, WeightSeq, ZeroWeightError, int_array,
+                       tournament_stack)
 from .rank import bordered_ranks, stack_ranks
 from .report import RecordTable, Report
 from .rng import ByteStream
@@ -165,9 +166,10 @@ def _with_reversals(bits, row, p: int):
 
 
 def _pair_sums(row, p: int):
-    """The pair sums a_i + a_j (i != j) as one stack: code 0's matrix plus its reversal's."""
-    base, rev = _with_reversals(np.zeros((1, n_pairs(row.shape[1])), np.uint8), row, p)
-    return _reduce(base + rev, p)
+    """The pair sums a_i + a_j (i != j) straight from a (1, n) row, as one stack
+    with a zero diagonal (Python ints over Q)."""
+    a = row if p else row.astype(object)
+    return _reduce(np.where(np.eye(a.shape[1], dtype=bool), 0, a.T + a)[None], p)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +298,23 @@ def verify_lipschitz(weights: WeightSeq, flips: int = 1000, seed: int = 0) -> Re
     n, field = len(weights), weights.field
     _require_n(n, 2, "edge-flip check")
     _refuse_empty(flips, f"flips={flips}")
-    row = weights.int_row()
+    # row is int_row(); a replaced weight enters it times den (1 over GF(p)), which keeps
+    # each replaced row a multiple of its own weights' int_row, so no rank moves
+    cleared = DenseMatrix.from_rows(field, [weights.values])
+    row, den = cleared.ints, cleared.den
     records = []
     for first, bits in _bit_batches(n, 0, flips, seed):
-        flipped, replaced = bits.copy(), []
+        flipped, replaced = bits.copy(), np.repeat(row.astype(object), len(bits), axis=0)
         for b in range(len(bits)):
             stream = ByteStream(seed, "lipschitz", first + b)
             u = stream.randrange(n)  # the flipped edge's vertices u + 1 and v + 1
             v = (u + 1 + stream.randrange(n - 1)) % n  # an offset of 1..n-1 keeps v != u
             flipped[b, pair_index(n, 1 + min(u, v), 1 + max(u, v))] ^= 1
             pos = stream.randrange(n)
-            replaced.append(weights.replace(pos, _random_nonzero(field, stream)).int_row())
+            replaced[b, pos] = _random_nonzero(field, stream) * den
         # each trial's rank as drawn, with one edge flipped, and with one weight replaced
         ranks = _ranks_side_by_side([tournament_stack(b, vals) for b, vals in (
-            (bits, row), (flipped, row), (bits, np.concatenate(replaced)))], field.char)
+            (bits, row), (flipped, row), (bits, int_array(replaced)))], field.char)
         for i, (r, r_flip, r_replace) in enumerate(ranks, first):
             records.append({"trial": i, "rank": r, "rank_flipped": r_flip,
                             "rank_replaced": r_replace,

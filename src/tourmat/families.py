@@ -7,7 +7,7 @@ and off-diagonal n - 2|tau(A, B)|, where tau picks the member whose size is
 twice the intersection (A wins ties).  Consequently (nJ - X X^T)/2 is an
 m x m matrix of the tournament-matrix family for the weights
 (|A_1|, ..., |A_m|), which is what ties family size bounds to matrix rank
-bounds.  Everything here is over the rationals.
+bounds.  Everything here is over the rationals; X X^T is exact in int64.
 """
 
 from __future__ import annotations
@@ -63,23 +63,26 @@ class SetFamily:
 
 
 @dataclass(frozen=True, slots=True)
-class BisectVerdict:
+class Verdict:
+    """A check's outcome: ok, or the witness of its first failure."""
+
     ok: bool
-    witness: tuple | None  # (index_a, index_b) of the first violating pair
+    witness: tuple | None
 
     def __bool__(self):
         return self.ok
 
 
-def check_bisecting(family: SetFamily) -> BisectVerdict:
-    """Check every pair; on failure report the first violating pair in index order."""
+def check_bisecting(family: SetFamily) -> Verdict:
+    """Check every pair; on failure the witness is the first violating pair
+    (index_a, index_b) in index order."""
     sets = family.sets
     for a in range(len(sets)):
         for b in range(a + 1, len(sets)):
             inter = len(sets[a] & sets[b])
             if 2 * inter != len(sets[a]) and 2 * inter != len(sets[b]):
-                return BisectVerdict(False, (a, b))
-    return BisectVerdict(True, None)
+                return Verdict(False, (a, b))
+    return Verdict(True, None)
 
 
 def tau(a: frozenset, b: frozenset) -> frozenset:
@@ -95,44 +98,40 @@ def incidence_pm1(family: SetFamily) -> DenseMatrix:
     return DenseMatrix(QQ, 2 * np.array(inside, np.int64).reshape(len(inside), family.ground_n) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class GramVerdict:
-    ok: bool
-    witness: tuple | None  # (row, col, expected, actual) of the first bad entry
+def _bisecting_gram(family: SetFamily) -> np.ndarray:
+    """X X^T for the +-1 incidence array X of a bisecting family (int64, exact)."""
+    verdict = check_bisecting(family)
+    if not verdict.ok:
+        raise NotBisectingError(f"family is not self-bisecting, witness pair {verdict.witness}")
+    x = incidence_pm1(family).ints
+    return x @ x.T
 
-    def __bool__(self):
-        return self.ok
 
-
-def gram_check(family: SetFamily, gram: DenseMatrix | None = None) -> GramVerdict:
+def gram_check(family: SetFamily, gram: DenseMatrix | None = None) -> Verdict:
     """Verify the Gram identities of the +-1 incidence matrix, entry by entry.
 
     Diagonal entries must equal n; entry (A, B) must equal both
     n - 2(|A| + |B|) + 4|A n B| and, for bisecting families, n - 2|tau(A, B)|.
-    Passing an explicit `gram` matrix checks that matrix instead of the
-    computed one (negative-control hook).
+    On failure the witness is (row, col, expected, actual) of the first bad
+    entry.  Passing an explicit `gram` matrix checks that matrix instead of
+    the computed one (negative-control hook).
     """
-    verdict = check_bisecting(family)
-    if not verdict.ok:
-        raise NotBisectingError(f"family is not self-bisecting, witness pair {verdict.witness}")
-    if gram is None:
-        x = incidence_pm1(family)
-        gram = x @ x.transpose()
+    computed = _bisecting_gram(family)
+    g, den = (computed, 1) if gram is None else (gram.ints, gram.den)
     n = family.ground_n
     sets = family.sets
     for r in range(len(sets)):
         for c in range(len(sets)):
             if r == c:
-                expected = Fraction(n)
+                expected = n
             else:
                 a, b = sets[r], sets[c]
-                expected = Fraction(n - 2 * (len(a) + len(b)) + 4 * len(a & b))
+                expected = n - 2 * (len(a) + len(b)) + 4 * len(a & b)
                 if expected != n - 2 * len(tau(a, b)):
-                    return GramVerdict(False, (r, c, str(expected), "tau-size mismatch"))
-            actual = gram.at(r, c).value
-            if actual != expected:
-                return GramVerdict(False, (r, c, str(expected), str(actual)))
-    return GramVerdict(True, None)
+                    return Verdict(False, (r, c, str(expected), "tau-size mismatch"))
+            if g[r, c] != expected * den:
+                return Verdict(False, (r, c, str(expected), str(Fraction(int(g[r, c]), den))))
+    return Verdict(True, None)
 
 
 def family_to_matrix(family: SetFamily):
@@ -142,12 +141,7 @@ def family_to_matrix(family: SetFamily):
     (i, j) entry lies in {|A_i|, |A_j|} - membership in the tournament-matrix
     family for the size weights.
     """
-    verdict = check_bisecting(family)
-    if not verdict.ok:
-        raise NotBisectingError(f"family is not self-bisecting, witness pair {verdict.witness}")
-    x = incidence_pm1(family)
-    gram = x @ x.transpose()
-    matrix = DenseMatrix(QQ, family.ground_n - gram.ints, 2)  # the +-1 Gram matrix is integer
+    matrix = DenseMatrix(QQ, family.ground_n - _bisecting_gram(family), 2)
     weights = WeightSeq.of(QQ, [len(s) for s in family.sets])
     if not in_matrix_family(matrix, weights):
         raise NotBisectingError("reduced matrix fails the family membership check")

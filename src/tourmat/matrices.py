@@ -16,7 +16,8 @@ over GF(p), and over Q the entries times one positive `den`, the lcm of
 their denominators.  `DenseMatrix.from_rows` is the one clearing rule for
 rows of ints, Fractions or Scalars; `WeightSeq.int_row` applies it to the
 weights.  Canonical values (`Field.reduce`) and `Scalar`s appear only at the
-API edge: `entries`, `at`, `row`, `raw_rows` and CSV.
+API edge: `entries`, `at`, `row`, `raw_rows` and CSV.  There is no matrix
+arithmetic: products, transposes and tests of shape run on `ints`.
 
 Matrix rows/columns are 0-indexed; row r corresponds to vertex r + 1.
 """
@@ -77,11 +78,6 @@ class WeightSeq:
 
     def __getitem__(self, k):
         return self.values[k]
-
-    def replace(self, k: int, value) -> "WeightSeq":
-        """A copy with values[k] swapped for `value` (still nonzero)."""
-        vals = self.values[:k] + (self.field.scalar(value),) + self.values[k + 1:]
-        return WeightSeq(self.field, vals)
 
     def int_row(self) -> np.ndarray:
         """The weights as a (1, n) integer row, by `DenseMatrix.from_rows`: the
@@ -174,29 +170,11 @@ class DenseMatrix:
         """The raw values, row-major."""
         return tuple(v for row in self.raw_rows() for v in row)
 
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.ints.T, self.den)
-
     def principal_submatrix(self, s: int) -> "DenseMatrix":
         """Top-left s x s block."""
         if not 0 <= s <= min(self.n_rows, self.n_cols):
             raise MatrixShapeError(f"principal size {s} out of range")
         return DenseMatrix(self.field, self.ints[:s, :s], self.den)
-
-    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if self.n_cols != other.n_rows:
-            raise MatrixShapeError("shape mismatch in matmul")
-        p = self.field.char
-        out = self.ints.astype(object) @ other.ints.astype(object)  # Python ints: no wrap
-        return DenseMatrix(self.field, out % p if p else out, self.den * other.den)
-
-    def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and bool(np.array_equal(self.ints, self.ints.T))
-
-    def has_zero_diagonal(self) -> bool:
-        return not np.diagonal(self.ints).any()
 
 
 def _check_weights(t: Tournament, weights: WeightSeq):
@@ -258,12 +236,11 @@ def ratio_matrix(t: Tournament, weights: WeightSeq) -> DenseMatrix:
 
 def in_matrix_family(m: DenseMatrix, weights: WeightSeq) -> bool:
     """True iff m is symmetric, zero-diagonal, with entry (i,j) in {a_i, a_j}."""
-    n = len(weights)
-    if (m.field != weights.field or m.ints.shape != (n, n) or not m.is_symmetric()
-            or not m.has_zero_diagonal()):
+    n, x = len(weights), m.ints
+    if m.field != weights.field or x.shape != (n, n) or (x != x.T).any() or x.diagonal().any():
         return False
     w = DenseMatrix.from_rows(weights.field, [weights.values])
-    x, a = m.ints.astype(object) * w.den, w.ints.astype(object) * m.den  # on one scale
+    x, a = x.astype(object) * w.den, w.ints.astype(object) * m.den  # on one scale
     return bool(((x == a) | (x == a.T) | np.eye(n, dtype=bool)).all())
 
 

@@ -79,13 +79,13 @@ def test_gram_identity_counting_random_families():
     stream = ByteStream(11, "families")
     for _ in range(15):
         fam = random_family(stream, 6, 4)
-        x = incidence_pm1(fam)
-        g = x @ x.transpose()
+        x = incidence_pm1(fam).ints
+        g = x @ x.T
         n = fam.ground_n
         for r, a in enumerate(fam.sets):
             for c, b in enumerate(fam.sets):
                 expected = n if r == c else n - 2 * (len(a) + len(b)) + 4 * len(a & b)
-                assert g.at(r, c).value == expected
+                assert g[r, c] == expected
 
 
 def test_gram_rank_at_most_ground_size():
@@ -93,7 +93,7 @@ def test_gram_rank_at_most_ground_size():
     for _ in range(10):
         fam = random_family(stream, 5, 4)
         x = incidence_pm1(fam)
-        g = x @ x.transpose()
+        g = DenseMatrix(QQ, x.ints @ x.ints.T)
         assert rank(g).rank <= min(len(fam.sets), fam.ground_n)
         assert rank(g).rank == rank(x).rank  # Gram factorization over Q
 
@@ -101,21 +101,19 @@ def test_gram_rank_at_most_ground_size():
 def test_gram_check_star5():
     verdict = gram_check(STAR5)
     assert verdict.ok
-    x = incidence_pm1(STAR5)
-    g = x @ x.transpose()
-    assert [[v.value for v in g.row(r)] for r in range(4)] == [
-        [5, 1, 1, 1], [1, 5, 1, 1], [1, 1, 5, 1], [1, 1, 1, 5]]
+    x = incidence_pm1(STAR5).ints
+    assert (x @ x.T).tolist() == [[5, 1, 1, 1], [1, 5, 1, 1], [1, 1, 5, 1], [1, 1, 1, 5]]
 
 
 def test_gram_check_negative_control():
-    x = incidence_pm1(STAR5)
-    g = x @ x.transpose()
-    rows = [[v.value for v in g.row(r)] for r in range(4)]
-    rows[1][2] = 99
-    corrupted = DenseMatrix.from_rows(QQ, rows)
-    verdict = gram_check(STAR5, gram=corrupted)
-    assert not verdict.ok
-    assert verdict.witness[:2] == (1, 2)
+    x = incidence_pm1(STAR5).ints
+    for bad, shown in ((99, "99"), (Fraction(3, 2), "3/2")):
+        rows = (x @ x.T).tolist()
+        rows[1][2] = bad
+        verdict = gram_check(STAR5, gram=DenseMatrix.from_rows(QQ, rows))
+        assert not verdict.ok
+        assert verdict.witness == (1, 2, "1", shown)
+    assert gram_check(STAR5, gram=DenseMatrix(QQ, 2 * (x @ x.T), 2))
 
 
 def test_gram_check_requires_bisecting():
@@ -156,9 +154,9 @@ def test_size_bound_report_star():
 
 def test_size_bound_report_ranks_the_gram_product():
     for fam in (STAR4, STAR5, SetFamily.of(4, [{1, 2}]), SetFamily.of(6, [{1, 2}, {1, 3, 4, 5}])):
-        x = incidence_pm1(fam)
+        x = incidence_pm1(fam).ints
         rep = size_bound_report(fam, Fraction(1, 3))
-        assert rep["rank_gram"] == rank(x @ x.transpose()).rank
+        assert rep["rank_gram"] == rank(DenseMatrix(QQ, x @ x.T)).rank
 
 
 def test_size_bound_single_set_vacuous():
