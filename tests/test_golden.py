@@ -161,6 +161,13 @@ CLI_CASES = {
     # their ranks from a first run in an earlier slice
     "minrank-GF3-n8-cycling": ["minrank", "--field", "GF(3)", "--n", "8",
                                "--seq", "1,2,1,2,1,2,1,2", "--seed", "0"],
+    # Q Monte Carlo past the batched kernel's width, every rank in the report:
+    # n = 50 with the weights of the mc-q-n50 benchmark, and n = 80, more than
+    # two elimination panels wide
+    "montecarlo-Q-n50-full": ["montecarlo", "--field", "Q", "--n", "50", "--samples", "30",
+                              "--seq", ",".join("12" * 25), "--seed", "4", "--full-records"],
+    "montecarlo-Q-n80-full": ["montecarlo", "--field", "Q", "--n", "80", "--samples", "10",
+                              "--seq", ",".join("1234" * 20), "--seed", "6", "--full-records"],
 }
 
 PINNED = {
@@ -186,6 +193,8 @@ PINNED = {
     "minrank-workers-2": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
     "montecarlo-GF3": "7c56bacb85e8d30e91572de3462136a53a5f97f24c52f2b8ad2e92f9fef42728",
     "montecarlo-Q": "d8c98cfacdd54d2038feb56aef13afbb738e9a0280204e58e52fed96fc321f29",
+    "montecarlo-Q-n50-full": "9589e740c0e68085b19ab1fac26a561c48e309164f920524235d126a5f7322f3",
+    "montecarlo-Q-n80-full": "e6ffb1803603c2be432be2a461ec79e9fb85ad6971d2eecdd0162bd50893cec3",
     "perm-scan": "989fb7df3f8372c8ed60047140c210ba059d0ea70f5412d46d858161bf822211",
     "perm-scan-csv": "2262a0e9f2aaea2199c1ea8492db4a30a352f0971774d313c595197a4ad2b5a7",
     "rank": "760a6a3de4873e4d40bd9f584ff5a839da6739d466b2573254b64203a27c0231",
