@@ -597,11 +597,16 @@ def minrank_exhaustive(weights: WeightSeq, shard=None, workers: int = 1,
     low = bounds.finite_field_bound(n, field.char) if field.is_prime_field else None
     need = 0 if low is None else math.ceil(low)  # ranks are >= 0, so 0 checks nothing
     # a comparison makes a bool array as long as its input, so the counts and
-    # the argmins run over slices of the int8 ranks (bincount would copy each
-    # slice to intp, eight times its size)
+    # the argmins run over slices of the int8 ranks.  A slice compares only
+    # with the ranks from its min up to its max, which takes the rest: bincount
+    # would count it in one pass, but casts it to intp and is slower than that
     starts = range(0, len(ranks), _SWEEP_CODES)
-    counts = sum(np.array([np.count_nonzero(ranks[i:i + _SWEEP_CODES] == r) for r in range(n + 1)])
-                 for i in starts)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i in starts:
+        part = ranks[i:i + _SWEEP_CODES]
+        least, most = int(part.min()), int(part.max())
+        below = [np.count_nonzero(part == r) for r in range(least, most)]
+        counts[least:most + 1] += below + [len(part) - sum(below)]
     min_rank = int(np.flatnonzero(counts)[0])
     argmins = (lo + i + j for i in starts
                for j in np.flatnonzero(ranks[i:i + _SWEEP_CODES] == min_rank).tolist())

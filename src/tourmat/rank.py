@@ -11,8 +11,10 @@ pivot columns are deterministic.  The map:
 - `stack_ranks` ranks a (B, n, n) stack, up to 2 * _PANEL columns wide all
   at once by the batched loop `_stack_echelon`;
 - `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
-- over Q every path ranks mod `_prime(0)` = 8191 first, and what falls short
-  there mod the rest of `_hadamard_primes` (`_over_q`, `_eliminate_q`).
+- over Q `stack_ranks` first certifies full ranks from a float64 inverse
+  (`_certified_full`) on square int64 stacks at least _CERT_N wide;
+- over Q every other path ranks mod `_prime(0)` = 8191 first, and what falls
+  short there mod the rest of `_hadamard_primes` (`_over_q`, `_eliminate_q`).
 
 Each bound a kernel relies on is stated once, where it is enforced.
 """
@@ -23,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import gcd, prod
+from math import frexp, gcd, prod
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .matrices import DenseMatrix, int_array
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
 _TABLE_P = 8191  # the largest prime whose stack eliminations delay reduction, by table inverses
+# the narrowest square Q stack whose matrices `_certified_full` tries first: below
+# about 31 columns the batched elimination mod 8191 costs less per matrix
+_CERT_N = 32
 # the Q primes: the table prime, then descending primes below 2**31 (int64-safe
 # products), extended by _prime
 _PRIMES = [_TABLE_P, 2**31 - 1]
@@ -153,16 +158,63 @@ def stack_ranks(stack, p) -> np.ndarray:
     or Python ints in an object array), as an int64 array of B ranks: mod p,
     or with p = 0 over Q.
 
-    Over Q the ranks mod `_prime(0)` go to `_over_q`.  Mod p, matrices past
-    2 * _PANEL columns go one at a time to the faster `_eliminate_mod_p`;
+    Over Q a square int64 stack at least _CERT_N wide has each matrix that
+    `_certified_full` certifies set to full rank; the ranks mod `_prime(0)`
+    of the rest, or of every other stack, go to `_over_q`.  Mod p, matrices
+    past 2 * _PANEL columns go one at a time to the faster `_eliminate_mod_p`;
     narrower ones are eliminated together by `_stack_echelon`.
     """
     if not p:
-        return _over_q(stack, stack_ranks(stack, _prime(0)))
+        n_rows, n_cols = np.shape(stack)[1:]
+        if stack.dtype != np.int64 or not n_rows == n_cols >= _CERT_N:
+            return _over_q(stack, stack_ranks(stack, _prime(0)))
+        ranks = np.full(len(stack), n_cols, dtype=np.int64)
+        rest = np.flatnonzero([not _certified_full(m) for m in stack])
+        if rest.size:
+            ranks[rest] = _over_q(stack[rest], stack_ranks(stack[rest], _prime(0)))
+        return ranks
     n_cols = np.shape(stack)[2]
     if n_cols > 2 * _PANEL:
         return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
     return _stack_echelon(_residues(np.moveaxis(stack, 0, -1), p), p, n_cols)[0]
+
+
+def _certified_full(m) -> bool:
+    """Whether the float64 inverse X of the square int64 matrix m certifies,
+    in exact integer arithmetic, that m is invertible over Q.
+
+    With max|X| < 2**e and 2**j the largest power of two with n * max|m| *
+    2**j < 2**52, X' = rint(2**k X) for k = min(j - e, 52) has |X'| <= 2**j.
+    So every product and partial sum of X' m is an integer below 2**52 in
+    size, which float64 forms exactly under any summation order or FMA, and
+    E = X' m - 2**k I is exact too.  When every row of |E| sums to less than
+    2**k, ||I - (X' / 2**k) m||_inf < 1, so (X' / 2**k) m is invertible and so
+    is m (Rump, "Verification methods", Acta Numerica 19, 2010).  A row sum
+    of nonnegative integers rounds monotonically and 2**k and every integer
+    below it are exact, so a rounded sum below 2**k means an exact one below
+    it: rounding can fail a row, never pass one.  A zero matrix, a matrix
+    that float64 finds singular, one whose X is not finite, and one whose
+    entries or X leave no such j, k >= 0 are not certified.
+    """
+    n = len(m)
+    size = max(int(m.max()), -int(m.min()))
+    if not 0 < n * size < 2**52:
+        return False
+    a = m.astype(np.float64)
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return False
+    top = np.abs(x).max()
+    if not np.isfinite(top):
+        return False
+    j = ((2**52 - 1) // (n * size)).bit_length() - 1
+    k = min(j - frexp(top)[1], 52)
+    if k < 0:
+        return False
+    err = np.rint(np.ldexp(x, k)) @ a
+    err.flat[::n + 1] -= 2.0**k
+    return bool((np.abs(err).sum(axis=1) < 2.0**k).all())
 
 
 def _stack_echelon(A, p, n_piv, reduced=False):

@@ -5,11 +5,15 @@ the stack alone over GF(p), and against `rank()` of each matrix over Q, and
 `tournament_stack(pair_bits(...))` against `tournament_matrix` of the same
 codes, entry for entry: exhaustively for n <= 5 and on random codes at
 n = 11, and with one weight row per matrix.  Stacks wider than two panels
-are ranked one matrix at a time.  Over Q a `mock` count pins how many primes the stacks are ranked
-mod: `_prime(0)` for every matrix, the rest only for those short of full
-rank there, and stacks that mix both kinds are checked against `rank()` and
-the Bareiss oracle.  `bordered_ranks` is checked against `stack_ranks` of
-the bordered matrices it ranks, on symmetric blocks of any rank, and the
+are ranked one matrix at a time.  Over Q a `mock` count pins how many
+primes stacks narrower than `_CERT_N` are ranked mod: `_prime(0)` for every
+matrix, the rest only for those short of full rank there, and stacks that
+mix both kinds are checked against `rank()` and the Bareiss oracle.  The
+float64 certificate of full rank over Q, `_certified_full`, never passes a
+matrix short of full rank, even when handed the exact inverse of a
+neighbouring matrix, and ranks with it equal ranks with it patched to
+certify nothing.  `bordered_ranks` is checked against `stack_ranks` of the
+bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
 `stack_ranks` of the same codes, in one process, in two workers, and in
 slices of 3 runs, where most runs copy a first run of an earlier slice.
@@ -98,32 +102,38 @@ def test_stack_ranks_of_an_empty_stack():
 
 def test_wide_stacks_are_ranked_one_matrix_at_a_time():
     """Past 2 * _PANEL columns `stack_ranks` runs `_eliminate_mod_p` once per
-    matrix mod p, and over Q once per matrix mod _prime(0) and once per
-    further prime for the one matrix short of full rank, with the ranks the
-    batch kernel gives when `_PANEL` is raised to let it run; at 2 * _PANEL
-    it runs none."""
+    matrix mod p.  Over Q the certificate settles the three full-rank
+    matrices with no elimination, and the one matrix short of full rank is
+    eliminated mod each of its Hadamard primes; with the certificate patched
+    to certify nothing, every matrix is eliminated mod _prime(0) and the
+    short one mod the further primes.  The ranks are those the batch kernel
+    gives when `_PANEL` is raised to let it run; at 2 * _PANEL it runs none."""
     n = 2 * rank_mod._PANEL + 2
     weights = WeightSeq.of(GF(3), [1 + k % 2 for k in range(n)])
     stack = tournament_stack(code_bits(n, [random_tournament(n, 4, i).code for i in range(3)]),
                              weights.int_row())
     stack = np.concatenate([stack, stack[:1]])
     stack[3, n // 2:] = stack[3, : n - n // 2]  # a repeated half: rank at most n // 2 + 1
+    primes = rank_mod._hadamard_primes(stack[3:], n)
     with mock.patch.object(rank_mod, "_eliminate_mod_p", wraps=rank_mod._eliminate_mod_p) as spy:
         ranks = rank_mod.stack_ranks(stack, 3).tolist()
         assert spy.call_count == len(stack)
         q_ranks = rank_mod.stack_ranks(stack, 0).tolist()
-        primes = rank_mod._hadamard_primes(stack[3:], n)
-        assert spy.call_count == 2 * len(stack) + len(primes) - 1
-        assert [c.args[1] for c in spy.call_args_list[len(stack):]] == (
-            [primes[0]] * len(stack) + primes[1:])
-        assert all((c.args[0] == stack[3]).all()
-                   for c in spy.call_args_list[2 * len(stack):])
+        assert [c.args[1] for c in spy.call_args_list[len(stack):]] == primes
+        assert all((c.args[0] == stack[3]).all() for c in spy.call_args_list[len(stack):])
+        spy.reset_mock()
+        with mock.patch.object(rank_mod, "_certified_full", return_value=False):
+            assert rank_mod.stack_ranks(stack, 0).tolist() == q_ranks
+        assert [c.args[1] for c in spy.call_args_list] == [primes[0]] * len(stack) + primes[1:]
+        assert all((c.args[0] == stack[3]).all() for c in spy.call_args_list[len(stack):])
+        spy.reset_mock()
         rank_mod.stack_ranks(stack[:, :-2, :-2], 3)
-        assert spy.call_count == 2 * len(stack) + len(primes) - 1
+        assert spy.call_count == 0
     with mock.patch.object(rank_mod, "_PANEL", n):
         assert rank_mod.stack_ranks(stack, 3).tolist() == ranks
         assert rank_mod.stack_ranks(stack, 0).tolist() == q_ranks
     assert ranks[3] <= n // 2 + 1 < ranks[0]
+    assert q_ranks[:3] == [n] * 3 and q_ranks[3] <= n // 2 + 1
 
 
 def _weights(field, n, seed):
@@ -473,6 +483,125 @@ def test_q_prime_count_is_the_fewest_past_the_hadamard_bound(run, settles, goes_
         mixed |= settled_here and len(primes) >= 2
     assert (settled, went_on) == (settles, goes_on)
     assert mixed == (settles and goes_on)
+
+
+def _exact_size(n):
+    """The largest entry size at which `_certified_full` of an n x n matrix
+    still forms its product exactly: n * size < 2**52."""
+    return (2**52 - 1) // n
+
+
+@st.composite
+def short_rank_matrices(draw):
+    """An n x n int64 matrix (n in 1..40) of rank below n over Q: X D X^T for
+    an n x r X with entries up to 2**2 or 2**20 in size and a nonzero
+    diagonal D, r = n - 1..n - 3 (entries reach past `_exact_size` at the
+    larger n); or a matrix with small entries whose row j is c times row i
+    (c = 1 or 3), row i holding one entry at, just past or far past
+    `_exact_size`, where c * row i rounds in float64."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        r = max(0, n - draw(st.integers(1, 3)))
+        size = 2 ** draw(st.sampled_from((2, 20)))
+        x = np.array(draw(st.lists(st.integers(-size, size), min_size=n * r, max_size=n * r)),
+                     dtype=np.int64).reshape(n, r)
+        d = draw(st.lists(st.sampled_from((-3, -1, 1, 2)), min_size=r, max_size=r))
+        return x * np.array(d, dtype=np.int64) @ x.T
+    n = max(n, 2)
+    m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)),
+                 dtype=np.int64).reshape(n, n)
+    i, j = draw(st.permutations(range(n)))[:2]
+    big = draw(st.sampled_from((_exact_size(n), _exact_size(n) + 1, 2**53 + 1, 2**61 + 1)))
+    m[i, draw(st.integers(0, n - 1))] = big * draw(st.sampled_from((1, -1)))
+    m[j] = draw(st.sampled_from((1, 3))) * m[i]
+    return m
+
+
+@SETTINGS
+@given(short_rank_matrices(), st.data())
+def test_certificate_never_passes_a_matrix_short_of_full_rank(m, data):
+    """Neither from float64's own inverse of m nor from the exact inverse X
+    of a neighbour m + e_i e_j^T, for which I - X m = X e_i e_j^T is
+    singular, so ||I - X m||_inf >= 1 holds exactly: only rounding could
+    pass it."""
+    n = len(m)
+    assert _q_rank(m.tolist()) < n
+    assert not rank_mod._certified_full(m)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    neighbour = m.astype(np.float64)
+    neighbour[i, j] += 1
+    try:
+        x = np.linalg.inv(neighbour)
+    except np.linalg.LinAlgError:
+        return
+    with mock.patch.object(np.linalg, "inv", return_value=x):
+        assert not rank_mod._certified_full(m)
+
+
+def test_certificate_fails_a_row_sum_of_exactly_one():
+    """X, the exact inverse of the neighbour [[2, 1], [1, 1]] of the singular
+    m, leaves ||I - X m||_inf = 1 with no rounding at all."""
+    m = np.ones((2, 2), dtype=np.int64)
+    with mock.patch.object(np.linalg, "inv", return_value=np.array([[1.0, -1.0], [-1.0, 2.0]])):
+        assert not rank_mod._certified_full(m)
+
+
+@st.composite
+def q_stacks_around_the_certificate_width(draw):
+    """1..4 integer matrices whose sides are each _CERT_N - 1, _CERT_N or
+    2 * _PANEL + 1: entries in -3..3 from a drawn numpy seed, some matrices
+    short of full rank (a repeated, zero or combined row); as int64, or as
+    Python ints with or without one entry past 2**63."""
+    sides = st.sampled_from((rank_mod._CERT_N - 1, rank_mod._CERT_N, 2 * rank_mod._PANEL + 1))
+    nr = draw(sides)
+    nc = draw(st.one_of(st.just(nr), sides))
+    n_mat = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(-3, 4, size=(n_mat, nr, nc)).astype(object)
+    for m in stack:
+        i, j, k = rng.choice(nr, size=3, replace=False)
+        kind = draw(st.sampled_from(("full", "repeat", "zero", "combine")))
+        if kind == "repeat":
+            m[i] = m[j]
+        elif kind == "zero":
+            m[i] = 0
+        elif kind == "combine":
+            m[i] = 2 * m[j] - 3 * m[k]
+    kind = draw(st.sampled_from(("int64", "objects", "past 63 bits")))
+    if kind == "past 63 bits":
+        stack[0, 0, 0] = BIG + 1
+    return stack.astype(np.int64) if kind == "int64" else stack
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(q_stacks_around_the_certificate_width())
+def test_q_stack_ranks_do_not_depend_on_the_certificate(stack):
+    """Ranks with the certificate equal those with it patched to certify
+    nothing, and only square int64 stacks at least _CERT_N wide ask it."""
+    with mock.patch.object(rank_mod, "_certified_full",
+                           wraps=rank_mod._certified_full) as certified:
+        ranks = rank_mod.stack_ranks(stack, 0).tolist()
+    with mock.patch.object(rank_mod, "_certified_full", return_value=False):
+        assert rank_mod.stack_ranks(stack, 0).tolist() == ranks
+    asks = stack.dtype == np.int64 and stack.shape[1] == stack.shape[2] >= rank_mod._CERT_N
+    assert certified.call_count == (len(stack) if asks else 0)
+    assert all(c.args[0].shape == stack.shape[1:] for c in certified.call_args_list)
+
+
+def test_one_singular_matrix_leaves_the_others_certified():
+    """A singular matrix in a stack of tournament matrices alone goes on to
+    the ranks mod the Q primes, as a stack of one."""
+    n = rank_mod._CERT_N + 8
+    weights = WeightSeq.of(QQ, [1 + k % 2 for k in range(n)])
+    stack = tournament_stack(code_bits(n, [random_tournament(n, 5, i).code for i in range(6)]),
+                             weights.int_row())
+    stack[2, :, 1] = stack[2, :, 0]
+    with mock.patch.object(rank_mod, "_over_q", wraps=rank_mod._over_q) as over_q:
+        ranks = rank_mod.stack_ranks(stack, 0).tolist()
+    assert ranks == [_q_rank(m.tolist()) for m in stack]
+    assert ranks[2] == n - 1 and ranks.count(n) == 5
+    (rest, _), = [c.args for c in over_q.call_args_list]
+    assert np.array_equal(rest, stack[2:3])
 
 
 @st.composite

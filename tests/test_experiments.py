@@ -311,7 +311,9 @@ def test_montecarlo_bytes_do_not_depend_on_batches_or_workers(field):
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
     """Past 2 * _PANEL columns each sample is one `_eliminate_mod_p` call mod
-    3, or mod the first Q prime for the full-rank samples over Q."""
+    3.  Over Q the certificate settles every sample, all of full rank, with
+    no elimination; with the certificate patched to certify nothing, each
+    is one call mod the first Q prime."""
     n = 2 * rank_mod._PANEL + 2
     w = ex.cycling_weights(field, n)
     with mock.patch.object(rank_mod, "_eliminate_mod_p",
@@ -319,9 +321,16 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
         rep = ex.montecarlo_rank(w, 5, seed=2)
     ranks = [rank(tournament_matrix(random_tournament(n, 2, i), w)).rank for i in range(5)]
     assert [rec["rank"] for rec in rep.records] == ranks
-    if field.char == 0:
-        assert ranks == [n] * 5
-    assert [c.args[1] for c in eliminations.call_args_list] == [field.char or rank_mod._prime(0)] * 5
+    primes = [c.args[1] for c in eliminations.call_args_list]
+    if field.char:
+        assert primes == [3] * 5
+        return
+    assert ranks == [n] * 5 and primes == []
+    with mock.patch.object(rank_mod, "_eliminate_mod_p",
+                           wraps=rank_mod._eliminate_mod_p) as eliminations, \
+            mock.patch.object(rank_mod, "_certified_full", return_value=False):
+        assert ex.montecarlo_rank(w, 5, seed=2).records == rep.records
+    assert [c.args[1] for c in eliminations.call_args_list] == [rank_mod._prime(0)] * 5
 
 
 def test_montecarlo_char2_refusal():
