@@ -168,6 +168,18 @@ CLI_CASES = {
                               "--seq", ",".join("12" * 25), "--seed", "4", "--full-records"],
     "montecarlo-Q-n80-full": ["montecarlo", "--field", "Q", "--n", "80", "--samples", "10",
                               "--seq", ",".join("1234" * 20), "--seed", "6", "--full-records"],
+    # GF(p) Monte Carlo on cycling weights, every rank in the report: two
+    # equal-weight classes of 200 at n = 400 and of 100 at n = 200 (3 divides
+    # 100 - 1), and three classes of 44, 43 and 43 mod a word-size prime
+    "montecarlo-GF3-n400-full": ["montecarlo", "--field", "GF(3)", "--n", "400", "--samples", "6",
+                                 "--seq", ",".join("12" * 200), "--seed", "5", "--full-records"],
+    "montecarlo-GF3-n200-full": ["montecarlo", "--field", "GF(3)", "--n", "200",
+                                 "--samples", "12", "--seq", ",".join("12" * 100), "--seed", "7",
+                                 "--full-records"],
+    "montecarlo-word-prime-n130-full": ["montecarlo", "--field", "GF(2147483647)", "--n", "130",
+                                        "--samples", "8",
+                                        "--seq", ",".join(str(1 + i % 3) for i in range(130)),
+                                        "--seed", "2", "--full-records"],
 }
 
 PINNED = {
@@ -192,9 +204,13 @@ PINNED = {
     "minrank-workers-1": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
     "minrank-workers-2": "8c5262083bc85f1753ee80e6f6753bd2c8aa9d89dfcf15801805e0a368538d99",
     "montecarlo-GF3": "7c56bacb85e8d30e91572de3462136a53a5f97f24c52f2b8ad2e92f9fef42728",
+    "montecarlo-GF3-n200-full": "7941f28b08b9129d06ad42c097dbcee804d1976f1c0da1ca0fbc6045adedd7e7",
+    "montecarlo-GF3-n400-full": "43cd200c7d4ced9bbc9d8007264a22f6c805e2fc4de3bd5c5093b2a97e26764f",
     "montecarlo-Q": "d8c98cfacdd54d2038feb56aef13afbb738e9a0280204e58e52fed96fc321f29",
     "montecarlo-Q-n50-full": "9589e740c0e68085b19ab1fac26a561c48e309164f920524235d126a5f7322f3",
     "montecarlo-Q-n80-full": "e6ffb1803603c2be432be2a461ec79e9fb85ad6971d2eecdd0162bd50893cec3",
+    "montecarlo-word-prime-n130-full": (
+        "e339309188ab623e4e551bd2e39442cd76395434c4f46adf2a9a45db75e45152"),
     "perm-scan": "989fb7df3f8372c8ed60047140c210ba059d0ea70f5412d46d858161bf822211",
     "perm-scan-csv": "2262a0e9f2aaea2199c1ea8492db4a30a352f0971774d313c595197a4ad2b5a7",
     "rank": "760a6a3de4873e4d40bd9f584ff5a839da6739d466b2573254b64203a27c0231",
