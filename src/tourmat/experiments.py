@@ -12,8 +12,10 @@ The exhaustive min-rank search ranks code ranges by bordering (`_code_ranks`,
 one int8 rank per code), and ranks each distinct matrix once by the
 free-pair rule stated there.  The GF(p) floor reads its summaries shard by
 shard, so the floor's violation rule and bound live only in `minrank_exhaustive`.
-Every other sweep ranks `tournament_stack` batches with `stack_ranks`.  Each
-entry point reads n and the field from its weights and clears them to one
+Monte Carlo ranks its `tournament_stack` batches, all under one weight row,
+by `class_pivot_ranks`: its largest equal-weight class, then `stack_ranks` of
+one Schur complement.  Every other sweep ranks its batches with `stack_ranks`.
+Each entry point reads n and the field from its weights and clears them to one
 integer row (`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that
 row's columns, and the verifiers that vary the weights pass one row per matrix.
 """
@@ -37,7 +39,7 @@ from . import bounds
 from .fields import Field, Scalar
 from .matrices import (DenseMatrix, LengthMismatchError, WeightSeq, ZeroWeightError, int_array,
                        tournament_stack)
-from .rank import bordered_ranks, stack_ranks
+from .rank import bordered_ranks, class_pivot_ranks, stack_ranks
 from .report import RecordTable, Report
 from .rng import ByteStream
 from .tournaments import (
@@ -478,7 +480,7 @@ def _ranks_chunk(args):
     of `_bit_batches(row.shape[1], lo, hi, seed)` under the row, in order."""
     row, p, lo, hi, seed = args
     return [r for _, bits in _bit_batches(row.shape[1], lo, hi, seed)
-            for r in stack_ranks(tournament_stack(bits, row), p).tolist()]
+            for r in class_pivot_ranks(tournament_stack(bits, row), row, p).tolist()]
 
 
 def _first_with_key(ks, mask, k0):

@@ -11,6 +11,7 @@ pivot columns are deterministic.  The map:
 - `stack_ranks` ranks a (B, n, n) stack, up to 2 * _PANEL columns wide all
   at once by the batched loop `_stack_echelon`;
 - `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
+- `class_pivot_ranks` ranks one weight row's stacks by an equal-weight class pivot;
 - over Q `stack_ranks` first certifies full ranks from a float64 inverse
   (`_certified_full`) on square int64 stacks at least _CERT_N wide;
 - over Q every other path ranks mod `_prime(0)` = 8191 first, and what falls
@@ -22,6 +23,7 @@ Each bound a kernel relies on is stated once, where it is enforced.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -177,6 +179,56 @@ def stack_ranks(stack, p) -> np.ndarray:
     if n_cols > 2 * _PANEL:
         return np.array([_eliminate_mod_p(m, p)[0] for m in stack], dtype=np.int64)
     return _stack_echelon(_residues(np.moveaxis(stack, 0, -1), p), p, n_cols)[0]
+
+
+def class_pivot_ranks(stack, row, p) -> np.ndarray:
+    """The ranks `stack_ranks(stack, p)` gives, for a (B, n, n) stack of
+    tournament matrices under one integer weight row `row` of shape (1, n),
+    cleared as `WeightSeq.int_row` clears it (residues mod p), found by one
+    block pivot on an equal-weight class.
+
+    Entry (i, j) is a_i or a_j, so on k vertices of one weight v every
+    tournament's block is A = v (J - I), and A^-1 = v^-1 (J / (k - 1) - I).
+    It exists over Q for k >= 2 and mod p for p not dividing v or k - 1;
+    when p | k - 1, the first k - 1 of those vertices are the class instead
+    (then p does not divide k - 2).  The class of most such vertices, at
+    least 2, is the pivot.  With C the (class x rest) and N the (rest x rest)
+    blocks and w = C^T 1, Guttman's rank additivity for the Schur complement
+    gives rank M = k + rank S, for S = N - C^T A^-1 C =
+    N + v^-1 (C^T C - w w^T / (k - 1)).
+
+    Mod p, v^-1 C^T C is `_product_mod` of C^T and v^-1 C (exact for every
+    p < 2**31 and every n <= MAX_N), and w w^T / (v (k - 1)) the outer
+    product of two reduced vectors, below p**2 < 2**62 in each entry.  Over
+    Q the rank of v (k - 1) S = v (k - 1) N + (k - 1) C^T C - w w^T is
+    taken in int64: for a = max |row| every term and partial sum is below
+    (2 k**2 - 1) a**2 in size, below 2**63 while k a < 2**31.
+
+    The stack keeps `stack_ranks`'s path when no class qualifies, over Q
+    when k a >= 2**31 (as for every row of Python ints, which hold a weight
+    past 2**63), and over Q when M is at least _CERT_N wide and S is not:
+    `_certified_full` on M then costs less than the screen mod `_prime(0)`
+    on S.
+    """
+    n = stack.shape[-1]
+    sizes = Counter(row[0].tolist())
+    k, v = max(((c - 1 if p and (c - 1) % p == 0 else c, x) for x, c in sizes.items() if x),
+               default=(0, 0))
+    if k < 2 or not p and (k * max(map(abs, sizes)) >= 2**31 or n >= _CERT_N > n - k):
+        return stack_ranks(stack, p)
+    at = np.flatnonzero(row[0] == v)[:k]
+    rest = np.delete(np.arange(n), at)
+    C = stack[:, at[:, None], rest]
+    S = stack[:, rest[:, None], rest]
+    w = C.sum(axis=1)
+    if p:
+        w %= p
+        S += _product_mod(C.transpose(0, 2, 1), C * pow(v, -1, p) % p, p)
+        S -= (w * pow(v * (k - 1), -1, p) % p)[:, :, None] * w[:, None, :]
+    else:
+        S *= v * (k - 1)
+        S += (k - 1) * (C.transpose(0, 2, 1) @ C) - w[:, :, None] * w[:, None, :]
+    return k + stack_ranks(S, p)
 
 
 def _certified_full(m) -> bool:
@@ -387,13 +439,14 @@ def bordered_ranks(blocks, borders, p) -> np.ndarray:
 
 
 def _product_mod(a, b, p):
-    """a @ b mod p as int64, for int64 residue matrices a and b with an inner
-    dimension below 2**15: the sum of exact `_dot_mod` products over
-    _PANEL-term slices, each below 2**53, so the sum stays below 2**63."""
+    """a @ b mod p as int64, for int64 residue matrices (or stacks of them) a
+    and b with an inner dimension below 2**15: the sum of exact `_dot_mod`
+    products over _PANEL-term slices, each below 2**53, so the sum stays
+    below 2**63."""
     a = a.astype(np.float64)
-    out = _dot_mod(a[:, :_PANEL], b[:_PANEL], p).astype(np.int64)
-    for i in range(_PANEL, a.shape[1], _PANEL):
-        out += _dot_mod(a[:, i:i + _PANEL], b[i:i + _PANEL], p).astype(np.int64)
+    out = _dot_mod(a[..., :_PANEL], b[..., :_PANEL, :], p).astype(np.int64)
+    for i in range(_PANEL, a.shape[-1], _PANEL):
+        out += _dot_mod(a[..., i:i + _PANEL], b[..., i:i + _PANEL, :], p).astype(np.int64)
     return out % p
 
 

@@ -12,7 +12,10 @@ mix both kinds are checked against `rank()` and the Bareiss oracle.  The
 float64 certificate of full rank over Q, `_certified_full`, never passes a
 matrix short of full rank, even when handed the exact inverse of a
 neighbouring matrix, and ranks with it equal ranks with it patched to
-certify nothing.  `bordered_ranks` is checked against `stack_ranks` of the
+certify nothing.  `class_pivot_ranks`, Monte Carlo's block pivot on an
+equal-weight class, gives the ranks of `stack_ranks` over every field, on
+stacks whose rank falls short, and pivots on the class its rule names.
+`bordered_ranks` is checked against `stack_ranks` of the
 bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
 `stack_ranks` of the same codes, in one process, in two workers, and in
@@ -23,12 +26,13 @@ contract: T B in reduced row echelon form for an invertible T.
 
 import importlib
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import bareiss, eliminate_mod_p
@@ -48,6 +52,7 @@ from tourmat.tournaments import (
     code_bits,
     n_pairs,
     pair_bits,
+    random_pair_bits,
     random_tournament,
 )
 
@@ -602,6 +607,86 @@ def test_one_singular_matrix_leaves_the_others_certified():
     assert ranks[2] == n - 1 and ranks.count(n) == 5
     (rest, _), = [c.args for c in over_q.call_args_list]
     assert np.array_equal(rest, stack[2:3])
+
+
+# Monte Carlo's class pivot: Q weights small and signed or fractional, and
+# sometimes one of them a multiple of the first Q prime or past 2**63
+PIVOT_Q_VALUES = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(-5, 5, max_denominator=6).filter(lambda f: f and f.denominator > 1),
+)
+PIVOT_Q_SPECIAL = (None, None, None, P0, -2 * P0, BIG + 1)
+PIVOT_WIDTHS = (1, 2, 4, 7, 12, 31, 32, 33, 40, 63, 64, 65, 66, 80, 130)
+
+
+@st.composite
+def class_pivot_cases(draw):
+    """(field, weights, bits): n weights, n on both sides of _CERT_N and of
+    2 * _PANEL, each one of up to 4 drawn values (placed from a drawn numpy
+    seed), or all one value, or n consecutive nonzero residues (distinct
+    while n < p) or integers, with the pair bits of 1..3 random
+    tournaments.  Values mod p are small or near p; over Q one drawn value
+    may be a PIVOT_Q_SPECIAL."""
+    field = draw(st.sampled_from((GF(2), GF(3), GF(5), GF(8191), GF(2**31 - 1), QQ)))
+    n, p = draw(st.sampled_from(PIVOT_WIDTHS)), field.char
+    values = (st.one_of(st.integers(1, min(p - 1, 9)), st.integers(max(1, p - 4), p - 1)) if p
+              else PIVOT_Q_VALUES)
+    kind = draw(st.sampled_from(("classes", "classes", "one value", "consecutive")))
+    if kind == "consecutive":
+        start = draw(st.integers(0, 2**20))
+        weights = [1 + (start + i) % (p - 1) if p else start + i + 1 for i in range(n)]
+    else:
+        pool = draw(st.lists(values, min_size=1, max_size=1 if kind == "one value" else 4))
+        pool[0] = (not p and draw(st.sampled_from(PIVOT_Q_SPECIAL))) or pool[0]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = [pool[i] for i in rng.integers(0, len(pool), size=n).tolist()]
+    bits = random_pair_bits(n, draw(st.integers(0, 2**16)), 0, draw(st.integers(1, 3)))
+    return field, weights, bits
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(class_pivot_cases())
+# p | k - 1: GF(3) classes of 4 and 3 both give 3; GF(5) 6 + 2 vertices give 5
+@example((GF(3), [1] * 4 + [2] * 3, code_bits(7, [0, 1000, 2**20])))
+@example((GF(5), [1] * 6 + [3] * 2, code_bits(8, [0, 77, 2**27])))
+# one weight: a 1 x 1 complement (over GF(2) 2 | 7 - 1, so 6 of the 7 pivot) or none
+@example((GF(2), [1] * 7, code_bits(7, [0, 5, 2**20])))
+@example((GF(2), [1] * 6, code_bits(6, [0, 5, 2**14])))
+@example((QQ, [-3] * 5, code_bits(5, [0, 9])))
+# no class: every weight distinct, or Python ints past 2**63
+@example((GF(8191), list(range(1, 11)), code_bits(10, [3, 2**40])))
+@example((QQ, list(range(-5, 0)) + list(range(1, 6)), code_bits(10, [3, 2**40])))
+@example((QQ, [BIG, 1, 1, 2, 2], code_bits(5, [0, 700])))
+# Q matrices of rank n - 1, with signed and with cleared fractional weights
+@example((QQ, [1, 2, 2, 1, 1, 1], code_bits(6, [897, 901, 0])))
+@example((QQ, [1, 1, -1, -1, 2, 2], code_bits(6, [1196, 1226, 5])))
+@example((QQ, [Fraction(1, 2), 1] * 3 + [Fraction(1, 2)], code_bits(7, [1040, 1048, 3])))
+# over Q a class with k max|a| >= 2**31 keeps the whole stack
+@example((QQ, [2**30] * 3 + [1, 2], code_bits(5, [0, 700])))
+# complements past 2 * _PANEL, and over Q at n = 40 (20 + 20) past none
+@example((GF(3), [1 + i % 2 for i in range(131)], random_pair_bits(131, 1, 0, 2)))
+@example((QQ, [1 + i % 2 for i in range(40)], random_pair_bits(40, 1, 0, 2)))
+def test_class_pivot_ranks_equal_stack_ranks(case):
+    """`class_pivot_ranks` gives `stack_ranks` of the same stack, leaves the
+    stack as it was, and pivots exactly when a class has k >= 2 usable
+    vertices (all of it, or all but one when p | size - 1) and, over Q,
+    k max|a| < 2**31 and not n >= _CERT_N > n - k: then the first stack it
+    ranks is the (n - k)-wide complement."""
+    field, weights, bits = case
+    p, n = field.char, len(weights)
+    row = WeightSeq.of(field, weights).int_row()
+    stack = tournament_stack(bits, row)
+    before = stack.copy()
+    with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked:
+        ranks = rank_mod.class_pivot_ranks(stack, row, p)
+    assert np.array_equal(stack, before)
+    assert ranks.tolist() == rank_mod.stack_ranks(stack, p).tolist()
+    sizes = Counter(row[0].tolist()).values()
+    k = max(c - 1 if p and (c - 1) % p == 0 else c for c in sizes)
+    size = max(abs(v) for v in row[0].tolist())
+    pivots = k >= 2 and (p or k * size < 2**31 and not n >= rank_mod._CERT_N > n - k)
+    width = n - k if pivots else n
+    assert ranked.call_args_list[0].args[0].shape == (len(bits), width, width)
 
 
 @st.composite

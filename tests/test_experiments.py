@@ -310,27 +310,66 @@ def test_montecarlo_bytes_do_not_depend_on_batches_or_workers(field):
 
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
-    """Past 2 * _PANEL columns each sample is one `_eliminate_mod_p` call mod
-    3.  Over Q the certificate settles every sample, all of full rank, with
-    no elimination; with the certificate patched to certify nothing, each
-    is one call mod the first Q prime."""
+    """Past 2 * _PANEL columns a stack is eliminated one matrix at a time,
+    and the class pivot keeps n = 2 * _PANEL + 2 samples under cycling
+    weights off that path: it takes out one class of 33 vertices and ranks
+    the batch's 33-wide complements together by `_stack_echelon`, with no
+    `_eliminate_mod_p` call.  Over Q the certificate settles every
+    complement, all of full rank; with the certificate patched to certify
+    nothing, the complements go to `_stack_echelon` mod the first Q prime."""
     n = 2 * rank_mod._PANEL + 2
     w = ex.cycling_weights(field, n)
     with mock.patch.object(rank_mod, "_eliminate_mod_p",
-                           wraps=rank_mod._eliminate_mod_p) as eliminations:
+                           wraps=rank_mod._eliminate_mod_p) as eliminations, \
+            mock.patch.object(rank_mod, "_stack_echelon",
+                              wraps=rank_mod._stack_echelon) as batches:
         rep = ex.montecarlo_rank(w, 5, seed=2)
     ranks = [rank(tournament_matrix(random_tournament(n, 2, i), w)).rank for i in range(5)]
     assert [rec["rank"] for rec in rep.records] == ranks
-    primes = [c.args[1] for c in eliminations.call_args_list]
+    assert eliminations.call_count == 0
+    shapes = [(c.args[0].shape, c.args[1]) for c in batches.call_args_list]
     if field.char:
-        assert primes == [3] * 5
+        assert shapes == [((33, 33, 5), 3)]
         return
-    assert ranks == [n] * 5 and primes == []
+    assert ranks == [n] * 5 and shapes == []
     with mock.patch.object(rank_mod, "_eliminate_mod_p",
                            wraps=rank_mod._eliminate_mod_p) as eliminations, \
+            mock.patch.object(rank_mod, "_stack_echelon",
+                              wraps=rank_mod._stack_echelon) as batches, \
             mock.patch.object(rank_mod, "_certified_full", return_value=False):
         assert ex.montecarlo_rank(w, 5, seed=2).records == rep.records
-    assert [c.args[1] for c in eliminations.call_args_list] == [rank_mod._prime(0)] * 5
+    assert eliminations.call_count == 0
+    assert [(c.args[0].shape, c.args[1]) for c in batches.call_args_list] == [
+        ((33, 33, 5), rank_mod._prime(0))]
+
+
+def test_montecarlo_q_at_n50_certifies_the_whole_matrices():
+    """At n = 50 over Q the cycling classes leave 25-wide complements, below
+    _CERT_N, so the pivot stays off and `_certified_full` sees every 50-wide
+    sample, as before the pivot."""
+    w = ex.cycling_weights(QQ, 50)
+    with mock.patch.object(rank_mod, "_certified_full",
+                           wraps=rank_mod._certified_full) as certified, \
+            mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products:
+        rep = ex.montecarlo_rank(w, 8, seed=3)
+    assert [c.args[0].shape for c in certified.call_args_list] == [(50, 50)] * 8
+    assert products.call_count == 0
+    assert [rec["rank"] for rec in rep.records] == [
+        rank(tournament_matrix(random_tournament(50, 3, i), w)).rank for i in range(8)]
+
+
+def test_montecarlo_gf3_at_n200_pivots_on_k_minus_1_vertices():
+    """At n = 200 over GF(3) each cycling class has k = 100 vertices and 3
+    divides k - 1, so the pivot block is 99 of them and each sample's
+    complement is 101 wide: one `_product_mod` of 99 terms per batch."""
+    w = ex.cycling_weights(GF(3), 200)
+    with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked, \
+            mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products:
+        rep = ex.montecarlo_rank(w, 3, seed=1)
+    assert [c.args[0].shape for c in ranked.call_args_list] == [(1, 101, 101)] * 3
+    assert [c.args[0].shape for c in products.call_args_list] == [(1, 101, 99)] * 3
+    assert [rec["rank"] for rec in rep.records] == [
+        rank(tournament_matrix(random_tournament(200, 1, i), w)).rank for i in range(3)]
 
 
 def test_montecarlo_char2_refusal():
