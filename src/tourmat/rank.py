@@ -11,7 +11,8 @@ pivot columns are deterministic.  The map:
 - `stack_ranks` ranks a (B, n, n) stack, up to 2 * _PANEL columns wide all
   at once by the batched loop `_stack_echelon`;
 - `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
-- `class_pivot_ranks` ranks one weight row's stacks by an equal-weight class pivot;
+- `class_pivot_ranks` ranks one weight row's stacks as k plus `stack_ranks` of
+  one integer complement, by an equal-weight class pivot of k vertices;
 - over Q `stack_ranks` first certifies full ranks from a float64 inverse
   (`_certified_full`) on square int64 stacks at least _CERT_N wide;
 - over Q every other path ranks mod `_prime(0)` = 8191 first, and what falls
@@ -188,46 +189,45 @@ def class_pivot_ranks(stack, row, p) -> np.ndarray:
     block pivot on an equal-weight class.
 
     Entry (i, j) is a_i or a_j, so on k vertices of one weight v every
-    tournament's block is A = v (J - I), and A^-1 = v^-1 (J / (k - 1) - I).
-    It exists over Q for k >= 2 and mod p for p not dividing v or k - 1;
-    when p | k - 1, the first k - 1 of those vertices are the class instead
-    (then p does not divide k - 2).  The class of most such vertices, at
-    least 2, is the pivot.  With C the (class x rest) and N the (rest x rest)
-    blocks and w = C^T 1, Guttman's rank additivity for the Schur complement
-    gives rank M = k + rank S, for S = N - C^T A^-1 C =
-    N + v^-1 (C^T C - w w^T / (k - 1)).
+    tournament's block is A = v (J - I), with A^-1 = v^-1 (J / (k - 1) - I).
+    With C the (class x rest) and N the (rest x rest) blocks and w = C^T 1,
+    Guttman's rank additivity for the Schur complement gives, for every field,
 
-    Mod p, v^-1 C^T C is `_product_mod` of C^T and v^-1 C (exact for every
-    p < 2**31 and every n <= MAX_N), and w w^T / (v (k - 1)) the outer
-    product of two reduced vectors, below p**2 < 2**62 in each entry.  Over
-    Q the rank of v (k - 1) S = v (k - 1) N + (k - 1) C^T C - w w^T is
-    taken in int64: for a = max |row| every term and partial sum is below
-    (2 k**2 - 1) a**2 in size, below 2**63 while k a < 2**31.
+        rank M = k + rank S',  S' = v (k - 1) N + (k - 1) C^T C - w w^T,
 
-    The stack keeps `stack_ranks`'s path when no class qualifies, over Q
-    when k a >= 2**31 (as for every row of Python ints, which hold a weight
-    past 2**63), and over Q when M is at least _CERT_N wide and S is not:
-    `_certified_full` on M then costs less than the screen mod `_prime(0)`
-    on S.
+    as S' = v (k - 1) (N - C^T A^-1 C) and v (k - 1) is a unit wherever A is
+    invertible: over Q for k >= 2, and mod p when p divides neither v nor
+    k - 1.  When p | k - 1, the first k - 1 of those vertices are the class
+    instead (then p does not divide k - 2).  The class of most such
+    vertices, at least 2, is the pivot.
+
+    S' is formed in int64, in place.  Mod p, C^T C is `_product_mod` of C^T
+    and C (exact for every p < 2**31 and n <= MAX_N) and w and
+    u = v (k - 1) are reduced, so u N < 2**62, (k - 1) C^T C < 2**43 and
+    w w^T < 2**62, and every partial sum is below 2**63.  Over Q, for
+    a = max |row|, every term and partial sum is below (2 k**2 - 1) a**2 in
+    size, below 2**63 while k a < 2**31.
+
+    The stack goes whole to `stack_ranks` where the pivot is impossible, with
+    no class of at least 2 usable vertices, and over Q where it is inexact,
+    with k a >= 2**31 (as for every row of Python ints, which hold a weight
+    past 2**63).
     """
-    n = stack.shape[-1]
     sizes = Counter(row[0].tolist())
     k, v = max(((c - 1 if p and (c - 1) % p == 0 else c, x) for x, c in sizes.items() if x),
                default=(0, 0))
-    if k < 2 or not p and (k * max(map(abs, sizes)) >= 2**31 or n >= _CERT_N > n - k):
+    if k < 2 or not p and k * max(map(abs, sizes)) >= 2**31:
         return stack_ranks(stack, p)
     at = np.flatnonzero(row[0] == v)[:k]
-    rest = np.delete(np.arange(n), at)
+    rest = np.delete(np.arange(stack.shape[-1]), at)
     C = stack[:, at[:, None], rest]
     S = stack[:, rest[:, None], rest]
-    w = C.sum(axis=1)
-    if p:
-        w %= p
-        S += _product_mod(C.transpose(0, 2, 1), C * pow(v, -1, p) % p, p)
-        S -= (w * pow(v * (k - 1), -1, p) % p)[:, :, None] * w[:, None, :]
-    else:
-        S *= v * (k - 1)
-        S += (k - 1) * (C.transpose(0, 2, 1) @ C) - w[:, :, None] * w[:, None, :]
+    CT, w, u = C.transpose(0, 2, 1), C.sum(axis=1), v * (k - 1)
+    G, w, u = (_product_mod(CT, C, p), w % p, u % p) if p else (CT @ C, w, u)
+    G *= k - 1
+    G -= w[:, :, None] * w[:, None, :]
+    S *= u
+    S += G
     return k + stack_ranks(S, p)
 
 

@@ -14,7 +14,8 @@ matrix short of full rank, even when handed the exact inverse of a
 neighbouring matrix, and ranks with it equal ranks with it patched to
 certify nothing.  `class_pivot_ranks`, Monte Carlo's block pivot on an
 equal-weight class, gives the ranks of `stack_ranks` over every field, on
-stacks whose rank falls short, and pivots on the class its rule names.
+stacks whose rank falls short and at the int64 bounds of its one
+complement, and pivots on the class its rule names, over Q at any width.
 `bordered_ranks` is checked against `stack_ranks` of the
 bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
@@ -661,17 +662,26 @@ def class_pivot_cases(draw):
 @example((QQ, [1, 2, 2, 1, 1, 1], code_bits(6, [897, 901, 0])))
 @example((QQ, [1, 1, -1, -1, 2, 2], code_bits(6, [1196, 1226, 5])))
 @example((QQ, [Fraction(1, 2), 1] * 3 + [Fraction(1, 2)], code_bits(7, [1040, 1048, 3])))
-# over Q a class with k max|a| >= 2**31 keeps the whole stack
+# over Q a class with k max|a| >= 2**31 keeps the whole stack, and one at
+# k max|a| = 2**31 - 2 pivots at the int64 edge, (2 k**2 - 1) a**2 > 2**62
 @example((QQ, [2**30] * 3 + [1, 2], code_bits(5, [0, 700])))
-# complements past 2 * _PANEL, and over Q at n = 40 (20 + 20) past none
+@example((QQ, [(2**31 - 2) // 3] * 3 + [-((2**31 - 2) // 3)] * 2 + [1],
+          code_bits(6, [0, 2**14 - 1, 901])))
+# word-size p: a class of 5 vertices of weight p - 1 beside 2 of weight p - 2,
+# with two matrices short of full rank, whose ranks come out wrong if u or w
+# is left unreduced and the complement overflows int64
+@example((GF(2**31 - 1), [2**31 - 2] * 5 + [2**31 - 3] * 2, code_bits(7, [74784, 222768, 0])))
+# complements past 2 * _PANEL; over Q at n = 40, wide as the certificate
+# asks, 20 + 20 and 30 + 10 classes leave complements it does not
 @example((GF(3), [1 + i % 2 for i in range(131)], random_pair_bits(131, 1, 0, 2)))
 @example((QQ, [1 + i % 2 for i in range(40)], random_pair_bits(40, 1, 0, 2)))
+@example((QQ, [1 + (i % 4 == 3) for i in range(40)], random_pair_bits(40, 2, 0, 3)))
 def test_class_pivot_ranks_equal_stack_ranks(case):
     """`class_pivot_ranks` gives `stack_ranks` of the same stack, leaves the
     stack as it was, and pivots exactly when a class has k >= 2 usable
     vertices (all of it, or all but one when p | size - 1) and, over Q,
-    k max|a| < 2**31 and not n >= _CERT_N > n - k: then the first stack it
-    ranks is the (n - k)-wide complement."""
+    k max|a| < 2**31: then the first stack it ranks is the (n - k)-wide
+    complement."""
     field, weights, bits = case
     p, n = field.char, len(weights)
     row = WeightSeq.of(field, weights).int_row()
@@ -684,7 +694,7 @@ def test_class_pivot_ranks_equal_stack_ranks(case):
     sizes = Counter(row[0].tolist()).values()
     k = max(c - 1 if p and (c - 1) % p == 0 else c for c in sizes)
     size = max(abs(v) for v in row[0].tolist())
-    pivots = k >= 2 and (p or k * size < 2**31 and not n >= rank_mod._CERT_N > n - k)
+    pivots = k >= 2 and (p or k * size < 2**31)
     width = n - k if pivots else n
     assert ranked.call_args_list[0].args[0].shape == (len(bits), width, width)
 

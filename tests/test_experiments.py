@@ -343,19 +343,23 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
         ((33, 33, 5), rank_mod._prime(0))]
 
 
-def test_montecarlo_q_at_n50_certifies_the_whole_matrices():
-    """At n = 50 over Q the cycling classes leave 25-wide complements, below
-    _CERT_N, so the pivot stays off and `_certified_full` sees every 50-wide
-    sample, as before the pivot."""
+def test_montecarlo_q_at_n50_ranks_25_wide_complements():
+    """At n = 50 over Q each cycling class has 25 vertices, so every batch
+    (26 samples, then 4) is ranked over Q from its 25-wide complements,
+    formed in int64 with no `_product_mod`; they are narrower than _CERT_N,
+    so `_certified_full` is never asked."""
     w = ex.cycling_weights(QQ, 50)
-    with mock.patch.object(rank_mod, "_certified_full",
-                           wraps=rank_mod._certified_full) as certified, \
+    with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked, \
+            mock.patch.object(rank_mod, "_certified_full",
+                              wraps=rank_mod._certified_full) as certified, \
             mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products:
-        rep = ex.montecarlo_rank(w, 8, seed=3)
-    assert [c.args[0].shape for c in certified.call_args_list] == [(50, 50)] * 8
+        rep = ex.montecarlo_rank(w, 30, seed=3)
+    assert [c.args[0].shape for c in ranked.call_args_list if c.args[1] == 0] == [
+        (26, 25, 25), (4, 25, 25)]
+    assert certified.call_count == 0
     assert products.call_count == 0
     assert [rec["rank"] for rec in rep.records] == [
-        rank(tournament_matrix(random_tournament(50, 3, i), w)).rank for i in range(8)]
+        rank(tournament_matrix(random_tournament(50, 3, i), w)).rank for i in range(30)]
 
 
 def test_montecarlo_gf3_at_n200_pivots_on_k_minus_1_vertices():

@@ -161,9 +161,9 @@ CLI_CASES = {
     # their ranks from a first run in an earlier slice
     "minrank-GF3-n8-cycling": ["minrank", "--field", "GF(3)", "--n", "8",
                                "--seq", "1,2,1,2,1,2,1,2", "--seed", "0"],
-    # Q Monte Carlo past the batched kernel's width, every rank in the report:
-    # n = 50 with the weights of the mc-q-n50 benchmark, and n = 80, more than
-    # two elimination panels wide
+    # Q Monte Carlo with every rank in the report: n = 50 with the weights of
+    # the mc-q-n50 benchmark, whose class pivot leaves 25-wide complements,
+    # and n = 80, more than two elimination panels wide
     "montecarlo-Q-n50-full": ["montecarlo", "--field", "Q", "--n", "50", "--samples", "30",
                               "--seq", ",".join("12" * 25), "--seed", "4", "--full-records"],
     "montecarlo-Q-n80-full": ["montecarlo", "--field", "Q", "--n", "80", "--samples", "10",
