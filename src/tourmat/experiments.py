@@ -160,13 +160,6 @@ def _reduce(stack, p: int):
     return stack % p if p else stack
 
 
-def _with_reversals(bits, row, p: int):
-    """The stacks of the bit rows and of their reversals (every bit flipped):
-    residues, or over Q (p = 0) Python ints that no mix of them can overflow."""
-    stacks = [tournament_stack(b, row) for b in (bits, 1 - bits)]
-    return stacks if p else [s.astype(object) for s in stacks]
-
-
 def _pair_sums(row, p: int):
     """The pair sums a_i + a_j (i != j) straight from a (1, n) row, as one stack
     with a zero diagonal (Python ints over Q)."""
@@ -250,17 +243,15 @@ def _mix_reversal_sweep(weights: WeightSeq, alpha, beta, tournaments, seed: int,
     # are the mix's cleared row: residues, or integers over Q
     (a, b), = DenseMatrix.from_rows(field, [[alpha, beta]]).ints.tolist()
     expected = _reduce((a + b) * _pair_sums(row, p), p)
+    vals = row if p else row.astype(object)  # over Q Python ints, which no mix overflows
     low = bounds.reversal_sum_bound(n)
     records = []
     for _, bits in _bit_batches(n, lo, hi, sample_seed):
-        w, rev = _with_reversals(bits, row, p)
+        w, rev = (tournament_stack(x, vals) for x in (bits, 1 - bits))
         mt, mr = _reduce(a * w + b * rev, p), _reduce(a * rev + b * w, p)
         identity = (_reduce(mt + mr, p) == expected).all(axis=(1, 2)).tolist()
-        if p == 2:
-            ranks_t = ranks_r = [None] * len(bits)
-        else:
-            ranks_t, ranks_r = stack_ranks(mt, p).tolist(), stack_ranks(mr, p).tolist()
-        for code, identity_ok, rt, rr in zip(bit_codes(bits), identity, ranks_t, ranks_r):
+        ranks = [(None, None)] * len(bits) if p == 2 else _ranks_side_by_side([mt, mr], p)
+        for code, identity_ok, (rt, rr) in zip(bit_codes(bits), identity, ranks):
             ok = identity_ok and (p == 2 or rt + rr >= low and more_ok(rt, rr))
             records.append({"code": code, "identity_ok": identity_ok,
                             "rank_t": rt, "rank_rev": rr, "pass": ok})
@@ -567,8 +558,9 @@ def _environment(values: dict):
 
 def _run_chunks(fn, jobs, workers):
     """[fn(job) for job in jobs], run in this process or by a pool of workers."""
-    # the pool starts a process per worker, so never ask for more than can run
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # a process per worker, at most one per CPU this process may run on (a cpuset's)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(jobs), cpus or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]
     # spawned children load OpenBLAS afresh, with one thread each: at its

@@ -4,10 +4,11 @@ A family of distinct nonempty subsets of {1, ..., n} is self-bisecting when
 every pair A != B satisfies |A n B| = |A|/2 or |A n B| = |B|/2.  The +-1
 incidence matrix X of such a family has a Gram matrix X X^T with diagonal n
 and off-diagonal n - 2|tau(A, B)|, where tau picks the member whose size is
-twice the intersection (A wins ties).  Consequently (nJ - X X^T)/2 is an
-m x m matrix of the tournament-matrix family for the weights
-(|A_1|, ..., |A_m|), which is what ties family size bounds to matrix rank
-bounds.  Everything here is over the rationals; X X^T is exact in int64.
+twice the intersection (A wins ties).  So (nJ - X X^T)/2 is an m x m matrix
+of the tournament-matrix family for the weights (|A_1|, ..., |A_m|), which
+ties family size bounds to matrix rank bounds.  The checks read every |A n B|
+and |A| at once from the 0/1 incidence product Y Y^T (X = 2Y - 1).  All of
+it is over the rationals; X X^T and Y Y^T are exact in int64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrices import DenseMatrix, WeightSeq, in_matrix_family
+from .matrices import DenseMatrix, MatrixShapeError, WeightSeq, in_matrix_family
 from .fields import QQ
 from .rank import rank
 
@@ -76,13 +77,9 @@ class Verdict:
 def check_bisecting(family: SetFamily) -> Verdict:
     """Check every pair; on failure the witness is the first violating pair
     (index_a, index_b) in index order."""
-    sets = family.sets
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            inter = len(sets[a] & sets[b])
-            if 2 * inter != len(sets[a]) and 2 * inter != len(sets[b]):
-                return Verdict(False, (a, b))
-    return Verdict(True, None)
+    inter, size = _overlaps(family)
+    bad = np.argwhere(np.triu((2 * inter != size[:, None]) & (2 * inter != size), 1))
+    return Verdict(not len(bad), tuple(bad[0].tolist()) if len(bad) else None)
 
 
 def tau(a: frozenset, b: frozenset) -> frozenset:
@@ -98,6 +95,13 @@ def incidence_pm1(family: SetFamily) -> DenseMatrix:
     return DenseMatrix(QQ, 2 * np.array(inside, np.int64).reshape(len(inside), family.ground_n) - 1)
 
 
+def _overlaps(family: SetFamily):
+    """Y Y^T for the 0/1 incidence array Y = (X + 1)/2 (|A n B| at (A, B)), and its diagonal."""
+    y = (incidence_pm1(family).ints + 1) // 2
+    inter = y @ y.T
+    return inter, np.diag(inter)
+
+
 def _bisecting_gram(family: SetFamily) -> np.ndarray:
     """X X^T for the +-1 incidence array X of a bisecting family (int64, exact)."""
     verdict = check_bisecting(family)
@@ -110,28 +114,28 @@ def _bisecting_gram(family: SetFamily) -> np.ndarray:
 def gram_check(family: SetFamily, gram: DenseMatrix | None = None) -> Verdict:
     """Verify the Gram identities of the +-1 incidence matrix, entry by entry.
 
-    Diagonal entries must equal n; entry (A, B) must equal both
-    n - 2(|A| + |B|) + 4|A n B| and, for bisecting families, n - 2|tau(A, B)|.
-    On failure the witness is (row, col, expected, actual) of the first bad
-    entry.  Passing an explicit `gram` matrix checks that matrix instead of
-    the computed one (negative-control hook).
+    Entry (A, B) must equal n - 2(|A| + |B|) + 4|A n B| (n on the diagonal)
+    and, off the diagonal of a bisecting family, n - 2|tau(A, B)|.  On failure
+    the witness is (row, col, expected, actual) of the first bad entry, the
+    tau identity checked before the value.  Passing an explicit m x m `gram`
+    matrix checks that matrix instead of the computed one (negative-control hook).
     """
     computed = _bisecting_gram(family)
     g, den = (computed, 1) if gram is None else (gram.ints, gram.den)
+    if g.shape != computed.shape:
+        raise MatrixShapeError(f"gram of shape {g.shape} for {len(family)} sets")
+    inter, size = _overlaps(family)
     n = family.ground_n
-    sets = family.sets
-    for r in range(len(sets)):
-        for c in range(len(sets)):
-            if r == c:
-                expected = n
-            else:
-                a, b = sets[r], sets[c]
-                expected = n - 2 * (len(a) + len(b)) + 4 * len(a & b)
-                if expected != n - 2 * len(tau(a, b)):
-                    return Verdict(False, (r, c, str(expected), "tau-size mismatch"))
-            if g[r, c] != expected * den:
-                return Verdict(False, (r, c, str(expected), str(Fraction(int(g[r, c]), den))))
-    return Verdict(True, None)
+    expected = n - 2 * (size[:, None] + size) + 4 * inter
+    tau_size = np.where(2 * inter == size, size[:, None], size)  # |A| where 2|A n B| = |B|
+    tau_bad = (expected != n - 2 * tau_size) & ~np.eye(len(size), dtype=bool)
+    # den * expected in Python ints, past what int64 holds
+    bad = np.argwhere(tau_bad | (g != expected.astype(object) * den))
+    if not len(bad):
+        return Verdict(True, None)
+    r, c = bad[0].tolist()
+    shown = "tau-size mismatch" if tau_bad[r, c] else str(Fraction(int(g[r, c]), den))
+    return Verdict(False, (r, c, str(expected[r, c]), shown))
 
 
 def family_to_matrix(family: SetFamily):

@@ -170,12 +170,6 @@ class DenseMatrix:
         """The raw values, row-major."""
         return tuple(v for row in self.raw_rows() for v in row)
 
-    def principal_submatrix(self, s: int) -> "DenseMatrix":
-        """Top-left s x s block."""
-        if not 0 <= s <= min(self.n_rows, self.n_cols):
-            raise MatrixShapeError(f"principal size {s} out of range")
-        return DenseMatrix(self.field, self.ints[:s, :s], self.den)
-
 
 def _check_weights(t: Tournament, weights: WeightSeq):
     if len(weights) != t.n:

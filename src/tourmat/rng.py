@@ -37,8 +37,6 @@ class ByteStream:
 
     def bits(self, k: int) -> int:
         """An integer with k uniform bits (0 <= result < 2**k)."""
-        if k == 0:
-            return 0
         nbytes = (k + 7) // 8
         raw = int.from_bytes(self.take_bytes(nbytes), "big")
         return raw >> (8 * nbytes - k)

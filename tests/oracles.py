@@ -10,10 +10,13 @@ at sizes past the scans.  `pair_law_rows` walks a tournament's pair-bit text
 pair by pair, the reference for the array builders, and `linear_mix_rows`
 and `pair_sum_rows` are its laws that only tests need.  `has_edge`,
 `flip_edge` and `enumerate_all` read, change and count tournament codes by
-shifting bits.  Nothing in this file imports the package, so agreement is
-meaningful.
+shifting bits.  `bisecting_witness` and `gram_witness` restate the family
+checks pair by pair on Python sets, and `leading_block` takes a matrix's
+top-left block for the leading-minor tests.  Nothing in this file imports
+the package, so agreement is meaningful.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -181,3 +184,42 @@ def flip_edge(n, code, i, j):
 def enumerate_all(n, start=0, end=None):
     """The codes start..end-1 of tournaments on n vertices, default every code."""
     return range(start, 1 << n * (n - 1) // 2 if end is None else end)
+
+
+def bisecting_witness(sets):
+    """The first pair (a, b), a < b in index order, of sets with 2|A n B|
+    equal to neither |A| nor |B|, or None when the family is self-bisecting."""
+    for a, b in combinations(range(len(sets)), 2):
+        inter = len(sets[a] & sets[b])
+        if 2 * inter != len(sets[a]) and 2 * inter != len(sets[b]):
+            return a, b
+    return None
+
+
+def gram_witness(sets, n, gram):
+    """The first entry (row, col, expected, actual), in row-major order, where
+    the rows `gram` (ints or Fractions) break the Gram identities of the +-1
+    incidence matrix of a self-bisecting family of sets on {1, ..., n}, or None.
+
+    The diagonal must be n.  Entry (A, B) off it must be
+    n - 2(|A| + |B|) + 4|A n B|, which is checked first to equal n - 2|tau|,
+    tau = A if 2|A n B| = |B| and B otherwise.
+    """
+    for r, a in enumerate(sets):
+        for c, b in enumerate(sets):
+            if r == c:
+                expected = n
+            else:
+                expected = n - 2 * (len(a) + len(b)) + 4 * len(a & b)
+                tau = a if 2 * len(a & b) == len(b) else b
+                if expected != n - 2 * len(tau):
+                    return r, c, str(expected), "tau-size mismatch"
+            if gram[r][c] != expected:
+                return r, c, str(expected), str(Fraction(gram[r][c]))
+    return None
+
+
+def leading_block(m, s):
+    """The top-left s x s block of a matrix with `field`, `ints` and `den`, as
+    a matrix of its type."""
+    return type(m)(m.field, m.ints[:s, :s], m.den)

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import enumerate_all, flip_edge, linear_mix_rows, pair_sum_rows
+from oracles import enumerate_all, flip_edge, leading_block, linear_mix_rows, pair_sum_rows
 from tourmat import experiments as ex
 from tourmat import report as report_mod
 from tourmat.fields import GF, QQ, FieldMismatchError
@@ -117,16 +117,16 @@ def test_certifiability_gf3_s4_needs_bigger_minor():
     w = ex._certify_weights(field, 5, 4, field.one)
     for code in enumerate_all(5, 0, 32):
         m = tournament_matrix(Tournament(5, code), w)
-        assert determinant(m.principal_submatrix(4)).is_zero()
-        assert not determinant(m.principal_submatrix(5)).is_zero()
+        assert determinant(leading_block(m, 4)).is_zero()
+        assert not determinant(leading_block(m, 5)).is_zero()
 
 
 def test_certifiability_s1_block():
     field = QQ
     w = ex._certify_weights(field, 4, 1, field.scalar(3))
     m = tournament_matrix(random_tournament(4, 6, 0), w)
-    assert determinant(m.principal_submatrix(1)).is_zero()
-    assert determinant(m.principal_submatrix(2)).value == -9
+    assert determinant(leading_block(m, 1)).is_zero()
+    assert determinant(leading_block(m, 2)).value == -9
 
 
 def test_verify_certifiability_exhaustive_small():
@@ -646,12 +646,33 @@ class _RecordingPool:
 def test_worker_pool_is_clamped(monkeypatch, workers, cpus, expected):
     _RecordingPool.requested = []
     monkeypatch.setattr(ex, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
     w = ex.cycling_weights(GF(3), 6)
     rep = ex.montecarlo_rank(w, 20, seed=3, workers=workers)
     assert _RecordingPool.requested == [expected]
     serial = ex.montecarlo_rank(w, 20, seed=3, workers=1)
     assert rep.to_json(full_records=True) == serial.to_json(full_records=True)
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_workers_are_clamped_to_the_cpus_this_process_may_use(monkeypatch, affinity):
+    """os.cpu_count() counts the machine's CPUs, not those a cpuset leaves this
+    process: the clamp reads sched_getaffinity where os has it, and cpu_count
+    only where it does not.  One usable CPU runs every job here, with no pool."""
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", _refuse_pool)
+    if affinity:
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(ex.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 1)
+    assert ex._run_chunks(lambda job: (job, os.getpid()), [1, 2, 3], 8) == [
+        (job, os.getpid()) for job in (1, 2, 3)]
 
 
 def _report_blas_threads(names):
@@ -664,6 +685,7 @@ def test_pool_workers_start_with_one_blas_thread(monkeypatch):
     environment is left as it was."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
     names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
     assert ex._run_chunks(_report_blas_threads, [names, names], 2) == [["1", "1"]] * 2
@@ -740,6 +762,17 @@ def test_mix_sweep_matches_matrices_built_one_by_one(field, values, alpha, beta)
         DenseMatrix.from_rows(field, pair_sum_rows(vals))).rank
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=str)
+def test_reversal_sweep_ranks_each_batch_in_one_call(monkeypatch, field):
+    """M(t) and M(rev t) of a batch are ranked side by side in one stack;
+    over GF(2), which refuses the rank checks, nothing is ranked."""
+    monkeypatch.setattr(ex, "_BATCH_ENTRIES", 100)  # 4 tournaments per batch at n = 5
+    with mock.patch.object(ex, "_ranks_side_by_side", wraps=ex._ranks_side_by_side) as ranked:
+        rep = ex.verify_reversal(WeightSeq.of(field, [1] * 5), tournaments=25, seed=1)
+    assert len(rep.records) == 25
+    assert ranked.call_count == (0 if field.char == 2 else 7)
+
+
 def test_batched_sweep_matches_per_matrix_ranks_across_batches():
     """A shard spanning several batches, starting and ending off a boundary."""
     field = GF(5)
@@ -791,7 +824,7 @@ def test_certify_failures_match_per_code_determinants(monkeypatch):
             w = WeightSeq.of(field, values[:n])
             for s in range(1, n):
                 bad = [c for c in enumerate_all(n) if all(determinant(
-                    tournament_matrix(Tournament(n, c), w).principal_submatrix(k)).is_zero()
+                    leading_block(tournament_matrix(Tournament(n, c), w), k)).is_zero()
                     for k in (s, s + 1))]
                 expected.append((str(field), n, s, len(bad), bad[0] if bad else None))
     got = [(rec["field"], rec["n"], rec["s"], rec["violations"], rec["first_bad_code"])

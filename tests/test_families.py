@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bisecting_witness, gram_witness
 from tourmat.families import (
     FamilyError,
     FamilyParseError,
     NotBisectingError,
     SetFamily,
+    Verdict,
     check_bisecting,
     family_to_matrix,
     format_family,
@@ -107,13 +111,70 @@ def test_gram_check_star5():
 
 def test_gram_check_negative_control():
     x = incidence_pm1(STAR5).ints
-    for bad, shown in ((99, "99"), (Fraction(3, 2), "3/2")):
+    # a denominator of 2**62 takes every other entry times it past int64
+    for bad, shown in ((99, "99"), (Fraction(3, 2), "3/2"), (Fraction(1, 2**62), f"1/{2**62}")):
         rows = (x @ x.T).tolist()
         rows[1][2] = bad
         verdict = gram_check(STAR5, gram=DenseMatrix.from_rows(QQ, rows))
         assert not verdict.ok
         assert verdict.witness == (1, 2, "1", shown)
     assert gram_check(STAR5, gram=DenseMatrix(QQ, 2 * (x @ x.T), 2))
+
+
+@st.composite
+def families(draw):
+    """Distinct nonempty subsets of {1, ..., n}, n <= 8: as drawn, or all but
+    the first kept greedily while the family stays self-bisecting, with the
+    first then inserted at a drawn place or left out."""
+    n = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10, unique=True))
+    sets = [frozenset(x + 1 for x in range(n) if mask >> x & 1) for mask in masks]
+    mode = draw(st.sampled_from(["drawn", "bisecting", "one stray"]))
+    if mode != "drawn":
+        kept = []
+        for s in sets[1:]:
+            if bisecting_witness(kept + [s]) is None:
+                kept.append(s)
+        if mode == "one stray":
+            kept.insert(draw(st.integers(0, len(kept))), sets[0])
+        sets = kept or sets[:1]
+    return SetFamily(n, tuple(sets))
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(families())
+def test_check_bisecting_matches_the_pairwise_oracle(family):
+    """The verdict and the first failing pair in index order, from one product Y Y^T."""
+    witness = bisecting_witness(family.sets)
+    assert check_bisecting(family) == Verdict(witness is None, witness)
+
+
+@PROPERTY
+@given(families(), st.data())
+def test_gram_check_matches_the_pairwise_oracle(family, data):
+    """The verdict and the first bad entry in row-major order, on the computed
+    Gram matrix and on one with a random entry, and maybe its mirror too,
+    replaced by random rationals."""
+    if bisecting_witness(family.sets) is not None:
+        with pytest.raises(NotBisectingError):
+            gram_check(family)
+        return
+    n, m = family.ground_n, len(family)
+    x = incidence_pm1(family).ints
+    rows = (x @ x.T).tolist()
+    assert gram_witness(family.sets, n, rows) is None
+    assert gram_check(family) == Verdict(True, None)
+    r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    values = st.fractions(-2 * n, 2 * n, max_denominator=3)
+    rows[r][c] = data.draw(values)
+    if data.draw(st.booleans()):
+        rows[c][r] = data.draw(values)
+    witness = gram_witness(family.sets, n, rows)
+    verdict = gram_check(family, gram=DenseMatrix.from_rows(QQ, rows))
+    assert verdict == Verdict(witness is None, witness)
 
 
 def test_gram_check_requires_bisecting():

@@ -279,3 +279,9 @@ def test_split_draws_read_one_stream():
     pieces = ByteStream(9, "split")
     whole = ByteStream(9, "split").take_bytes(sum(sizes))
     assert b"".join(pieces.take_bytes(k) for k in sizes) == whole
+
+
+def test_zero_bits_read_nothing():
+    stream = ByteStream(9, "zero")
+    assert stream.bits(0) == 0
+    assert stream.bits(64) == ByteStream(9, "zero").bits(64)
