@@ -13,8 +13,9 @@ pivot columns are deterministic.  The map:
 - `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
 - `class_pivot_ranks` ranks one weight row's stacks as k plus `stack_ranks` of
   one integer complement, by an equal-weight class pivot of k vertices;
-- over Q `stack_ranks` first certifies full ranks from a float64 inverse
-  (`_certified_full`) on square int64 stacks at least _CERT_N wide;
+- over Q `stack_ranks` first certifies full ranks from float64 inverses,
+  one stacked inverse per chunk (`_certified_full`), on the square int64
+  stacks `_CERT_FIRST` names: wide ones, or shallow ones a little narrower;
 - over Q every other path ranks mod `_prime(0)` = 8191 first, and what falls
   short there mod the rest of `_hadamard_primes` (`_over_q`, `_eliminate_q`).
 
@@ -28,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import frexp, gcd, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -38,9 +39,15 @@ from .matrices import DenseMatrix, int_array
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
 _TABLE_P = 8191  # the largest prime whose stack eliminations delay reduction, by table inverses
-# the narrowest square Q stack whose matrices `_certified_full` tries first: below
-# about 31 columns the batched elimination mod 8191 costs less per matrix
-_CERT_N = 32
+# Path thresholds; paths are exact, so these move times, never ranks.  Rows
+# cite (B, n): B matrices n wide, ms, best of 9, one BLAS thread (full grid in
+# CHANGES.md).  `stack_ranks` certifies a square int64 Q stack first when
+# n >= n_min and B <= depth for a row.  Tournament stacks under cycling 1, 2
+# weights, certificate and the screen of what fails / screen mod 8191 alone:
+_CERT_FIRST = ((32, 2**62),  # (20, 32) 0.68 / 1.97, (1024, 32) 32.7 / 48.9
+               (24, 128))  # (20, 25) 0.39 / 1.32, (128, 24) 2.4 / 3.0; (256, 25) 9.8 / 7.4
+# and deep narrow stacks lose: (1024, 5) 2.2 / 0.85
+_CERT_ENTRIES = 2**14  # matrix entries per stacked inverse of `_certified_full`
 # the Q primes: the table prime, then descending primes below 2**31 (int64-safe
 # products), extended by _prime
 _PRIMES = [_TABLE_P, 2**31 - 1]
@@ -161,18 +168,19 @@ def stack_ranks(stack, p) -> np.ndarray:
     or Python ints in an object array), as an int64 array of B ranks: mod p,
     or with p = 0 over Q.
 
-    Over Q a square int64 stack at least _CERT_N wide has each matrix that
-    `_certified_full` certifies set to full rank; the ranks mod `_prime(0)`
-    of the rest, or of every other stack, go to `_over_q`.  Mod p, matrices
-    past 2 * _PANEL columns go one at a time to the faster `_eliminate_mod_p`;
+    Over Q the matrices `_certified_full` passes, in a square int64 stack
+    `_CERT_FIRST` names, have full rank; the ranks mod `_prime(0)` of the
+    rest, or of every other stack, go to `_over_q`.  Mod p, matrices past
+    2 * _PANEL columns go one at a time to the faster `_eliminate_mod_p`;
     narrower ones are eliminated together by `_stack_echelon`.
     """
     if not p:
-        n_rows, n_cols = np.shape(stack)[1:]
-        if stack.dtype != np.int64 or not n_rows == n_cols >= _CERT_N:
+        depth, n_rows, n_cols = np.shape(stack)
+        if stack.dtype != np.int64 or n_rows != n_cols or not any(
+                n_cols >= n and depth <= d for n, d in _CERT_FIRST):
             return _over_q(stack, stack_ranks(stack, _prime(0)))
-        ranks = np.full(len(stack), n_cols, dtype=np.int64)
-        rest = np.flatnonzero([not _certified_full(m) for m in stack])
+        ranks = np.full(depth, n_cols, dtype=np.int64)
+        rest = np.flatnonzero(~_certified_full(stack))
         if rest.size:
             ranks[rest] = _over_q(stack[rest], stack_ranks(stack[rest], _prime(0)))
         return ranks
@@ -231,9 +239,10 @@ def class_pivot_ranks(stack, row, p) -> np.ndarray:
     return k + stack_ranks(S, p)
 
 
-def _certified_full(m) -> bool:
-    """Whether the float64 inverse X of the square int64 matrix m certifies,
-    in exact integer arithmetic, that m is invertible over Q.
+def _certified_full(stack) -> np.ndarray:
+    """Whether the float64 inverse X of each matrix m of the square int64
+    stack certifies, in exact integer arithmetic, that m is invertible over
+    Q: one bool per matrix.
 
     With max|X| < 2**e and 2**j the largest power of two with n * max|m| *
     2**j < 2**52, X' = rint(2**k X) for k = min(j - e, 52) has |X'| <= 2**j.
@@ -247,26 +256,41 @@ def _certified_full(m) -> bool:
     it: rounding can fail a row, never pass one.  A zero matrix, a matrix
     that float64 finds singular, one whose X is not finite, and one whose
     entries or X leave no such j, k >= 0 are not certified.
+
+    The stack goes in chunks of about _CERT_ENTRIES entries, one stacked
+    inverse each, with j (from the exact integer quotient), e and k one
+    integer per matrix.  An exact zero pivot in any matrix makes the
+    stacked inverse raise; then the matrices whose `slogdet` sign is 0 are
+    left out and the rest inverted.  LAPACK inverts each matrix alone and
+    every later step is exact or elementwise, so no verdict depends on the
+    chunk.
     """
-    n = len(m)
-    size = max(int(m.max()), -int(m.min()))
-    if not 0 < n * size < 2**52:
-        return False
-    a = m.astype(np.float64)
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return False
-    top = np.abs(x).max()
-    if not np.isfinite(top):
-        return False
-    j = ((2**52 - 1) // (n * size)).bit_length() - 1
-    k = min(j - frexp(top)[1], 52)
-    if k < 0:
-        return False
-    err = np.rint(np.ldexp(x, k)) @ a
-    err.flat[::n + 1] -= 2.0**k
-    return bool((np.abs(err).sum(axis=1) < 2.0**k).all())
+    n = stack.shape[-1]
+    verdicts = np.zeros(len(stack), dtype=bool)
+    step = max(1, _CERT_ENTRIES // n**2)
+    for lo in range(0, len(stack), step):
+        a = stack[lo:lo + step].astype(np.float64)
+        size = np.abs(a).max(axis=(1, 2))
+        ok = (size > 0) & (n * size < 2**52)  # exact: float64 holds every size below 2**53
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            ok &= np.linalg.slogdet(a)[0] != 0
+            x = np.zeros_like(a)
+            x[ok] = np.linalg.inv(a[ok])
+        top = np.abs(x).max(axis=(1, 2))
+        ok &= np.isfinite(top)
+        quotient = (2**52 - 1) // (n * np.where(ok, size, 1).astype(np.int64))
+        k = np.minimum(np.frexp(quotient.astype(np.float64))[1] - 1  # j: bit_length - 1
+                       - np.frexp(np.where(ok, top, 1))[1], 52)
+        ok &= k >= 0
+        x[~ok], k[~ok] = 0, 0
+        err = np.rint(np.ldexp(x, k[:, None, None], out=x), out=x) @ a
+        unit = np.ldexp(1.0, k)
+        err.reshape(len(a), -1)[:, ::n + 1] -= unit[:, None]
+        rows = np.abs(err, out=err).sum(axis=2)
+        verdicts[lo:lo + step] = ok & (rows < unit[:, None]).all(axis=1)
+    return verdicts
 
 
 def _stack_echelon(A, p, n_piv, reduced=False):

@@ -6,16 +6,20 @@ the stack alone over GF(p), and against `rank()` of each matrix over Q, and
 codes, entry for entry: exhaustively for n <= 5 and on random codes at
 n = 11, and with one weight row per matrix.  Stacks wider than two panels
 are ranked one matrix at a time.  Over Q a `mock` count pins how many
-primes stacks narrower than `_CERT_N` are ranked mod: `_prime(0)` for every
-matrix, the rest only for those short of full rank there, and stacks that
-mix both kinds are checked against `rank()` and the Bareiss oracle.  The
-float64 certificate of full rank over Q, `_certified_full`, never passes a
-matrix short of full rank, even when handed the exact inverse of a
-neighbouring matrix, and ranks with it equal ranks with it patched to
-certify nothing.  `class_pivot_ranks`, Monte Carlo's block pivot on an
-equal-weight class, gives the ranks of `stack_ranks` over every field, on
-stacks whose rank falls short and at the int64 bounds of its one
-complement, and pivots on the class its rule names, over Q at any width.
+primes the stacks that skip the certificate are ranked mod: `_prime(0)` for
+every matrix, the rest only for those short of full rank there, and stacks
+that mix both kinds are checked against `rank()` and the Bareiss oracle.
+The float64 certificate of full rank over Q, `_certified_full`, never
+passes a matrix short of full rank, even when handed the exact inverse of a
+neighbouring matrix; on stacks that mix full-rank, short, zero and
+float-singular matrices each verdict is the one the matrix gets alone, and
+a singular matrix leaves its chunk mates certified.  Ranks with it equal
+ranks with it patched to certify nothing, and only the stacks its depth
+and width rule (`_CERT_FIRST`) names ask it.  `class_pivot_ranks`, Monte
+Carlo's block pivot on an equal-weight class, gives the ranks of
+`stack_ranks` over every field, on stacks whose rank falls short and at the
+int64 bounds of its one complement, and pivots on the class its rule
+names, over Q at any width.
 `bordered_ranks` is checked against `stack_ranks` of the
 bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
@@ -62,6 +66,12 @@ rank_mod = importlib.import_module("tourmat.rank")
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 PRIMES = (2, 3, 5, 16_777_259, 2**31 - 1)
+
+
+def certifying_none():
+    """`_certified_full` patched to certify no matrix of any stack."""
+    return mock.patch.object(rank_mod, "_certified_full",
+                             side_effect=lambda stack: np.zeros(len(stack), dtype=bool))
 
 
 @st.composite
@@ -128,7 +138,7 @@ def test_wide_stacks_are_ranked_one_matrix_at_a_time():
         assert [c.args[1] for c in spy.call_args_list[len(stack):]] == primes
         assert all((c.args[0] == stack[3]).all() for c in spy.call_args_list[len(stack):])
         spy.reset_mock()
-        with mock.patch.object(rank_mod, "_certified_full", return_value=False):
+        with certifying_none():
             assert rank_mod.stack_ranks(stack, 0).tolist() == q_ranks
         assert [c.args[1] for c in spy.call_args_list] == [primes[0]] * len(stack) + primes[1:]
         assert all((c.args[0] == stack[3]).all() for c in spy.call_args_list[len(stack):])
@@ -532,7 +542,7 @@ def test_certificate_never_passes_a_matrix_short_of_full_rank(m, data):
     pass it."""
     n = len(m)
     assert _q_rank(m.tolist()) < n
-    assert not rank_mod._certified_full(m)
+    assert not rank_mod._certified_full(m[None]).any()
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     neighbour = m.astype(np.float64)
     neighbour[i, j] += 1
@@ -540,28 +550,93 @@ def test_certificate_never_passes_a_matrix_short_of_full_rank(m, data):
         x = np.linalg.inv(neighbour)
     except np.linalg.LinAlgError:
         return
-    with mock.patch.object(np.linalg, "inv", return_value=x):
-        assert not rank_mod._certified_full(m)
+    with mock.patch.object(np.linalg, "inv", return_value=x[None]):
+        assert not rank_mod._certified_full(m[None]).any()
 
 
 def test_certificate_fails_a_row_sum_of_exactly_one():
     """X, the exact inverse of the neighbour [[2, 1], [1, 1]] of the singular
     m, leaves ||I - X m||_inf = 1 with no rounding at all."""
-    m = np.ones((2, 2), dtype=np.int64)
-    with mock.patch.object(np.linalg, "inv", return_value=np.array([[1.0, -1.0], [-1.0, 2.0]])):
-        assert not rank_mod._certified_full(m)
+    m = np.ones((1, 2, 2), dtype=np.int64)
+    with mock.patch.object(np.linalg, "inv",
+                           return_value=np.array([[[1.0, -1.0], [-1.0, 2.0]]])):
+        assert not rank_mod._certified_full(m).any()
+
+
+CERT_KINDS = ("dominant", "dominant", "short", "zero", "float-singular")
 
 
 @st.composite
-def q_stacks_around_the_certificate_width(draw):
-    """1..4 integer matrices whose sides are each _CERT_N - 1, _CERT_N or
-    2 * _PANEL + 1: entries in -3..3 from a drawn numpy seed, some matrices
-    short of full rank (a repeated, zero or combined row); as int64, or as
-    Python ints with or without one entry past 2**63."""
-    sides = st.sampled_from((rank_mod._CERT_N - 1, rank_mod._CERT_N, 2 * rank_mod._PANEL + 1))
-    nr = draw(sides)
-    nc = draw(st.one_of(st.just(nr), sides))
-    n_mat = draw(st.integers(1, 4))
+def certificate_stacks(draw):
+    """(stack, kinds, chunk): 1..9 int64 matrices n wide (n in 2..12) of the
+    drawn kinds, and a chunk size in entries of one, two or all of them at
+    once.  "dominant": entries in -3..3 off a diagonal of 4n, full rank;
+    "short": row j = c row i; "zero"; "float-singular": full rank over Q
+    (determinant 1) with rows (2**53 + 1, 2**53) and (1, 1) over columns i
+    and j, which float64 rounds to a singular matrix.  Any kind but "zero"
+    may hold one entry of size `_exact_size(n)` or one past it."""
+    n = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(CERT_KINDS), min_size=1, max_size=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(-3, 4, size=(len(kinds), n, n))
+    for m, kind in zip(stack, kinds):
+        i, j = rng.choice(n, size=2, replace=False)
+        m += 4 * n * np.eye(n, dtype=np.int64)
+        if kind != "zero" and draw(st.booleans()):
+            m[i, j] = (_exact_size(n) + draw(st.integers(0, 1))) * draw(st.sampled_from((1, -1)))
+        if kind == "short":
+            m[j] = draw(st.sampled_from((1, -2))) * m[i]
+        elif kind == "zero":
+            m[:] = 0
+        elif kind == "float-singular":
+            m[[i, j]], m[:, [i, j]] = 0, 0
+            m[i, i], m[i, j], m[j, i], m[j, j] = 2**53 + 1, 2**53, 1, 1
+    chunk = draw(st.sampled_from((1, 2, len(kinds)))) * n * n
+    return stack, kinds, chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(certificate_stacks())
+# a zero and a float-singular matrix between dominant ones, in one chunk
+@example((np.stack([np.eye(3, dtype=np.int64) * 12, np.zeros((3, 3), dtype=np.int64),
+                    np.array([[2**53 + 1, 2**53, 0], [1, 1, 0], [0, 0, 1]]),
+                    np.eye(3, dtype=np.int64) * 12 + 1]),
+          ["dominant", "zero", "float-singular", "dominant"], 36))
+def test_certificate_verdicts_hold_alone_and_in_a_stack(case):
+    """Every certified matrix is of full rank by the oracle, none with an
+    entry past `_exact_size(n)`; each verdict is the one the matrix gets
+    alone; every dominant matrix is certified, so a singular matrix leaves
+    its chunk mates certified; and each chunk takes one stacked inverse, or
+    two when a singular matrix makes the first raise."""
+    stack, kinds, chunk = case
+    n = stack.shape[-1]
+    with mock.patch.object(rank_mod, "_CERT_ENTRIES", chunk), \
+            mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverses:
+        verdicts = rank_mod._certified_full(stack).tolist()
+    chunks = -(-len(stack) // max(1, chunk // n**2))
+    assert chunks <= inverses.call_count <= 2 * chunks
+    for m, kind, certified in zip(stack, kinds, verdicts):
+        assert rank_mod._certified_full(m[None]).tolist() == [certified]
+        if certified:
+            assert _q_rank(m.tolist()) == n
+            assert np.abs(m).max() <= _exact_size(n)
+        if kind == "dominant" and np.abs(m).max() <= 4 * n + 3:
+            assert certified
+
+
+@st.composite
+def q_stacks_around_the_certificate_rule(draw):
+    """1..4 integer matrices, or as many as one of `_CERT_FIRST`'s finite
+    depths or one more, whose sides are each one of its widths, one less,
+    or 2 * _PANEL + 1: entries in -3..3 from a drawn numpy seed, some
+    matrices short of full rank (a repeated, zero or combined row); as
+    int64, or as Python ints with or without one entry past 2**63."""
+    widths = sorted({w - d for w, _ in rank_mod._CERT_FIRST for d in (0, 1)}
+                    | {2 * rank_mod._PANEL + 1})
+    depths = sorted({d + e for _, d in rank_mod._CERT_FIRST[1:] for e in (0, 1)})
+    nr = draw(st.sampled_from(widths))
+    nc = draw(st.one_of(st.just(nr), st.sampled_from(widths)))
+    n_mat = draw(st.one_of(st.integers(1, 4), st.sampled_from(depths)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = rng.integers(-3, 4, size=(n_mat, nr, nc)).astype(object)
     for m in stack:
@@ -579,25 +654,37 @@ def q_stacks_around_the_certificate_width(draw):
     return stack.astype(np.int64) if kind == "int64" else stack
 
 
+def _small_q_stack(depth, n):
+    """depth int64 n x n matrices with entries in -3..3."""
+    return np.random.default_rng(depth * n).integers(-3, 4, size=(depth, n, n))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(q_stacks_around_the_certificate_width())
+@given(q_stacks_around_the_certificate_rule())
+# both sides of each width and each depth in `_CERT_FIRST`
+@example(_small_q_stack(129, 32))
+@example(_small_q_stack(129, 31))
+@example(_small_q_stack(128, 24))
+@example(_small_q_stack(129, 24))
+@example(_small_q_stack(128, 23))
 def test_q_stack_ranks_do_not_depend_on_the_certificate(stack):
     """Ranks with the certificate equal those with it patched to certify
-    nothing, and only square int64 stacks at least _CERT_N wide ask it."""
+    nothing, and only square int64 stacks that `_CERT_FIRST` names ask it,
+    once for the whole stack."""
     with mock.patch.object(rank_mod, "_certified_full",
                            wraps=rank_mod._certified_full) as certified:
         ranks = rank_mod.stack_ranks(stack, 0).tolist()
-    with mock.patch.object(rank_mod, "_certified_full", return_value=False):
+    with certifying_none():
         assert rank_mod.stack_ranks(stack, 0).tolist() == ranks
-    asks = stack.dtype == np.int64 and stack.shape[1] == stack.shape[2] >= rank_mod._CERT_N
-    assert certified.call_count == (len(stack) if asks else 0)
-    assert all(c.args[0].shape == stack.shape[1:] for c in certified.call_args_list)
+    depth, nr, nc = stack.shape
+    asks = stack.dtype == np.int64 and nr == nc and (nc >= 32 or nc >= 24 and depth <= 128)
+    assert [c.args[0].shape for c in certified.call_args_list] == [stack.shape] * asks
 
 
 def test_one_singular_matrix_leaves_the_others_certified():
     """A singular matrix in a stack of tournament matrices alone goes on to
     the ranks mod the Q primes, as a stack of one."""
-    n = rank_mod._CERT_N + 8
+    n = 40
     weights = WeightSeq.of(QQ, [1 + k % 2 for k in range(n)])
     stack = tournament_stack(code_bits(n, [random_tournament(n, 5, i).code for i in range(6)]),
                              weights.int_row())
@@ -622,12 +709,12 @@ PIVOT_WIDTHS = (1, 2, 4, 7, 12, 31, 32, 33, 40, 63, 64, 65, 66, 80, 130)
 
 @st.composite
 def class_pivot_cases(draw):
-    """(field, weights, bits): n weights, n on both sides of _CERT_N and of
-    2 * _PANEL, each one of up to 4 drawn values (placed from a drawn numpy
-    seed), or all one value, or n consecutive nonzero residues (distinct
-    while n < p) or integers, with the pair bits of 1..3 random
-    tournaments.  Values mod p are small or near p; over Q one drawn value
-    may be a PIVOT_Q_SPECIAL."""
+    """(field, weights, bits): n weights, n on both sides of 32 (the widest
+    row of `_CERT_FIRST`) and of 2 * _PANEL, each one of up to 4 drawn
+    values (placed from a drawn numpy seed), or all one value, or n
+    consecutive nonzero residues (distinct while n < p) or integers, with
+    the pair bits of 1..3 random tournaments.  Values mod p are small or
+    near p; over Q one drawn value may be a PIVOT_Q_SPECIAL."""
     field = draw(st.sampled_from((GF(2), GF(3), GF(5), GF(8191), GF(2**31 - 1), QQ)))
     n, p = draw(st.sampled_from(PIVOT_WIDTHS)), field.char
     values = (st.one_of(st.integers(1, min(p - 1, 9)), st.integers(max(1, p - 4), p - 1)) if p
@@ -671,8 +758,8 @@ def class_pivot_cases(draw):
 # with two matrices short of full rank, whose ranks come out wrong if u or w
 # is left unreduced and the complement overflows int64
 @example((GF(2**31 - 1), [2**31 - 2] * 5 + [2**31 - 3] * 2, code_bits(7, [74784, 222768, 0])))
-# complements past 2 * _PANEL; over Q at n = 40, wide as the certificate
-# asks, 20 + 20 and 30 + 10 classes leave complements it does not
+# complements past 2 * _PANEL; over Q at n = 40, 20 + 20 classes leave
+# complements shallow and wide enough for the certificate, 30 + 10 ones not
 @example((GF(3), [1 + i % 2 for i in range(131)], random_pair_bits(131, 1, 0, 2)))
 @example((QQ, [1 + i % 2 for i in range(40)], random_pair_bits(40, 1, 0, 2)))
 @example((QQ, [1 + (i % 4 == 3) for i in range(40)], random_pair_bits(40, 2, 0, 3)))

@@ -336,27 +336,32 @@ def test_montecarlo_wide_samples_are_eliminated_one_at_a_time(field):
                            wraps=rank_mod._eliminate_mod_p) as eliminations, \
             mock.patch.object(rank_mod, "_stack_echelon",
                               wraps=rank_mod._stack_echelon) as batches, \
-            mock.patch.object(rank_mod, "_certified_full", return_value=False):
+            mock.patch.object(rank_mod, "_certified_full",
+                              side_effect=lambda stack: np.zeros(len(stack), dtype=bool)):
         assert ex.montecarlo_rank(w, 5, seed=2).records == rep.records
     assert eliminations.call_count == 0
     assert [(c.args[0].shape, c.args[1]) for c in batches.call_args_list] == [
         ((33, 33, 5), rank_mod._prime(0))]
 
 
-def test_montecarlo_q_at_n50_ranks_25_wide_complements():
+def test_montecarlo_q_at_n50_certifies_25_wide_complements():
     """At n = 50 over Q each cycling class has 25 vertices, so every batch
     (26 samples, then 4) is ranked over Q from its 25-wide complements,
-    formed in int64 with no `_product_mod`; they are narrower than _CERT_N,
-    so `_certified_full` is never asked."""
+    formed in int64 with no `_product_mod`.  Such shallow stacks are
+    certified first, one `_certified_full` call per batch, and it passes
+    every complement: no `_stack_echelon` runs on them mod the first Q prime."""
     w = ex.cycling_weights(QQ, 50)
     with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked, \
             mock.patch.object(rank_mod, "_certified_full",
                               wraps=rank_mod._certified_full) as certified, \
+            mock.patch.object(rank_mod, "_stack_echelon",
+                              wraps=rank_mod._stack_echelon) as batches, \
             mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products:
         rep = ex.montecarlo_rank(w, 30, seed=3)
     assert [c.args[0].shape for c in ranked.call_args_list if c.args[1] == 0] == [
         (26, 25, 25), (4, 25, 25)]
-    assert certified.call_count == 0
+    assert [c.args[0].shape for c in certified.call_args_list] == [(26, 25, 25), (4, 25, 25)]
+    assert batches.call_count == 0
     assert products.call_count == 0
     assert [rec["rank"] for rec in rep.records] == [
         rank(tournament_matrix(random_tournament(50, 3, i), w)).rank for i in range(30)]
