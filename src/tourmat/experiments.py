@@ -12,9 +12,10 @@ The exhaustive min-rank search ranks code ranges by bordering (`_code_ranks`,
 one int8 rank per code), and ranks each distinct matrix once by the
 free-pair rule stated there.  The GF(p) floor reads its summaries shard by
 shard, so the floor's violation rule and bound live only in `minrank_exhaustive`.
-Monte Carlo ranks its `tournament_stack` batches, all under one weight row,
-by `class_pivot_ranks`: its largest equal-weight class, then `stack_ranks` of
-one Schur complement.  Every other sweep ranks its batches with `stack_ranks`.
+Monte Carlo ranks its pair-bit batches, all under one weight row, by
+`class_pivot_ranks`: its largest equal-weight class, then `stack_ranks` of
+one Schur complement formed from the bits, with no n x n matrix built.
+Every other sweep ranks its `tournament_stack` batches with `stack_ranks`.
 Each entry point reads n and the field from its weights and clears them to one
 integer row (`WeightSeq.int_row`) once per sweep; `perm_scan` permutes that
 row's columns, and the verifiers that vary the weights pass one row per matrix.
@@ -39,7 +40,7 @@ from . import bounds
 from .fields import Field, Scalar
 from .matrices import (DenseMatrix, LengthMismatchError, WeightSeq, ZeroWeightError, int_array,
                        tournament_stack)
-from .rank import bordered_ranks, class_pivot_ranks, stack_ranks
+from .rank import _reduce, bordered_ranks, class_pivot_ranks, stack_ranks
 from .report import RecordTable, Report
 from .rng import ByteStream
 from .tournaments import (
@@ -153,11 +154,6 @@ def _ranks_side_by_side(stacks, p: int) -> list:
     stack with b's matrices adjacent (matrices short of full rank slow their stack)."""
     stack = np.stack(stacks, axis=1)
     return stack_ranks(stack.reshape(-1, *stack.shape[2:]), p).reshape(len(stack), -1).tolist()
-
-
-def _reduce(stack, p: int):
-    """The stack mod p; unchanged over Q (p = 0)."""
-    return stack % p if p else stack
 
 
 def _pair_sums(row, p: int):
@@ -468,10 +464,11 @@ def _split_range(start: int, end: int, parts: int, align: int = 1):
 
 def _ranks_chunk(args):
     """For args = (row, p, lo, hi, seed), the ranks mod p (over Q with p = 0)
-    of `_bit_batches(row.shape[1], lo, hi, seed)` under the row, in order."""
+    of `_bit_batches(row.shape[1], lo, hi, seed)` under the row, in order, by
+    one `class_pivot_ranks` call for the whole chunk."""
     row, p, lo, hi, seed = args
-    return [r for _, bits in _bit_batches(row.shape[1], lo, hi, seed)
-            for r in class_pivot_ranks(tournament_stack(bits, row), row, p).tolist()]
+    batches = (bits for _, bits in _bit_batches(row.shape[1], lo, hi, seed))
+    return class_pivot_ranks(batches, row, p).tolist()
 
 
 def _first_with_key(ks, mask, k0):

@@ -11,8 +11,9 @@ pivot columns are deterministic.  The map:
 - `stack_ranks` ranks a (B, n, n) stack, up to 2 * _PANEL columns wide all
   at once by the batched loop `_stack_echelon`;
 - `bordered_ranks` ranks the borderings of symmetric blocks on `_gauss_jordan`;
-- `class_pivot_ranks` ranks one weight row's stacks as k plus `stack_ranks` of
-  one integer complement, by an equal-weight class pivot of k vertices;
+- `class_pivot_ranks` ranks pair-bit batches under one weight row as k plus
+  `stack_ranks` of one integer complement, by an equal-weight class pivot of
+  k vertices, formed from the bits with no n x n matrix built;
 - over Q `stack_ranks` first certifies full ranks from float64 inverses,
   one stacked inverse per chunk (`_certified_full`), on the square int64
   stacks `_CERT_FIRST` names: wide ones, or shallow ones a little narrower;
@@ -34,7 +35,7 @@ from math import gcd, prod
 import numpy as np
 
 from .fields import Field, Scalar, is_prime
-from .matrices import DenseMatrix, int_array
+from .matrices import DenseMatrix, int_array, tournament_stack
 
 _PANEL = 32  # columns per panel; at most 32 keeps `_dot_mod` exact
 _ROWS = 16  # rows per step of a stack's row update, which bounds its scratch buffer
@@ -190,11 +191,13 @@ def stack_ranks(stack, p) -> np.ndarray:
     return _stack_echelon(_residues(np.moveaxis(stack, 0, -1), p), p, n_cols)[0]
 
 
-def class_pivot_ranks(stack, row, p) -> np.ndarray:
-    """The ranks `stack_ranks(stack, p)` gives, for a (B, n, n) stack of
-    tournament matrices under one integer weight row `row` of shape (1, n),
-    cleared as `WeightSeq.int_row` clears it (residues mod p), found by one
-    block pivot on an equal-weight class.
+def class_pivot_ranks(batches, row, p) -> np.ndarray:
+    """The ranks `stack_ranks(tournament_stack(bits, row), p)` of one or more
+    (B, n(n-1)/2) pair-bit arrays `bits` (laid out as by `pair_bits`), in
+    the order of the iterable `batches`, as one int64 array, under one
+    integer weight row `row` of shape (1, n) cleared as `WeightSeq.int_row`
+    clears it (residues mod p): by one block pivot on an equal-weight class,
+    with no n x n matrix built.
 
     Entry (i, j) is a_i or a_j, so on k vertices of one weight v every
     tournament's block is A = v (J - I), with A^-1 = v^-1 (J / (k - 1) - I).
@@ -209,34 +212,59 @@ def class_pivot_ranks(stack, row, p) -> np.ndarray:
     instead (then p does not divide k - 2).  The class of most such
     vertices, at least 2, is the pivot.
 
-    S' is formed in int64, in place.  Mod p, C^T C is `_product_mod` of C^T
-    and C (exact for every p < 2**31 and n <= MAX_N) and w and
-    u = v (k - 1) are reduced, so u N < 2**62, (k - 1) C^T C < 2**43 and
-    w w^T < 2**62, and every partial sum is below 2**63.  Over Q, for
-    a = max |row|, every term and partial sum is below (2 k**2 - 1) a**2 in
-    size, below 2**63 while k a < 2**31.
+    For the rest's weights a, D = diag(v - a) and the 0/1 matrix T of the
+    class's wins over the rest, C = 1 a^T + T D.  With G = T^T T, its
+    diagonal t = T^T 1 and h = a + D t, that gives C^T C = k a a^T +
+    a (D t)^T + (D t) a^T + D G D, w = k a + D t, and
 
-    The stack goes whole to `stack_ranks` where the pivot is impossible, with
-    no class of at least 2 usable vertices, and over Q where it is inexact,
-    with k a >= 2**31 (as for every row of Python ints, which hold a weight
-    past 2**63).
+        S' = v (k - 1) N + (k - 1) (D G D - a a^T) - h h^T.
+
+    T, and the rest's own bits, whose `tournament_stack` under the row
+    v (k - 1) a is v (k - 1) N, are gathered by index arrays built once per
+    call.  G is one float32 product, exact as every partial sum is at most
+    k <= MAX_N < 2**24.  S' is formed in int64 by +, - and * alone, and
+    numpy's int64 arithmetic wraps mod 2**64, so S' comes out exact while it
+    lies in [-2**63, 2**63).  Mod p, v (k - 1) a, D, h and the factors
+    (k - 1) a and (k - 1) D of (k - 1) a a^T and (k - 1) D^2 are reduced, so
+    S' lies in (-2 p**2, p + k p**2); (k - 1) D^2 is reduced too when
+    (k + 1) p**2 >= 2**63.  Over Q, for a = max |row|, terms such as h h^T
+    may pass 2**63, but |S'| <= (2 k**2 - 1) a**2 < 2**63 while k a < 2**31.
+
+    Each batch's `tournament_stack` goes whole to `stack_ranks` where the
+    pivot is impossible, with no class of at least 2 usable vertices, and
+    over Q where it is inexact, with k a >= 2**31 (as for every row of
+    Python ints, which hold a weight past 2**63).
     """
     sizes = Counter(row[0].tolist())
     k, v = max(((c - 1 if p and (c - 1) % p == 0 else c, x) for x, c in sizes.items() if x),
                default=(0, 0))
     if k < 2 or not p and k * max(map(abs, sizes)) >= 2**31:
-        return stack_ranks(stack, p)
+        return np.concatenate([stack_ranks(tournament_stack(bits, row), p) for bits in batches])
+    n = row.shape[1]
     at = np.flatnonzero(row[0] == v)[:k]
-    rest = np.delete(np.arange(stack.shape[-1]), at)
-    C = stack[:, at[:, None], rest]
-    S = stack[:, rest[:, None], rest]
-    CT, w, u = C.transpose(0, 2, 1), C.sum(axis=1), v * (k - 1)
-    G, w, u = (_product_mod(CT, C, p), w % p, u % p) if p else (CT @ C, w, u)
-    G *= k - 1
-    G -= w[:, :, None] * w[:, None, :]
-    S *= u
-    S += G
-    return k + stack_ranks(S, p)
+    rest = np.delete(np.arange(n), at)
+    off = np.arange(n) * (2 * n - 3 - np.arange(n)) // 2 - 1  # pair (i, j), i < j, is off[i] + j
+    idx = off[np.minimum.outer(at, rest)] + np.maximum.outer(at, rest)
+    flip = at[:, None] > rest  # pairs led by the rest vertex, whose bit is 1 when it wins
+    sub = (off[rest[:, None]] + rest)[np.triu_indices(len(rest), 1)]
+    a = row[0, rest]
+    d = _reduce(v - a, p)
+    va = _reduce(_reduce(v * (k - 1), p) * a, p)[None]
+    aa, dd = (np.multiply.outer(_reduce((k - 1) * x, p), x) for x in (a, d))
+    if (k + 1) * p * p >= 2**63:
+        dd %= p
+
+    def complement(bits):
+        T = (bits[:, idx] ^ flip).astype(np.float32)
+        G = (T.transpose(0, 2, 1) @ T).astype(np.int64)
+        h = _reduce(a + d * G.diagonal(axis1=1, axis2=2), p)
+        return tournament_stack(bits[:, sub], va) - aa + G * dd - h[:, :, None] * h[:, None, :]
+    return np.concatenate([k + stack_ranks(complement(bits), p) for bits in batches])
+
+
+def _reduce(x, p):
+    """x mod p; unchanged over Q (p = 0)."""
+    return x % p if p else x
 
 
 def _certified_full(stack) -> np.ndarray:

@@ -16,10 +16,10 @@ float-singular matrices each verdict is the one the matrix gets alone, and
 a singular matrix leaves its chunk mates certified.  Ranks with it equal
 ranks with it patched to certify nothing, and only the stacks its depth
 and width rule (`_CERT_FIRST`) names ask it.  `class_pivot_ranks`, Monte
-Carlo's block pivot on an equal-weight class, gives the ranks of
-`stack_ranks` over every field, on stacks whose rank falls short and at the
-int64 bounds of its one complement, and pivots on the class its rule
-names, over Q at any width.
+Carlo's block pivot on an equal-weight class, gives from pair bits the ranks
+of `stack_ranks` of their stacks over every field, on stacks whose rank
+falls short and at the int64 bounds of its one complement, and pivots on
+the class its rule names, over Q at any width, with no n-wide stack built.
 `bordered_ranks` is checked against `stack_ranks` of the
 bordered matrices it ranks, on symmetric blocks of any rank, and the
 bordered sweep `_code_ranks`, which ranks each distinct matrix once, against
@@ -750,40 +750,49 @@ def class_pivot_cases(draw):
 @example((QQ, [1, 1, -1, -1, 2, 2], code_bits(6, [1196, 1226, 5])))
 @example((QQ, [Fraction(1, 2), 1] * 3 + [Fraction(1, 2)], code_bits(7, [1040, 1048, 3])))
 # over Q a class with k max|a| >= 2**31 keeps the whole stack, and one at
-# k max|a| = 2**31 - 2 pivots at the int64 edge, (2 k**2 - 1) a**2 > 2**62
+# k max|a| = 2**31 - 2 pivots at the int64 edge, (2 k**2 - 1) a**2 > 2**62,
+# where (k - 1) D G D and h h^T of code 2**14 - 1 wrap past 2**63
 @example((QQ, [2**30] * 3 + [1, 2], code_bits(5, [0, 700])))
 @example((QQ, [(2**31 - 2) // 3] * 3 + [-((2**31 - 2) // 3)] * 2 + [1],
           code_bits(6, [0, 2**14 - 1, 901])))
 # word-size p: a class of 5 vertices of weight p - 1 beside 2 of weight p - 2,
-# with two matrices short of full rank, whose ranks come out wrong if u or w
-# is left unreduced and the complement overflows int64
+# with two matrices short of full rank
 @example((GF(2**31 - 1), [2**31 - 2] * 5 + [2**31 - 3] * 2, code_bits(7, [74784, 222768, 0])))
+# and of weight 1 beside a rest of weights 2 and 3, so v - a = -1 or -2 mod p:
+# S' passes 2**63, and these ranks come out wrong, if (k - 1) D^2 or h is
+# left unreduced
+@example((GF(2**31 - 1), [1] * 5 + [2] * 2, code_bits(7, [847419, 1019643, 0])))
+@example((GF(2**31 - 1), [1] * 5 + [2, 3], code_bits(7, [1001327, 947323])))
 # complements past 2 * _PANEL; over Q at n = 40, 20 + 20 classes leave
 # complements shallow and wide enough for the certificate, 30 + 10 ones not
 @example((GF(3), [1 + i % 2 for i in range(131)], random_pair_bits(131, 1, 0, 2)))
 @example((QQ, [1 + i % 2 for i in range(40)], random_pair_bits(40, 1, 0, 2)))
 @example((QQ, [1 + (i % 4 == 3) for i in range(40)], random_pair_bits(40, 2, 0, 3)))
 def test_class_pivot_ranks_equal_stack_ranks(case):
-    """`class_pivot_ranks` gives `stack_ranks` of the same stack, leaves the
-    stack as it was, and pivots exactly when a class has k >= 2 usable
-    vertices (all of it, or all but one when p | size - 1) and, over Q,
-    k max|a| < 2**31: then the first stack it ranks is the (n - k)-wide
-    complement."""
+    """`class_pivot_ranks`, given the pair bits in one batch or two, gives
+    `stack_ranks` of their `tournament_stack`, leaves the bits as they were,
+    and pivots exactly when a class has k >= 2 usable vertices (all of it,
+    or all but one when p | size - 1) and, over Q, k max|a| < 2**31: then
+    the first stack it ranks is the (n - k)-wide complement, and every
+    stack it builds is the rest's, never an n-wide one."""
     field, weights, bits = case
     p, n = field.char, len(weights)
     row = WeightSeq.of(field, weights).int_row()
-    stack = tournament_stack(bits, row)
-    before = stack.copy()
-    with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked:
-        ranks = rank_mod.class_pivot_ranks(stack, row, p)
-    assert np.array_equal(stack, before)
-    assert ranks.tolist() == rank_mod.stack_ranks(stack, p).tolist()
+    before = bits.copy()
+    batches = [bits[:1], bits[1:]] if len(bits) > 1 else [bits]
+    with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked, \
+            mock.patch.object(rank_mod, "tournament_stack",
+                              wraps=rank_mod.tournament_stack) as built:
+        ranks = rank_mod.class_pivot_ranks(iter(batches), row, p)
+    assert np.array_equal(bits, before)
+    assert ranks.tolist() == rank_mod.stack_ranks(tournament_stack(bits, row), p).tolist()
     sizes = Counter(row[0].tolist()).values()
     k = max(c - 1 if p and (c - 1) % p == 0 else c for c in sizes)
     size = max(abs(v) for v in row[0].tolist())
     pivots = k >= 2 and (p or k * size < 2**31)
     width = n - k if pivots else n
-    assert ranked.call_args_list[0].args[0].shape == (len(bits), width, width)
+    assert ranked.call_args_list[0].args[0].shape == (len(batches[0]), width, width)
+    assert [c.args[1].shape[-1] for c in built.call_args_list] == [width] * len(batches)
 
 
 @st.composite

@@ -370,13 +370,20 @@ def test_montecarlo_q_at_n50_certifies_25_wide_complements():
 def test_montecarlo_gf3_at_n200_pivots_on_k_minus_1_vertices():
     """At n = 200 over GF(3) each cycling class has k = 100 vertices and 3
     divides k - 1, so the pivot block is 99 of them and each sample's
-    complement is 101 wide: one `_product_mod` of 99 terms per batch."""
+    complement is 101 wide.  It is formed from the pair bits: the only
+    stacks built are the rest's 101-wide ones, never a 200-wide one, and no
+    `_product_mod` runs."""
     w = ex.cycling_weights(GF(3), 200)
     with mock.patch.object(rank_mod, "stack_ranks", wraps=rank_mod.stack_ranks) as ranked, \
-            mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products:
+            mock.patch.object(rank_mod, "_product_mod", wraps=rank_mod._product_mod) as products, \
+            mock.patch.object(rank_mod, "tournament_stack",
+                              wraps=rank_mod.tournament_stack) as built, \
+            mock.patch.object(ex, "tournament_stack", wraps=ex.tournament_stack) as built_here:
         rep = ex.montecarlo_rank(w, 3, seed=1)
     assert [c.args[0].shape for c in ranked.call_args_list] == [(1, 101, 101)] * 3
-    assert [c.args[0].shape for c in products.call_args_list] == [(1, 101, 99)] * 3
+    assert products.call_count == 0
+    assert [c.args[1].shape[-1] for c in built.call_args_list] == [101] * 3
+    assert built_here.call_count == 0
     assert [rec["rank"] for rec in rep.records] == [
         rank(tournament_matrix(random_tournament(200, 1, i), w)).rank for i in range(3)]
 
