@@ -161,6 +161,12 @@ CLI_CASES = {
     # their ranks from a first run in an earlier slice
     "minrank-GF3-n8-cycling": ["minrank", "--field", "GF(3)", "--n", "8",
                                "--seq", "1,2,1,2,1,2,1,2", "--seed", "0"],
+    # a CSV shard of 3,000 codes that cross from 13 to 14 digits, whose ranks
+    # 8, 9 and 10 mix 8- and 9-byte ",rank,pass" suffixes within one chunk
+    "minrank-GF3-n10-csv-digits": ["minrank", "--field", "GF(3)", "--n", "10",
+                                   "--seq", "1,2,1,2,1,2,1,2,1,2",
+                                   "--shard", "9999999998500:10000000001500",
+                                   "--format", "csv", "--seed", "0"],
     # Q Monte Carlo with every rank in the report: n = 50 with the weights of
     # the mc-q-n50 benchmark, whose class pivot leaves 25-wide complements,
     # and n = 80, more than two elimination panels wide
@@ -194,6 +200,8 @@ PINNED = {
     "minrank-GF3-n2": "f5aeb2eacee2aa22740aefb28102266111866f04287ecab6800ed35e298df783",
     "minrank-GF3-n7-cycling": "4c820ef50f8d932a2a97e6a6ccb223adda848da95419f819e8a1f35999dd9867",
     "minrank-GF3-n8-cycling": "0be9cd5be526ae3c66defdfba7988ebb45c0d9bd6ef989befa709fbbb7ee026f",
+    "minrank-GF3-n10-csv-digits": (
+        "3bfc8a32505ecdd7547281b131864d7c08ee0dd1d3f118ef7f3fdef5843ef348"),
     "minrank-GF3-shard-off-blocks": "d80d82b319bf481a58a9aea0da5015c35c9e0917da140036bcbfcacd39c79411",
     "minrank-Q-n6-rank5-768": "6f8c1ada93a7190b7be3ecbd19b30ed535bfae02a9ef568f1bca3e37f890fc37",
     "minrank-Q-n6-signed-rank5-96": "1a40139dc148a10726fed9a3df416b7655e1f511e54bd3eb2110e054d578db73",
