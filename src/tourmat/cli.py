@@ -66,7 +66,8 @@ def _parse_seq(field: Field, text: str, n: int | None = None) -> WeightSeq:
     tokens = [tok for chunk in raw.split(",") for tok in chunk.split()]
     if not tokens:
         raise UsageError(f"no weights in {text!r}")
-    values = [parse_scalar(field, tok) for tok in tokens]
+    parsed = {tok: parse_scalar(field, tok) for tok in dict.fromkeys(tokens)}
+    values = [parsed[tok] for tok in tokens]
     if n is not None and len(values) != n:
         raise UsageError(f"need {n} weights, got {len(values)}")
     return WeightSeq(field, tuple(values))
@@ -374,6 +375,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout closed early (`| head`): quiet the flush at exit; 1 as Python's EPIPE exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

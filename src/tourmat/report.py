@@ -12,9 +12,9 @@ Records are a list of dicts, or for an exhaustive min-rank sweep a
 code range and an int8 rank array), which builds a dict only when one is
 read, so an elided report never builds them.  `csv_chunks` yields the CSV
 `CSV_CHUNK_ROWS` rows at a time and `to_csv` joins the chunks.  A table
-builds each chunk as bytes in numpy (`RecordTable.csv_rows`): the digits of
-the consecutive codes beside a per-rank ",rank,pass" suffix; a list of
-dicts is formatted cell by cell.
+builds each chunk in one bytearray (`RecordTable.csv_rows`): exact-width rows
+of uint32 words from cached four-digit groups and per-rank ",rank,pass"
+suffixes; a list of dicts is formatted cell by cell.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -48,28 +49,56 @@ class RecordTable(Sequence):
         return {"code": self.lo + i, "rank": r, "pass": r >= self.need}
 
     def csv_rows(self, a: int, b: int) -> str:
-        """The CSV lines "code,rank,pass" of rows a..b-1, built as one (rows,
-        bytes) uint8 array: the codes' decimal digits, with leading zeros NUL,
-        beside each rank's NUL-padded ",rank,pass\\n" suffix; dropping the NULs
-        leaves the text.  Digit j of a code is q_j - 10 q_(j-1) for the floor
-        quotients q_j of the code by powers of ten (numpy's floor division runs
-        far faster than its remainder)."""
-        ranks = self.ranks[a:b]
-        first = self.lo + a
-        width = len(str(first + len(ranks) - 1))  # codes < 2**63, so int64 holds them
-        text = bytearray(len(ranks) * (width + 11))
-        rows = np.frombuffer(text, dtype=np.uint8).reshape(len(ranks), width + 11)
-        digit, high = np.empty(len(ranks), dtype=np.uint8), 0
-        for j in range(width):
-            q = np.arange(first, first + len(ranks), dtype=np.int64) // 10 ** (width - 1 - j)
-            rows[:, j] = np.subtract(q, 10 * high - ord("0"), out=digit, casting="unsafe")
-            high = q
-        for j in range(width - 1):  # the codes are ascending, so a leading zero is a prefix
-            rows[:max(0, 10 ** (width - 1 - j) - first), j] = 0
-        suffixes = np.array([f",{r},{'true' if r >= self.need else 'false'}\n"
-                             for r in range(128)], dtype="S11")  # every int8 rank
-        rows[:, width:].view("S11")[:, 0] = suffixes[ranks]
-        return text.translate(None, b"\0").decode("ascii")
+        """The CSV lines "code,rank,pass" of rows a..b-1, at least one, in one bytearray:
+        per run of d-digit codes, rows d + (longest suffix) wide, whose uint32
+        words take per 10,000 codes the shared high digits, the cached
+        "0000".."9999" word of the low four, and the rank's NUL-padded
+        ",rank,pass\\n".  Only a run whose suffixes differ in length has NULs."""
+        ranks = self.ranks[a:b].astype(np.intp)
+        first, last = self.lo + a, self.lo + a + len(ranks)
+        (suffixes, lengths), digits = _suffixes(self.need), _digit_words()
+        cuts = [first, *(10**d for d in range(len(str(first)), len(str(last - 1)))), last]
+        runs, size = [], 0
+        for d, (start, stop) in enumerate(zip(cuts, cuts[1:]), len(str(first))):
+            lens = lengths[ranks[start - first:stop - first]]
+            top = int(lens.max())
+            runs.append((d, start, stop, top, lens.min() < top, size))
+            size += (stop - start) * (d + top)
+        text = bytearray(size)
+        for d, start, stop, top, mixed, base in reversed(runs):  # a NUL drop moves only later runs
+            r, width = ranks[start - first:stop - first], d + top
+            for block in range(start // 10**4, (stop - 1) // 10**4 + 1):
+                lo, hi = max(start, block * 10**4), min(stop, block * 10**4 + 10**4)
+                row, n, code = base + (lo - start) * width, hi - lo, str(lo).encode()
+                for k in range(0, d - 4, 4):  # high digits; the low word overwrites any past d - 4
+                    _words(text, row + k, width, n)[:] = np.frombuffer(code, "<u4", 1, k).repeat(n)
+                skip = max(4 - d, 0)  # below 1000 the word runs into the suffix, written next
+                _words(text, row + d - 4 + skip, width, n)[:] = _words(
+                    digits, 4 * (lo % 10**4) + skip, 4, n)
+            for k in {0, 4, top - 4}:  # top is 8..11, so the last word overlaps the middle one
+                _words(text, base + d + k, width, len(r))[:] = _words(suffixes, k, 12, 128)[r]
+            if mixed:
+                run = slice(base, base + len(r) * width)
+                text[run] = text[run].translate(None, b"\0")
+        return text.decode("ascii")
+
+
+def _words(buffer, offset: int, stride: int, count: int):
+    """count little-endian uint32 words of buffer, stride bytes apart from offset."""
+    return np.ndarray(count, "<u4", buffer, offset, (stride,))
+
+
+@cache
+def _digit_words() -> bytes:
+    """"0000".."9999": the four low digits of every code, one word each."""
+    return "".join(f"{i:04}" for i in range(10**4)).encode()
+
+
+@cache
+def _suffixes(need: int):
+    """Each int8 rank's ",rank,pass\\n" suffix NUL-padded to 12 bytes, and its length."""
+    text = [f",{r},{'true' if r >= need else 'false'}\n" for r in range(128)]
+    return "".join(t.ljust(12, "\0") for t in text).encode(), np.int8([len(t) for t in text])
 
 
 @dataclass

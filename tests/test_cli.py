@@ -250,6 +250,8 @@ def test_csv_report_format(capsys):
      "error: ZeroDivisionError"),
     (["minrank", "--n", "3", "--seq", "1,2,3", "--conjecture-c", "1/0"],
      "error: ZeroDivisionError"),
+    (["minrank", "--n", "4", "--seq", "1,2,1,x"], "error: ScalarParseError: bad scalar 'x'"),
+    (["minrank", "--n", "3", "--seq", "1,1,1,1"], "usage error: need 3 weights, got 4"),
 ])
 def test_degenerate_runs_refused(capsys, argv, error):
     code, stdout, err = run(capsys, *argv, "--seed", "1")
@@ -350,13 +352,18 @@ _PEAK_RSS = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], che
              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
+def _subprocess_env():
+    """os.environ with this tourmat's source directory first on PYTHONPATH."""
+    src = str(Path(tourmat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def test_full_n7_sweep_in_bounded_memory(tmp_path):
     """All 2**21 tournaments on 7 vertices over GF(3), weights 1,2,1,2,1,2,1:
     min rank 4 on 36,864 codes, the histogram of a full sweep, the CSV bytes
     of the stack sweep, and a CSV run that peaks below 150 MiB."""
-    src = str(Path(tourmat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env = _subprocess_env()
     cli = [sys.executable, "-m", "tourmat.cli", *N7_ARGV]
     csv = tmp_path / "n7.csv"
     peak = subprocess.run([sys.executable, "-c", _PEAK_RSS, *cli, "--format", "csv",
@@ -367,3 +374,19 @@ def test_full_n7_sweep_in_bounded_memory(tmp_path):
                                         text=True).stdout)["summary"]
     assert summary["min_rank"] == 4 and summary["argmin_count"] == 36_864
     assert summary["rank_histogram"] == {"4": 36_864, "6": 1_086_464, "7": 973_824}
+
+
+def test_csv_into_a_closed_pipe_exits_quietly():
+    """A reader that closes stdout after one line, as `| head -1` does, ends
+    the run with exit 1 and no BrokenPipeError, neither from main nor from
+    the flush at interpreter exit.  The 32,768-row CSV outgrows the pipe."""
+    proc = subprocess.Popen([sys.executable, "-m", "tourmat.cli", "minrank", "--n", "6",
+                             "--field", "GF(3)", "--seq", "1,2,1,2,1,2", "--format", "csv",
+                             "--seed", "0"], env=_subprocess_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"code,rank,pass\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "BrokenPipeError" not in err and "Exception ignored" not in err

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -506,21 +508,36 @@ def test_record_table_csv_and_json_match_dict_records(monkeypatch):
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7, report_mod.CSV_CHUNK_ROWS])
 def test_record_table_csv_matches_the_cell_path(monkeypatch, chunk_rows):
     """Derandomized: the table's numpy-built CSV is the text the dict path
-    formats cell by cell, for codes that cross powers of ten up to n=9-sized
-    codes, one-row tables, rank-0 rows, every int8 rank, and need 0, inside
-    and above every rank; every chunk is a str."""
+    formats cell by cell, for codes that cross powers of ten up to the 17
+    digits of n=11 codes, chunks cut at a power of ten, one-row tables,
+    rank-0 rows, every int8 rank, and need 0, inside and above every rank,
+    and a chunk whose first run has one suffix length and whose second has
+    two; every chunk is a str."""
     monkeypatch.setattr(report_mod, "CSV_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(18)
-    for lo in (0, 1, 9, 95, 999_990, 2**28 - 3, 2**36 - 5):
-        for rows in (1, 23):
+    tables = []
+    for rows in (1, 23):
+        for lo in (0, 1, 9, 95, 9_990, 999_990, 2**28 - 3, 2**36 - 5, 10**15 - chunk_rows,
+                   2**55 - rows):
             ranks = rng.integers(0, 128, rows).astype(np.int8)
             ranks[::4] = 0
-            for need in (0, 5, int(ranks.max()) + 1):
-                table = RecordTable(lo, ranks, need)
-                chunks = list(Report("minrank-exhaustive", {}, table).csv_chunks())
-                assert all(type(c) is str for c in chunks)
-                assert len(chunks) == 1 + -(-rows // chunk_rows)
-                assert "".join(chunks) == Report("minrank-exhaustive", {}, list(table)).to_csv()
+            tables += [RecordTable(lo, ranks, need) for need in (0, 5, int(ranks.max()) + 1)]
+    # codes 95..99 all ",5,true\n", codes 100..117 mixing it with ",10,true\n"
+    tables.append(RecordTable(95, np.array([5] * 5 + [5, 10] * 9, dtype=np.int8), 0))
+    for table in tables:
+        chunks = list(Report("minrank-exhaustive", {}, table).csv_chunks())
+        assert all(type(c) is str for c in chunks)
+        assert len(chunks) == 1 + -(-len(table) // chunk_rows)
+        assert "".join(chunks) == Report("minrank-exhaustive", {}, list(table)).to_csv()
+
+
+def test_importing_report_builds_no_csv_table():
+    """The digit and suffix tables are built on the first CSV, not at import."""
+    src = os.path.dirname(os.path.dirname(report_mod.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import tourmat.report as r; "
+             "print(r._digit_words.cache_info().currsize + r._suffixes.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["0"]
 
 
 def test_minrank_holds_its_records_as_columns():
